@@ -167,6 +167,16 @@ class Homomorphism:
         if not self.dom.is_hom_map(self.mapping, self.cod):
             raise AlgebraError("mapping is not a homomorphism")
 
+    @classmethod
+    def _trusted(cls, dom: FiniteAlgebra, cod: FiniteAlgebra,
+                 mapping: tuple[int, ...]) -> "Homomorphism":
+        """Wrap a mapping the caller has already verified with is_hom_map."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "dom", dom)
+        object.__setattr__(h, "cod", cod)
+        object.__setattr__(h, "mapping", mapping)
+        return h
+
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
@@ -332,8 +342,9 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
     """All homomorphisms a -> b, deterministically ordered.
 
     Backtracks over images of a generating set only (generator images
-    determine the map); every emitted map is verified to be a total
-    homomorphism.  ``constraints`` pins images of chosen elements.  A known
+    determine the map); every emitted map is verified once to be a total
+    homomorphism, after the cheaper constraint and injectivity/surjectivity
+    filters.  ``constraints`` pins images of chosen elements.  A known
     generating set may be passed to skip the minimal-generator search.
     """
     if a.sig != b.sig:
@@ -350,10 +361,7 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
         for g in gens
     ]
     for images in itertools.product(*choice_space):
-        mapping: dict[int, int] = {}
-        ok = True
-        for g, img in zip(gens, images):
-            mapping[g] = img
+        mapping: dict[int, int] = dict(zip(gens, images))
         for e in order:
             kind = deriv[e]
             if kind[0] == "gen":
@@ -361,17 +369,14 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
             op, args = kind
             mapping[e] = b.tables[op][tuple(mapping[x] for x in args)]
         full = tuple(mapping[e] for e in range(a.size))
-        for e, img in constraints.items():
-            if full[e] != img:
-                ok = False
-                break
-        if not ok or not a.is_hom_map(full, b):
+        if any(full[e] != img for e, img in constraints.items()):
             continue
         if injective and len(set(full)) != a.size:
             continue
         if surjective and len(set(full)) != b.size:
             continue
-        yield Homomorphism(a, b, full)
+        if a.is_hom_map(full, b):
+            yield Homomorphism._trusted(a, b, full)
 
 
 def quotient(a: FiniteAlgebra, theta: Congruence):

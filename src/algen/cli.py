@@ -2,8 +2,9 @@
 
 Subcommands: validate, free, con, solve, compare, lgg, kleene-dual, props.
 Exit codes: 0 success, 1 bad input, 2 budget exceeded, 3 inconclusive by
-bound.  All output is deterministic; JSON keys are emitted in a fixed
-order, DOT nodes are labelled by canonical representatives.
+bound, 4 internal verification failure (a bug).  All output is
+deterministic; JSON keys are emitted in a fixed order, DOT nodes are
+labelled by canonical representatives.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .kleene import (
 )
 from .solver import (
     DEFAULT_BOUND,
+    InternalVerificationError,
     SolverError,
     SymbolicProblem,
     _rename_to_output,
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(text: str):
@@ -379,15 +382,36 @@ def cmd_props(args) -> int:
 # Argument parsing
 
 
+class UsageError(ValueError):
+    """Command-line arguments that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argument errors are bad input like any other: one line, exit 1
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _add_common(p, file_arg=True, bound=False, formats=(), budget=True):
     if file_arg:
         p.add_argument("file", help="variety file (JSON)")
     if bound:
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+        p.add_argument("--bound", type=_int_at_least(1), default=DEFAULT_BOUND,
                        help="search bound for exactness and strong "
                             "projectivity (default 2)")
     if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
                        help="cell budget for constructions (default 10^7)")
     if formats:
         group = p.add_mutually_exclusive_group()
@@ -403,7 +427,7 @@ def _add_common(p, file_arg=True, bound=False, formats=(), budget=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algen",
         description="Equational generalization over varieties presented by "
                     "finite algebras")
@@ -415,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free", help="list a free algebra with representatives")
     _add_common(p, formats=("json", "text"))
-    p.add_argument("-n", type=int, required=True, help="number of generators")
+    p.add_argument("-n", type=_int_at_least(0), required=True,
+                   help="number of generators")
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("con", help="congruence lattice of F(1) with "
@@ -458,16 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (VarFileError, ParseError, TermError, SolverError, AlgebraError) as e:
+    except (UsageError, VarFileError, ParseError, TermError, SolverError,
+            AlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalVerificationError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -115,3 +115,42 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True, cwd=pathlib.Path(__file__).parent.parent)
     assert r.returncode == 0
     assert "variety boolean: ok" in r.stdout
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["props", "varieties/kleene.var", "--bound"],
+    ["con", "varieties/kleene.var", "--bound"],
+    ["solve", "varieties/kleene.var", "x", "y", "--bound"],
+    ["free", "varieties/kleene.var", "-n", "1", "--budget"],
+])
+def test_rejects_bounds_without_search(argv, value, capsys):
+    from algen.cli import main
+
+    assert main(argv + [value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rejects_negative_generator_count(capsys):
+    from algen.cli import main
+
+    assert main(["free", "varieties/kleene.var", "-n", "-3"]) == 1
+    _, err = capsys.readouterr()
+    assert err == "error: algen free: argument -n: must be at least 0, got -3\n"
+
+
+def test_internal_verification_error_exit_code(monkeypatch, capsys):
+    import algen.solver
+    from algen.cli import EXIT_INTERNAL, main
+
+    def failing(ctx, entry, terms):
+        raise algen.solver.InternalVerificationError("witness fails: planted")
+
+    monkeypatch.setattr(algen.solver, "_verify_entry", failing)
+    code = main(["solve", "varieties/boolean.var", "or(x,not(x))", "1"])
+    assert code == EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: witness fails: planted\n"

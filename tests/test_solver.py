@@ -12,6 +12,7 @@ from algen.algebra import (
 )
 from algen.solver import (
     InternalVerificationError,
+    _product_shortcut,
     SolverError,
     SymbolicProblem,
     alg_of,
@@ -31,7 +32,8 @@ from algen.solver import (
 from algen.terms import Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
 from algen.variety import BudgetExceeded, VarietyContext, VarietySpec
 
-from factories import bool2, goedel_chain, k3, k4, ka4_diamond, n3, semilattice2
+from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
+                       semilattice2)
 from test_variety import identity_holds_oracle
 
 
@@ -60,6 +62,11 @@ def n3v():
 @pytest.fixture(scope="module")
 def sl():
     return mk("SL", semilattice2())
+
+
+@pytest.fixture(scope="module")
+def la():
+    return mk("L", lattice2())
 
 
 def prob(ctx, *sources):
@@ -493,14 +500,83 @@ def test_solve_duplicate_terms_kept(ka):
     assert_report_sound(r)
 
 
-def test_solve_shortcut_consistency(ba, ka):
-    # for these 1ESP varieties the product-projectivity shortcut, when it
-    # fires, must agree with the congruence route
-    for ctx, sources in [(ba, ("or(x,not(x))", "1")),
-                         (ka, ("and(x,not(x))", "and(y,not(y))"))]:
+def test_solve_shortcut_consistency(ba, ka, sl, la):
+    # solve() skips the product shortcut in 1EP varieties, so run it here
+    # directly: a projective factor product must agree with the congruence
+    # route's unitary verdict
+    samples = [
+        (ba, ("or(x,not(x))", "1")), (ba, ("x", "not(x)")),
+        (ba, ("and(x,y)", "and(y,x)")), (ba, ("0", "1")),
+        (sl, ("or(x,y)", "or(y,w)")), (sl, ("x", "or(x,y)")),
+        (la, ("and(x,y)", "or(y,w)")), (la, ("and(x,y)", "x")),
+        (ka, ("x",)), (ka, ("1",)), (ka, ("and(x,not(x))",)),
+        (ka, ("0", "1")), (ka, ("0", "and(x,not(x))")),
+    ]
+    projective = 0
+    for ctx, sources in samples:
+        p = prob(ctx, *sources)
+        note, _ = _product_shortcut(alg_of(p), 2)
+        assert note["status"] in ("projective", "not-projective"), sources
+        if note["status"] == "projective":
+            projective += 1
+            r = solve(p)
+            assert r.type.render() == "unitary", sources
+            assert len(r.mcsg) == 1, sources
+    assert projective >= 1
+
+
+def test_solve_1ep_skips_product_shortcut(ba, ka, sl, la, monkeypatch):
+    import algen.solver as solver_mod
+
+    for ctx in (ba, ka, sl, la):
+        check_1esp(ctx)  # warm the per-variety classification
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product shortcut ran in a 1EP variety")
+
+    for name in ("min_generators", "direct_product", "enumerate_homs"):
+        monkeypatch.setattr(solver_mod, name, forbidden)
+    for ctx, sources in [(ba, ("or(x,not(x))", "1")), (ba, ("x", "y")),
+                         (ka, ("and(x,not(x))", "and(y,not(y))")),
+                         (ka, ("x", "not(x)")),
+                         (sl, ("or(x,y)", "or(y,w)")),
+                         (la, ("and(x,y)", "or(y,w)"))]:
         r = solve(prob(ctx, *sources))
-        if r.shortcut["status"] == "projective":
-            assert r.type.render() == "unitary"
+        assert r.ep.status == "yes"
+        assert r.shortcut == {"status": "skipped", "reason": "variety is 1EP"}
+
+
+def test_solve_n3_runs_product_shortcut(n3v):
+    # outside 1EP the shortcut is the only route to a verdict
+    r = solve(prob(n3v, "oplus(x,x)", "oplus(y,oplus(y,y))"))
+    assert r.shortcut["status"] == "not-projective"
+    r = solve(prob(n3v, "x", "y"))
+    assert r.shortcut["status"] == "projective"
+    assert r.type.render() == "unitary"
+    assert_report_sound(r)
+
+
+def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
+    for ctx, sources in [(ba, ("1", "or(x,not(x))", "or(y,not(y))")),
+                         (ka, ("and(x,not(x))", "and(y,not(y))")),
+                         (n3v, ("x", "y"))]:
+        p = prob(ctx, *sources)
+        calls = []
+        real = ctx.holds_identity
+        monkeypatch.setattr(ctx, "holds_identity",
+                            lambda s, t: calls.append((s, t)) or real(s, t))
+        r = solve(p)
+        assert len(r.mcsg) >= 1
+        # one identity per witness of each emitted entry, no more
+        assert len(calls) == len(r.mcsg) * len(p.terms), sources
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_solver_rejects_bound_below_one(ka, bound):
+    with pytest.raises(SolverError):
+        classify_all(ka, bound)
+    with pytest.raises(SolverError):
+        solve(prob(ka, "x", "y"), bound)
 
 
 def test_solve_budget_error():
