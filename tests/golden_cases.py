@@ -30,10 +30,16 @@ CASES = [
     ("lattice_solve.txt",
      ["solve", "varieties/lattice.var", "and(x,y)", "or(y,w)"]),
     ("lgg_clash.txt", ["lgg", "f(a,a)", "f(b,b)"]),
+    # text paths no case above reaches: the approximate G-congruences block
+    # of an inconclusive solve, props with a `no` witness, and con --json
+    ("n3_solve.txt",
+     ["solve", "varieties/n3.var", "oplus(x,x)", "oplus(y,oplus(y,y))"]),
+    ("n3_props.txt", ["props", "varieties/n3.var"]),
+    ("kleene_con.json", ["con", "varieties/kleene.var", "--json"]),
 ]
 
 # exit codes expected alongside the output
-EXPECTED_EXIT = {"n3_solve.json": 3}
+EXPECTED_EXIT = {"n3_solve.json": 3, "n3_solve.txt": 3}
 
 
 def run_case(argv):
