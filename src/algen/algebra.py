@@ -9,10 +9,10 @@ function, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .terms import App, Signature, Term, Var
+from .terms import Signature, Term, Var
 
 __all__ = [
     "AlgebraError",
@@ -31,6 +31,7 @@ __all__ = [
     "find_isomorphism",
     "factor_through",
     "poset_covers",
+    "close_under",
 ]
 
 
@@ -91,22 +92,7 @@ class FiniteAlgebra:
 
     def subuniverse(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Closure of the generators under all operations, ascending order."""
-        closed = set(gens)
-        closed.update(self.constants().values())
-        frontier = True
-        while frontier:
-            frontier = False
-            members = sorted(closed)
-            for op, arity in self.sig.ops:
-                if arity == 0:
-                    continue
-                table = self.tables[op]
-                for args in itertools.product(members, repeat=arity):
-                    r = table[args]
-                    if r not in closed:
-                        closed.add(r)
-                        frontier = True
-        return tuple(sorted(closed))
+        return tuple(sorted(self.closure_with_derivations(list(gens))[0]))
 
     def closure_with_derivations(self, gens: Sequence[int]):
         """Closure order plus, for each element, how it was first produced.
@@ -146,9 +132,6 @@ class FiniteAlgebra:
                     return False
         return True
 
-    def table_cells(self) -> int:
-        return sum(len(t) for t in self.tables.values())
-
     def __repr__(self):
         name = self.name or "algebra"
         return f"<{name}: {self.size} elements>"
@@ -170,7 +153,8 @@ class Homomorphism:
     @classmethod
     def _trusted(cls, dom: FiniteAlgebra, cod: FiniteAlgebra,
                  mapping: tuple[int, ...]) -> "Homomorphism":
-        """Wrap a mapping the caller has already verified with is_hom_map."""
+        """Wrap a mapping that is a homomorphism by construction or that the
+        caller has already verified with is_hom_map."""
         h = object.__new__(cls)
         object.__setattr__(h, "dom", dom)
         object.__setattr__(h, "cod", cod)
@@ -185,13 +169,6 @@ class Homomorphism:
 
     def is_surjective(self) -> bool:
         return len(set(self.mapping)) == self.cod.size
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner."""
-        if inner.cod is not self.dom:
-            raise AlgebraError("composition domain mismatch")
-        return Homomorphism(inner.dom, self.cod,
-                            tuple(self.mapping[x] for x in inner.mapping))
 
 
 @dataclass(frozen=True)
@@ -254,6 +231,22 @@ class Congruence:
     def meet(self, other: "Congruence") -> "Congruence":
         return Congruence.from_map(list(zip(self.blocks, other.blocks)))
 
+    def join(self, other: "Congruence") -> "Congruence":
+        """Join of the two partitions, by union-find.  The join of two
+        congruences in Con A is their join as equivalence relations, so no
+        closure under the operations is needed."""
+        parent = list(self.blocks)  # every tree is rooted at its least element
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, j in enumerate(other.blocks):
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+        return Congruence(tuple(find(i) for i in range(self.size)))
+
     def sort_key(self) -> tuple:
         # identity first, total last, deterministic in between
         return (self.size - self.num_blocks(), self.blocks)
@@ -290,7 +283,8 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
         tables[op] = table
     prod = FiniteAlgebra(sig, labels, tables,
                          name="x".join(a.name or "?" for a in algebras))
-    projections = [Homomorphism(prod, alg, tuple(t[i] for t in tuples))
+    # a projection commutes with the operations by construction
+    projections = [Homomorphism._trusted(prod, alg, tuple(t[i] for t in tuples))
                    for i, alg in enumerate(algebras)]
     return prod, projections
 
@@ -453,31 +447,12 @@ def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:
     return congruence_generated(a, [(x, y)])
 
 
-def congruence_join(a: FiniteAlgebra, t1: Congruence, t2: Congruence) -> Congruence:
-    pairs = [(i, t1.blocks[i]) for i in range(a.size)]
-    pairs += [(i, t2.blocks[i]) for i in range(a.size)]
-    return congruence_generated(a, pairs)
-
-
 def congruence_lattice(a: FiniteAlgebra) -> tuple[Congruence, ...]:
-    """All congruences: principal congruences closed under pairwise join,
-    plus the identity.  Sorted identity-first, total-last."""
-    found = {Congruence.identity(a.size)}
-    principals = set()
-    for x in range(a.size):
-        for y in range(x + 1, a.size):
-            principals.add(principal_congruence(a, x, y))
-    found |= principals
-    frontier = set(found)
-    while frontier:
-        new = set()
-        for t1 in frontier:
-            for t2 in found:
-                j = congruence_join(a, t1, t2)
-                if j not in found and j not in new:
-                    new.add(j)
-        found |= new
-        frontier = new
+    """All congruences: principal congruences closed under the partition
+    join, plus the identity.  Sorted identity-first, total-last."""
+    found = close_under(Congruence.join, [Congruence.identity(a.size)] + [
+        principal_congruence(a, x, y)
+        for x in range(a.size) for y in range(x + 1, a.size)])
     if a.size:
         found.add(Congruence.total(a.size))
     return tuple(sorted(found, key=Congruence.sort_key))
@@ -505,16 +480,21 @@ def factor_through(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     return Homomorphism(f.cod, g.cod, tuple(images[i] for i in range(f.cod.size)))
 
 
+def close_under(op, items: Iterable) -> set:
+    """The closure of a set under a binary operation, in semi-naive rounds:
+    each round applies the operation only to pairs with a new member."""
+    found = set(items)
+    frontier = set(found)
+    while frontier:
+        frontier = {op(a, b) for a in frontier for b in found} - found
+        found |= frontier
+    return found
+
+
 def poset_covers(items: Sequence, leq) -> list[tuple[int, int]]:
     """Hasse cover pairs (i, j) with items[i] < items[j], no element between."""
     n = len(items)
     lt = [[leq(items[i], items[j]) and i != j and not leq(items[j], items[i])
            for j in range(n)] for i in range(n)]
-    strict = [[lt[i][j] or (leq(items[i], items[j]) and not leq(items[j], items[i]))
-               for j in range(n)] for i in range(n)]
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if strict[i][j] and not any(strict[i][k] and strict[k][j] for k in range(n)):
-                covers.append((i, j))
-    return covers
+    return [(i, j) for i in range(n) for j in range(n)
+            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))]

@@ -17,7 +17,6 @@ import sys
 from .algebra import AlgebraError, Congruence, poset_covers
 from .dot import congruence_lattice_dot, congruence_poset_dot
 from .kleene import (
-    NotKleeneError,
     dual_poset,
     is_exact_by_quasieq,
     is_projective_by_duality,
@@ -28,25 +27,23 @@ from .solver import (
     InternalVerificationError,
     SolverError,
     SymbolicProblem,
+    TypeVerdict,
     _rename_to_output,
     check_1ep,
     check_1esp,
+    classification_rows,
     classify_all,
     compare_generality,
-    congruence_blocks_labels,
-    congruence_name,
     pairwise_reduce,
     solve,
 )
 from .terms import (
     ParseError,
     Signature,
-    Substitution,
     TermError,
     lgg_syntactic,
     parse_term,
     term_to_str,
-    term_vars,
 )
 from .varfile import VarFileError, load_variety
 from .variety import DEFAULT_BUDGET, BudgetExceeded, VarietyContext
@@ -80,13 +77,27 @@ def _rename_display(term, n):
     return term_to_str(term)
 
 
-def _verdict_text(v) -> str:
-    out = v.status
-    if v.bound is not None:
-        out += f" (bound {v.bound})"
-    if v.status == "no" and isinstance(v.detail, str):
-        out += f": {v.detail}"
+# Text output is rendered from the dict that --json prints, so the two
+# formats cannot drift apart.
+
+
+def _verdict_text(v: dict) -> str:
+    out = v["status"]
+    if "bound" in v:
+        out += f" (bound {v['bound']})"
+    if v["status"] == "no" and isinstance(v.get("detail"), str):
+        out += f": {v['detail']}"
     return out
+
+
+def _blocks_text(blocks) -> str:
+    return " ".join("{" + ",".join(b) + "}" for b in blocks)
+
+
+def _witness_lines(witnesses) -> list[str]:
+    return [f"  sigma{k + 1}: {{"
+            + ", ".join(f"{v} -> {t}" for v, t in w.items()) + "}"
+            for k, w in enumerate(witnesses)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,60 +141,37 @@ def cmd_free(args) -> int:
     return EXIT_OK
 
 
-def _classification_rows(ctx, bound):
-    cls = classify_all(ctx, bound)
-    items = sorted(cls, key=Congruence.sort_key)
-    rows = []
-    for theta in items:
-        c = cls[theta]
-        rows.append({
-            "name": congruence_name(ctx, theta),
-            "blocks": congruence_blocks_labels(ctx, theta),
-            "exact": c.exact.to_dict(),
-            "projective": c.projective.to_dict(),
-            "strongly_projective": c.strongly_projective.to_dict(),
-        })
-    covers = poset_covers(items, lambda a, b: a.leq(b))
-    cover_names = [[congruence_name(ctx, items[i]), congruence_name(ctx, items[j])]
-                   for i, j in covers]
-    unknown = any(
-        c.exact.status == "unknown" or c.strongly_projective.status == "unknown"
-        for c in cls.values())
-    return rows, cover_names, unknown
-
-
 def cmd_con(args) -> int:
     ctx = _context(args)
-    rows, covers, unknown = _classification_rows(ctx, args.bound)
+    cls = classify_all(ctx, args.bound)
+    rows = classification_rows(ctx, cls)
+    items = sorted(cls, key=Congruence.sort_key)  # the order of the rows
+    doc = {
+        "variety": ctx.spec.name,
+        "bound": args.bound,
+        "size": len(rows),
+        "congruences": rows,
+        "covers": [[rows[i]["name"], rows[j]["name"]]
+                   for i, j in poset_covers(items, Congruence.leq)],
+    }
     if args.dot:
         _emit(congruence_lattice_dot(ctx, args.bound,
                                      name=f"con_{ctx.spec.name}"))
     elif args.json:
-        _emit_json({
-            "variety": ctx.spec.name,
-            "bound": args.bound,
-            "size": len(rows),
-            "congruences": rows,
-            "covers": covers,
-        })
+        _emit_json(doc)
     else:
-        _emit(f"Con F_{ctx.spec.name}(1): {len(rows)} congruences  "
-              f"[bound {args.bound}]")
+        _emit(f"Con F_{doc['variety']}(1): {doc['size']} congruences  "
+              f"[bound {doc['bound']}]")
         for row in rows:
-            blocks = " ".join("{" + ",".join(b) + "}" for b in row["blocks"])
             _emit(f"  {row['name']}")
-            _emit(f"    blocks: {blocks}")
+            _emit(f"    blocks: {_blocks_text(row['blocks'])}")
             for key in ("exact", "projective", "strongly_projective"):
-                v = row[key]
-                text = v["status"]
-                if "bound" in v:
-                    text += f" (bound {v['bound']})"
-                if v["status"] == "no" and isinstance(v.get("detail"), str):
-                    text += f": {v['detail']}"
-                _emit(f"    {key.replace('_', ' ')}: {text}")
+                _emit(f"    {key.replace('_', ' ')}: {_verdict_text(row[key])}")
         _emit("covers:")
-        for lo, hi in covers:
+        for lo, hi in doc["covers"]:
             _emit(f"  {lo} < {hi}")
+    unknown = any(row[key]["status"] == "unknown" for row in rows
+                  for key in ("exact", "strongly_projective"))
     return EXIT_INCONCLUSIVE if unknown else EXIT_OK
 
 
@@ -200,39 +188,42 @@ def cmd_solve(args) -> int:
     elif args.json:
         _emit_json(report.to_dict())
     else:
-        _emit(f"problem: {', '.join(term_to_str(t) for t in terms)}   "
-              f"[variety {ctx.spec.name}, bound {args.bound}]")
-        blocks = " ".join(
-            "{" + ",".join(b) + "}"
-            for b in congruence_blocks_labels(ctx, report.kernel))
-        _emit(f"kernel: {congruence_name(ctx, report.kernel)}")
-        _emit(f"  blocks: {blocks}")
-        g = report.g
-        if g.status == "exact":
-            _emit("g-congruences: "
-                  + ", ".join(congruence_name(ctx, t) for t in g.members))
-        else:
-            _emit("g-congruences: approximate (two-sided bounds)")
-            _emit("  lower: " + ", ".join(congruence_name(ctx, t) for t in g.lower))
-            _emit("  upper: " + ", ".join(congruence_name(ctx, t) for t in g.upper))
-        _emit("  maximal: " + ", ".join(congruence_name(ctx, t) for t in g.maximal))
-        if report.mcsg:
-            _emit("mcsg:")
-            for entry in report.mcsg:
-                _emit(f"  {term_to_str(entry.term)}")
-                for k, w in enumerate(entry.witnesses):
-                    _emit(f"    sigma{k + 1}: {w}")
-        else:
-            _emit("mcsg: (none emitted)")
-        _emit(f"type: {report.type.render()}"
-              + (f"  [{report.type.reason}]" if report.type.reason else ""))
-        _emit(f"1EP: {_verdict_text(report.ep)}   1ESP: {_verdict_text(report.esp)}")
-        _emit(f"shortcut: {report.shortcut['status']}"
-              + (f" ({report.shortcut.get('reason', '')})"
-                 if "reason" in report.shortcut else ""))
-        for c in report.caveats:
-            _emit(f"caveat: {c}")
+        _emit_solve_text(report.to_dict())
     return EXIT_INCONCLUSIVE if report.type.kind == "inconclusive" else EXIT_OK
+
+
+def _emit_solve_text(doc: dict):
+    _emit(f"problem: {', '.join(doc['terms'])}   "
+          f"[variety {doc['variety']}, bound {doc['bound']}]")
+    _emit(f"kernel: {doc['kernel']['name']}")
+    _emit(f"  blocks: {_blocks_text(doc['kernel']['blocks'])}")
+    g = doc["g_congruences"]
+    if g["status"] == "exact":
+        _emit("g-congruences: " + ", ".join(g["members"]))
+    else:
+        _emit("g-congruences: approximate (two-sided bounds)")
+        _emit("  lower: " + ", ".join(g["lower"]))
+        _emit("  upper: " + ", ".join(g["upper"]))
+    _emit("  maximal: " + ", ".join(g["maximal"]))
+    if doc["mcsg"]:
+        _emit("mcsg:")
+        for entry in doc["mcsg"]:
+            _emit(f"  {entry['term']}")
+            for line in _witness_lines(entry["witnesses"]):
+                _emit(f"  {line}")
+    else:
+        _emit("mcsg: (none emitted)")
+    type_ = doc["type"]
+    _emit(f"type: {TypeVerdict(**type_).render()}"
+          + (f"  [{type_['reason']}]" if "reason" in type_ else ""))
+    props = doc["properties"]
+    _emit(f"1EP: {_verdict_text(props['1ep'])}   "
+          f"1ESP: {_verdict_text(props['1esp'])}")
+    shortcut = doc["shortcut"]
+    _emit(f"shortcut: {shortcut['status']}"
+          + (f" ({shortcut['reason']})" if "reason" in shortcut else ""))
+    for c in doc["caveats"]:
+        _emit(f"caveat: {c}")
 
 
 def cmd_compare(args) -> int:
@@ -298,16 +289,17 @@ def cmd_lgg(args) -> int:
         sig = _infer_signature(args.terms)
     terms = [parse_term(s, sig) for s in args.terms]
     g, sigmas = lgg_syntactic(terms)
+    doc = {
+        "generalizer": term_to_str(g),
+        "witnesses": [{v: term_to_str(t) for v, t in w.bindings}
+                      for w in sigmas],
+    }
     if args.json:
-        _emit_json({
-            "generalizer": term_to_str(g),
-            "witnesses": [{v: term_to_str(t) for v, t in w.bindings}
-                          for w in sigmas],
-        })
+        _emit_json(doc)
     else:
-        _emit(f"lgg: {term_to_str(g)}")
-        for k, w in enumerate(sigmas):
-            _emit(f"  sigma{k + 1}: {w}")
+        _emit(f"lgg: {doc['generalizer']}")
+        for line in _witness_lines(doc["witnesses"]):
+            _emit(line)
     return EXIT_OK
 
 
@@ -321,10 +313,7 @@ def cmd_kleene_dual(args) -> int:
     p = dual_poset(a)
     proj_ok, failed = is_projective_by_duality(p)
     exact_ok, reason = is_exact_by_quasieq(a)
-    covers = [(i, j) for i in range(p.size) for j in range(p.size)
-              if i != j and p.le(i, j) and not any(
-                  k != i and k != j and p.le(i, k) and p.le(k, j)
-                  for k in range(p.size))]
+    covers = poset_covers(range(p.size), p.le)
     if args.dot:
         _emit(poset_to_dot(p, name=f"dual_{args.algebra}"))
     elif args.json:
@@ -356,24 +345,21 @@ def cmd_kleene_dual(args) -> int:
 
 def cmd_props(args) -> int:
     ctx = _context(args)
-    ep = check_1ep(ctx, args.bound)
-    esp = check_1esp(ctx, args.bound)
+    doc = {
+        "variety": ctx.spec.name,
+        "bound": args.bound,
+        "1ep": check_1ep(ctx, args.bound).to_dict(),
+        "1esp": check_1esp(ctx, args.bound).to_dict(),
+    }
     if args.json:
-        _emit_json({
-            "variety": ctx.spec.name,
-            "bound": args.bound,
-            "1ep": ep.to_dict(),
-            "1esp": esp.to_dict(),
-        })
+        _emit_json(doc)
     else:
-        _emit(f"variety {ctx.spec.name}  [bound {args.bound}]")
-        _emit(f"1EP: {_verdict_text(ep)}")
-        if ep.status == "no":
-            _emit(f"  witness: {ep.detail['witness']}")
-        _emit(f"1ESP: {_verdict_text(esp)}")
-        if esp.status == "no":
-            _emit(f"  witness: {esp.detail['witness']}")
-    if ep.status == "unknown" or esp.status == "unknown":
+        _emit(f"variety {doc['variety']}  [bound {doc['bound']}]")
+        for label, key in (("1EP", "1ep"), ("1ESP", "1esp")):
+            _emit(f"{label}: {_verdict_text(doc[key])}")
+            if doc[key]["status"] == "no":
+                _emit(f"  witness: {doc[key]['detail']['witness']}")
+    if "unknown" in (doc["1ep"]["status"], doc["1esp"]["status"]):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

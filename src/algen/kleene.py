@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, FiniteAlgebra, poset_covers
 
 __all__ = [
     "NotKleeneError",
@@ -240,14 +240,9 @@ def poset_to_dot(p: InvolutivePoset, name: str = "dual") -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=box];']
     for i, lab in enumerate(p.labels):
         lines.append(f'  p{i} [label="{lab}"];')
-    n = p.size
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.le(i, j) and not any(
-                    k != i and k != j and p.le(i, k) and p.le(k, j)
-                    for k in range(n)):
-                lines.append(f"  p{i} -> p{j};")
-    for i in range(n):
+    for i, j in poset_covers(range(p.size), p.le):
+        lines.append(f"  p{i} -> p{j};")
+    for i in range(p.size):
         j = p.iota[i]
         if i < j:
             lines.append(f"  p{i} -> p{j} [dir=both, style=dashed, constraint=false];")

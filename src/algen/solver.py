@@ -12,22 +12,22 @@ re-verified against the variety before it leaves this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import (
     AlgebraError,
     Congruence,
     FiniteAlgebra,
+    close_under,
     congruence_lattice,
     direct_product,
     enumerate_homs,
     min_generators,
-    poset_covers,
+    principal_congruence,
     quotient,
 )
 from .terms import (
-    App,
     Substitution,
     Term,
     Var,
@@ -72,6 +72,7 @@ __all__ = [
     "pairwise_reduce",
     "congruence_name",
     "congruence_blocks_labels",
+    "classification_rows",
 ]
 
 DEFAULT_BOUND = 2
@@ -208,15 +209,10 @@ class CongruenceClassification:
 def _evaluation_kernels(ctx: VarietyContext,
                         target_free: FreeAlgebra) -> list[Congruence]:
     """ker(z -> t) for every element t of the target free algebra, cached."""
-    key = ("evaluation-kernels", target_free.n)
-    cache = ctx._classification_cache
-    if key not in cache:
-        f1 = ctx.free_algebra(1)
-        cache[key] = [
-            _kernel_of_evaluation(f1, target_free.algebra, t)
-            for t in range(target_free.size)
-        ]
-    return cache[key]
+    f1 = ctx.free_algebra(1)
+    return ctx.memo(("evaluation-kernels", target_free.n), lambda: [
+        _kernel_of_evaluation(f1, target_free.algebra, t)
+        for t in range(target_free.size)])
 
 
 def _embedding_elements(ctx: VarietyContext, theta: Congruence,
@@ -276,19 +272,15 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     attempts = []
     for t in embeddings1:
         rep_t = f1.reps[t]
-        found = None
-        for q in range(q_alg.size):
-            if q_alg.eval(rep_t, {var_name(0): q}) == zq:
-                found = q
-                break
+        found = _retraction(q_alg, rep_t, 1, zq)
         attempts.append({"embedding": term_to_str(_rename_to_output(rep_t)),
                          "retraction_images_tried": q_alg.size if found is None
-                         else found + 1,
+                         else found[0] + 1,
                          "retraction_found": found is not None,
                          "retraction_image": None if found is None
-                         else blocks[found]})
+                         else blocks[found[0]]})
         if found is not None:
-            retract = (t, found)
+            retract = (t, found[0])
             break
     if retract is not None:
         projective = Verdict("yes", None, {"search": attempts})
@@ -329,13 +321,7 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
             fk = ctx.free_algebra(k)
             for t in _embedding_elements(ctx, theta, fk):
                 rep_t = fk.reps[t]
-                env_vars = [var_name(i) for i in range(k)]
-                ok = False
-                for qs in itertools.product(range(q_alg.size), repeat=k):
-                    if q_alg.eval(rep_t, dict(zip(env_vars, qs))) == zq:
-                        ok = True
-                        break
-                if not ok:
+                if _retraction(q_alg, rep_t, k, zq) is None:
                     sp = Verdict("no", None, {
                         "arity": k,
                         "embedding": term_to_str(rep_t),
@@ -348,6 +334,17 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
             sp = Verdict("yes", bound)
 
     return CongruenceClassification(theta, exact, projective, sp, retract)
+
+
+def _retraction(q_alg: FiniteAlgebra, rep: Term, k: int,
+                target: int) -> tuple[int, ...] | None:
+    """The first assignment of quotient elements to x1..xk, in product
+    order, under which ``rep`` evaluates to ``target``; None if none does.
+    Such an assignment determines a retraction of the embedding that
+    ``rep`` induces."""
+    names = [var_name(i) for i in range(k)]
+    return next((qs for qs in itertools.product(range(q_alg.size), repeat=k)
+                 if q_alg.eval(rep, dict(zip(names, qs))) == target), None)
 
 
 def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
@@ -367,12 +364,8 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     spec = ctx.spec
     x1 = var_name(0)
 
-    kappas: list[list[Congruence]] = []
-    for gen in spec.generators:
-        kappas.append([
-            Congruence.from_map([gen.eval(rep, {x1: a}) for rep in f1.reps])
-            for a in range(gen.size)
-        ])
+    kappas = [[_kernel_of_evaluation(f1, gen, a) for a in range(gen.size)]
+              for gen in spec.generators]
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
         for gi, gen in enumerate(spec.generators)
@@ -432,13 +425,9 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
 def classify_all(ctx: VarietyContext,
                  bound: int = DEFAULT_BOUND) -> dict[Congruence, CongruenceClassification]:
     _check_bound(bound)
-    key = ("classify", bound)
-    if key not in ctx._classification_cache:
-        lat = congruence_lattice(ctx.free_algebra(1).algebra)
-        ctx._classification_cache[key] = {
-            theta: classify_congruence(ctx, theta, bound) for theta in lat
-        }
-    return ctx._classification_cache[key]
+    return ctx.memo(("classify", bound), lambda: {
+        theta: classify_congruence(ctx, theta, bound)
+        for theta in congruence_lattice(ctx.free_algebra(1).algebra)})
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +449,7 @@ def e_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
     lower approximation.
     """
     base, complete = exact_congruences(ctx, bound)
-    found = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for t1 in frontier:
-            for t2 in found:
-                m = t1.meet(t2)
-                if m not in found and m not in new:
-                    new.add(m)
-        found |= new
-        frontier = new
-    return sorted(found, key=Congruence.sort_key), complete
+    return sorted(close_under(Congruence.meet, base), key=Congruence.sort_key), complete
 
 
 @dataclass(frozen=True)
@@ -515,53 +493,35 @@ def g_congruences(ap: AlgebraicProblem,
     return GCongruences("approximate", lower, lower, upper, _maximal(lower))
 
 
+def _every_exact_is(ctx: VarietyContext, bound: int, prop: str,
+                    detail_key: str) -> Verdict:
+    """Whether every exact congruence of F(1) has the classification
+    ``prop``: "no" names the first exact one without it, "unknown" means
+    one without it has unresolved exactness.  Cached on the context."""
+    def verdict() -> Verdict:
+        cls = classify_all(ctx, bound)
+        for theta, c in cls.items():
+            if c.exact.status == "yes" and getattr(c, prop).status == "no":
+                return Verdict("no", None,
+                               {"witness": congruence_name(ctx, theta),
+                                detail_key: getattr(c, prop).detail})
+        if any(c.exact.status == "unknown" and getattr(c, prop).status != "yes"
+               for c in cls.values()):
+            kind = prop.replace("_", "-")
+            return Verdict("unknown", bound,
+                           f"a non-{kind} congruence has unresolved exactness")
+        return Verdict("yes", bound)
+    return ctx.memo((prop, bound), verdict)
+
+
 def check_1ep(ctx: VarietyContext, bound: int = DEFAULT_BOUND) -> Verdict:
     """Whether every 1-generated exact algebra in the variety is projective."""
-    key = ("1ep", bound)
-    if key in ctx._property_cache:
-        return ctx._property_cache[key]
-    cls = classify_all(ctx, bound)
-    verdict = None
-    for theta, c in cls.items():
-        if c.exact.status == "yes" and c.projective.status == "no":
-            verdict = Verdict("no", None,
-                              {"witness": congruence_name(ctx, theta),
-                               "projectivity_search": c.projective.detail})
-            break
-    if verdict is None:
-        if any(c.exact.status == "unknown" and c.projective.status == "no"
-               for c in cls.values()):
-            verdict = Verdict("unknown", bound,
-                              "a non-projective congruence has unresolved exactness")
-        else:
-            verdict = Verdict("yes", bound)
-    ctx._property_cache[key] = verdict
-    return verdict
+    return _every_exact_is(ctx, bound, "projective", "projectivity_search")
 
 
 def check_1esp(ctx: VarietyContext, bound: int = DEFAULT_BOUND) -> Verdict:
     """Whether every 1-generated exact algebra is strongly projective."""
-    key = ("1esp", bound)
-    if key in ctx._property_cache:
-        return ctx._property_cache[key]
-    cls = classify_all(ctx, bound)
-    verdict = None
-    for theta, c in cls.items():
-        if c.exact.status == "yes" and c.strongly_projective.status == "no":
-            verdict = Verdict("no", None,
-                              {"witness": congruence_name(ctx, theta),
-                               "failure": c.strongly_projective.detail})
-            break
-    if verdict is None:
-        if any(c.exact.status == "unknown" and c.strongly_projective.status != "yes"
-               for c in cls.values()):
-            verdict = Verdict("unknown", bound,
-                              "a non-strongly-projective congruence has "
-                              "unresolved exactness")
-        else:
-            verdict = Verdict("yes", bound)
-    ctx._property_cache[key] = verdict
-    return verdict
+    return _every_exact_is(ctx, bound, "strongly_projective", "failure")
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +673,6 @@ def congruence_blocks_labels(ctx: VarietyContext, theta: Congruence) -> list[lis
 
 def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
     """Stable display name: identity/total, else a minimal generating pair."""
-    from .algebra import principal_congruence
-
     if theta.is_identity():
         return "identity" if not theta.is_total() else "identity=total"
     if theta.is_total():
@@ -729,6 +687,18 @@ def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
                 return (f"con({term_to_str(_rename_to_output(f1.reps[x]))},"
                         f"{term_to_str(_rename_to_output(f1.reps[y]))})")
     return "congruence" + str(theta.blocks)
+
+
+def classification_rows(ctx: VarietyContext,
+                        cls: dict[Congruence, CongruenceClassification]) -> list[dict]:
+    """One row per classified congruence, identity first: its name, its
+    blocks and its three verdicts."""
+    return [{"name": congruence_name(ctx, t),
+             "blocks": congruence_blocks_labels(ctx, t),
+             "exact": cls[t].exact.to_dict(),
+             "projective": cls[t].projective.to_dict(),
+             "strongly_projective": cls[t].strongly_projective.to_dict()}
+            for t in sorted(cls, key=Congruence.sort_key)]
 
 
 @dataclass
@@ -752,7 +722,6 @@ class GeneralizationReport:
 
     def to_dict(self) -> dict:
         ctx = self.ctx
-        lat = sorted(self.classifications, key=Congruence.sort_key)
         return {
             "variety": ctx.spec.name,
             "terms": [term_to_str(t) for t in self.problem.terms],
@@ -763,17 +732,7 @@ class GeneralizationReport:
                 "name": congruence_name(ctx, self.kernel),
                 "blocks": congruence_blocks_labels(ctx, self.kernel),
             },
-            "congruences": [
-                {
-                    "name": congruence_name(ctx, t),
-                    "blocks": congruence_blocks_labels(ctx, t),
-                    "exact": self.classifications[t].exact.to_dict(),
-                    "projective": self.classifications[t].projective.to_dict(),
-                    "strongly_projective":
-                        self.classifications[t].strongly_projective.to_dict(),
-                }
-                for t in lat
-            ],
+            "congruences": classification_rows(ctx, self.classifications),
             "g_congruences": {
                 "status": self.g.status,
                 "members": [congruence_name(ctx, t) for t in self.g.members],

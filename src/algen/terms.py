@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Signature",
@@ -24,7 +24,6 @@ __all__ = [
     "term_size",
     "term_rank",
     "term_vars",
-    "subterms",
     "apply_subst",
     "lgg_syntactic",
 ]
@@ -34,6 +33,12 @@ __all__ = [
 _MINTED_RE = re.compile(r"^g[0-9]+$")
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+
+# The deepest nesting parse_term accepts, in brackets and in applications
+# alike.  The parser spends up to seven stack frames a level and the
+# recursive walkers (eval, term_to_str, term_rank, apply_subst) two, so
+# every accepted term fits Python's default recursion limit.
+MAX_DEPTH = 100
 
 # Infix sugar accepted on input; each symbol maps to a signature op name.
 _SUGAR = {"∧": "and", "∨": "or", "¬": "not",
@@ -141,13 +146,6 @@ def term_vars(t: Term, acc: list[str] | None = None) -> list[str]:
     return acc
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
-
-
 def term_rank(t: Term, sig: Signature) -> tuple:
     """Total order key: size first, then preorder node codes.
 
@@ -193,6 +191,8 @@ class _Parser:
         self.src = src
         self.sig = sig
         self.pos = 0  # character position
+        self.level = 0  # brackets, argument lists and operands open
+        self.depths: dict[int, int] = {}  # id of each App built -> its depth
 
     def byte_offset(self, pos: int | None = None) -> int:
         p = self.pos if pos is None else pos
@@ -200,6 +200,28 @@ class _Parser:
 
     def error(self, message: str, pos: int | None = None):
         raise ParseError(message, self.byte_offset(pos))
+
+    def too_deep(self, pos: int | None = None):
+        self.error(f"term nested deeper than {MAX_DEPTH} levels", pos)
+
+    def nested(self, parse) -> Term:
+        """Run a sub-parser one nesting level deeper."""
+        if self.level == MAX_DEPTH:
+            self.too_deep()
+        self.level += 1
+        t = parse()
+        self.level -= 1
+        return t
+
+    def app(self, name: str, args, pos: int) -> App:
+        """An application, refused when it nests deeper than the limit
+        (left-associative chains deepen a term without nesting the parse)."""
+        depth = 1 + max([self.depths.get(id(a), 0) for a in args], default=0)
+        if depth > MAX_DEPTH:
+            self.too_deep(pos)
+        t = App(name, tuple(args))
+        self.depths[id(t)] = depth
+        return t
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -236,47 +258,50 @@ class _Parser:
             start = self.pos
             self.pos += 1
             name = self.sugar_op("→", 2)
-            right = self.parse_imp()
-            return App(name, (left, right))
+            right = self.nested(self.parse_imp)
+            return self.app(name, (left, right), start)
         return left
 
     def parse_sum(self) -> Term:
         t = self.parse_or()
         while self.peek() in ("+", "⊕"):
-            sym = self.peek()
+            sym, start = self.peek(), self.pos
             self.pos += 1
             name = self.sugar_op(sym, 2)
-            t = App(name, (t, self.parse_or()))
+            t = self.app(name, (t, self.parse_or()), start)
         return t
 
     def parse_or(self) -> Term:
         t = self.parse_and()
         while self.peek() == "∨":
+            start = self.pos
             self.pos += 1
             name = self.sugar_op("∨", 2)
-            t = App(name, (t, self.parse_and()))
+            t = self.app(name, (t, self.parse_and()), start)
         return t
 
     def parse_and(self) -> Term:
         t = self.parse_not()
         while self.peek() == "∧":
+            start = self.pos
             self.pos += 1
             name = self.sugar_op("∧", 2)
-            t = App(name, (t, self.parse_not()))
+            t = self.app(name, (t, self.parse_not()), start)
         return t
 
     def parse_not(self) -> Term:
         if self.peek() == "¬":
+            start = self.pos
             self.pos += 1
             name = self.sugar_op("¬", 1)
-            return App(name, (self.parse_not(),))
+            return self.app(name, (self.nested(self.parse_not),), start)
         return self.parse_atom()
 
     def parse_atom(self) -> Term:
         ch = self.peek()
         if ch == "(":
             self.eat("(")
-            t = self.parse_imp()
+            t = self.nested(self.parse_imp)
             if self.peek() != ")":
                 self.error("unbalanced parenthesis")
             self.eat(")")
@@ -291,10 +316,10 @@ class _Parser:
             self.eat("(")
             args = []
             if self.peek() != ")":
-                args.append(self.parse_imp())
+                args.append(self.nested(self.parse_imp))
                 while self.peek() == ",":
                     self.eat(",")
-                    args.append(self.parse_imp())
+                    args.append(self.nested(self.parse_imp))
             if self.peek() != ")":
                 self.error("unbalanced parenthesis")
             self.eat(")")
@@ -303,12 +328,12 @@ class _Parser:
             if self.sig.arity(name) != len(args):
                 self.error(f"operation {name!r} expects {self.sig.arity(name)} "
                            f"arguments, got {len(args)}", name_pos)
-            return App(name, tuple(args))
+            return self.app(name, args, name_pos)
         if self.sig.has_op(name):
             if self.sig.arity(name) != 0:
                 self.error(f"operation {name!r} expects "
                            f"{self.sig.arity(name)} arguments, got 0", name_pos)
-            return App(name, ())
+            return self.app(name, (), name_pos)
         if _MINTED_RE.match(name):
             self.error(f"variable name {name!r} is reserved for minted "
                        "generalization variables", name_pos)
@@ -345,9 +370,6 @@ class Substitution:
             if n == name:
                 return t
         return Var(name)
-
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self.bindings)
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self after other: apply(self.compose(other), t) = apply(self, apply(other, t))."""

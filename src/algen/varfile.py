@@ -134,9 +134,7 @@ def dump_variety(spec: VarietySpec) -> str:
     """Serialize back to the file format (stable key and row order)."""
 
     def table_node(a: FiniteAlgebra, op: str, arity: int):
-        if arity == 0:
-            return a.labels[a.tables[op][()]]
-
+        # a nullary table is the bare label at the empty prefix
         def build(prefix):
             if len(prefix) == arity:
                 return a.labels[a.tables[op][prefix]]

@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
@@ -172,8 +172,6 @@ class GeneratedSubalgebra:
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
-        self.vectors = tuple(vectors)
-        self.index = index
         self._minimize_reps(tables, reps)
         self.reps = tuple(reps)
         labels = [term_to_str(r) for r in self.reps]
@@ -209,9 +207,6 @@ class GeneratedSubalgebra:
                         sizes[res] = cand_size
                         ranks[res] = cand_rank
                         changed = True
-
-    def element_of_vector(self, vec: tuple[int, ...]) -> int:
-        return self.index[vec]
 
 
 class FreeAlgebra:
@@ -257,41 +252,30 @@ class FreeAlgebra:
 
 
 class VarietyContext:
-    """A variety plus caches of free algebras and derived data."""
-
-    _registry: dict[tuple[str, int], "VarietyContext"] = {}
+    """A variety plus one memo of free algebras and derived data."""
 
     def __init__(self, spec: VarietySpec, budget_limit: int = DEFAULT_BUDGET):
         self.spec = spec
         self.budget_limit = budget_limit
-        self._free: dict[int, FreeAlgebra] = {}
-        self._classification_cache: dict = {}
-        self._property_cache: dict = {}
+        self._memo: dict = {}
 
-    @classmethod
-    def for_spec(cls, spec: VarietySpec,
-                 budget_limit: int = DEFAULT_BUDGET) -> "VarietyContext":
-        key = (spec.digest(), budget_limit)
-        ctx = cls._registry.get(key)
-        if ctx is None:
-            ctx = cls(spec, budget_limit)
-            cls._registry[key] = ctx
-        return ctx
+    def memo(self, key, compute: Callable[[], object]):
+        """The value stored under ``key``, computed on first use; a
+        computation that raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- free algebras ------------------------------------------------------
 
     def free_algebra(self, n: int) -> FreeAlgebra:
-        if n not in self._free:
-            self._free[n] = FreeAlgebra(self.spec, n, Budget(self.budget_limit))
-        return self._free[n]
+        return self.memo(("free", n), lambda: FreeAlgebra(
+            self.spec, n, Budget(self.budget_limit)))
 
     # -- evaluation without materializing F(X) ------------------------------
 
     def components_for(self, varnames: Sequence[str]) -> _Components:
         return _Components(self.spec, varnames, Budget(self.budget_limit))
-
-    def term_vector(self, comps: _Components, t: Term) -> tuple[int, ...]:
-        return comps.eval_term(t)
 
     def generated_by_terms(self, varnames: Sequence[str],
                            terms: Sequence[Term],
@@ -309,9 +293,6 @@ class VarietyContext:
         over all assignments into the generating algebras)."""
         check_term(s, self.spec.sig)
         check_term(t, self.spec.sig)
-        names = term_vars(s)
-        for v in term_vars(t):
-            if v not in names:
-                names.append(v)
+        names = term_vars(t, term_vars(s))
         comps = _Components(self.spec, names, Budget(self.budget_limit))
         return comps.eval_term(s) == comps.eval_term(t)

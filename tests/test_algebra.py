@@ -7,7 +7,7 @@ from algen.algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
-    congruence_join,
+    congruence_generated,
     congruence_lattice,
     direct_product,
     enumerate_homs,
@@ -65,6 +65,16 @@ def test_direct_product_componentwise():
             z = p.op("and", (x, y))
             for pr in projs:
                 assert pr(z) == a.op("and", (pr(x), pr(y)))
+
+
+def test_direct_product_projections_are_homomorphisms():
+    # projections are built unchecked, as homomorphisms by construction
+    for factors in ([k3(), k3()], [n3(), n3(), n3()]):
+        p, projs = direct_product(factors)
+        assert len(projs) == len(factors)
+        for pr, alg in zip(projs, factors):
+            assert pr.dom is p and pr.cod is alg
+            assert p.is_hom_map(pr.mapping, alg)
 
 
 def test_subalgebra_k3_single_generator_is_whole():
@@ -171,7 +181,12 @@ def test_congruence_lattice_closure_properties():
         for t1 in lat:
             for t2 in lat:
                 assert t1.meet(t2) in lat_set
-                assert congruence_join(a, t1, t2) in lat_set
+                join = t1.join(t2)
+                assert join in lat_set
+                # the old closure join is the oracle for the partition join
+                assert join == congruence_generated(
+                    a, [(i, t1.blocks[i]) for i in range(a.size)]
+                    + [(i, t2.blocks[i]) for i in range(a.size)])
 
 
 def test_congruence_lattice_trivial_algebra():

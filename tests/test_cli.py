@@ -154,3 +154,31 @@ def test_internal_verification_error_exit_code(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: witness fails: planted\n"
+
+
+def _nested(shape: str, depth: int) -> str:
+    """A Boolean term nested ``depth`` levels deep in one of four ways."""
+    if shape == "call":
+        return "not(" * depth + "x" + ")" * depth
+    if shape == "parens":
+        return "(" * depth + "x" + ")" * depth
+    if shape == "prefix":
+        return "¬" * depth + "x"
+    return "∧".join(["x"] * (depth + 1))  # a left-associative chain
+
+
+@pytest.mark.parametrize("shape", ["call", "parens", "prefix", "chain"])
+def test_nesting_limit(shape, capsys):
+    from algen.cli import main
+    from algen.terms import MAX_DEPTH
+
+    assert main(["solve", "varieties/boolean.var",
+                 _nested(shape, MAX_DEPTH)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "varieties/boolean.var",
+                 _nested(shape, MAX_DEPTH + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: term nested deeper than {MAX_DEPTH} levels "
+                          "(byte offset ")
+    assert err.count("\n") == 1
