@@ -69,6 +69,21 @@ class FiniteAlgebra:
             self.tables[op] = table
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
+    @classmethod
+    def _trusted(cls, sig: Signature, labels: Sequence[str],
+                 tables: dict[str, dict[tuple[int, ...], int]],
+                 name: str = "") -> "FiniteAlgebra":
+        """Wrap tables the program built itself: distinct string labels and
+        total, in-range tables by construction.  The tables are kept, not
+        copied."""
+        a = object.__new__(cls)
+        a.sig = sig
+        a.labels = tuple(labels)
+        a.name = name
+        a.tables = tables
+        a.label_index = {lab: i for i, lab in enumerate(a.labels)}
+        return a
+
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -281,8 +296,8 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
                         for i, alg in enumerate(algebras))
             table[args] = index[res]
         tables[op] = table
-    prod = FiniteAlgebra(sig, labels, tables,
-                         name="x".join(a.name or "?" for a in algebras))
+    prod = FiniteAlgebra._trusted(sig, labels, tables,
+                                  name="x".join(a.name or "?" for a in algebras))
     # a projection commutes with the operations by construction
     projections = [Homomorphism._trusted(prod, alg, tuple(t[i] for t in tuples))
                    for i, alg in enumerate(algebras)]
@@ -306,8 +321,8 @@ def subalgebra_generated(a: FiniteAlgebra, gens: Iterable[int]):
              for args in itertools.product(members, repeat=arity)}
         for op, arity in a.sig.ops
     }
-    sub = FiniteAlgebra(a.sig, [a.labels[e] for e in members], tables,
-                        name=f"Sg({a.name})" if a.name else "Sg")
+    sub = FiniteAlgebra._trusted(a.sig, [a.labels[e] for e in members], tables,
+                                 name=f"Sg({a.name})" if a.name else "Sg")
     inclusion = Homomorphism(sub, a, tuple(members))
     return sub, inclusion
 
@@ -389,8 +404,8 @@ def quotient(a: FiniteAlgebra, theta: Congruence):
             key = tuple(pos[x] for x in args)
             table[key] = pos[theta.blocks[res]]
         tables[op] = table
-    q = FiniteAlgebra(a.sig, [a.labels[r] for r in reps], tables,
-                      name=f"{a.name}/~" if a.name else "quotient")
+    q = FiniteAlgebra._trusted(a.sig, [a.labels[r] for r in reps], tables,
+                               name=f"{a.name}/~" if a.name else "quotient")
     # well-definedness is implied by compatibility; verify defensively
     epi = Homomorphism(a, q, nat)
     return q, epi

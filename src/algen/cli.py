@@ -312,7 +312,7 @@ def cmd_kleene_dual(args) -> int:
     a = named[args.algebra]
     p = dual_poset(a)
     proj_ok, failed = is_projective_by_duality(p)
-    exact_ok, reason = is_exact_by_quasieq(a)
+    exact_ok, reason = is_exact_by_quasieq(a, verified=True)  # dual_poset verified a
     covers = poset_covers(range(p.size), p.le)
     if args.dot:
         _emit(poset_to_dot(p, name=f"dual_{args.algebra}"))

@@ -7,10 +7,12 @@ poset); used to cross-check the generic congruence classification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, FiniteAlgebra, poset_covers
+from .terms import Signature, Term, parse_term, term_vars
 
 __all__ = [
     "NotKleeneError",
@@ -49,12 +51,18 @@ class NotKleeneError(AlgebraError):
         self.axiom = axiom
 
 
-def _check_identity(a: FiniteAlgebra, s_src: str, t_src: str) -> bool:
-    from .terms import parse_term, term_vars
+@functools.lru_cache(maxsize=8)
+def _parsed_axioms(sig: Signature) -> tuple:
+    """The axioms parsed over ``sig``, each with its variables."""
+    out = []
+    for name, s_src, t_src in _AXIOMS:
+        s = parse_term(s_src, sig)
+        t = parse_term(t_src, sig)
+        out.append((name, s, t, sorted(set(term_vars(s)) | set(term_vars(t)))))
+    return tuple(out)
 
-    s = parse_term(s_src, a.sig)
-    t = parse_term(t_src, a.sig)
-    names = sorted(set(term_vars(s)) | set(term_vars(t)))
+
+def _check_identity(a: FiniteAlgebra, s: Term, t: Term, names: list[str]) -> bool:
     for assign in itertools.product(range(a.size), repeat=len(names)):
         env = dict(zip(names, assign))
         if a.eval(s, env) != a.eval(t, env):
@@ -67,8 +75,8 @@ def verify_kleene(a: FiniteAlgebra) -> None:
     for op, arity in _REQUIRED_OPS.items():
         if not a.sig.has_op(op) or a.sig.arity(op) != arity:
             raise NotKleeneError(f"signature lacks {op}/{arity}")
-    for name, s, t in _AXIOMS:
-        if not _check_identity(a, s, t):
+    for name, s, t, names in _parsed_axioms(a.sig):
+        if not _check_identity(a, s, t, names):
             raise NotKleeneError(name)
 
 
@@ -207,15 +215,17 @@ def is_projective_by_duality(p: InvolutivePoset):
     return True, None
 
 
-def is_exact_by_quasieq(a: FiniteAlgebra):
+def is_exact_by_quasieq(a: FiniteAlgebra, *, verified: bool = False):
     """Exactness criterion for finite Kleene algebras: non-trivial, 1 join
     irreducible, and the quasi-equation
 
         not x <= x  and  x and not y <= not x or y   implies   not y <= y
 
     holds (checked over all element pairs).  Returns (True, None) or
-    (False, reason)."""
-    verify_kleene(a)
+    (False, reason).  ``verified`` skips verify_kleene for an algebra that
+    has just passed it."""
+    if not verified:
+        verify_kleene(a)
     if a.size == 1:
         return False, "trivial algebra"
     one = a.tables["1"][()]

@@ -2,9 +2,17 @@
 
 A finitely generated free algebra for Var(A1, ..., Ar) is realized as the
 subalgebra of the product over all assignments, prod_i Ai^(Ai^n), generated
-by the n projection tuples.  Elements are kept as explicit value vectors
-(one coordinate per assignment) and are assigned canonical term
-representatives, minimal in (size, op-order, arg-order) ranking.
+by the n projection tuples, the subpower construction UACalc also uses.
+Elements are value vectors, one coordinate per assignment.
+
+The closure is semi-naive: a pass of an operation evaluates only the
+argument tuples that use an element added since that operation's previous
+pass, in the lexicographic order a full pass would visit them, so element
+order, tables and budget charges are those of the plain closure.  A result
+vector is read in one sweep over per-coordinate table rows.  Each element's
+representative is its least term in (size, op-order, arg-order) rank, found
+by one sweep in that order (Knuth's generalization of Dijkstra's
+algorithm).
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -13,15 +21,19 @@ oversized constructions into BudgetExceeded errors instead of hangs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Sequence
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
-                    term_size, term_to_str, term_vars)
+                    term_to_str, term_vars)
 
 __all__ = [
     "BudgetExceeded",
@@ -76,6 +88,14 @@ class VarietySpec:
             if g.sig != self.sig:
                 raise AlgebraError("generating algebras must share the signature")
 
+    @functools.cached_property
+    def _nested_tables(self) -> dict[str, tuple]:
+        """For each operation, its table in each generating algebra as
+        nested lists, read table[a1][a2]...[ak]; a constant's table is its
+        value."""
+        return {op: tuple(_nested_table(g, op, arity) for g in self.generators)
+                for op, arity in self.sig.ops}
+
     def digest(self) -> str:
         payload = {
             "sig": list(self.sig.ops),
@@ -101,32 +121,55 @@ def var_name(i: int) -> str:
 class _Components:
     """The assignment index set for n variables: for each generator algebra,
     every assignment tuple, in (algebra order, tuple order) lexicographic
-    order."""
+    order.  A term's value vector has one coordinate per assignment."""
 
     def __init__(self, spec: VarietySpec, varnames: Sequence[str], budget: Budget):
-        self.spec = spec
-        self.varnames = tuple(varnames)
-        n = len(self.varnames)
-        width = sum(g.size ** n for g in spec.generators)
-        budget.charge(width, "assignment index set")
-        self.entries: list[tuple[FiniteAlgebra, dict[str, int]]] = []
-        for g in spec.generators:
-            for assign in itertools.product(range(g.size), repeat=n):
-                self.entries.append((g, dict(zip(self.varnames, assign))))
-        self.width = len(self.entries)
+        n = len(varnames)
+        self.width = sum(g.size ** n for g in spec.generators)
+        budget.charge(self.width, "assignment index set")
+        assigns = [assign for g in spec.generators
+                   for assign in itertools.product(range(g.size), repeat=n)]
+        # each variable's value vector
+        self.projections = dict(zip(varnames, zip(*assigns)))
+        # for each operation and coordinate, the nested table of the algebra
+        # behind the coordinate: a result vector is read coordinate by
+        # coordinate with one map over these
+        self.op_tables = {
+            op: tuple(t for t, g in zip(tables, spec.generators)
+                      for _ in range(g.size ** n))
+            for op, tables in spec._nested_tables.items()}
 
     def eval_term(self, t: Term) -> tuple[int, ...]:
-        return tuple(g.eval(t, env) for g, env in self.entries)
+        if isinstance(t, Var):
+            if t.name not in self.projections:
+                raise AlgebraError(f"unknown variable {t.name!r}")
+            return self.projections[t.name]
+        rows = self.op_tables[t.op]
+        for a in t.args:
+            rows = tuple(map(getitem, rows, self.eval_term(a)))
+        return rows
 
-    def eval_op(self, op: str, arg_vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        return tuple(
-            g.tables[op][tuple(v[i] for v in arg_vectors)]
-            for i, (g, _) in enumerate(self.entries))
+
+def _nested_table(g: FiniteAlgebra, op: str, arity: int, prefix: tuple = ()):
+    if len(prefix) == arity:
+        return g.tables[op][prefix]
+    return [_nested_table(g, op, arity, prefix + (x,)) for x in range(g.size)]
+
+
+def _fresh_rows(arity: int, old: int, m: int):
+    """The argument tuples of a positive arity over range(m) that use an
+    index >= old, in lexicographic order, as rows of (prefix, range of the
+    last argument)."""
+    for prefix in itertools.product(range(m), repeat=arity - 1):
+        if any(a >= old for a in prefix):
+            yield prefix, range(m)
+        elif old < m:
+            yield prefix, range(old, m)
 
 
 class GeneratedSubalgebra:
     """A subalgebra of a free algebra, generated from seed vectors and kept
-    with explicit tables, value vectors, and term representatives."""
+    with explicit tables and term representatives."""
 
     def __init__(self, spec: VarietySpec, comps: _Components,
                  seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
@@ -134,79 +177,120 @@ class GeneratedSubalgebra:
         self.spec = spec
         self.comps = comps
         vectors: list[tuple[int, ...]] = []
-        reps: list[Term] = []
         index: dict[tuple[int, ...], int] = {}
+        seed_reps: dict[int, Term] = {}
 
-        def add(vec, rep, stage):
-            budget.charge(comps.width, stage)
+        def add(vec) -> int:
+            budget.charge(comps.width, "free closure")
             index[vec] = len(vectors)
             vectors.append(vec)
-            reps.append(rep)
             return index[vec]
 
         self.generator_indices: list[int] = []
         for vec, rep in seeds:
-            if vec in index:
-                self.generator_indices.append(index[vec])
-            else:
-                self.generator_indices.append(add(vec, rep, "free closure"))
+            if vec not in index:
+                seed_reps[add(vec)] = rep
+            self.generator_indices.append(index[vec])
         tables: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in spec.sig.ops}
+        # the element count at each operation's last pass: its table holds
+        # every argument tuple over those elements, so the next pass takes
+        # only the tuples that use a later one
+        seen = {op: 0 for op, _ in spec.sig.ops}
         changed = True
         while changed:
             changed = False
             for op, arity in spec.sig.ops:
                 table = tables[op]
+                m = len(vectors)
                 # charge the whole pass up front so oversized closures fail
                 # fast instead of grinding toward the limit
-                budget.charge(len(vectors) ** arity - len(table), "operation tables")
-                for args in itertools.product(range(len(vectors)), repeat=arity):
-                    if args in table:
-                        continue
-                    vec = comps.eval_op(op, [vectors[a] for a in args])
-                    at = index.get(vec)
-                    if at is None:
-                        at = add(vec, App(op, tuple(reps[a] for a in args)),
-                                 "free closure")
-                        changed = True
-                    table[args] = at
+                budget.charge(m ** arity - len(table), "operation tables")
+                if not arity:
+                    if not table:
+                        vec = comps.op_tables[op]
+                        if vec not in index:
+                            add(vec)
+                            changed = True
+                        table[()] = index[vec]
+                    continue
+                for prefix, lasts in _fresh_rows(arity, seen[op], m):
+                    rows = comps.op_tables[op]
+                    for a in prefix:
+                        rows = tuple(map(getitem, rows, vectors[a]))
+                    for b in lasts:
+                        vec = tuple(map(getitem, rows, vectors[b]))
+                        res = index.get(vec)
+                        if res is None:
+                            res = add(vec)
+                            changed = True
+                        table[prefix + (b,)] = res
+                seen[op] = m
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
-        self._minimize_reps(tables, reps)
-        self.reps = tuple(reps)
+        self.reps = self._minimize_reps(len(vectors), tables, seed_reps)
         labels = [term_to_str(r) for r in self.reps]
-        self.algebra = FiniteAlgebra(spec.sig, labels, tables, name=name)
+        self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables, name=name)
 
-    def _minimize_reps(self, tables, reps: list[Term]):
-        """Relax representatives to the (size, op-order, arg-order) minimum.
+    def _minimize_reps(self, count: int, tables,
+                       seed_reps: dict[int, Term]) -> tuple[Term, ...]:
+        """Each element's least term in (size, op-order, arg-order) rank.
 
-        Bellman-style passes over all table entries; sizes strictly grow
-        through operations, so this reaches a fixpoint.
+        One sweep settles the elements in rank order, with a heap (Knuth's
+        generalization of Dijkstra's algorithm).  The candidates are the
+        seed terms, the constants, and op(r1, ..., rk) for each table entry
+        once its arguments are settled, ri being their representatives.
+        A candidate outranks its arguments, since it is larger, and a
+        lower-ranked argument makes a lower-ranked candidate, since ranks
+        compare size first and then preorder codes, where equal-size
+        arguments fill equal-length stretches.  So the first candidate
+        settled for an element is its least term.
         """
         sig = self.spec.sig
-        sizes = [term_size(r) for r in reps]
-        ranks: list[tuple | None] = [None] * len(reps)
+        # each element's best candidate so far: its rank, as size and
+        # preorder codes, and how it is built (a seed term, or (op, args))
+        sizes: list = [math.inf] * count
+        codes: list = [None] * count
+        how: list = [None] * count
+        heap: list = []
 
-        def full_rank(i: int) -> tuple:
-            if ranks[i] is None:
-                ranks[i] = term_rank(reps[i], sig)
-            return ranks[i]
+        def offer(e: int, size: int, code: tuple, derivation):
+            if size < sizes[e] or size == sizes[e] and code < codes[e]:
+                sizes[e], codes[e], how[e] = size, code, derivation
+                heapq.heappush(heap, (size, code, e))
 
-        changed = True
-        while changed:
-            changed = False
-            for op, _ in sig.ops:
-                for args, res in tables[op].items():
-                    cand_size = 1 + sum(sizes[a] for a in args)
-                    if cand_size > sizes[res]:
-                        continue
-                    cand = App(op, tuple(reps[a] for a in args))
-                    cand_rank = term_rank(cand, sig)
-                    if cand_rank < full_rank(res):
-                        reps[res] = cand
-                        sizes[res] = cand_size
-                        ranks[res] = cand_rank
-                        changed = True
+        for e, t in seed_reps.items():
+            offer(e, *term_rank(t, sig), t)
+        op_codes = {op: ((1, i),) for i, (op, _) in enumerate(sig.ops)}
+        for op, arity in sig.ops:
+            if not arity:
+                offer(tables[op][()], 1, op_codes[op], (op, ()))
+        reps: list = [None] * count
+        settled: list[int] = []
+        while heap:
+            e = heapq.heappop(heap)[2]
+            if reps[e] is not None:
+                continue
+            d = how[e]
+            reps[e] = (App(d[0], tuple(reps[a] for a in d[1]))
+                       if isinstance(d, tuple) else d)
+            settled.append(e)
+            for op, arity in sig.ops:
+                table = tables[op]
+                # the entries whose last argument to settle is e, by the
+                # position p of e (an entry with e twice comes up twice)
+                for p in range(arity):
+                    for args in itertools.product(*[settled] * p, (e,),
+                                                  *[settled] * (arity - 1 - p)):
+                        res = table[args]
+                        if reps[res] is None:
+                            size = 1 + sum(map(sizes.__getitem__, args))
+                            if size <= sizes[res]:
+                                offer(res, size, op_codes[op] + tuple(
+                                    itertools.chain.from_iterable(
+                                        map(codes.__getitem__, args))),
+                                      (op, args))
+        return tuple(reps)
 
 
 class FreeAlgebra:

@@ -182,3 +182,19 @@ def test_nesting_limit(shape, capsys):
     assert err.startswith(f"error: term nested deeper than {MAX_DEPTH} levels "
                           "(byte offset ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", [["1"], ["1", "2"]], ids=["missing", "out-of-range"])
+@pytest.mark.parametrize("command", ["validate", "free"])
+def test_var_file_with_bad_cell_exits_1(tmp_path, capsys, row, command):
+    from algen.cli import main
+
+    doc = {"name": "tiny", "signature": [["or", 2]],
+           "algebras": [{"name": "S2", "universe": ["0", "1"],
+                         "ops": {"or": [["0", "1"], row]}}]}
+    path = tmp_path / "bad.var"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

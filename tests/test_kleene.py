@@ -50,6 +50,28 @@ def test_verify_kleene_accepts_standard_models():
         verify_kleene(a)
 
 
+def test_axioms_parsed_once_and_kleene_dual_verifies_once(monkeypatch, capsys):
+    import algen.kleene as kleene
+    from algen.cli import main
+
+    kleene._parsed_axioms.cache_clear()
+    parses, verifies = [], []
+    parse = kleene.parse_term
+    monkeypatch.setattr(kleene, "parse_term",
+                        lambda *a: parses.append(a) or parse(*a))
+    verify_kleene(k3())
+    assert len(parses) == 2 * len(kleene._AXIOMS)
+    verify_kleene(k4())
+    assert len(parses) == 2 * len(kleene._AXIOMS)
+
+    verify = kleene.verify_kleene
+    monkeypatch.setattr(kleene, "verify_kleene",
+                        lambda a: verifies.append(a) or verify(a))
+    assert main(["kleene-dual", "varieties/kleene.var", "K3"]) == 0
+    capsys.readouterr()
+    assert len(verifies) == 1
+
+
 def test_verify_kleene_names_failed_axiom():
     with pytest.raises(NotKleeneError) as exc:
         dual_poset(de_morgan_fence())

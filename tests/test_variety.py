@@ -3,9 +3,13 @@ import random
 
 import pytest
 
-from algen.algebra import AlgebraError, find_isomorphism
-from algen.terms import App, Term, Var, parse_term, term_to_str, term_vars
-from algen.variety import BudgetExceeded, VarietyContext, VarietySpec
+from algen.algebra import AlgebraError, FiniteAlgebra, find_isomorphism
+from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
+                         term_size, term_to_str, term_vars)
+from algen.varfile import load_variety
+from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
+                           GeneratedSubalgebra, VarietyContext, VarietySpec,
+                           _Components)
 
 from factories import (
     bool2,
@@ -16,6 +20,8 @@ from factories import (
     semilattice2,
     truncated_monoid,
 )
+
+SHIPPED = ["boolean", "kleene", "godel3", "n3", "semilattice", "lattice"]
 
 
 def ctx_for(name, *gens, budget=None):
@@ -82,6 +88,106 @@ def random_term(rng, sig, names, depth):
     candidates = [(n, a) for n, a in sig.ops if a > 0]
     n, a = rng.choice(candidates)
     return App(n, tuple(random_term(rng, sig, names, depth - 1) for _ in range(a)))
+
+
+class RecordingBudget(Budget):
+    """A budget that keeps every charge, in order."""
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        super().__init__(limit)
+        self.charges: list[tuple[int, str]] = []
+
+    def charge(self, cells: int, stage: str):
+        self.charges.append((cells, stage))
+        super().charge(cells, stage)
+
+
+def reference_subalgebra(spec, varnames, terms):
+    """The subalgebra the terms generate, by the plain coordinatewise
+    closure: every pass walks the whole argument product and evaluates each
+    new result one coordinate at a time; representatives are the terms that
+    first produced each element, relaxed by Bellman passes over all table
+    entries to the (size, op-order, arg-order) minimum.
+
+    Returns (generator_indices, vectors, tables, reps, charges), where
+    charges lists the budget charges the closure would make."""
+    sig = spec.sig
+    entries = [(g, dict(zip(varnames, assign))) for g in spec.generators
+               for assign in itertools.product(range(g.size), repeat=len(varnames))]
+    vectors, reps, index, charges = [], [], {}, []
+
+    def eval_op(op, arg_vectors):
+        return tuple(g.tables[op][tuple(v[i] for v in arg_vectors)]
+                     for i, (g, _) in enumerate(entries))
+
+    def add(vec, rep):
+        charges.append((len(entries), "free closure"))
+        index[vec] = len(vectors)
+        vectors.append(vec)
+        reps.append(rep)
+
+    generator_indices = []
+    for t in terms:
+        vec = tuple(g.eval(t, env) for g, env in entries)
+        if vec not in index:
+            add(vec, t)
+        generator_indices.append(index[vec])
+    tables = {op: {} for op, _ in sig.ops}
+    changed = True
+    while changed:
+        changed = False
+        for op, arity in sig.ops:
+            table = tables[op]
+            charges.append((len(vectors) ** arity - len(table), "operation tables"))
+            for args in itertools.product(range(len(vectors)), repeat=arity):
+                if args in table:
+                    continue
+                vec = eval_op(op, [vectors[a] for a in args])
+                if vec not in index:
+                    add(vec, App(op, tuple(reps[a] for a in args)))
+                    changed = True
+                table[args] = index[vec]
+    if not vectors:
+        raise AlgebraError("empty closure")
+
+    sizes = [term_size(r) for r in reps]
+    ranks = [term_rank(r, sig) for r in reps]
+    changed = True
+    while changed:
+        changed = False
+        for op, _ in sig.ops:
+            for args, res in tables[op].items():
+                if 1 + sum(sizes[a] for a in args) > sizes[res]:
+                    continue
+                cand = App(op, tuple(reps[a] for a in args))
+                if term_rank(cand, sig) < ranks[res]:
+                    reps[res] = cand
+                    sizes[res] = term_size(cand)
+                    ranks[res] = term_rank(cand, sig)
+                    changed = True
+    return generator_indices, vectors, tables, reps, charges
+
+
+def assert_closure_matches_reference(spec, varnames, terms=None):
+    """GeneratedSubalgebra agrees with reference_subalgebra on generator
+    indices, element order, tables, representatives and budget charges."""
+    comps = _Components(spec, varnames, Budget(DEFAULT_BUDGET))
+    if terms is None:
+        terms = [Var(v) for v in varnames]
+    seeds = [(comps.eval_term(t), t) for t in terms]
+    budget = RecordingBudget()
+    try:
+        sub = GeneratedSubalgebra(spec, comps, seeds, budget)
+    except AlgebraError:
+        with pytest.raises(AlgebraError):
+            reference_subalgebra(spec, varnames, terms)
+        return
+    gens, vectors, tables, reps, charges = reference_subalgebra(spec, varnames, terms)
+    assert sub.generator_indices == gens
+    assert [comps.eval_term(r) for r in sub.reps] == vectors
+    assert sub.algebra.tables == tables
+    assert sub.reps == tuple(reps)
+    assert budget.charges == charges
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +258,53 @@ def test_free_algebra_cached():
 
 
 # ---------------------------------------------------------------------------
+# Semi-naive closure against the coordinatewise reference
+
+
+def majority2():
+    sig = Signature.make([("maj", 3)])
+    table = {args: int(sum(args) >= 2)
+             for args in itertools.product(range(2), repeat=3)}
+    return FiniteAlgebra(sig, ["0", "1"], {"maj": table})
+
+
+def constants_only():
+    sig = Signature.make([("c", 0), ("d", 0)])
+    return (FiniteAlgebra(sig, ["0", "1"], {"c": {(): 0}, "d": {(): 1}}),
+            FiniteAlgebra(sig, ["0", "1", "2"], {"c": {(): 2}, "d": {(): 2}}))
+
+
+@pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)]
+                         + [("boolean", 3), ("n3", 3), ("lattice", 3)])
+def test_closure_matches_reference_on_shipped(variety, n):
+    spec = load_variety(f"varieties/{variety}.var")
+    assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+@pytest.mark.parametrize("spec,n", [
+    (ctx_for("G3xG4", goedel_chain(3), goedel_chain(4)).spec, 0),
+    (ctx_for("G3xG4", goedel_chain(3), goedel_chain(4)).spec, 1),
+    (ctx_for("MAJ", majority2()).spec, 1),
+    (ctx_for("MAJ", majority2()).spec, 3),
+    (ctx_for("MAJ", majority2()).spec, 4),
+    (ctx_for("CONST", *constants_only()).spec, 0),
+    (ctx_for("CONST", *constants_only()).spec, 2),
+], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2"])
+def test_closure_matches_reference_on_fixtures(spec, n):
+    assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_by_terms_matches_reference(seed):
+    rng = random.Random(seed)
+    spec = load_variety(f"varieties/{SHIPPED[seed % len(SHIPPED)]}.var")
+    names = ["x", "y"][:rng.randint(1, 2)]
+    terms = [random_term(rng, spec.sig, names, 3) for _ in range(rng.randint(1, 3))]
+    terms.insert(rng.randint(0, len(terms)), rng.choice(terms))  # a repeated seed
+    assert_closure_matches_reference(spec, names, terms)
+
+
+# ---------------------------------------------------------------------------
 # Evaluation and identities
 
 
@@ -171,6 +324,8 @@ def test_eval_term_unknown_variable():
     f = BA().free_algebra(1)
     with pytest.raises(AlgebraError):
         f.eval_term(Var("y"))
+    with pytest.raises(AlgebraError, match="unknown variable 'y'"):
+        BA().components_for(["x"]).eval_term(parse_term("and(x,y)", f.spec.sig))
 
 
 def test_holds_identity_examples():
@@ -213,12 +368,27 @@ def test_budget_error_for_free_monoid_style_presentation():
     with pytest.raises(BudgetExceeded) as exc:
         ctx.free_algebra(8)
     assert exc.value.limit == 10 ** 7
+    assert exc.value.stage == "assignment index set"
 
 
 def test_budget_error_during_closure():
     ctx = ctx_for("M9b", truncated_monoid(9), budget=500)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         ctx.free_algebra(2)
+    assert (exc.value.stage, exc.value.needed) == ("free closure", 504)
+
+
+@pytest.mark.parametrize("variety,n,limit,stage,needed", [
+    ("kleene", 3, DEFAULT_BUDGET, "operation tables", 116531079),
+    ("godel3", 3, 4_900_000, "free closure", 4900004),
+])
+def test_budget_exit_stage_and_cells(variety, n, limit, stage, needed):
+    # the closure charges the same cells in the same order however fast it
+    # evaluates, so the same constructions fit and exit at the same point
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"), budget_limit=limit)
+    with pytest.raises(BudgetExceeded) as exc:
+        ctx.free_algebra(n)
+    assert (exc.value.stage, exc.value.needed) == (stage, needed)
 
 
 def test_budget_error_is_not_a_crash():
@@ -284,3 +454,32 @@ def test_kernel_of_free_kleene_onto_k4():
     expected = principal_congruence(f.algebra, f.generators[0],
                                     f.algebra.label_index["and(x1,not(x1))"])
     assert kernel(homs[0]) == expected
+
+
+# ---------------------------------------------------------------------------
+# Algebras the program builds skip the constructor's checks; they must pass
+
+
+def assert_passes_full_check(a):
+    b = FiniteAlgebra(a.sig, a.labels, a.tables, name=a.name)
+    assert (b.labels, b.tables, b.label_index) == (a.labels, a.tables, a.label_index)
+
+
+@pytest.mark.parametrize("variety", SHIPPED)
+def test_program_built_algebras_pass_the_full_check(variety):
+    from algen.algebra import (congruence_lattice, direct_product, quotient,
+                               subalgebra_generated)
+
+    spec = load_variety(f"varieties/{variety}.var")
+    ctx = VarietyContext(spec)
+    f1 = ctx.free_algebra(1).algebra
+    built = [f1, ctx.free_algebra(2).algebra,
+             direct_product([f1, spec.generators[0]])[0],
+             direct_product(list(spec.generators) * 2)[0]]
+    built += [quotient(f1, theta)[0] for theta in congruence_lattice(f1)]
+    built += [subalgebra_generated(f1, [e])[0] for e in f1.elements()]
+    rng = random.Random(variety)
+    built += [ctx.generated_by_terms(["x", "y"], [random_term(rng, spec.sig, ["x", "y"], 3)]).algebra
+              for _ in range(5)]
+    for a in built:
+        assert_passes_full_check(a)
