@@ -73,9 +73,9 @@ class FiniteAlgebra:
     def _trusted(cls, sig: Signature, labels: Sequence[str],
                  tables: dict[str, dict[tuple[int, ...], int]],
                  name: str = "") -> "FiniteAlgebra":
-        """Wrap tables the program built itself: distinct string labels and
-        total, in-range tables by construction.  The tables are kept, not
-        copied."""
+        """Wrap tables the program built itself: total and in-range by
+        construction, with distinct string labels that the caller ensures.
+        The tables are kept, not copied."""
         a = object.__new__(cls)
         a.sig = sig
         a.labels = tuple(labels)
@@ -287,6 +287,8 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
     index = {t: i for i, t in enumerate(tuples)}
     labels = ["(" + ",".join(a.labels[x] for a, x in zip(algebras, t)) + ")"
               for t in tuples]
+    if len(set(labels)) != len(labels):  # labels may contain commas
+        raise AlgebraError("duplicate element labels")
     tables: dict[str, dict[tuple[int, ...], int]] = {}
     for op, arity in sig.ops:
         table: dict[tuple[int, ...], int] = {}

@@ -17,8 +17,8 @@ import sys
 from .algebra import AlgebraError, Congruence, poset_covers
 from .dot import congruence_lattice_dot, congruence_poset_dot
 from .kleene import (
+    _exact_by_quasieq,
     dual_poset,
-    is_exact_by_quasieq,
     is_projective_by_duality,
     poset_to_dot,
 )
@@ -312,7 +312,7 @@ def cmd_kleene_dual(args) -> int:
     a = named[args.algebra]
     p = dual_poset(a)
     proj_ok, failed = is_projective_by_duality(p)
-    exact_ok, reason = is_exact_by_quasieq(a, verified=True)  # dual_poset verified a
+    exact_ok, reason = _exact_by_quasieq(a)  # dual_poset verified a
     covers = poset_covers(range(p.size), p.le)
     if args.dot:
         _emit(poset_to_dot(p, name=f"dual_{args.algebra}"))

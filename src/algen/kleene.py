@@ -215,17 +215,20 @@ def is_projective_by_duality(p: InvolutivePoset):
     return True, None
 
 
-def is_exact_by_quasieq(a: FiniteAlgebra, *, verified: bool = False):
+def is_exact_by_quasieq(a: FiniteAlgebra):
     """Exactness criterion for finite Kleene algebras: non-trivial, 1 join
     irreducible, and the quasi-equation
 
         not x <= x  and  x and not y <= not x or y   implies   not y <= y
 
     holds (checked over all element pairs).  Returns (True, None) or
-    (False, reason).  ``verified`` skips verify_kleene for an algebra that
-    has just passed it."""
-    if not verified:
-        verify_kleene(a)
+    (False, reason)."""
+    verify_kleene(a)
+    return _exact_by_quasieq(a)
+
+
+def _exact_by_quasieq(a: FiniteAlgebra):
+    """is_exact_by_quasieq for an algebra that has passed verify_kleene."""
     if a.size == 1:
         return False, "trivial algebra"
     one = a.tables["1"][()]

@@ -67,6 +67,15 @@ def test_direct_product_componentwise():
                 assert pr(z) == a.op("and", (pr(x), pr(y)))
 
 
+def test_direct_product_rejects_colliding_labels():
+    # "(a,a,a)" would name both ("a", "a,a") and ("a,a", "a")
+    from algen.terms import Signature
+    sig = Signature.make([("f", 1)])
+    g = FiniteAlgebra(sig, ["a", "a,a"], {"f": {(0,): 0, (1,): 1}})
+    with pytest.raises(AlgebraError, match="duplicate element labels"):
+        direct_product([g, g])
+
+
 def test_direct_product_projections_are_homomorphisms():
     # projections are built unchecked, as homomorphisms by construction
     for factors in ([k3(), k3()], [n3(), n3(), n3()]):
