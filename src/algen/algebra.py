@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .terms import Signature, Term, Var
@@ -39,39 +40,64 @@ class AlgebraError(ValueError):
     """Ill-formed algebra, homomorphism, or congruence."""
 
 
+def _build_table(row, arity: int, points: Sequence, step, leaf):
+    """A nested table over range(len(points)), built by peeling ``row`` one
+    argument at a time: entry [i1]...[ik] is leaf(row'), where row' is
+    ``row`` stepped through points[i1], ..., points[ik]."""
+    if not arity:
+        return leaf(row)
+    return [_build_table(step(row, p), arity - 1, points, step, leaf)
+            for p in points]
+
+
+def _commutes(row, cod_row, depth: int, m: Sequence[int]) -> bool:
+    """Whether m maps the nested table ``row`` onto ``cod_row``:
+    cod_row[m[a1]]...[m[ad]] == m[row[a1]...[ad]] for every argument."""
+    if not depth:
+        return cod_row == m[row]
+    if depth == 1:
+        return [cod_row[y] for y in m] == [m[r] for r in row]
+    return all(_commutes(r, cod_row[y], depth - 1, m) for r, y in zip(row, m))
+
+
 class FiniteAlgebra:
     """A finite algebra: labelled universe plus total operation tables.
 
-    Tables map argument index tuples to result indices and are checked to
-    be total at construction.
+    A table of arity k is a list nested k deep, read table[a1]...[ak], with
+    element indices for labels; a constant's table is its index.  This is
+    the variety-file layout.  The constructor checks the shape and copies
+    the lists, so later changes to the caller's lists do not reach it.
     """
 
     def __init__(self, sig: Signature, labels: Sequence[str],
-                 tables: Mapping[str, Mapping[tuple[int, ...], int]],
-                 name: str = ""):
+                 tables: Mapping[str, list | int], name: str = ""):
         self.sig = sig
         self.labels = tuple(str(x) for x in labels)
         self.name = name
         if len(set(self.labels)) != len(self.labels):
             raise AlgebraError("duplicate element labels")
         n = len(self.labels)
-        self.tables: dict[str, dict[tuple[int, ...], int]] = {}
+
+        def copy(op: str, node, prefix: tuple[int, ...], arity: int):
+            if len(prefix) == arity:
+                if not isinstance(node, int) or not 0 <= node < n:
+                    raise AlgebraError(
+                        f"bad table entry for {op!r}: {prefix} -> {node!r}")
+                return node
+            if not isinstance(node, list) or len(node) != n:
+                raise AlgebraError(f"table for {op!r} is not total")
+            return [copy(op, row, prefix + (i,), arity) for i, row in enumerate(node)]
+
+        self.tables: dict[str, list | int] = {}
         for op, arity in sig.ops:
             if op not in tables:
                 raise AlgebraError(f"missing table for operation {op!r}")
-            table = dict(tables[op])
-            if len(table) != n ** arity:
-                raise AlgebraError(f"table for {op!r} is not total")
-            for args, res in table.items():
-                if len(args) != arity or not all(0 <= a < n for a in args) \
-                        or not 0 <= res < n:
-                    raise AlgebraError(f"bad table entry for {op!r}: {args} -> {res}")
-            self.tables[op] = table
+            self.tables[op] = copy(op, tables[op], (), arity)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod
     def _trusted(cls, sig: Signature, labels: Sequence[str],
-                 tables: dict[str, dict[tuple[int, ...], int]],
+                 tables: dict[str, list | int],
                  name: str = "") -> "FiniteAlgebra":
         """Wrap tables the program built itself: total and in-range by
         construction, with distinct string labels that the caller ensures.
@@ -92,10 +118,13 @@ class FiniteAlgebra:
         return range(self.size)
 
     def op(self, name: str, args: tuple[int, ...]) -> int:
-        return self.tables[name][args]
+        r = self.tables[name]
+        for a in args:
+            r = r[a]
+        return r
 
     def constants(self) -> dict[str, int]:
-        return {op: self.tables[op][()] for op, a in self.sig.ops if a == 0}
+        return {op: self.tables[op] for op, a in self.sig.ops if a == 0}
 
     def eval(self, t: Term, env: Mapping[str, int]) -> int:
         """Table-driven evaluation of a term under a variable assignment."""
@@ -103,7 +132,7 @@ class FiniteAlgebra:
             if t.name not in env:
                 raise AlgebraError(f"unknown variable {t.name!r}")
             return env[t.name]
-        return self.tables[t.op][tuple(self.eval(a, env) for a in t.args)]
+        return self.op(t.op, [self.eval(a, env) for a in t.args])
 
     def subuniverse(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Closure of the generators under all operations, ascending order."""
@@ -115,7 +144,8 @@ class FiniteAlgebra:
         Returns (order, deriv) where deriv[e] is ('gen', e) for seeds or
         (op, argtuple) for the first operation application producing e.
         Deterministic: seeds in given order, then constants, then rounds of
-        signature-ordered operations over index-ordered argument tuples.
+        signature-ordered operations over argument tuples in closure order,
+        each pass over the elements found before it began.
         """
         order: list[int] = []
         deriv: dict[int, tuple] = {}
@@ -128,24 +158,31 @@ class FiniteAlgebra:
             changed = False
             for op, arity in self.sig.ops:
                 table = self.tables[op]
-                for args in itertools.product(order, repeat=arity):
-                    r = table[args]
-                    if r not in deriv:
-                        deriv[r] = (op, args)
-                        order.append(r)
+                if not arity:
+                    if table not in deriv:
+                        deriv[table] = (op, ())
+                        order.append(table)
                         changed = True
+                    continue
+                elems = tuple(order)
+                # one peeled row per argument prefix, then one lookup per last
+                for prefix in itertools.product(elems, repeat=arity - 1):
+                    row = table
+                    for a in prefix:
+                        row = row[a]
+                    for b in elems:
+                        r = row[b]
+                        if r not in deriv:
+                            deriv[r] = (op, prefix + (b,))
+                            order.append(r)
+                            changed = True
         return order, deriv
 
     def is_hom_map(self, mapping: Sequence[int], cod: "FiniteAlgebra") -> bool:
         if len(mapping) != self.size:
             return False
-        for op, arity in self.sig.ops:
-            table = self.tables[op]
-            cod_table = cod.tables[op]
-            for args, res in table.items():
-                if cod_table[tuple(mapping[a] for a in args)] != mapping[res]:
-                    return False
-        return True
+        return all(_commutes(self.tables[op], cod.tables[op], arity, mapping)
+                   for op, arity in self.sig.ops)
 
     def __repr__(self):
         name = self.name or "algebra"
@@ -289,15 +326,10 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
               for t in tuples]
     if len(set(labels)) != len(labels):  # labels may contain commas
         raise AlgebraError("duplicate element labels")
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    for op, arity in sig.ops:
-        table: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(range(len(tuples)), repeat=arity):
-            arg_tuples = [tuples[a] for a in args]
-            res = tuple(alg.tables[op][tuple(at[i] for at in arg_tuples)]
-                        for i, alg in enumerate(algebras))
-            table[args] = index[res]
-        tables[op] = table
+    tables = {op: _build_table(tuple(alg.tables[op] for alg in algebras), arity,
+                               tuples, lambda rows, t: tuple(map(getitem, rows, t)),
+                               index.__getitem__)
+              for op, arity in sig.ops}
     prod = FiniteAlgebra._trusted(sig, labels, tables,
                                   name="x".join(a.name or "?" for a in algebras))
     # a projection commutes with the operations by construction
@@ -318,11 +350,9 @@ def subalgebra_generated(a: FiniteAlgebra, gens: Iterable[int]):
             raise AlgebraError(f"generator index {g} out of range")
     members = a.subuniverse(gens)
     pos = {e: i for i, e in enumerate(members)}
-    tables = {
-        op: {tuple(pos[x] for x in args): pos[a.tables[op][args]]
-             for args in itertools.product(members, repeat=arity)}
-        for op, arity in a.sig.ops
-    }
+    tables = {op: _build_table(a.tables[op], arity, members, getitem,
+                               pos.__getitem__)
+              for op, arity in a.sig.ops}
     sub = FiniteAlgebra._trusted(a.sig, [a.labels[e] for e in members], tables,
                                  name=f"Sg({a.name})" if a.name else "Sg")
     inclusion = Homomorphism(sub, a, tuple(members))
@@ -378,7 +408,7 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
             if kind[0] == "gen":
                 continue
             op, args = kind
-            mapping[e] = b.tables[op][tuple(mapping[x] for x in args)]
+            mapping[e] = b.op(op, [mapping[x] for x in args])
         full = tuple(mapping[e] for e in range(a.size))
         if any(full[e] != img for e, img in constraints.items()):
             continue
@@ -398,14 +428,9 @@ def quotient(a: FiniteAlgebra, theta: Congruence):
     reps = sorted(set(theta.blocks))
     pos = {r: i for i, r in enumerate(reps)}
     nat = tuple(pos[theta.blocks[e]] for e in range(a.size))
-    tables = {}
-    for op, arity in a.sig.ops:
-        table = {}
-        for args in itertools.product(reps, repeat=arity):
-            res = a.tables[op][args]
-            key = tuple(pos[x] for x in args)
-            table[key] = pos[theta.blocks[res]]
-        tables[op] = table
+    tables = {op: _build_table(a.tables[op], arity, reps, getitem,
+                               lambda r: pos[theta.blocks[r]])
+              for op, arity in a.sig.ops}
     q = FiniteAlgebra._trusted(a.sig, [a.labels[r] for r in reps], tables,
                                name=f"{a.name}/~" if a.name else "quotient")
     # well-definedness is implied by compatibility; verify defensively
@@ -446,15 +471,10 @@ def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> 
     while worklist:
         x, y = worklist.pop()
         for op, arity in a.sig.ops:
-            if arity == 0:
-                continue
-            table = a.tables[op]
-            for pos_i in range(arity):
-                others = itertools.product(range(a.size), repeat=arity - 1)
-                for ctx in others:
-                    args_x = ctx[:pos_i] + (x,) + ctx[pos_i:]
-                    args_y = ctx[:pos_i] + (y,) + ctx[pos_i:]
-                    union(table[args_x], table[args_y])
+            for i in range(arity):
+                for ctx in itertools.product(range(a.size), repeat=arity - 1):
+                    union(a.op(op, ctx[:i] + (x,) + ctx[i:]),
+                          a.op(op, ctx[:i] + (y,) + ctx[i:]))
     return Congruence(tuple(find(i) for i in range(a.size)))
 
 

@@ -44,10 +44,11 @@ _AXIOMS = [
 
 
 class NotKleeneError(AlgebraError):
-    """The input algebra is not a Kleene algebra; names the failed axiom."""
+    """The input algebra is not a Kleene algebra.  ``axiom`` names the
+    failed axiom, or is None when the signature lacks a Kleene operation."""
 
-    def __init__(self, axiom: str):
-        super().__init__(f"not a Kleene algebra: {axiom} fails")
+    def __init__(self, reason: str, axiom: str | None = None):
+        super().__init__(f"not a Kleene algebra: {reason}")
         self.axiom = axiom
 
 
@@ -77,11 +78,11 @@ def verify_kleene(a: FiniteAlgebra) -> None:
             raise NotKleeneError(f"signature lacks {op}/{arity}")
     for name, s, t, names in _parsed_axioms(a.sig):
         if not _check_identity(a, s, t, names):
-            raise NotKleeneError(name)
+            raise NotKleeneError(f"{name} fails", name)
 
 
 def _leq(a: FiniteAlgebra, x: int, y: int) -> bool:
-    return a.tables["and"][(x, y)] == x
+    return a.tables["and"][x][y] == x
 
 
 def _join_irreducibles(a: FiniteAlgebra) -> list[int]:
@@ -90,9 +91,9 @@ def _join_irreducibles(a: FiniteAlgebra) -> list[int]:
     out = []
     for x in range(a.size):
         below = [y for y in range(a.size) if y != x and _leq(a, y, x)]
-        j = a.tables["0"][()]
+        j = a.tables["0"]
         for y in below:
-            j = a.tables["or"][(j, y)]
+            j = a.tables["or"][j][y]
         if j != x:
             out.append(x)
     return out
@@ -158,11 +159,11 @@ def dual_poset(a: FiniteAlgebra) -> InvolutivePoset:
     pos = {p: i for i, p in enumerate(points)}
     iota = []
     for x in points:
-        excluded = {a.tables["not"][(y,)] for y in range(a.size) if _leq(a, x, y)}
-        m = a.tables["1"][()]
+        excluded = {a.tables["not"][y] for y in range(a.size) if _leq(a, x, y)}
+        m = a.tables["1"]
         for y in range(a.size):
             if y not in excluded:
-                m = a.tables["and"][(m, y)]
+                m = a.tables["and"][m][y]
         if m not in pos:
             raise AlgebraError(
                 "involution left the join-irreducibles; input is not Kleene")
@@ -231,16 +232,16 @@ def _exact_by_quasieq(a: FiniteAlgebra):
     """is_exact_by_quasieq for an algebra that has passed verify_kleene."""
     if a.size == 1:
         return False, "trivial algebra"
-    one = a.tables["1"][()]
+    one = a.tables["1"]
     if one not in _join_irreducibles(a):
         return False, "1 is not join irreducible"
-    neg = lambda x: a.tables["not"][(x,)]
+    neg = lambda x: a.tables["not"][x]
     for x in range(a.size):
         if not _leq(a, neg(x), x):
             continue
         for y in range(a.size):
-            premise = _leq(a, a.tables["and"][(x, neg(y))],
-                           a.tables["or"][(neg(x), y)])
+            premise = _leq(a, a.tables["and"][x][neg(y)],
+                           a.tables["or"][neg(x)][y])
             if premise and not _leq(a, neg(y), y):
                 return False, (f"quasi-equation fails at x={a.labels[x]}, "
                                f"y={a.labels[y]}")

@@ -46,23 +46,24 @@ def _expect(cond: bool, path: str, message: str):
         raise VarFileError(f"{path}: {message}")
 
 
-def _parse_table(node, arity: int, index: dict[str, int], path: str) -> dict:
-    n = len(index)
-    table: dict[tuple[int, ...], int] = {}
+def _parse_table(node, arity: int, index: dict[str, int], path: str):
+    """A table of labels as the same nested layout of element indices."""
+    if not arity:
+        _expect(isinstance(node, str), path, "expected an element label")
+        _expect(node in index, path, f"unknown element label {node!r}")
+        return index[node]
+    _expect(isinstance(node, list), path, "expected a nested list")
+    _expect(len(node) == len(index), path,
+            f"expected {len(index)} rows, got {len(node)}")
+    return [_parse_table(child, arity - 1, index, f"{path}[{i}]")
+            for i, child in enumerate(node)]
 
-    def walk(sub, prefix: tuple[int, ...], p: str):
-        if len(prefix) == arity:
-            _expect(isinstance(sub, str), p, "expected an element label")
-            _expect(sub in index, p, f"unknown element label {sub!r}")
-            table[prefix] = index[sub]
-            return
-        _expect(isinstance(sub, list), p, "expected a nested list")
-        _expect(len(sub) == n, p, f"expected {n} rows, got {len(sub)}")
-        for i, child in enumerate(sub):
-            walk(child, prefix + (i,), f"{p}[{i}]")
 
-    walk(node, (), path)
-    return table
+def _label_table(table, arity: int, labels: tuple[str, ...]):
+    """A table of element indices as the same nested layout of labels."""
+    if not arity:
+        return labels[table]
+    return [_label_table(row, arity - 1, labels) for row in table]
 
 
 def loads_variety(text: str, origin: str = "<string>") -> VarietySpec:
@@ -132,16 +133,6 @@ def load_variety(path: str | Path) -> VarietySpec:
 
 def dump_variety(spec: VarietySpec) -> str:
     """Serialize back to the file format (stable key and row order)."""
-
-    def table_node(a: FiniteAlgebra, op: str, arity: int):
-        # a nullary table is the bare label at the empty prefix
-        def build(prefix):
-            if len(prefix) == arity:
-                return a.labels[a.tables[op][prefix]]
-            return [build(prefix + (i,)) for i in range(a.size)]
-
-        return build(())
-
     doc = {
         "name": spec.name,
         "signature": [[op, arity] for op, arity in spec.sig.ops],
@@ -149,7 +140,7 @@ def dump_variety(spec: VarietySpec) -> str:
             {
                 "name": a.name or f"A{i}",
                 "universe": list(a.labels),
-                "ops": {op: table_node(a, op, arity)
+                "ops": {op: _label_table(a.tables[op], arity, a.labels)
                         for op, arity in spec.sig.ops},
             }
             for i, a in enumerate(spec.generators)

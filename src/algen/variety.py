@@ -9,7 +9,9 @@ The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
 pass, in the lexicographic order a full pass would visit them, so element
 order, tables and budget charges are those of the plain closure.  A result
-vector is read in one sweep over per-coordinate table rows.  Each element's
+vector is read in one sweep over per-coordinate rows of the generating
+algebras' nested tables, and the free algebra's nested tables grow by
+appending those fresh tuples' results in that order.  Each element's
 representative is its least term in (size, op-order, arg-order) rank, found
 by one sweep in that order (Knuth's generalization of Dijkstra's
 algorithm).
@@ -21,11 +23,8 @@ oversized constructions into BudgetExceeded errors instead of hangs.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from operator import getitem
@@ -88,27 +87,6 @@ class VarietySpec:
             if g.sig != self.sig:
                 raise AlgebraError("generating algebras must share the signature")
 
-    @functools.cached_property
-    def _nested_tables(self) -> dict[str, tuple]:
-        """For each operation, its table in each generating algebra as
-        nested lists, read table[a1][a2]...[ak]; a constant's table is its
-        value."""
-        return {op: tuple(_nested_table(g, op, arity) for g in self.generators)
-                for op, arity in self.sig.ops}
-
-    def digest(self) -> str:
-        payload = {
-            "sig": list(self.sig.ops),
-            "algebras": [
-                {"labels": list(g.labels),
-                 "tables": {op: sorted((list(k), v) for k, v in t.items())
-                            for op, t in g.tables.items()}}
-                for g in self.generators
-            ],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
 
 def var_name(i: int) -> str:
     return f"x{i + 1}"
@@ -135,9 +113,9 @@ class _Components:
         # behind the coordinate: a result vector is read coordinate by
         # coordinate with one map over these
         self.op_tables = {
-            op: tuple(t for t, g in zip(tables, spec.generators)
+            op: tuple(g.tables[op] for g in spec.generators
                       for _ in range(g.size ** n))
-            for op, tables in spec._nested_tables.items()}
+            for op, _ in spec.sig.ops}
 
     def eval_term(self, t: Term) -> tuple[int, ...]:
         if isinstance(t, Var):
@@ -148,12 +126,6 @@ class _Components:
         for a in t.args:
             rows = tuple(map(getitem, rows, self.eval_term(a)))
         return rows
-
-
-def _nested_table(g: FiniteAlgebra, op: str, arity: int, prefix: tuple = ()):
-    if len(prefix) == arity:
-        return g.tables[op][prefix]
-    return [_nested_table(g, op, arity, prefix + (x,)) for x in range(g.size)]
 
 
 def _fresh_rows(arity: int, old: int, m: int):
@@ -191,40 +163,48 @@ class GeneratedSubalgebra:
             if vec not in index:
                 seed_reps[add(vec)] = rep
             self.generator_indices.append(index[vec])
-        tables: dict[str, dict[tuple[int, ...], int]] = {op: {} for op, _ in spec.sig.ops}
-        # the element count at each operation's last pass: its table holds
-        # every argument tuple over those elements, so the next pass takes
-        # only the tuples that use a later one
-        seen = {op: 0 for op, _ in spec.sig.ops}
+        tables: dict[str, list | int] = {}
+        # the element count at each operation's last pass, absent before its
+        # first: its table holds every argument tuple over those elements,
+        # so the next pass takes only the tuples that use a later one
+        seen: dict[str, int] = {}
         changed = True
         while changed:
             changed = False
             for op, arity in spec.sig.ops:
-                table = tables[op]
                 m = len(vectors)
+                old = seen.get(op)
                 # charge the whole pass up front so oversized closures fail
                 # fast instead of grinding toward the limit
-                budget.charge(m ** arity - len(table), "operation tables")
+                budget.charge(m ** arity - (0 if old is None else old ** arity),
+                              "operation tables")
+                seen[op] = m
                 if not arity:
-                    if not table:
+                    if old is None:
                         vec = comps.op_tables[op]
                         if vec not in index:
                             add(vec)
                             changed = True
-                        table[()] = index[vec]
+                        tables[op] = index[vec]
                     continue
-                for prefix, lasts in _fresh_rows(arity, seen[op], m):
+                # the fresh tuples come in lexicographic order, so each new
+                # row, at any depth, is appended where it belongs
+                table = tables.setdefault(op, [])
+                for prefix, lasts in _fresh_rows(arity, old or 0, m):
                     rows = comps.op_tables[op]
+                    row = table
                     for a in prefix:
                         rows = tuple(map(getitem, rows, vectors[a]))
+                        if a == len(row):
+                            row.append([])
+                        row = row[a]
                     for b in lasts:
                         vec = tuple(map(getitem, rows, vectors[b]))
                         res = index.get(vec)
                         if res is None:
                             res = add(vec)
                             changed = True
-                        table[prefix + (b,)] = res
-                seen[op] = m
+                        row.append(res)
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
@@ -264,7 +244,7 @@ class GeneratedSubalgebra:
         op_codes = {op: ((1, i),) for i, (op, _) in enumerate(sig.ops)}
         for op, arity in sig.ops:
             if not arity:
-                offer(tables[op][()], 1, op_codes[op], (op, ()))
+                offer(tables[op], 1, op_codes[op], (op, ()))
         reps: list = [None] * count
         settled: list[int] = []
         while heap:
@@ -282,7 +262,9 @@ class GeneratedSubalgebra:
                 for p in range(arity):
                     for args in itertools.product(*[settled] * p, (e,),
                                                   *[settled] * (arity - 1 - p)):
-                        res = table[args]
+                        res = table
+                        for a in args:
+                            res = res[a]
                         if reps[res] is None:
                             size = 1 + sum(map(sizes.__getitem__, args))
                             if size <= sizes[res]:

@@ -1,8 +1,9 @@
 """Hand-built finite algebras used across the test suite.
 
-Tables are written out from their textbook definitions (min/max lattices,
-involutions, truncated addition, Goedel implication) independently of any
-package construction code, so they double as fixtures and oracles.
+Tables are nested lists of element indices, read table[a1]...[ak], written
+out from their textbook definitions (min/max lattices, involutions,
+truncated addition, Goedel implication) independently of any package
+construction code, so they double as fixtures and oracles.
 """
 
 import itertools
@@ -20,11 +21,11 @@ LATTICE_SIG = Signature.make([("and", 2), ("or", 2)])
 
 
 def _binary(n, f):
-    return {(i, j): f(i, j) for i in range(n) for j in range(n)}
+    return [[f(i, j) for j in range(n)] for i in range(n)]
 
 
 def _unary(n, f):
-    return {(i,): f(i) for i in range(n)}
+    return [f(i) for i in range(n)]
 
 
 def kleene_chain(labels, neg):
@@ -34,8 +35,8 @@ def kleene_chain(labels, neg):
         "and": _binary(n, min),
         "or": _binary(n, max),
         "not": _unary(n, neg),
-        "0": {(): 0},
-        "1": {(): n - 1},
+        "0": 0,
+        "1": n - 1,
     }
     return FiniteAlgebra(LATTICE_BOUNDED_SIG, labels, tables)
 
@@ -57,23 +58,20 @@ def k4():
 def ka4_diamond():
     """4-element Boolean algebra viewed as a Kleene algebra (diamond)."""
     # elements 0 < a, b < 1 with a, b incomparable; not a = b
-    meet = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0,
-            (1, 0): 0, (1, 1): 1, (1, 2): 0, (1, 3): 1,
-            (2, 0): 0, (2, 1): 0, (2, 2): 2, (2, 3): 2,
-            (3, 0): 0, (3, 1): 1, (3, 2): 2, (3, 3): 3}
-    join = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3,
-            (1, 0): 1, (1, 1): 1, (1, 2): 3, (1, 3): 3,
-            (2, 0): 2, (2, 1): 3, (2, 2): 2, (2, 3): 3,
-            (3, 0): 3, (3, 1): 3, (3, 2): 3, (3, 3): 3}
-    tables = {"and": meet, "or": join,
-              "not": {(0,): 3, (1,): 2, (2,): 1, (3,): 0},
-              "0": {(): 0}, "1": {(): 3}}
+    meet = [[0, 0, 0, 0],
+            [0, 1, 0, 1],
+            [0, 0, 2, 2],
+            [0, 1, 2, 3]]
+    join = [[0, 1, 2, 3],
+            [1, 1, 3, 3],
+            [2, 3, 2, 3],
+            [3, 3, 3, 3]]
+    tables = {"and": meet, "or": join, "not": [3, 2, 1, 0], "0": 0, "1": 3}
     return FiniteAlgebra(LATTICE_BOUNDED_SIG, ["0", "a", "b", "1"], tables)
 
 
 def trivial_kleene():
-    tables = {"and": {(0, 0): 0}, "or": {(0, 0): 0}, "not": {(0,): 0},
-              "0": {(): 0}, "1": {(): 0}}
+    tables = {"and": [[0]], "or": [[0]], "not": [0], "0": 0, "1": 0}
     return FiniteAlgebra(LATTICE_BOUNDED_SIG, ["*"], tables)
 
 
@@ -88,8 +86,8 @@ def goedel_chain(k):
         "and": _binary(k, min),
         "or": _binary(k, max),
         "imp": _binary(k, lambda i, j: k - 1 if i <= j else j),
-        "0": {(): 0},
-        "1": {(): k - 1},
+        "0": 0,
+        "1": k - 1,
     }
     return FiniteAlgebra(GODEL_SIG, labels, tables)
 
@@ -99,7 +97,7 @@ def truncated_monoid(k):
     labels = [str(i) for i in range(k + 1)]
     tables = {
         "oplus": _binary(k + 1, lambda i, j: min(i + j, k)),
-        "0": {(): 0},
+        "0": 0,
     }
     return FiniteAlgebra(MONOID_SIG, labels, tables)
 
@@ -141,13 +139,12 @@ def brute_force_congruences(a):
         for op, arity in a.sig.ops:
             if arity == 0:
                 continue
-            table = a.tables[op]
             for args in itertools.product(range(a.size), repeat=arity):
                 for pos in range(arity):
                     for other in range(a.size):
                         if theta.related(args[pos], other):
                             alt = args[:pos] + (other,) + args[pos + 1:]
-                            if not theta.related(table[args], table[alt]):
+                            if not theta.related(a.op(op, args), a.op(op, alt)):
                                 ok = False
                                 break
                     if not ok:

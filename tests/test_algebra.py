@@ -1,4 +1,7 @@
+import copy
 import itertools
+import re
+from operator import setitem
 
 import pytest
 
@@ -22,6 +25,7 @@ from algen.algebra import (
 )
 
 from factories import (
+    LATTICE_BOUNDED_SIG,
     bool2,
     brute_force_congruences,
     goedel_chain,
@@ -36,6 +40,37 @@ from factories import (
 
 SMALL_ALGEBRAS = [bool2, k3, k4, ka4_diamond, n3, semilattice2, lattice2,
                   lambda: goedel_chain(3), lambda: goedel_chain(4)]
+FACTORY_ALGEBRAS = {
+    "bool2": bool2, "k3": k3, "k4": k4, "ka4": ka4_diamond,
+    "trivial": trivial_kleene, "g3": lambda: goedel_chain(3),
+    "g4": lambda: goedel_chain(4), "n3": n3, "sl2": semilattice2,
+    "lat2": lattice2,
+}
+
+K3_TABLES = {"and": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+             "or": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+             "not": [2, 1, 0], "0": 0, "1": 2}
+
+
+@pytest.mark.parametrize("breaks,message", [
+    (lambda t: t.pop("or"), "missing table for operation 'or'"),
+    (lambda t: t["and"][1].pop(), "table for 'and' is not total"),
+    (lambda t: t["and"][1].append(0), "table for 'and' is not total"),
+    (lambda t: setitem(t["and"], slice(None), [0, 1, 2]),
+     "table for 'and' is not total"),
+    (lambda t: setitem(t["not"], 0, [2]), "bad table entry for 'not': (0,) -> [2]"),
+    (lambda t: setitem(t["or"][2], 0, 3), "bad table entry for 'or': (2, 0) -> 3"),
+    (lambda t: setitem(t["not"], 1, "a"), "bad table entry for 'not': (1,) -> 'a'"),
+], ids=["missing-op", "short-row", "long-row", "flat-binary", "too-deep",
+        "out-of-range", "label-leaf"])
+def test_constructor_checks_and_copies_tables(breaks, message):
+    tables = copy.deepcopy(K3_TABLES)
+    a = FiniteAlgebra(LATTICE_BOUNDED_SIG, ["0", "a", "1"], tables)
+    breaks(tables)
+    # the algebra holds copies, so breaking the caller's lists leaves it be
+    assert a.tables == K3_TABLES
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        FiniteAlgebra(LATTICE_BOUNDED_SIG, ["0", "a", "1"], tables)
 
 
 def test_homomorphism_checked_at_construction():
@@ -71,7 +106,7 @@ def test_direct_product_rejects_colliding_labels():
     # "(a,a,a)" would name both ("a", "a,a") and ("a,a", "a")
     from algen.terms import Signature
     sig = Signature.make([("f", 1)])
-    g = FiniteAlgebra(sig, ["a", "a,a"], {"f": {(0,): 0, (1,): 1}})
+    g = FiniteAlgebra(sig, ["a", "a,a"], {"f": [0, 1]})
     with pytest.raises(AlgebraError, match="duplicate element labels"):
         direct_product([g, g])
 
@@ -134,6 +169,61 @@ def test_enumerate_homs_deterministic():
     first = [h.mapping for h in enumerate_homs(a, b)]
     second = [h.mapping for h in enumerate_homs(a, b)]
     assert first == second
+
+
+def reference_closure(a, gens):
+    """The round-based closure over tuple-keyed lookups: each round runs
+    every operation, in signature order, over the whole argument product of
+    the closure order as it stood when that operation's pass began."""
+    order, deriv = [], {}
+    for g in gens:
+        if g not in deriv:
+            deriv[g] = ("gen", g)
+            order.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for op, arity in a.sig.ops:
+            for args in itertools.product(order, repeat=arity):
+                r = a.op(op, args)
+                if r not in deriv:
+                    deriv[r] = (op, args)
+                    order.append(r)
+                    changed = True
+    return order, deriv
+
+
+@pytest.mark.parametrize("factory", list(FACTORY_ALGEBRAS.values())
+                         + [lambda: direct_product([n3(), n3()])[0]],
+                         ids=list(FACTORY_ALGEBRAS) + ["n3xn3"])
+def test_closure_matches_round_based_reference(factory):
+    # the order and the first derivations set enumerate_homs' yield order
+    # and min_generators' witness, so both must match exactly
+    a = factory()
+    for k in range(3):
+        for gens in itertools.product(range(a.size), repeat=k):
+            assert a.closure_with_derivations(gens) == reference_closure(a, gens)
+
+
+def brute_force_homs(a, b):
+    """Every map a -> b that commutes with every operation, in map order."""
+    return [m for m in itertools.product(range(b.size), repeat=a.size)
+            if all(b.op(op, tuple(m[x] for x in args)) == m[a.op(op, args)]
+                   for op, arity in a.sig.ops
+                   for args in itertools.product(range(a.size), repeat=arity))]
+
+
+SAME_SIG_PAIRS = [(x, y) for x in FACTORY_ALGEBRAS for y in FACTORY_ALGEBRAS
+                  if FACTORY_ALGEBRAS[x]().sig == FACTORY_ALGEBRAS[y]().sig]
+
+
+@pytest.mark.parametrize("dom,cod", SAME_SIG_PAIRS,
+                         ids=[f"{x}-{y}" for x, y in SAME_SIG_PAIRS])
+def test_enumerate_homs_matches_brute_force(dom, cod):
+    a, b = FACTORY_ALGEBRAS[dom](), FACTORY_ALGEBRAS[cod]()
+    _, gens = min_generators(a)
+    expected = sorted(brute_force_homs(a, b), key=lambda m: [m[g] for g in gens])
+    assert [h.mapping for h in enumerate_homs(a, b)] == expected
 
 
 def test_quotient_by_identity_and_total():

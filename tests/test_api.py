@@ -1,6 +1,8 @@
-"""The package surface: every exported name resolves, and no module of
-``src/algen`` imports a name it never uses (no linter is assumed to be
-installed, so this is the check that keeps deleted code deleted)."""
+"""The package surface: every exported name resolves, no module of
+``src/algen`` imports a name it never uses, and every module-level private
+function or class is referred to outside its own definition (no linter is
+assumed to be installed, so these are the checks that keep deleted code
+deleted)."""
 
 import ast
 import importlib
@@ -49,3 +51,35 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert _unused_imports(SRC / f"{name}.py") == []
+
+
+def _sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+
+
+def _unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module names
+    outside their own definition: not as a name, an attribute or an
+    imported name."""
+    tops = [(module, node) for module, text in sorted(sources.items())
+            for node in ast.parse(text).body]
+    names = {id(node): {getattr(n, "id", None) or getattr(n, "attr", None)
+                        or getattr(n, "name", None) for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+             for _, node in tops}
+    return [f"{module}.py: {node.name}" for module, node in tops
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(node.name in names[id(other)]
+                        for _, other in tops if other is not node)]
+
+
+def test_every_private_helper_is_used():
+    assert _unreferenced_privates(_sources()) == []
+
+
+def test_an_unused_private_helper_is_caught():
+    # a helper that only calls itself is still unused
+    sources = _sources()
+    sources["variety"] += "\n\ndef _leftover(g):\n    return _leftover(g)\n"
+    assert _unreferenced_privates(sources) == ["variety.py: _leftover"]

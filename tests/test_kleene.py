@@ -28,8 +28,7 @@ def de_morgan_fence():
     """4-element De Morgan diamond with both atoms negation-fixed: a De
     Morgan algebra that is not Kleene."""
     base = ka4_diamond()
-    tables = {op: dict(t) for op, t in base.tables.items()}
-    tables["not"] = {(0,): 3, (1,): 1, (2,): 2, (3,): 0}
+    tables = {**base.tables, "not": [3, 1, 2, 0]}
     return FiniteAlgebra(LATTICE_BOUNDED_SIG, base.labels, tables)
 
 
@@ -79,8 +78,18 @@ def test_verify_kleene_names_failed_axiom():
 
 
 def test_verify_kleene_rejects_wrong_signature():
-    with pytest.raises(NotKleeneError):
+    with pytest.raises(NotKleeneError) as exc:
         verify_kleene(goedel_chain(3))
+    assert exc.value.axiom is None
+
+
+def test_kleene_dual_names_the_missing_operation(capsys):
+    from algen.cli import main
+
+    assert main(["kleene-dual", "varieties/n3.var", "N3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a Kleene algebra: signature lacks and/2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,15 @@ def reference_subalgebra(spec, varnames, terms):
     entries to the (size, op-order, arg-order) minimum.
 
     Returns (generator_indices, vectors, tables, reps, charges), where
-    charges lists the budget charges the closure would make."""
+    tables are keyed by argument tuples and charges lists the budget
+    charges the closure would make."""
     sig = spec.sig
     entries = [(g, dict(zip(varnames, assign))) for g in spec.generators
                for assign in itertools.product(range(g.size), repeat=len(varnames))]
     vectors, reps, index, charges = [], [], {}, []
 
     def eval_op(op, arg_vectors):
-        return tuple(g.tables[op][tuple(v[i] for v in arg_vectors)]
+        return tuple(g.op(op, tuple(v[i] for v in arg_vectors))
                      for i, (g, _) in enumerate(entries))
 
     def add(vec, rep):
@@ -168,6 +169,13 @@ def reference_subalgebra(spec, varnames, terms):
     return generator_indices, vectors, tables, reps, charges
 
 
+def nested(table, arity, m, prefix=()):
+    """A tuple-keyed table over range(m) in the nested layout."""
+    if len(prefix) == arity:
+        return table[prefix]
+    return [nested(table, arity, m, prefix + (i,)) for i in range(m)]
+
+
 def assert_closure_matches_reference(spec, varnames, terms=None):
     """GeneratedSubalgebra agrees with reference_subalgebra on generator
     indices, element order, tables, representatives and budget charges."""
@@ -185,7 +193,8 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     gens, vectors, tables, reps, charges = reference_subalgebra(spec, varnames, terms)
     assert sub.generator_indices == gens
     assert [comps.eval_term(r) for r in sub.reps] == vectors
-    assert sub.algebra.tables == tables
+    assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
+                                  for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
     assert budget.charges == charges
 
@@ -263,15 +272,15 @@ def test_free_algebra_cached():
 
 def majority2():
     sig = Signature.make([("maj", 3)])
-    table = {args: int(sum(args) >= 2)
-             for args in itertools.product(range(2), repeat=3)}
+    table = [[[int(a + b + c >= 2) for c in range(2)] for b in range(2)]
+             for a in range(2)]
     return FiniteAlgebra(sig, ["0", "1"], {"maj": table})
 
 
 def constants_only():
     sig = Signature.make([("c", 0), ("d", 0)])
-    return (FiniteAlgebra(sig, ["0", "1"], {"c": {(): 0}, "d": {(): 1}}),
-            FiniteAlgebra(sig, ["0", "1", "2"], {"c": {(): 2}, "d": {(): 2}}))
+    return (FiniteAlgebra(sig, ["0", "1"], {"c": 0, "d": 1}),
+            FiniteAlgebra(sig, ["0", "1", "2"], {"c": 2, "d": 2}))
 
 
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)]
