@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .terms import Signature, Term, Var
 
@@ -376,7 +376,7 @@ def min_generators(a: FiniteAlgebra, max_size: int | None = None):
 
 
 def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
-                   constraints: Mapping[int, int] | None = None,
+                   constraints: Mapping[int, Collection[int]] | None = None,
                    *, injective: bool = False,
                    surjective: bool = False,
                    gens: Sequence[int] | None = None) -> Iterator[Homomorphism]:
@@ -385,8 +385,10 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
     Backtracks over images of a generating set only (generator images
     determine the map); every emitted map is verified once to be a total
     homomorphism, after the cheaper constraint and injectivity/surjectivity
-    filters.  ``constraints`` pins images of chosen elements.  A known
-    generating set may be passed to skip the minimal-generator search.
+    filters.  ``constraints`` maps chosen elements to the images allowed
+    for them: on a generator it narrows the choices, elsewhere it filters
+    the built map.  A known generating set may be passed to skip the
+    minimal-generator search.
     """
     if a.sig != b.sig:
         raise AlgebraError("signature mismatch")
@@ -398,7 +400,7 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
         raise AlgebraError("generators do not generate")  # pragma: no cover
 
     choice_space = [
-        [constraints[g]] if g in constraints else list(range(b.size))
+        [y for y in range(b.size) if g not in constraints or y in constraints[g]]
         for g in gens
     ]
     for images in itertools.product(*choice_space):
@@ -410,7 +412,7 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
             op, args = kind
             mapping[e] = b.op(op, [mapping[x] for x in args])
         full = tuple(mapping[e] for e in range(a.size))
-        if any(full[e] != img for e, img in constraints.items()):
+        if any(full[e] not in allowed for e, allowed in constraints.items()):
             continue
         if injective and len(set(full)) != a.size:
             continue

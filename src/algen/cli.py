@@ -182,8 +182,7 @@ def cmd_solve(args) -> int:
     report = (pairwise_reduce(problem, args.bound) if args.pairwise
               else solve(problem, args.bound))
     if args.dot:
-        pool = report.g.members if report.g.status == "exact" else report.g.upper
-        _emit(congruence_poset_dot(ctx, pool, highlight=report.g.maximal,
+        _emit(congruence_poset_dot(ctx, report.g.upper, highlight=report.g.maximal,
                                    name=f"g_{ctx.spec.name}"))
     elif args.json:
         _emit_json(report.to_dict())

@@ -12,6 +12,7 @@ re-verified against the variety before it leaves this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -272,7 +273,7 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     attempts = []
     for t in embeddings1:
         rep_t = f1.reps[t]
-        found = _retraction(q_alg, rep_t, 1, zq)
+        found = _first_assignment(q_alg, rep_t, [var_name(0)], zq)
         attempts.append({"embedding": term_to_str(_rename_to_output(rep_t)),
                          "retraction_images_tried": q_alg.size if found is None
                          else found[0] + 1,
@@ -319,9 +320,10 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         sp = None
         for k in range(1, bound + 1):
             fk = ctx.free_algebra(k)
+            names = [var_name(i) for i in range(k)]
             for t in _embedding_elements(ctx, theta, fk):
                 rep_t = fk.reps[t]
-                if _retraction(q_alg, rep_t, k, zq) is None:
+                if _first_assignment(q_alg, rep_t, names, zq) is None:
                     sp = Verdict("no", None, {
                         "arity": k,
                         "embedding": term_to_str(rep_t),
@@ -336,15 +338,15 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     return CongruenceClassification(theta, exact, projective, sp, retract)
 
 
-def _retraction(q_alg: FiniteAlgebra, rep: Term, k: int,
-                target: int) -> tuple[int, ...] | None:
-    """The first assignment of quotient elements to x1..xk, in product
-    order, under which ``rep`` evaluates to ``target``; None if none does.
-    Such an assignment determines a retraction of the embedding that
-    ``rep`` induces."""
-    names = [var_name(i) for i in range(k)]
-    return next((qs for qs in itertools.product(range(q_alg.size), repeat=k)
-                 if q_alg.eval(rep, dict(zip(names, qs))) == target), None)
+def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
+                      target: int) -> tuple[int, ...] | None:
+    """The first assignment of elements of ``alg`` to ``names``, in product
+    order, under which ``term`` evaluates to ``target``; None if none does.
+    On a quotient of F(1), with the generator's block as the target, such an
+    assignment determines a retraction of the embedding ``term`` induces."""
+    return next((vals for vals in itertools.product(range(alg.size),
+                                                    repeat=len(names))
+                 if alg.eval(term, dict(zip(names, vals))) == target), None)
 
 
 def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
@@ -457,13 +459,13 @@ class GCongruences:
     """Generalizing congruences of a problem.
 
     When the variety is 1EP the set is exact: the projective congruences
-    below the kernel.  Otherwise only two-sided bounds are available:
-    every projective congruence below the kernel generalizes, and every
-    generalizing congruence is exact and below the kernel.
+    below the kernel, which ``lower`` and ``upper`` then both hold.
+    Otherwise only two-sided bounds are available: every projective
+    congruence below the kernel generalizes (``lower``), and every
+    generalizing congruence is exact and below the kernel (``upper``).
     """
 
     status: str                       # "exact" | "approximate"
-    members: tuple[Congruence, ...]   # = lower bound when approximate
     lower: tuple[Congruence, ...]
     upper: tuple[Congruence, ...]
     maximal: tuple[Congruence, ...]
@@ -487,10 +489,10 @@ def g_congruences(ap: AlgebraicProblem,
         (t for t, c in cls.items()
          if c.exact.status in ("yes", "unknown") and t.leq(ker)),
         key=Congruence.sort_key))
-    ep = check_1ep(ap.ctx, bound)
-    if ep.status == "yes":
-        return GCongruences("exact", lower, lower, lower, _maximal(lower))
-    return GCongruences("approximate", lower, lower, upper, _maximal(lower))
+    # in a 1EP variety every exact congruence, and none unresolved, is
+    # projective, so the two bounds meet
+    status = "exact" if check_1ep(ap.ctx, bound).status == "yes" else "approximate"
+    return GCongruences(status, lower, upper, _maximal(lower))
 
 
 def _every_exact_is(ctx: VarietyContext, bound: int, prop: str,
@@ -558,20 +560,19 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     ctx = ap.ctx
     f1 = ap.free1
     a1 = f1.algebra
-    q_alg, nat = quotient(a1, theta)
-    zq = nat(f1.generators[0])
     t, q = retract
+    # the quotient numbers its blocks by their least members; u is the least
+    # member of block q, so the retraction sends the generator to u's block
+    u = sorted(set(theta.blocks))[q]
     if _kernel_of_evaluation(f1, a1, t) != theta:
         raise InternalVerificationError("embedding element does not realize the kernel")
-    if q_alg.eval(f1.reps[t], {var_name(0): q}) != zq:
+    if not theta.related(a1.eval(f1.reps[t], {var_name(0): u}), f1.generators[0]):
         raise InternalVerificationError("retract pair does not compose to the identity")
     if not theta.leq(ap.kernel):
         raise InternalVerificationError("solution kernel exceeds the problem kernel")
 
     s_term = _rename_to_output(f1.reps[t])
-    # f factors the problem through the quotient; its value on the block q
-    # is h(u) for the least element u of that block
-    u = min(e for e in range(a1.size) if nat(e) == q)
+    # f factors the problem through the quotient; its value on block q is h(u)
     witnesses = []
     for factor, gen in zip(ap.factors, ap.factor_generators):
         elem = factor.algebra.eval(f1.reps[u], {var_name(0): gen})
@@ -611,14 +612,11 @@ def _instance_substitution(ctx: VarietyContext, s: Term, more_general: Term):
         return None  # no ground terms exist, so nothing to map into
     Budget(ctx.budget_limit).charge(
         free_s.algebra.size ** len(vars_target), "generality search")
-    target_vec = free_s.comps.eval_term(s)
-    for assign in itertools.product(range(free_s.algebra.size),
-                                    repeat=len(vars_target)):
-        sigma = Substitution.make(
-            {v: free_s.reps[e] for v, e in zip(vars_target, assign)})
-        if free_s.comps.eval_term(apply_subst(sigma, more_general)) == target_vec:
-            return sigma
-    return None
+    alg = free_s.algebra
+    target = alg.eval(s, dict(zip(vars_s, free_s.generator_indices)))
+    found = _first_assignment(alg, more_general, vars_target, target)
+    return None if found is None else Substitution.make(
+        {v: free_s.reps[e] for v, e in zip(vars_target, found)})
 
 
 def compare_generality(ctx: VarietyContext, s: Term, s2: Term) -> str:
@@ -735,7 +733,7 @@ class GeneralizationReport:
             "congruences": classification_rows(ctx, self.classifications),
             "g_congruences": {
                 "status": self.g.status,
-                "members": [congruence_name(ctx, t) for t in self.g.members],
+                "members": [congruence_name(ctx, t) for t in self.g.lower],
                 "lower": [congruence_name(ctx, t) for t in self.g.lower],
                 "upper": [congruence_name(ctx, t) for t in self.g.upper],
                 "maximal": [congruence_name(ctx, t) for t in self.g.maximal],
@@ -753,13 +751,17 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     (then the problem is its own least general solution and the type is
     unitary).  The generator search is capped at the bound.
 
+    The product P, generated by p_1..p_n, is projective iff the
+    epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
+    Unification through projectivity, 1997), so one search over the maps
+    sending each p_i into its fibre decides it.  With n = 0, x1 goes to
+    element 0.
+
     Returns (report dict, retract data or None); the retract data is
-    (product, projections, free algebra, embedding, retraction).
+    (product, projections, the points p_i, free algebra, section).
     """
     ctx = ap.ctx
-    sizes = 1
-    for f in ap.factors:
-        sizes *= f.algebra.size
+    sizes = math.prod(f.algebra.size for f in ap.factors)
     if sizes > _PRODUCT_CAP:
         return {"status": "skipped",
                 "reason": f"product has {sizes} elements"}, None
@@ -769,20 +771,20 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     except AlgebraError:
         return {"status": "skipped",
                 "reason": f"no generating set of size <= {bound}"}, None
-    n_search = max(n, 1)
+    points = gens or (0,)
     try:
-        fk = ctx.free_algebra(n_search)
+        fk = ctx.free_algebra(len(points))
     except BudgetExceeded:
         return {"status": "skipped", "reason": "free algebra above budget"}, None
-    for i_hom in enumerate_homs(prod, fk.algebra, injective=True, gens=gens):
-        pinned = {i_hom(x): x for x in range(prod.size)}
-        for j_hom in enumerate_homs(fk.algebra, prod, pinned,
-                                    gens=fk.generators):
-            note = {"status": "projective", "generators": n,
-                    "note": "the problem is the minimum of its solution "
-                            "poset; type unitary"}
-            return note, (prod, projs, fk, i_hom, j_hom)
-    return {"status": "not-projective", "generators": n}, None
+    env = {var_name(i): p for i, p in enumerate(points)}
+    pi = [prod.eval(rep, env) for rep in fk.reps]
+    fibres = {p: {e for e, v in enumerate(pi) if v == p} for p in gens}
+    section = next(enumerate_homs(prod, fk.algebra, fibres, gens=gens), None)
+    if section is None:
+        return {"status": "not-projective", "generators": n}, None
+    note = {"status": "projective", "generators": n,
+            "note": "the problem is the minimum of its solution poset; type unitary"}
+    return note, (prod, projs, points, fk, section)
 
 
 def solve(problem: SymbolicProblem,
@@ -839,23 +841,20 @@ def solve(problem: SymbolicProblem,
 
 def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     """Sym of the problem itself, valid when the factor product is
-    projective: embed the product into F(n) and read the term off the
-    image of the problem tuple.  Output variables are z1..zn."""
+    projective: the section sends the problem tuple h to a term s over
+    x1..xn with s(p_1, ..., p_n) = h, so z_i -> p_i, projected to each
+    factor, witnesses it.  Output variables are z1..zn."""
     ctx = ap.ctx
-    prod, projs, fk, i_hom, j_hom = retract_data
-    n_search = fk.n
+    prod, projs, points, fk, section = retract_data
     h_elem = next(
         e for e in range(prod.size)
         if all(pr(e) == g for pr, g in zip(projs, ap.factor_generators)))
-    out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(n_search)}
-    s_term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom(h_elem)])
-    witnesses = []
-    for factor, pr in zip(ap.factors, projs):
-        bind = {}
-        for i in range(n_search):
-            elem = pr(j_hom(fk.generators[i]))
-            bind[f"z{i + 1}"] = factor.reps[elem]
-        witnesses.append(Substitution.make(bind))
+    out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
+    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section(h_elem)])
+    witnesses = [
+        Substitution.make({f"z{i + 1}": factor.reps[pr(p)]
+                           for i, p in enumerate(points)})
+        for factor, pr in zip(ap.factors, projs)]
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ctx, entry, ap.problem.terms)
     return entry
@@ -913,19 +912,12 @@ def pairwise_reduce(problem: SymbolicProblem,
 
     ap = alg_of(problem)
     witnesses = []
-    for factor, t in zip(ap.factors, problem.terms):
-        sigma = None
-        comps = factor.comps
-        target = comps.eval_term(t)
-        for e in range(factor.algebra.size):
-            cand = Substitution.make({OUTPUT_VAR: factor.reps[e]})
-            if comps.eval_term(apply_subst(cand, final)) == target:
-                sigma = cand
-                break
-        if sigma is None:
+    for factor, gen in zip(ap.factors, ap.factor_generators):
+        found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], gen)
+        if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")
-        witnesses.append(sigma)
+        witnesses.append(Substitution.make({OUTPUT_VAR: factor.reps[found[0]]}))
     entry = SolutionEntry(final, tuple(witnesses))
     _verify_entry(ctx, entry, problem.terms)
 

@@ -101,6 +101,8 @@ def loads_variety(text: str, origin: str = "<string>") -> VarietySpec:
         p = f"algebras[{i}]"
         _expect(isinstance(anode, dict), p, "must be an object")
         aname = anode.get("name", f"A{i}")
+        _expect(isinstance(aname, str) and bool(aname), f"{p}.name",
+                "must be a nonempty string")
         universe = anode.get("universe")
         _expect(isinstance(universe, list) and universe, f"{p}.universe",
                 "must be a nonempty list of labels")

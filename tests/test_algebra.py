@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 import re
 from operator import setitem
 
@@ -151,7 +152,7 @@ def test_enumerate_homs_bool2_endos():
 def test_enumerate_homs_n3_onto_S_and_no_section():
     a = n3()
     s, _ = subalgebra_generated(a, [a.label_index["2"]])
-    pinned = {a.label_index["1"]: s.label_index["2"]}
+    pinned = {a.label_index["1"]: (s.label_index["2"],)}
     surjections = list(enumerate_homs(a, s, pinned, surjective=True))
     assert surjections
     for j in surjections:
@@ -224,6 +225,20 @@ def test_enumerate_homs_matches_brute_force(dom, cod):
     _, gens = min_generators(a)
     expected = sorted(brute_force_homs(a, b), key=lambda m: [m[g] for g in gens])
     assert [h.mapping for h in enumerate_homs(a, b)] == expected
+    # allowed-image sets narrow the generators' choices and filter the rest;
+    # each set holds one homomorphism's image, so some trials yield maps
+    rng = random.Random(f"{dom}-{cod}")
+    for trial in range(6):
+        hom = rng.choice(expected) if expected and trial % 2 else None
+        constrained = [g for g in gens if rng.random() < 0.7]
+        constrained += [e for e in range(a.size)
+                        if e not in gens and rng.random() < 0.5]
+        allowed = {}
+        for e in constrained:
+            images = set(rng.sample(range(b.size), rng.randint(0, b.size - 1)))
+            allowed[e] = images | {hom[e]} if hom else images
+        assert [h.mapping for h in enumerate_homs(a, b, allowed)] == [
+            m for m in expected if all(m[e] in s for e, s in allowed.items())]
 
 
 def test_quotient_by_identity_and_total():

@@ -83,3 +83,32 @@ def test_an_unused_private_helper_is_caught():
     sources = _sources()
     sources["variety"] += "\n\ndef _leftover(g):\n    return _leftover(g)\n"
     assert _unreferenced_privates(sources) == ["variety.py: _leftover"]
+
+
+def test_benchmark_spans_bind_every_target():
+    # the benchmark wraps these functions by name from outside the package;
+    # a rename would leave its span silently empty
+    import importlib.util
+    import inspect
+
+    import algen.algebra
+    import algen.solver
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patches = spans.Patches(spans.Tracer())
+    bound = {id(orig) for _, _, orig, _ in patches.bindings}
+    for name, modname, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = vars(getattr(owner, cls_name))
+        else:
+            owner = vars(owner)
+        assert id(owner[attr]) in bound, name
+    assert inspect.isgeneratorfunction(algen.algebra.enumerate_homs)
+    # test_solve_1ep_skips_product_shortcut patches these solver globals
+    for name in ("min_generators", "direct_product", "enumerate_homs"):
+        assert getattr(algen.solver, name) is getattr(algen.algebra, name)

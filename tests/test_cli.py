@@ -198,3 +198,20 @@ def test_var_file_with_bad_cell_exits_1(tmp_path, capsys, row, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [7, ["x"]], ids=["int", "list"])
+@pytest.mark.parametrize("command", [["con"], ["kleene-dual", "K3"]],
+                         ids=["con", "kleene-dual"])
+def test_var_file_with_non_string_algebra_name_exits_1(tmp_path, capsys, name,
+                                                       command):
+    from algen.cli import main
+
+    doc = json.loads(pathlib.Path("varieties/kleene.var").read_text())
+    doc["algebras"][0]["name"] = name
+    path = tmp_path / "named.var"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: algebras[0].name: must be a nonempty string\n"

@@ -4,15 +4,22 @@ import random
 import pytest
 
 from algen.algebra import (
+    AlgebraError,
     Congruence,
     direct_product,
+    enumerate_homs,
     find_isomorphism,
+    min_generators,
     principal_congruence,
     quotient,
 )
 from algen.solver import (
+    _PRODUCT_CAP,
     InternalVerificationError,
+    SolutionEntry,
+    _instance_substitution,
     _product_shortcut,
+    _shortcut_solution,
     SolverError,
     SymbolicProblem,
     alg_of,
@@ -30,7 +37,7 @@ from algen.solver import (
     two_term_unitary,
 )
 from algen.terms import Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
-from algen.variety import BudgetExceeded, VarietyContext, VarietySpec
+from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
@@ -101,6 +108,91 @@ def kernel_by_product_oracle(ap):
                     if tuple(pr(e) for pr in projs) == per_factor)
         images.append(elem)
     return Congruence.from_map(images)
+
+
+def double_search_shortcut(ap, bound):
+    """The product shortcut as an injective-hom search from the factor
+    product P into F(n), each candidate followed by a search for a
+    retraction pinned on its image: P is a retract of F(n).  Returns the
+    report dict and the solution entry built from the first such pair."""
+    ctx = ap.ctx
+    sizes = 1
+    for f in ap.factors:
+        sizes *= f.algebra.size
+    if sizes > _PRODUCT_CAP:
+        return {"status": "skipped", "reason": f"product has {sizes} elements"}, None
+    prod, projs = direct_product([f.algebra for f in ap.factors])
+    try:
+        n, gens = min_generators(prod, max_size=bound)
+    except AlgebraError:
+        return {"status": "skipped",
+                "reason": f"no generating set of size <= {bound}"}, None
+    try:
+        fk = ctx.free_algebra(max(n, 1))
+    except BudgetExceeded:
+        return {"status": "skipped", "reason": "free algebra above budget"}, None
+    for i_hom in enumerate_homs(prod, fk.algebra, injective=True, gens=gens):
+        pinned = {i_hom(x): (x,) for x in range(prod.size)}
+        for j_hom in enumerate_homs(fk.algebra, prod, pinned, gens=fk.generators):
+            h = next(e for e in range(prod.size)
+                     if all(pr(e) == g for pr, g in zip(projs, ap.factor_generators)))
+            out_vars = {f"x{i + 1}": Var(f"z{i + 1}") for i in range(fk.n)}
+            term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom(h)])
+            witnesses = tuple(
+                Substitution.make({f"z{i + 1}": factor.reps[pr(j_hom(x))]
+                                   for i, x in enumerate(fk.generators)})
+                for factor, pr in zip(ap.factors, projs))
+            note = {"status": "projective", "generators": n,
+                    "note": "the problem is the minimum of its solution "
+                            "poset; type unitary"}
+            return note, SolutionEntry(term, witnesses)
+    return {"status": "not-projective", "generators": n}, None
+
+
+def solve_with_double_search(p, bound=2):
+    """solve() with the double search in place of the section search."""
+    import algen.solver as solver_mod
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_product_shortcut", double_search_shortcut)
+        mp.setattr(solver_mod, "_shortcut_solution", lambda ap, entry: entry)
+        return solve(p, bound)
+
+
+def vector_search_instance(ctx, s, more_general):
+    """A substitution sending ``more_general`` to ``s``, by substituting each
+    candidate and comparing value vectors over all assignments."""
+    vars_target = term_vars(more_general)
+    if not vars_target:
+        return (Substitution.empty()
+                if ctx.holds_identity(s, more_general) else None)
+    vars_s = term_vars(s)
+    try:
+        free_s = ctx.generated_by_terms(vars_s, [Var(v) for v in vars_s])
+    except AlgebraError:
+        return None
+    Budget(ctx.budget_limit).charge(
+        free_s.algebra.size ** len(vars_target), "generality search")
+    target_vec = free_s.comps.eval_term(s)
+    for assign in itertools.product(range(free_s.algebra.size),
+                                    repeat=len(vars_target)):
+        sigma = Substitution.make(
+            {v: free_s.reps[e] for v, e in zip(vars_target, assign)})
+        if free_s.comps.eval_term(apply_subst(sigma, more_general)) == target_vec:
+            return sigma
+    return None
+
+
+def vector_search_witnesses(ap, final):
+    """Per exact factor, the first z -> element under which ``final``
+    has the value vector of the factor's term."""
+    out = []
+    for factor, t in zip(ap.factors, ap.problem.terms):
+        target = factor.comps.eval_term(t)
+        out.append(next(
+            sigma for sigma in (Substitution.make({"z": rep}) for rep in factor.reps)
+            if factor.comps.eval_term(apply_subst(sigma, final)) == target))
+    return tuple(out)
 
 
 def unary_solution_classes(ctx, terms):
@@ -384,21 +476,22 @@ def test_g_congruences_kleene(ka):
     g = g_congruences(ap)
     assert g.status == "exact"
     expected = {Congruence.identity(6), f1_congruence(ka, "x1", "and(x1,not(x1))")}
-    assert set(g.members) == expected
+    assert set(g.lower) == expected
+    assert g.upper == g.lower
     assert set(g.maximal) == {f1_congruence(ka, "x1", "and(x1,not(x1))")}
 
 
 def test_g_congruences_boolean(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
     g = g_congruences(ap)
-    assert set(g.members) == {Congruence.identity(4), f1_congruence(ba, "x1", "1")}
+    assert set(g.lower) == {Congruence.identity(4), f1_congruence(ba, "x1", "1")}
 
 
 def test_g_congruences_identity_kernel(ka):
     ap = alg_of(prob(ka, "x", "not(x)"))
     assert ap.kernel.is_identity()
     g = g_congruences(ap)
-    assert set(g.members) == {Congruence.identity(6)}
+    assert set(g.lower) == {Congruence.identity(6)}
     assert set(g.maximal) == {Congruence.identity(6)}
 
 
@@ -503,7 +596,7 @@ def test_solve_duplicate_terms_kept(ka):
 def test_solve_shortcut_consistency(ba, ka, sl, la):
     # solve() skips the product shortcut in 1EP varieties, so run it here
     # directly: a projective factor product must agree with the congruence
-    # route's unitary verdict
+    # route's unitary verdict, and the section search with the double search
     samples = [
         (ba, ("or(x,not(x))", "1")), (ba, ("x", "not(x)")),
         (ba, ("and(x,y)", "and(y,x)")), (ba, ("0", "1")),
@@ -515,9 +608,14 @@ def test_solve_shortcut_consistency(ba, ka, sl, la):
     projective = 0
     for ctx, sources in samples:
         p = prob(ctx, *sources)
-        note, _ = _product_shortcut(alg_of(p), 2)
+        ap = alg_of(p)
+        note, data = _product_shortcut(ap, 2)
         assert note["status"] in ("projective", "not-projective"), sources
+        old_note, old_entry = double_search_shortcut(ap, 2)
+        assert note == old_note, sources
         if note["status"] == "projective":
+            assert (_shortcut_solution(ap, data).to_dict()
+                    == old_entry.to_dict()), sources
             projective += 1
             r = solve(p)
             assert r.type.render() == "unitary", sources
@@ -554,6 +652,33 @@ def test_solve_n3_runs_product_shortcut(n3v):
     assert r.shortcut["status"] == "projective"
     assert r.type.render() == "unitary"
     assert_report_sound(r)
+
+
+def test_section_search_matches_double_search_n3(n3v):
+    from test_variety import random_term
+
+    problems = [prob(n3v, *sources) for sources in
+                [("0", "0"), ("x", "0"), ("x", "y"), ("oplus(x,x)", "0")]]
+    rng = random.Random(7)
+    problems += [SymbolicProblem(n3v, tuple(
+        random_term(rng, n3v.spec.sig, ["x", "y"], 2)
+        for _ in range(rng.choice([1, 2, 3])))) for _ in range(40)]
+    seen = set()
+    for p in problems:
+        note, _ = _product_shortcut(alg_of(p), 2)
+        assert note == double_search_shortcut(alg_of(p), 2)[0], p.terms
+        assert solve(p).to_dict() == solve_with_double_search(p).to_dict(), p.terms
+        seen.add((note["status"], note.get("generators")))
+    assert {("projective", 0), ("projective", 1), ("projective", 2),
+            ("not-projective", 1), ("not-projective", 2)} <= seen
+    # n = 0: the product is generated by constants and x1 goes to element 0
+    r = solve(problems[0])
+    assert r.shortcut["generators"] == 0
+    assert [e.to_dict() for e in r.mcsg] == [
+        {"term": "0", "witnesses": [{"z1": "0"}, {"z1": "0"}]}]
+    assert [e.to_dict() for e in solve(problems[2]).mcsg] == [
+        {"term": "oplus(z1,z2)", "witnesses": [{"z1": "x", "z2": "0"},
+                                               {"z1": "0", "z2": "y"}]}]
 
 
 def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
@@ -621,7 +746,7 @@ def test_round_trip_poset_isomorphism(ba, ka):
             from algen.solver import _kernel_of_evaluation
             kernels.append(_kernel_of_evaluation(f1, f1.algebra, elem))
         assert len(set(kernels)) == len(kernels)
-        assert set(kernels) == set(g.members)
+        assert set(kernels) == set(g.lower)
         # and it reverses the generality order
         for i, ci in enumerate(classes):
             for j, cj in enumerate(classes):
@@ -645,6 +770,37 @@ def test_compare_generality_examples(ba, ka):
                               parse_term("or(z,not(z))", ka.spec.sig)) == "incomparable"
 
 
+def test_instance_substitution_matches_vector_search():
+    # the term evaluated in the free algebra, against substituting each
+    # candidate and comparing value vectors; a small budget makes some
+    # pairs fail, and both searches must fail there alike
+    from test_variety import SHIPPED, random_term
+    from algen.varfile import load_variety
+
+    def outcome(search, ctx, s, t):
+        try:
+            return search(ctx, s, t)
+        except BudgetExceeded as e:
+            return ("budget", e.stage, e.needed)
+
+    found, stages = 0, set()
+    for variety in SHIPPED:
+        ctx = VarietyContext(load_variety(f"varieties/{variety}.var"),
+                             budget_limit=5_000)
+        rng = random.Random(variety)
+        for _ in range(125):
+            s, t = (random_term(rng, ctx.spec.sig, ["x", "y", "w"], 3)
+                    for _ in range(2))
+            for a, b in ((s, t), (t, s)):
+                new = outcome(_instance_substitution, ctx, a, b)
+                assert new == outcome(vector_search_instance, ctx, a, b), (a, b)
+                found += isinstance(new, Substitution)
+                if isinstance(new, tuple):
+                    stages.add(new[1])
+    assert found
+    assert stages == {"free closure", "operation tables", "generality search"}
+
+
 def test_compare_generality_modulo_variety(ka):
     sig = ka.spec.sig
     # not(not(z)) equals z in the variety
@@ -660,6 +816,9 @@ def test_pairwise_boolean_three_terms(ba):
     p = prob(ba, "1", "or(x,not(x))", "or(y,not(y))")
     r = pairwise_reduce(p)
     assert r.type.render() == "unitary"
+    # the generalizer is ground, so every z fits; the first, the seed, is kept
+    assert r.mcsg[0].witnesses == vector_search_witnesses(alg_of(p), r.mcsg[0].term)
+    assert r.mcsg[0].to_dict()["witnesses"] == [{"z": "1"}] * 3
     full = solve(p)
     assert compare_generality(ba, r.mcsg[0].term, full.mcsg[0].term) == "equal"
     assert_report_sound(r)
@@ -676,6 +835,7 @@ def test_pairwise_kleene_four_contradictions(ka):
     p = prob(ka, *[f"and({v},not({v}))" for v in ("x", "y", "w", "v")])
     r = pairwise_reduce(p)
     assert term_to_str(r.mcsg[0].term) == "and(z,not(z))"
+    assert r.mcsg[0].witnesses == vector_search_witnesses(alg_of(p), r.mcsg[0].term)
     assert_report_sound(r)
 
 
@@ -696,6 +856,8 @@ def test_pairwise_agrees_with_solve_random(ba, ka):
                           for _ in range(m))
             p = SymbolicProblem(ctx, terms)
             r1 = pairwise_reduce(p)
+            assert r1.mcsg[0].witnesses == vector_search_witnesses(
+                alg_of(p), r1.mcsg[0].term)
             r2 = solve(p)
             assert r2.type.render() == "unitary"
             assert compare_generality(ctx, r1.mcsg[0].term,

@@ -109,3 +109,18 @@ def test_error_bad_signature():
 def test_error_missing_file():
     with pytest.raises(VarFileError, match="cannot read"):
         load_variety("varieties/definitely-not-there.var")
+
+
+@pytest.mark.parametrize("name", [7, ["x"], ""], ids=["int", "list", "empty"])
+def test_error_algebra_name_not_a_nonempty_string(name):
+    doc = base_doc()
+    doc["algebras"][0]["name"] = name
+    with pytest.raises(VarFileError,
+                       match=r"^algebras\[0\]\.name: must be a nonempty string$"):
+        loads_doc(doc)
+
+
+def test_algebra_name_defaults_when_absent():
+    doc = base_doc()
+    del doc["algebras"][0]["name"]
+    assert loads_doc(doc).generators[0].name == "A0"

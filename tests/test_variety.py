@@ -457,7 +457,7 @@ def test_kernel_of_free_kleene_onto_k4():
 
     f = KA().free_algebra(1)
     target = k4()
-    pinned = {f.generators[0]: target.label_index["m"]}
+    pinned = {f.generators[0]: (target.label_index["m"],)}
     homs = list(enumerate_homs(f.algebra, target, pinned, surjective=True))
     assert len(homs) == 1
     expected = principal_congruence(f.algebra, f.generators[0],
