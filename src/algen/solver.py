@@ -24,7 +24,6 @@ from .algebra import (
     congruence_lattice,
     direct_product,
     enumerate_homs,
-    min_generators,
     principal_congruence,
     quotient,
 )
@@ -746,10 +745,65 @@ class GeneralizationReport:
         }
 
 
+def _derivation_steps(ctx: VarietyContext, k: int) -> list[tuple]:
+    """F(k)'s elements in closure order from its generators, each as
+    (element, operation, argument elements), or (element, None, i) for the
+    generator x_{i+1}; arguments come before the element they produce.
+    Memoised on the context."""
+    def steps():
+        fk = ctx.free_algebra(k)
+        order, deriv = fk.algebra.closure_with_derivations(fk.generators)
+        position = {g: i for i, g in enumerate(fk.generators)}
+        return [(e, None, position[e]) if e in position else (e, *deriv[e])
+                for e in order]
+    return ctx.memo(("derivation-steps", k), steps)
+
+
+def _free_images(prod: FiniteAlgebra, steps: Sequence[tuple],
+                 points: Sequence[int]) -> list[int]:
+    """The image of every element of F(k) under x_i -> points[i], by one
+    walk of its derivation steps with one table lookup per element."""
+    images = [0] * len(steps)
+    for e, op, args in steps:
+        if op is None:
+            images[e] = points[args]
+            continue
+        value = prod.tables[op]
+        for a in args:
+            value = value[images[a]]
+        images[e] = value
+    return images
+
+
+def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
+    """The first generating tuple of ``prod`` by size, then lexicographic
+    order, with at most ``bound`` elements, as (generators, F(k), pi) with
+    pi the images of F(k)'s elements under x_i -> p_i; None if there is
+    none.  A tuple generates iff pi is onto, by the universal property of
+    F(k), and a k-generated algebra has at most |F(k)| elements, so a k
+    with |prod| > |F(k)| is skipped.  When the constants generate, k = 0
+    and x1 goes to element 0 of F(1).  Raises BudgetExceeded for an F(k)
+    above the budget."""
+    if len(prod.subuniverse(())) == prod.size:
+        return (), ctx.free_algebra(1), _free_images(
+            prod, _derivation_steps(ctx, 1), (0,))
+    for k in range(1, min(bound, prod.size) + 1):
+        fk = ctx.free_algebra(k)
+        if prod.size > fk.size:
+            continue
+        steps = _derivation_steps(ctx, k)
+        for gens in itertools.combinations(range(prod.size), k):
+            pi = _free_images(prod, steps, gens)
+            if len(set(pi)) == prod.size:
+                return gens, fk, pi
+    return None
+
+
 def _product_shortcut(ap: AlgebraicProblem, bound: int):
     """Check whether the product of the exact factors is itself projective
     (then the problem is its own least general solution and the type is
-    unitary).  The generator search is capped at the bound.
+    unitary).  The generator search is capped at the bound, and a product
+    larger than F(bound) is skipped without being built.
 
     The product P, generated by p_1..p_n, is projective iff the
     epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
@@ -765,26 +819,28 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     if sizes > _PRODUCT_CAP:
         return {"status": "skipped",
                 "reason": f"product has {sizes} elements"}, None
+    no_gens = {"status": "skipped",
+               "reason": f"no generating set of size <= {bound}"}
+    try:
+        if sizes > ctx.free_algebra(bound).size:
+            return no_gens, None
+    except BudgetExceeded:
+        pass  # the search below decides, or meets the budget itself
     prod, projs = direct_product([f.algebra for f in ap.factors])
     try:
-        n, gens = min_generators(prod, max_size=bound)
-    except AlgebraError:
-        return {"status": "skipped",
-                "reason": f"no generating set of size <= {bound}"}, None
-    points = gens or (0,)
-    try:
-        fk = ctx.free_algebra(len(points))
+        found = _first_generators(ctx, prod, bound)
     except BudgetExceeded:
         return {"status": "skipped", "reason": "free algebra above budget"}, None
-    env = {var_name(i): p for i, p in enumerate(points)}
-    pi = [prod.eval(rep, env) for rep in fk.reps]
+    if found is None:
+        return no_gens, None
+    gens, fk, pi = found
     fibres = {p: {e for e, v in enumerate(pi) if v == p} for p in gens}
     section = next(enumerate_homs(prod, fk.algebra, fibres, gens=gens), None)
     if section is None:
-        return {"status": "not-projective", "generators": n}, None
-    note = {"status": "projective", "generators": n,
+        return {"status": "not-projective", "generators": len(gens)}, None
+    note = {"status": "projective", "generators": len(gens),
             "note": "the problem is the minimum of its solution poset; type unitary"}
-    return note, (prod, projs, points, fk, section)
+    return note, (prod, projs, gens or (0,), fk, section)
 
 
 def solve(problem: SymbolicProblem,

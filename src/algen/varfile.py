@@ -103,6 +103,8 @@ def loads_variety(text: str, origin: str = "<string>") -> VarietySpec:
         aname = anode.get("name", f"A{i}")
         _expect(isinstance(aname, str) and bool(aname), f"{p}.name",
                 "must be a nonempty string")
+        _expect(all(a.name != aname for a in algebras), f"{p}.name",
+                f"duplicate algebra name {aname!r}")
         universe = anode.get("universe")
         _expect(isinstance(universe, list) and universe, f"{p}.universe",
                 "must be a nonempty list of labels")

@@ -110,5 +110,5 @@ def test_benchmark_spans_bind_every_target():
         assert id(owner[attr]) in bound, name
     assert inspect.isgeneratorfunction(algen.algebra.enumerate_homs)
     # test_solve_1ep_skips_product_shortcut patches these solver globals
-    for name in ("min_generators", "direct_product", "enumerate_homs"):
+    for name in ("direct_product", "enumerate_homs"):
         assert getattr(algen.solver, name) is getattr(algen.algebra, name)

@@ -215,3 +215,18 @@ def test_var_file_with_non_string_algebra_name_exits_1(tmp_path, capsys, name,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: algebras[0].name: must be a nonempty string\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["kleene-dual", "K3"]],
+                         ids=["validate", "kleene-dual"])
+def test_var_file_with_duplicate_algebra_name_exits_1(tmp_path, capsys, command):
+    from algen.cli import main
+
+    doc = json.loads(pathlib.Path("varieties/kleene.var").read_text())
+    doc["algebras"].append(doc["algebras"][0])
+    path = tmp_path / "twice.var"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: algebras[1].name: duplicate algebra name 'K3'\n"

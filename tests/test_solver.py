@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -632,7 +633,7 @@ def test_solve_1ep_skips_product_shortcut(ba, ka, sl, la, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the product shortcut ran in a 1EP variety")
 
-    for name in ("min_generators", "direct_product", "enumerate_homs"):
+    for name in ("_first_generators", "direct_product", "enumerate_homs"):
         monkeypatch.setattr(solver_mod, name, forbidden)
     for ctx, sources in [(ba, ("or(x,not(x))", "1")), (ba, ("x", "y")),
                          (ka, ("and(x,not(x))", "and(y,not(y))")),
@@ -679,6 +680,109 @@ def test_section_search_matches_double_search_n3(n3v):
     assert [e.to_dict() for e in solve(problems[2]).mcsg] == [
         {"term": "oplus(z1,z2)", "witnesses": [{"z1": "x", "z2": "0"},
                                                {"z1": "0", "z2": "y"}]}]
+
+
+def n3_stream_problems(ctx, count):
+    """The first ``count`` problems of the benchmark's solve-n3 stream
+    (seed 7), over ``ctx``."""
+    import pathlib
+
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(perfbench))
+        from workloads import SolveWorkload, to_program
+
+        ops = SolveWorkload(7, ("n3",), 100, False, 1.0, 1).pass_ops(0)[:count]
+    return [SymbolicProblem(ctx, tuple(to_program(t) for t in terms))
+            for _, terms in ops]
+
+
+def test_first_generators_match_min_generators_n3():
+    # the first surjection F(k) -> P against the subset search, on the
+    # factor products the shortcut meets: its generators, its pi, and the
+    # prune that skips a product larger than F(bound) before building it
+    from algen.varfile import load_variety
+    from algen.variety import var_name
+    from test_variety import random_term
+
+    import algen.solver as solver_mod
+
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    problems = [prob(ctx, "0", "0"), prob(ctx, "x", "y")]
+    problems += n3_stream_problems(ctx, 60)
+    rng = random.Random(19)
+    problems += [SymbolicProblem(ctx, tuple(
+        random_term(rng, ctx.spec.sig, ["x", "y", "w"], 2)
+        for _ in range(rng.choice([1, 2, 3])))) for _ in range(30)]
+    products = {}
+    for p in problems:
+        ap = alg_of(p)
+        key = tuple(repr(f.algebra.tables) for f in ap.factors)
+        if math.prod(f.algebra.size for f in ap.factors) <= _PRODUCT_CAP:
+            products.setdefault(key, ap)
+    calls = []
+    real_search = solver_mod._first_generators
+
+    def recording_search(ctx, prod, bound):
+        found = real_search(ctx, prod, bound)
+        calls.append((prod, found))
+        return found
+
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_first_generators", recording_search)
+        for ap in products.values():
+            for bound in (1, 2, 3):
+                calls.clear()
+                note, _ = _product_shortcut(ap, bound)
+                pruned = not calls
+                if pruned:
+                    prod, _ = direct_product([f.algebra for f in ap.factors])
+                    found = None
+                else:
+                    [(prod, found)] = calls
+                assert pruned == (prod.size > ctx.free_algebra(bound).size)
+                if bound == 3 and pruned:
+                    # the subset search grinds for seconds here, and bounds
+                    # 1 and 2 check the prune against it
+                    expected = None
+                else:
+                    try:
+                        expected = min_generators(prod, max_size=bound)
+                    except AlgebraError:
+                        expected = None
+                if expected is None:
+                    assert found is None
+                    assert note == {"status": "skipped", "reason":
+                                    f"no generating set of size <= {bound}"}
+                    seen.add(("none", pruned))
+                    continue
+                assert found is not None
+                gens, fk, pi = found
+                assert (len(gens), gens) == expected
+                assert note["generators"] == len(gens)
+                points = gens or (0,)
+                assert fk.n == len(points)
+                env = {var_name(i): e for i, e in enumerate(points)}
+                assert pi == [prod.eval(rep, env) for rep in fk.reps]
+                seen.add(("found", len(gens), prod.size == fk.size))
+    # the constants alone, free products of rank 1 and 2, and both skips
+    assert {("found", 0, False), ("found", 1, True), ("found", 2, True),
+            ("found", 3, False), ("none", True), ("none", False)} <= seen
+
+
+def test_product_shortcut_free_algebra_above_budget():
+    # F(1) fits this budget and F(2) does not, so the prune cannot read
+    # |F(2)| and the search meets the budget once it needs F(2)
+    ctx = mk("N3", n3(), budget=400)
+    above = {"status": "skipped", "reason": "free algebra above budget"}
+    assert _product_shortcut(alg_of(prob(ctx, "x", "y")), 2)[0] == above
+    # no pair generates this 24-element product, but only F(2) can tell
+    assert _product_shortcut(alg_of(prob(
+        ctx, "x", "oplus(x,x)", "oplus(x,oplus(x,x))")), 2)[0] == above
+    # one generator needs only F(1)
+    note, _ = _product_shortcut(alg_of(prob(ctx, "x")), 2)
+    assert (note["status"], note["generators"]) == ("projective", 1)
 
 
 def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):

@@ -124,3 +124,13 @@ def test_algebra_name_defaults_when_absent():
     doc = base_doc()
     del doc["algebras"][0]["name"]
     assert loads_doc(doc).generators[0].name == "A0"
+
+
+def test_error_default_name_collides_with_explicit_one():
+    doc = base_doc()
+    second = dict(doc["algebras"][0], name="A0")
+    del doc["algebras"][0]["name"]
+    doc["algebras"].append(second)
+    with pytest.raises(VarFileError,
+                       match=r"^algebras\[1\]\.name: duplicate algebra name 'A0'$"):
+        loads_doc(doc)
