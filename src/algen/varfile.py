@@ -85,7 +85,8 @@ def loads_variety(text: str, origin: str = "<string>") -> VarietySpec:
                 "must be a [name, arity] pair")
         op, arity = entry
         _expect(isinstance(op, str), p, "operation name must be a string")
-        _expect(isinstance(arity, int) and arity >= 0, p,
+        # JSON's true and false load as int subclasses
+        _expect(type(arity) is int and arity >= 0, p,
                 "arity must be a non-negative integer")
         ops.append((op, arity))
     try:

@@ -8,13 +8,21 @@ Elements are value vectors, one coordinate per assignment.
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
 pass, in the lexicographic order a full pass would visit them, so element
-order, tables and budget charges are those of the plain closure.  A result
-vector is read in one sweep over per-coordinate rows of the generating
-algebras' nested tables, and the free algebra's nested tables grow by
-appending those fresh tuples' results in that order.  Each element's
-representative is its least term in (size, op-order, arg-order) rank, found
-by one sweep in that order (Knuth's generalization of Dijkstra's
-algorithm).
+order, tables and budget charges are those of the plain closure.  The
+tuples come as rows: a prefix, which walks the generating algebras' nested
+tables down to one innermost row per coordinate, and the range [s, m) of
+last arguments it reads ([0, m) if the prefix uses a fresh element, else
+[old, m)).  Two kernels read a row's result vectors.  Per entry, each is
+looked up from those innermost rows one coordinate at a time.  Shared, each
+innermost row of each coordinate's algebra is first mapped over that
+coordinate's column of the range, so a prefix walk ends on its whole row of
+result vectors, found in the index in one batch.  A range is shared when
+at least twice as many prefixes read it as the largest generating algebra
+has innermost rows; below that, the mapping costs more than it saves.  The
+free algebra's nested tables grow by appending results in tuple order.
+Each element's representative is its least term in (size, op-order,
+arg-order) rank, found by one sweep in that order (Knuth's generalization
+of Dijkstra's algorithm).
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -101,10 +109,18 @@ class _Components:
     every assignment tuple, in (algebra order, tuple order) lexicographic
     order.  A term's value vector has one coordinate per assignment."""
 
-    def __init__(self, spec: VarietySpec, varnames: Sequence[str], budget: Budget):
-        n = len(varnames)
-        self.width = sum(g.size ** n for g in spec.generators)
+    def __init__(self, spec: VarietySpec, varnames: Sequence[str] | int,
+                 budget: Budget):
+        """``varnames`` may be a count n, standing for x1..xn."""
+        n = varnames if isinstance(varnames, int) else len(varnames)
+        # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
+        # length, so such a power is charged as 2^bit_length, not computed
+        cap = budget.limit.bit_length()
+        self.width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
+                         for g in spec.generators)
         budget.charge(self.width, "assignment index set")
+        if isinstance(varnames, int):
+            varnames = [var_name(i) for i in range(n)]
         assigns = [assign for g in spec.generators
                    for assign in itertools.product(range(g.size), repeat=n)]
         # each variable's value vector
@@ -130,13 +146,20 @@ class _Components:
 
 def _fresh_rows(arity: int, old: int, m: int):
     """The argument tuples of a positive arity over range(m) that use an
-    index >= old, in lexicographic order, as rows of (prefix, range of the
-    last argument)."""
+    index >= old, in lexicographic order, as rows of (prefix, start s of
+    the last argument's range [s, m))."""
     for prefix in itertools.product(range(m), repeat=arity - 1):
         if any(a >= old for a in prefix):
-            yield prefix, range(m)
+            yield prefix, 0
         elif old < m:
-            yield prefix, range(old, m)
+            yield prefix, old
+
+
+def _apply_last(table, column: tuple[int, ...]):
+    """A nested table with each innermost row mapped over a column."""
+    if isinstance(table[0], list):
+        return [_apply_last(t, column) for t in table]
+    return tuple(map(table.__getitem__, column))
 
 
 class GeneratedSubalgebra:
@@ -164,6 +187,7 @@ class GeneratedSubalgebra:
                 seed_reps[add(vec)] = rep
             self.generator_indices.append(index[vec])
         tables: dict[str, list | int] = {}
+        a_max = max(g.size for g in spec.generators)
         # the element count at each operation's last pass, absent before its
         # first: its table holds every argument tuple over those elements,
         # so the next pass takes only the tuples that use a later one
@@ -190,21 +214,42 @@ class GeneratedSubalgebra:
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs
                 table = tables.setdefault(op, [])
-                for prefix, lasts in _fresh_rows(arity, old or 0, m):
-                    rows = comps.op_tables[op]
+                old = old or 0
+                # the ranges shared by enough prefixes, as applied tables
+                base, applied = comps.op_tables[op], {}
+                if m > a_max:  # else no range has that many readers
+                    k = arity - 1
+                    for s, readers in (((0, m ** k - old ** k), (old, old ** k))
+                                       if old else ((0, m ** k),)):
+                        if readers >= 2 * a_max ** k and s < m:
+                            applied[s] = list(map(_apply_last, base,
+                                                  zip(*vectors[s:m])))
+                for prefix, s in _fresh_rows(arity, old, m):
+                    cols = applied.get(s)
+                    rows = cols or base
                     row = table
                     for a in prefix:
                         rows = tuple(map(getitem, rows, vectors[a]))
                         if a == len(row):
                             row.append([])
                         row = row[a]
-                    for b in lasts:
-                        vec = tuple(map(getitem, rows, vectors[b]))
-                        res = index.get(vec)
-                        if res is None:
-                            res = add(vec)
-                            changed = True
-                        row.append(res)
+                    if not cols:
+                        for b in range(s, m):
+                            vec = tuple(map(getitem, rows, vectors[b]))
+                            res = index.get(vec)
+                            if res is None:
+                                res = add(vec)
+                                changed = True
+                            row.append(res)
+                        continue
+                    vecs = list(zip(*rows))
+                    found = list(map(index.get, vecs))
+                    if None in found:
+                        # add new vectors in order; one may recur in the row
+                        found = [(index[v] if v in index else add(v)) if f is None
+                                 else f for f, v in zip(found, vecs)]
+                        changed = True
+                    row.extend(found)
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
@@ -283,9 +328,8 @@ class FreeAlgebra:
             raise AlgebraError("free algebra arity must be >= 0")
         self.spec = spec
         self.n = n
-        varnames = [var_name(i) for i in range(n)]
-        comps = _Components(spec, varnames, budget)
-        seeds = [(comps.eval_term(Var(v)), Var(v)) for v in varnames]
+        comps = _Components(spec, n, budget)
+        seeds = [(vec, Var(v)) for v, vec in comps.projections.items()]
         self.sub = GeneratedSubalgebra(spec, comps, seeds, budget,
                                        name=f"F_{spec.name}({n})")
         self.comps = comps

@@ -141,6 +141,37 @@ def test_rejects_negative_generator_count(capsys):
     assert err == "error: algen free: argument -n: must be at least 0, got -3\n"
 
 
+@pytest.mark.parametrize("n", ["20000", "1000000000", "100000000000000000000"])
+def test_huge_generator_count_exits_on_budget_at_once(n, capsys):
+    # the assignment index set is charged without computing 2**n
+    import time
+
+    from algen.cli import main
+
+    start = time.perf_counter()
+    assert main(["free", "varieties/boolean.var", "-n", n]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: budget exceeded during assignment index set: "
+                   "needs more than 16777216 cells (limit 10000000)\n")
+
+
+@pytest.mark.parametrize("arity", [True, False], ids=["true", "false"])
+def test_var_file_with_boolean_arity_exits_1(tmp_path, capsys, arity):
+    from algen.cli import main
+
+    doc = {"name": "tiny", "signature": [["f", arity]],
+           "algebras": [{"name": "S2", "universe": ["0", "1"],
+                         "ops": {"f": ["0", "1"] if arity else "0"}}]}
+    path = tmp_path / "bool.var"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: signature[0]: arity must be a non-negative integer\n"
+
+
 def test_internal_verification_error_exit_code(monkeypatch, capsys):
     import algen.solver
     from algen.cli import EXIT_INTERNAL, main

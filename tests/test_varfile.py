@@ -106,6 +106,15 @@ def test_error_bad_signature():
         loads_doc(doc)
 
 
+@pytest.mark.parametrize("arity", [True, False], ids=["true", "false"])
+def test_error_boolean_arity(arity):
+    doc = base_doc()
+    doc["signature"] = [["or", arity]]
+    with pytest.raises(VarFileError,
+                       match=r"signature\[0\]: arity must be a non-negative integer"):
+        loads_doc(doc)
+
+
 def test_error_missing_file():
     with pytest.raises(VarFileError, match="cannot read"):
         load_variety("varieties/definitely-not-there.var")

@@ -298,9 +298,33 @@ def test_closure_matches_reference_on_shipped(variety, n):
     (ctx_for("MAJ", majority2()).spec, 4),
     (ctx_for("CONST", *constants_only()).spec, 0),
     (ctx_for("CONST", *constants_only()).spec, 2),
-], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2"])
+    # shared rows of generating algebras of two sizes
+    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2),
+], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2",
+        "g2g3-2"])
 def test_closure_matches_reference_on_fixtures(spec, n):
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+@pytest.mark.parametrize("spec,names,terms,shared", [
+    (ctx_for("MAJ", majority2()).spec, ["x1", "x2", "x3", "x4"], None, True),
+    (load_variety("varieties/boolean.var"), ["x1", "x2", "x3"], None, True),
+    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, ["x1", "x2"], None, True),
+    # a factor closure as solve builds them: few elements, 27 coordinates
+    (load_variety("varieties/kleene.var"), ["x", "y", "z"], ["and(x,not(x))"], False),
+], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor"])
+def test_closure_kernel_choice(monkeypatch, spec, names, terms, shared):
+    from algen import variety
+
+    calls, apply_last = [], variety._apply_last
+    monkeypatch.setattr(variety, "_apply_last",
+                        lambda *args: calls.append(args) or apply_last(*args))
+    comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
+    terms = [Var(v) for v in names] if terms is None else [
+        parse_term(t, spec.sig) for t in terms]
+    GeneratedSubalgebra(spec, comps, [(comps.eval_term(t), t) for t in terms],
+                        Budget(DEFAULT_BUDGET))
+    assert bool(calls) == shared
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -398,6 +422,27 @@ def test_budget_exit_stage_and_cells(variety, n, limit, stage, needed):
     with pytest.raises(BudgetExceeded) as exc:
         ctx.free_algebra(n)
     assert (exc.value.stage, exc.value.needed) == (stage, needed)
+
+
+@pytest.mark.parametrize("variety,n", [("boolean", 3), ("godel3", 2)])
+def test_budget_exits_mid_pass_match_reference(variety, n):
+    # every limit just below a cumulative charge: the closure must exit at
+    # that charge, with its stage, whichever kernel makes it
+    spec = load_variety(f"varieties/{variety}.var")
+    names = [f"x{i + 1}" for i in range(n)]
+    charges = reference_subalgebra(spec, names, [Var(v) for v in names])[4]
+    totals = list(itertools.accumulate(cells for cells, _ in charges))
+    steps = [i for i, (_, stage) in enumerate(charges) if stage == "operation tables"]
+    steps += range(0, len(charges), 17)
+    assert {charges[i][1] for i in steps} == {"free closure", "operation tables"}
+    comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
+    seeds = [(comps.eval_term(Var(v)), Var(v)) for v in names]
+    for i in sorted(set(steps)):
+        limit = totals[i] - 1
+        first = next(j for j, total in enumerate(totals) if total > limit)
+        with pytest.raises(BudgetExceeded) as exc:
+            GeneratedSubalgebra(spec, comps, seeds, Budget(limit))
+        assert (exc.value.stage, exc.value.needed) == (charges[first][1], totals[first])
 
 
 def test_budget_error_is_not_a_crash():
