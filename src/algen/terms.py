@@ -163,7 +163,7 @@ def term_rank(t: Term, sig: Signature) -> tuple:
                 walk(a)
 
     walk(t)
-    return (term_size(t), tuple(codes))
+    return len(codes), tuple(codes)
 
 
 def check_term(t: Term, sig: Signature) -> None:

@@ -21,8 +21,8 @@ at least twice as many prefixes read it as the largest generating algebra
 has innermost rows; below that, the mapping costs more than it saves.  The
 free algebra's nested tables grow by appending results in tuple order.
 Each element's representative is its least term in (size, op-order,
-arg-order) rank, found by one sweep in that order (Knuth's generalization
-of Dijkstra's algorithm).
+arg-order) rank, settled size by size (Knuth's generalization of Dijkstra's
+algorithm) from the table entries whose argument sizes add up to one less.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -31,10 +31,9 @@ oversized constructions into BudgetExceeded errors instead of hangs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 from dataclasses import dataclass
+from functools import reduce
 from operator import getitem
 from typing import Callable, Sequence
 
@@ -118,7 +117,7 @@ class _Components:
         cap = budget.limit.bit_length()
         self.width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
                          for g in spec.generators)
-        budget.charge(self.width, "assignment index set")
+        budget.charge(n + self.width, "assignment index set")  # a cell per name too
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
         assigns = [assign for g in spec.generators
@@ -261,62 +260,63 @@ class GeneratedSubalgebra:
                        seed_reps: dict[int, Term]) -> tuple[Term, ...]:
         """Each element's least term in (size, op-order, arg-order) rank.
 
-        One sweep settles the elements in rank order, with a heap (Knuth's
-        generalization of Dijkstra's algorithm).  The candidates are the
-        seed terms, the constants, and op(r1, ..., rk) for each table entry
-        once its arguments are settled, ri being their representatives.
-        A candidate outranks its arguments, since it is larger, and a
-        lower-ranked argument makes a lower-ranked candidate, since ranks
-        compare size first and then preorder codes, where equal-size
-        arguments fill equal-length stretches.  So the first candidate
-        settled for an element is its least term.
+        Elements are settled one size level at a time.  A least term is a
+        seed term, a constant, or op(r1, ..., rk) with each ri the least term
+        of a smaller element, as a lower-ranked argument makes a lower-ranked
+        term.  So level s reads the seeds and constants of size s and the
+        table entries whose arguments' levels split s - 1, keeps those whose
+        result is unsettled, and gives each element found its least code,
+        unique as codes are prefix-free.  A settled level files the splits it
+        completes under their sums, so only the sizes a seed, a constant or a
+        split reaches are visited.  The terms are those of Knuth's (size,
+        rank) heap sweep, a generalization of Dijkstra's algorithm.
         """
         sig = self.spec.sig
-        # each element's best candidate so far: its rank, as size and
-        # preorder codes, and how it is built (a seed term, or (op, args))
-        sizes: list = [math.inf] * count
-        codes: list = [None] * count
-        how: list = [None] * count
-        heap: list = []
+        found: dict[int, dict] = {}  # size -> {element: (code, derivation)}
 
-        def offer(e: int, size: int, code: tuple, derivation):
-            if size < sizes[e] or size == sizes[e] and code < codes[e]:
-                sizes[e], codes[e], how[e] = size, code, derivation
-                heapq.heappush(heap, (size, code, e))
+        def offer(size: int, code: tuple, e: int, derivation):
+            best = found.setdefault(size, {})
+            if e not in best or code < best[e][0]:
+                best[e] = code, derivation
 
         for e, t in seed_reps.items():
-            offer(e, *term_rank(t, sig), t)
-        op_codes = {op: ((1, i),) for i, (op, _) in enumerate(sig.ops)}
-        for op, arity in sig.ops:
-            if not arity:
-                offer(tables[op], 1, op_codes[op], (op, ()))
-        reps: list = [None] * count
-        settled: list[int] = []
-        while heap:
-            e = heapq.heappop(heap)[2]
-            if reps[e] is not None:
+            offer(*term_rank(t, sig), e, t)
+        by_k: dict[int, list] = {}  # the operations by prefix length
+        for i, (op, arity) in enumerate(sig.ops):
+            if arity:
+                by_k.setdefault(arity - 1, []).append((((1, i),), op, tables[op]))
+            else:
+                offer(1, ((1, i),), tables[op], (op, ()))
+        reps, codes = [None] * count, [None] * count
+        unsettled = bytearray(b"\1") * count
+        levels: dict[int, list[int]] = {}  # settled size -> its elements
+        pending, splits = set(found), {}  # sizes to visit; size -> its splits
+        while 1 in unsettled:
+            pending.remove(s := min(pending))
+            for ops, *parts, last in splits.pop(s, ()):
+                for prefix in itertools.product(*parts):
+                    for head, op, table in ops:
+                        row = reduce(getitem, prefix, table)
+                        for b in last:
+                            if unsettled[row[b]]:
+                                args = prefix + (b,)
+                                code = sum(map(codes.__getitem__, args), head)
+                                offer(s, code, row[b], (op, args))
+            best = found.pop(s, {})
+            settled = [e for e in best if unsettled[e]]  # a seed may be too big
+            if not settled:
                 continue
-            d = how[e]
-            reps[e] = (App(d[0], tuple(reps[a] for a in d[1]))
-                       if isinstance(d, tuple) else d)
-            settled.append(e)
-            for op, arity in sig.ops:
-                table = tables[op]
-                # the entries whose last argument to settle is e, by the
-                # position p of e (an entry with e twice comes up twice)
-                for p in range(arity):
-                    for args in itertools.product(*[settled] * p, (e,),
-                                                  *[settled] * (arity - 1 - p)):
-                        res = table
-                        for a in args:
-                            res = res[a]
-                        if reps[res] is None:
-                            size = 1 + sum(map(sizes.__getitem__, args))
-                            if size <= sizes[res]:
-                                offer(res, size, op_codes[op] + tuple(
-                                    itertools.chain.from_iterable(
-                                        map(codes.__getitem__, args))),
-                                      (op, args))
+            for e in settled:
+                codes[e], d = best[e]
+                reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
+                           if isinstance(d, tuple) else d)
+                unsettled[e] = 0
+            levels[s] = settled
+            for k, ops in by_k.items() if 1 in unsettled else ():
+                for split in itertools.product(levels, repeat=k + 1):
+                    if s in split:  # the splits this level makes
+                        pending.add(t := 1 + sum(split))
+                        splits.setdefault(t, []).append((ops, *map(levels.get, split)))
         return tuple(reps)
 
 

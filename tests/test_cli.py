@@ -143,7 +143,8 @@ def test_rejects_negative_generator_count(capsys):
 
 @pytest.mark.parametrize("n", ["20000", "1000000000", "100000000000000000000"])
 def test_huge_generator_count_exits_on_budget_at_once(n, capsys):
-    # the assignment index set is charged without computing 2**n
+    # the assignment index set is charged without computing 2**n: 2**24
+    # cells stand for the assignments, and each variable name costs one
     import time
 
     from algen.cli import main
@@ -154,7 +155,31 @@ def test_huge_generator_count_exits_on_budget_at_once(n, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: budget exceeded during assignment index set: "
-                   "needs more than 16777216 cells (limit 10000000)\n")
+                   f"needs more than {2 ** 24 + int(n)} cells (limit 10000000)\n")
+
+
+@pytest.mark.parametrize("n,code", [("10000000", 2), ("1000", 0)])
+def test_variable_names_are_charged_to_the_budget(tmp_path, capsys, n, code):
+    # a one-element algebra has one assignment however many variables, so
+    # only the names' charge stops a huge -n before it builds them
+    import time
+
+    from algen.cli import main
+
+    doc = {"name": "one", "signature": [["f", 2]],
+           "algebras": [{"name": "T", "universe": ["0"], "ops": {"f": [["0"]]}}]}
+    path = tmp_path / "one.var"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["free", str(path), "-n", n]) == code
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err == ("error: budget exceeded during assignment index set: "
+                       "needs more than 10000001 cells (limit 10000000)\n")
+    else:
+        assert out.startswith(f"F_one({n}): 1 elements\n") and err == ""
 
 
 @pytest.mark.parametrize("arity", [True, False], ids=["true", "false"])
