@@ -9,8 +9,7 @@ from .variety import VarietyContext
 __all__ = ["congruence_lattice_dot", "congruence_poset_dot"]
 
 
-def _congruence_dot(ctx: VarietyContext, congruences, name: str,
-                    decorate) -> str:
+def _congruence_dot(congruences, name: str, decorate) -> str:
     items = sorted(congruences, key=Congruence.sort_key)
     covers = poset_covers(items, lambda a, b: a.leq(b))
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
@@ -38,7 +37,7 @@ def congruence_lattice_dot(ctx: VarietyContext, bound: int = 2,
             return label, ", style=dashed"
         return label, ""
 
-    return _congruence_dot(ctx, cls.keys(), name, decorate)
+    return _congruence_dot(cls.keys(), name, decorate)
 
 
 def congruence_poset_dot(ctx: VarietyContext, congruences,
@@ -50,4 +49,4 @@ def congruence_poset_dot(ctx: VarietyContext, congruences,
         label = congruence_name(ctx, theta)
         return label, (", peripheries=2" if theta in highlight else "")
 
-    return _congruence_dot(ctx, congruences, name, decorate)
+    return _congruence_dot(congruences, name, decorate)

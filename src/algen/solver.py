@@ -23,7 +23,6 @@ from .algebra import (
     close_under,
     congruence_lattice,
     direct_product,
-    enumerate_homs,
     principal_congruence,
     quotient,
 )
@@ -178,10 +177,8 @@ def alg_of(problem: SymbolicProblem) -> AlgebraicProblem:
 def _kernel_of_evaluation(free1: FreeAlgebra, target: FiniteAlgebra,
                           elem: int) -> Congruence:
     """Kernel of the homomorphism F(1) -> target sending the generator to
-    ``elem``: every element of F(1) is a unary term function, evaluated via
-    its representative."""
-    images = [target.eval(rep, {var_name(0): elem}) for rep in free1.reps]
-    return Congruence.from_map(images)
+    ``elem``."""
+    return Congruence.from_map(free1.images(target, (elem,)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +360,11 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     """
     f1 = ctx.free_algebra(1)
     spec = ctx.spec
-    x1 = var_name(0)
-
-    kappas = [[_kernel_of_evaluation(f1, gen, a) for a in range(gen.size)]
+    # values[gi][a][u]: the unary term function u at a on generator gi, one
+    # homomorphism F(1) -> generator per value a
+    values = [[f1.images(gen, (a,)) for a in range(gen.size)]
               for gen in spec.generators]
+    kappas = [[Congruence.from_map(at_a) for at_a in per_a] for per_a in values]
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
         for gi, gen in enumerate(spec.generators)
@@ -376,11 +374,7 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
             return (f"no element of generator {gi} identifies the classes "
                     "of the congruence")
 
-    ranges = [
-        [frozenset(gen.eval(rep, {x1: a}) for a in range(gen.size))
-         for rep in f1.reps]
-        for gi, gen in enumerate(spec.generators)
-    ]
+    ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
     unary_ok = [u for u in range(f1.size)
                 if all(ranges[gi][u] <= set(allowed[gi])
                        for gi in range(len(spec.generators)))]
@@ -404,15 +398,12 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
 
     total = Congruence.total(f1.size)
     for u in unary_ok:
-        rep_u = f1.reps[u]
-        viable = True
         theta_u = total
         eta_u = total
         for gi, gen in enumerate(spec.generators):
             s_vals = set(allowed[gi])
             for b in range(gen.size):
-                v = gen.eval(rep_u, {x1: b})
-                s_vals &= rows[gi][b][v]
+                s_vals &= rows[gi][b][values[gi][b][u]]
             for a in sorted(s_vals):
                 theta_u = theta_u.meet(kappas[gi][a])
             for a in sorted(ranges[gi][u]):
@@ -745,36 +736,6 @@ class GeneralizationReport:
         }
 
 
-def _derivation_steps(ctx: VarietyContext, k: int) -> list[tuple]:
-    """F(k)'s elements in closure order from its generators, each as
-    (element, operation, argument elements), or (element, None, i) for the
-    generator x_{i+1}; arguments come before the element they produce.
-    Memoised on the context."""
-    def steps():
-        fk = ctx.free_algebra(k)
-        order, deriv = fk.algebra.closure_with_derivations(fk.generators)
-        position = {g: i for i, g in enumerate(fk.generators)}
-        return [(e, None, position[e]) if e in position else (e, *deriv[e])
-                for e in order]
-    return ctx.memo(("derivation-steps", k), steps)
-
-
-def _free_images(prod: FiniteAlgebra, steps: Sequence[tuple],
-                 points: Sequence[int]) -> list[int]:
-    """The image of every element of F(k) under x_i -> points[i], by one
-    walk of its derivation steps with one table lookup per element."""
-    images = [0] * len(steps)
-    for e, op, args in steps:
-        if op is None:
-            images[e] = points[args]
-            continue
-        value = prod.tables[op]
-        for a in args:
-            value = value[images[a]]
-        images[e] = value
-    return images
-
-
 def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
     """The first generating tuple of ``prod`` by size, then lexicographic
     order, with at most ``bound`` elements, as (generators, F(k), pi) with
@@ -785,15 +746,14 @@ def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
     and x1 goes to element 0 of F(1).  Raises BudgetExceeded for an F(k)
     above the budget."""
     if len(prod.subuniverse(())) == prod.size:
-        return (), ctx.free_algebra(1), _free_images(
-            prod, _derivation_steps(ctx, 1), (0,))
+        f1 = ctx.free_algebra(1)
+        return (), f1, f1.images(prod, (0,))
     for k in range(1, min(bound, prod.size) + 1):
         fk = ctx.free_algebra(k)
         if prod.size > fk.size:
             continue
-        steps = _derivation_steps(ctx, k)
         for gens in itertools.combinations(range(prod.size), k):
-            pi = _free_images(prod, steps, gens)
+            pi = fk.images(prod, gens)
             if len(set(pi)) == prod.size:
                 return gens, fk, pi
     return None
@@ -807,9 +767,12 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
 
     The product P, generated by p_1..p_n, is projective iff the
     epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
-    Unification through projectivity, 1997), so one search over the maps
-    sending each p_i into its fibre decides it.  With n = 0, x1 goes to
-    element 0.
+    Unification through projectivity, 1997).  With n = 0, x1 goes to
+    element 0.  For each choice f of f_i in the fibre of p_i, in ascending
+    order, psi: F(n) -> F(n) with x_i -> f_i factors through pi exactly
+    when it is constant on pi's fibres; the factor s with s(p_i) = f_i is
+    then a section, as pi(s(p_i)) = p_i on generators.  So the first such
+    f decides it.
 
     Returns (report dict, retract data or None); the retract data is
     (product, projections, the points p_i, free algebra, section).
@@ -834,13 +797,19 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     if found is None:
         return no_gens, None
     gens, fk, pi = found
-    fibres = {p: {e for e, v in enumerate(pi) if v == p} for p in gens}
-    section = next(enumerate_homs(prod, fk.algebra, fibres, gens=gens), None)
-    if section is None:
-        return {"status": "not-projective", "generators": len(gens)}, None
-    note = {"status": "projective", "generators": len(gens),
-            "note": "the problem is the minimum of its solution poset; type unitary"}
-    return note, (prod, projs, gens or (0,), fk, section)
+    points = gens or (0,)
+    fibres = [[] for _ in range(prod.size)]
+    for e, p in enumerate(pi):
+        fibres[p].append(e)
+    for choice in itertools.product(*(fibres[p] for p in points)):
+        psi = fk.images(fk.algebra, choice)
+        section = [psi[fibre[0]] for fibre in fibres]
+        if all(psi[e] == section[p] for e, p in enumerate(pi)):
+            note = {"status": "projective", "generators": len(gens),
+                    "note": "the problem is the minimum of its solution poset; "
+                            "type unitary"}
+            return note, (prod, projs, points, fk, section)
+    return {"status": "not-projective", "generators": len(gens)}, None
 
 
 def solve(problem: SymbolicProblem,
@@ -906,7 +875,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
         e for e in range(prod.size)
         if all(pr(e) == g for pr, g in zip(projs, ap.factor_generators)))
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
-    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section(h_elem)])
+    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[h_elem]])
     witnesses = [
         Substitution.make({f"z{i + 1}": factor.reps[pr(p)]
                            for i, p in enumerate(points)})

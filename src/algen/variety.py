@@ -23,6 +23,10 @@ free algebra's nested tables grow by appending results in tuple order.
 Each element's representative is its least term in (size, op-order,
 arg-order) rank, settled size by size (Knuth's generalization of Dijkstra's
 algorithm) from the table entries whose argument sizes add up to one less.
+The order in which the representatives settle is F(n)'s derivation: each
+element is a generator, a constant or one operation applied to elements
+settled before it.  Every homomorphism out of F(n), fixed by the images of
+the generators, walks it with one table lookup per element.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -252,13 +256,15 @@ class GeneratedSubalgebra:
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
-        self.reps = self._minimize_reps(len(vectors), tables, seed_reps)
+        self.reps, self.steps = self._minimize_reps(len(vectors), tables,
+                                                    seed_reps)
         labels = [term_to_str(r) for r in self.reps]
         self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables, name=name)
 
-    def _minimize_reps(self, count: int, tables,
-                       seed_reps: dict[int, Term]) -> tuple[Term, ...]:
-        """Each element's least term in (size, op-order, arg-order) rank.
+    def _minimize_reps(self, count: int, tables, seed_reps: dict[int, Term]):
+        """Each element's least term in (size, op-order, arg-order) rank,
+        and the settle order as steps (element, seed term) or (element,
+        (operation, argument elements)), each after its arguments.
 
         Elements are settled one size level at a time.  A least term is a
         seed term, a constant, or op(r1, ..., rk) with each ri the least term
@@ -287,7 +293,7 @@ class GeneratedSubalgebra:
                 by_k.setdefault(arity - 1, []).append((((1, i),), op, tables[op]))
             else:
                 offer(1, ((1, i),), tables[op], (op, ()))
-        reps, codes = [None] * count, [None] * count
+        reps, codes, steps = [None] * count, [None] * count, []
         unsettled = bytearray(b"\1") * count
         levels: dict[int, list[int]] = {}  # settled size -> its elements
         pending, splits = set(found), {}  # sizes to visit; size -> its splits
@@ -311,13 +317,14 @@ class GeneratedSubalgebra:
                 reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
                            if isinstance(d, tuple) else d)
                 unsettled[e] = 0
+                steps.append((e, d))
             levels[s] = settled
             for k, ops in by_k.items() if 1 in unsettled else ():
                 for split in itertools.product(levels, repeat=k + 1):
                     if s in split:  # the splits this level makes
                         pending.add(t := 1 + sum(split))
                         splits.setdefault(t, []).append((ops, *map(levels.get, split)))
-        return tuple(reps)
+        return tuple(reps), steps
 
 
 class FreeAlgebra:
@@ -333,6 +340,11 @@ class FreeAlgebra:
         self.sub = GeneratedSubalgebra(spec, comps, seeds, budget,
                                        name=f"F_{spec.name}({n})")
         self.comps = comps
+        # F(n)'s derivation: (element, operation, argument elements), or
+        # (element, None, i) for the generator x_{i+1}
+        position = {v: i for i, v in enumerate(comps.projections)}
+        self.steps = [(e, None, position[d.name]) if isinstance(d, Var)
+                      else (e, *d) for e, d in self.sub.steps]
 
     @property
     def algebra(self) -> FiniteAlgebra:
@@ -349,6 +361,21 @@ class FreeAlgebra:
     @property
     def reps(self) -> tuple[Term, ...]:
         return self.sub.reps
+
+    def images(self, target: FiniteAlgebra, points: Sequence[int]) -> list[int]:
+        """The homomorphism F(n) -> target with x_i -> points[i], for a
+        target in the variety, as the image of every element: one walk of
+        the derivation steps with one table lookup per element."""
+        images = [0] * self.size
+        for e, op, args in self.steps:
+            if op is None:
+                images[e] = points[args]
+                continue
+            value = target.tables[op]
+            for a in args:
+                value = value[images[a]]
+            images[e] = value
+        return images
 
     def eval_term(self, t: Term) -> int:
         """Evaluate a term over x1..xn to an element of the free algebra."""

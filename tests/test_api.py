@@ -1,8 +1,8 @@
 """The package surface: every exported name resolves, no module of
-``src/algen`` imports a name it never uses, and every module-level private
-function or class is referred to outside its own definition (no linter is
-assumed to be installed, so these are the checks that keep deleted code
-deleted)."""
+``src/algen`` imports a name it never uses or has a function with a
+parameter it never reads, and every module-level private function or class
+is referred to outside its own definition (no linter is assumed to be
+installed, so these are the checks that keep deleted code deleted)."""
 
 import ast
 import importlib
@@ -85,6 +85,35 @@ def test_an_unused_private_helper_is_caught():
     assert _unreferenced_privates(sources) == ["variety.py: _leftover"]
 
 
+def _unused_parameters(path: pathlib.Path) -> list[str]:
+    """Parameters of a function or lambda that its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            out += [f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}"
+                    f"({p})" for p in params if p not in read]
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_unused_parameters(name):
+    assert _unused_parameters(SRC / f"{name}.py") == []
+
+
+def test_an_unused_parameter_is_caught(tmp_path):
+    # a read in a nested function counts; a default value does not
+    path = tmp_path / "mod.py"
+    path.write_text("def f(a, b=0, *rest):\n    return lambda: a\n",
+                    encoding="utf-8")
+    assert _unused_parameters(path) == ["mod.py:1: f(b)", "mod.py:1: f(rest)"]
+
+
 def test_benchmark_spans_bind_every_target():
     # the benchmark wraps these functions by name from outside the package;
     # a rename would leave its span silently empty
@@ -109,6 +138,5 @@ def test_benchmark_spans_bind_every_target():
             owner = vars(owner)
         assert id(owner[attr]) in bound, name
     assert inspect.isgeneratorfunction(algen.algebra.enumerate_homs)
-    # test_solve_1ep_skips_product_shortcut patches these solver globals
-    for name in ("direct_product", "enumerate_homs"):
-        assert getattr(algen.solver, name) is getattr(algen.algebra, name)
+    # test_solve_1ep_skips_product_shortcut patches this solver global
+    assert algen.solver.direct_product is algen.algebra.direct_product

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -633,7 +634,7 @@ def test_solve_1ep_skips_product_shortcut(ba, ka, sl, la, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the product shortcut ran in a 1EP variety")
 
-    for name in ("_first_generators", "direct_product", "enumerate_homs"):
+    for name in ("_first_generators", "direct_product"):
         monkeypatch.setattr(solver_mod, name, forbidden)
     for ctx, sources in [(ba, ("or(x,not(x))", "1")), (ba, ("x", "y")),
                          (ka, ("and(x,not(x))", "and(y,not(y))")),
@@ -682,9 +683,10 @@ def test_section_search_matches_double_search_n3(n3v):
                                                {"z1": "0", "z2": "y"}]}]
 
 
-def n3_stream_problems(ctx, count):
-    """The first ``count`` problems of the benchmark's solve-n3 stream
-    (seed 7), over ``ctx``."""
+@functools.lru_cache(maxsize=None)
+def n3_stream():
+    """The benchmark's solve-n3 stream (seed 7) and its term reader; the
+    stream samples its problem mix once, which takes seconds."""
     import pathlib
 
     perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -692,9 +694,35 @@ def n3_stream_problems(ctx, count):
         mp.syspath_prepend(str(perfbench))
         from workloads import SolveWorkload, to_program
 
-        ops = SolveWorkload(7, ("n3",), 100, False, 1.0, 1).pass_ops(0)[:count]
+        return SolveWorkload(7, ("n3",), 100, False, 1.0, 1), to_program
+
+
+def n3_stream_problems(ctx, count, passes=1):
+    """The first ``count`` problems of the first ``passes`` passes of the
+    benchmark's solve-n3 stream, over ``ctx``."""
+    stream, to_program = n3_stream()
+    ops = [op for i in range(passes) for op in stream.pass_ops(i)][:count]
     return [SymbolicProblem(ctx, tuple(to_program(t) for t in terms))
             for _, terms in ops]
+
+
+def test_each_section_found_is_a_homomorphism():
+    # the section the shortcut reads off psi, on the n3 stream at bound 2:
+    # a homomorphism P -> F(k) that pi sends back to every element of P
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    seen = set()
+    for p in n3_stream_problems(ctx, 200, passes=2):
+        note, data = _product_shortcut(alg_of(p), 2)
+        if note["status"] != "projective":
+            continue
+        prod, _, points, fk, section = data
+        pi = fk.images(prod, points)
+        assert prod.is_hom_map(section, fk.algebra), p.terms
+        assert [pi[section[x]] for x in range(prod.size)] == list(range(prod.size))
+        seen.add(note["generators"])
+    assert seen == {0, 1, 2}
 
 
 def test_first_generators_match_min_generators_n3():

@@ -402,6 +402,27 @@ def test_majority_seeds_match_reference(seed):
 # Evaluation and identities
 
 
+def has_constants(variety):
+    spec = load_variety(f"varieties/{variety}.var")
+    return any(not arity for _, arity in spec.sig.ops)
+
+
+@pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)
+                                       if n or has_constants(v)])
+def test_free_images_match_evaluating_each_representative(variety, n):
+    # the homomorphism F(n) -> target with x_i -> points[i], read off F(n)'s
+    # derivation steps, against evaluating every representative there
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    fk = ctx.free_algebra(n)
+    rng = random.Random(f"{variety}/{n}")
+    for target in (*ctx.spec.generators, ctx.free_algebra(1).algebra):
+        for _ in range(6):
+            points = [rng.randrange(target.size) for _ in range(n)]
+            env = {f"x{i + 1}": p for i, p in enumerate(points)}
+            assert fk.images(target, points) == [target.eval(rep, env)
+                                                 for rep in fk.reps]
+
+
 def test_eval_term_examples():
     fb = BA().free_algebra(1)
     one = fb.algebra.label_index["1"]
