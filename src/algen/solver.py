@@ -39,8 +39,8 @@ from .terms import (
 from .variety import (
     Budget,
     BudgetExceeded,
+    ExactFactor,
     FreeAlgebra,
-    GeneratedSubalgebra,
     VarietyContext,
     var_name,
 )
@@ -145,21 +145,22 @@ class SymbolicProblem:
 class AlgebraicProblem:
     """The algebraic form of a symbolic problem: the 1-generated free
     algebra, the exact factors generated by each term, and the factorwise
-    kernels whose intersection is the problem kernel."""
+    kernels whose intersection is the problem kernel.  A factor and its
+    kernel depend only on the term's range, so both are shared through the
+    context by every term with that range."""
 
     def __init__(self, problem: SymbolicProblem):
         self.problem = problem
         ctx = problem.ctx
         self.free1 = ctx.free_algebra(1)
         names = list(problem.variables)
-        self.factors: list[GeneratedSubalgebra] = [
-            ctx.generated_by_terms(names, [t], name=f"E(t{k + 1})")
-            for k, t in enumerate(problem.terms)
-        ]
+        self.factors: list[ExactFactor] = [ctx.exact_factor(names, t)
+                                           for t in problem.terms]
         self.factor_generators = tuple(f.generator_indices[0] for f in self.factors)
         self.factor_kernels = tuple(
-            _kernel_of_evaluation(self.free1, f.algebra, g)
-            for f, g in zip(self.factors, self.factor_generators))
+            ctx.memo(("factor-kernel", f.range),
+                     lambda f=f: _kernel_of_evaluation(self.free1, f.algebra, 0))
+            for f in self.factors)
         acc = self.factor_kernels[0]
         for k in self.factor_kernels[1:]:
             acc = acc.meet(k)
@@ -762,8 +763,22 @@ def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
 def _product_shortcut(ap: AlgebraicProblem, bound: int):
     """Check whether the product of the exact factors is itself projective
     (then the problem is its own least general solution and the type is
-    unitary).  The generator search is capped at the bound, and a product
-    larger than F(bound) is skipped without being built.
+    unitary).  The answer depends only on the factors, so it is found once
+    per bound and ordered tuple of factor ranges on the context; each call
+    gets its own report dict.  Returns (report dict, retract data or None),
+    as ``_shortcut_of_product``."""
+    note, data = ap.ctx.memo(
+        ("shortcut", bound, tuple(f.range for f in ap.factors)),
+        lambda: _shortcut_of_product(ap.ctx, [f.algebra for f in ap.factors],
+                                     bound))
+    return dict(note), data
+
+
+def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
+                         bound: int):
+    """Whether the product of ``factors`` is projective.  The generator
+    search is capped at the bound, and a product larger than F(bound) is
+    skipped without being built.
 
     The product P, generated by p_1..p_n, is projective iff the
     epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
@@ -777,8 +792,7 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     Returns (report dict, retract data or None); the retract data is
     (product, projections, the points p_i, free algebra, section).
     """
-    ctx = ap.ctx
-    sizes = math.prod(f.algebra.size for f in ap.factors)
+    sizes = math.prod(f.size for f in factors)
     if sizes > _PRODUCT_CAP:
         return {"status": "skipped",
                 "reason": f"product has {sizes} elements"}, None
@@ -789,7 +803,7 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
             return no_gens, None
     except BudgetExceeded:
         pass  # the search below decides, or meets the budget itself
-    prod, projs = direct_product([f.algebra for f in ap.factors])
+    prod, projs = direct_product(factors)
     try:
         found = _first_generators(ctx, prod, bound)
     except BudgetExceeded:
@@ -869,19 +883,17 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     projective: the section sends the problem tuple h to a term s over
     x1..xn with s(p_1, ..., p_n) = h, so z_i -> p_i, projected to each
     factor, witnesses it.  Output variables are z1..zn."""
-    ctx = ap.ctx
-    prod, projs, points, fk, section = retract_data
-    h_elem = next(
-        e for e in range(prod.size)
-        if all(pr(e) == g for pr, g in zip(projs, ap.factor_generators)))
+    _, projs, points, fk, section = retract_data
+    # the problem tuple h is the factors' generators (0, ..., 0), the
+    # first element of the lexicographically ordered product
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
-    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[h_elem]])
+    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[0]])
     witnesses = [
         Substitution.make({f"z{i + 1}": factor.reps[pr(p)]
                            for i, p in enumerate(points)})
         for factor, pr in zip(ap.factors, projs)]
     entry = SolutionEntry(s_term, tuple(witnesses))
-    _verify_entry(ctx, entry, ap.problem.terms)
+    _verify_entry(ap.ctx, entry, ap.problem.terms)
     return entry
 
 

@@ -28,6 +28,16 @@ element is a generator, a constant or one operation applied to elements
 settled before it.  Every homomorphism out of F(n), fixed by the images of
 the generators, walks it with one table lookup per element.
 
+The exact factor E(t), the subalgebra of F(X) generated by one term t,
+depends only on t's range: the (generating algebra, value) pairs that t's
+value vector hits.  A unary term u(t) at an assignment depends only on that
+assignment's algebra and t's value there, so reading each element at one
+assignment per pair is injective on E(t) and commutes with the operations.
+The closure makes only operation lookups and equality tests, so closing the
+seed x1 over one coordinate per pair visits the same elements in the same
+order and fills the same tables.  E(t) is closed so once per range; only
+its representatives, least terms built from t, are each term's own.
+
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
 oversized constructions into BudgetExceeded errors instead of hangs.
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem
 from typing import Callable, Sequence
 
@@ -48,6 +58,7 @@ from .terms import (App, Signature, Term, Var, check_term, term_rank,
 __all__ = [
     "BudgetExceeded",
     "Budget",
+    "ExactFactor",
     "VarietySpec",
     "VarietyContext",
     "FreeAlgebra",
@@ -107,7 +118,19 @@ def var_name(i: int) -> str:
 # Componentwise evaluation over the assignment index set
 
 
-class _Components:
+class _Coordinates:
+    """Value vectors with one coordinate per given generating algebra: for
+    each operation, the nested table of the algebra behind each coordinate,
+    so a result vector is read coordinate by coordinate with one map over
+    these."""
+
+    def __init__(self, spec: VarietySpec, algebras: Sequence[FiniteAlgebra]):
+        self.width = len(algebras)
+        self.op_tables = {op: tuple(g.tables[op] for g in algebras)
+                          for op, _ in spec.sig.ops}
+
+
+class _Components(_Coordinates):
     """The assignment index set for n variables: for each generator algebra,
     every assignment tuple, in (algebra order, tuple order) lexicographic
     order.  A term's value vector has one coordinate per assignment."""
@@ -119,22 +142,17 @@ class _Components:
         # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
         # length, so such a power is charged as 2^bit_length, not computed
         cap = budget.limit.bit_length()
-        self.width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
-                         for g in spec.generators)
-        budget.charge(n + self.width, "assignment index set")  # a cell per name too
+        width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
+                    for g in spec.generators)
+        budget.charge(n + width, "assignment index set")  # a cell per name too
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
         assigns = [assign for g in spec.generators
                    for assign in itertools.product(range(g.size), repeat=n)]
         # each variable's value vector
         self.projections = dict(zip(varnames, zip(*assigns)))
-        # for each operation and coordinate, the nested table of the algebra
-        # behind the coordinate: a result vector is read coordinate by
-        # coordinate with one map over these
-        self.op_tables = {
-            op: tuple(g.tables[op] for g in spec.generators
-                      for _ in range(g.size ** n))
-            for op, _ in spec.sig.ops}
+        super().__init__(spec, [g for g in spec.generators
+                                for _ in range(g.size ** n)])
 
     def eval_term(self, t: Term) -> tuple[int, ...]:
         if isinstance(t, Var):
@@ -169,7 +187,7 @@ class GeneratedSubalgebra:
     """A subalgebra of a free algebra, generated from seed vectors and kept
     with explicit tables and term representatives."""
 
-    def __init__(self, spec: VarietySpec, comps: _Components,
+    def __init__(self, spec: VarietySpec, comps: _Coordinates,
                  seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
                  name: str = ""):
         self.spec = spec
@@ -327,6 +345,30 @@ class GeneratedSubalgebra:
         return tuple(reps), steps
 
 
+class ExactFactor:
+    """The exact factor E(t) of a term t: the closure shared by every term
+    with t's range, generated by its element 0, which t stands for, with
+    t's own representatives."""
+
+    generator_indices = (0,)
+
+    def __init__(self, shared: GeneratedSubalgebra, term: Term,
+                 term_range: tuple[tuple[int, int], ...]):
+        self.shared = shared
+        self.term = term
+        self.range = term_range
+
+    @property
+    def algebra(self) -> FiniteAlgebra:
+        return self.shared.algebra
+
+    @cached_property
+    def reps(self) -> tuple[Term, ...]:
+        # least terms depend on t's size and code, so each term has its own
+        return self.shared._minimize_reps(self.algebra.size, self.algebra.tables,
+                                          {0: self.term})[0]
+
+
 class FreeAlgebra:
     """The free algebra on n generators for a generator-presented variety."""
 
@@ -423,6 +465,27 @@ class VarietyContext:
         comps = _Components(self.spec, varnames, budget)
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget, name=name)
+
+    def exact_factor(self, varnames: Sequence[str], t: Term) -> ExactFactor:
+        """E(t), the subalgebra of F(varnames) generated by t, closed once
+        per range of t: the (generating algebra, value) pairs that t's value
+        vector hits."""
+        vec = self.components_for(varnames).eval_term(t)
+        term_range, start = [], 0
+        for gi, g in enumerate(self.spec.generators):
+            stop = start + g.size ** len(varnames)
+            term_range += [(gi, a) for a in sorted(set(vec[start:stop]))]
+            start = stop
+        term_range = tuple(term_range)
+
+        def close() -> GeneratedSubalgebra:
+            coords = _Coordinates(self.spec, [self.spec.generators[gi]
+                                              for gi, _ in term_range])
+            seed = tuple(a for _, a in term_range), Var(var_name(0))
+            return GeneratedSubalgebra(self.spec, coords, [seed],
+                                       Budget(self.budget_limit))
+        return ExactFactor(self.memo(("factor", term_range), close), t,
+                           term_range)
 
     def holds_identity(self, s: Term, t: Term) -> bool:
         """Whether the variety satisfies s = t, by evaluating both sides in

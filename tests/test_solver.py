@@ -189,11 +189,12 @@ def vector_search_witnesses(ap, final):
     """Per exact factor, the first z -> element under which ``final``
     has the value vector of the factor's term."""
     out = []
+    comps = ap.ctx.components_for(list(ap.problem.variables))
     for factor, t in zip(ap.factors, ap.problem.terms):
-        target = factor.comps.eval_term(t)
+        target = comps.eval_term(t)
         out.append(next(
             sigma for sigma in (Substitution.make({"z": rep}) for rep in factor.reps)
-            if factor.comps.eval_term(apply_subst(sigma, final)) == target))
+            if comps.eval_term(apply_subst(sigma, final)) == target))
     return tuple(out)
 
 
@@ -251,7 +252,7 @@ def test_alg_of_boolean_factors(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
     for f, g in zip(ap.factors, ap.factor_generators):
         assert f.algebra.size == 2
-        assert f.algebra.labels[g] == "1"
+        assert term_to_str(f.reps[g]) == "1"
 
 
 def test_alg_of_kleene_chain_factors(ka):
@@ -811,6 +812,57 @@ def test_product_shortcut_free_algebra_above_budget():
     # one generator needs only F(1)
     note, _ = _product_shortcut(alg_of(prob(ctx, "x")), 2)
     assert (note["status"], note["generators"]) == ("projective", 1)
+
+
+def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
+    # x, y and oplus(x,y), w have the same factor ranges, so one algebra per
+    # factor and one product shortcut; the witnesses are each problem's own
+    ctx = mk("N3", n3())
+    p1, p2 = prob(ctx, "x", "y"), prob(ctx, "oplus(x,y)", "w")
+    ap1, ap2 = alg_of(p1), alg_of(p2)
+    assert [f.range for f in ap1.factors] == [f.range for f in ap2.factors]
+    for f1, f2 in zip(ap1.factors, ap2.factors):
+        assert f1.algebra is f2.algebra
+    assert _product_shortcut(ap1, 2)[1] is _product_shortcut(ap2, 2)[1]
+    r1, r2 = solve(p1), solve(p2)
+    assert [e.to_dict() for e in r2.mcsg] == [
+        {"term": "oplus(z1,z2)", "witnesses": [{"z1": "oplus(x,y)", "z2": "0"},
+                                               {"z1": "0", "z2": "w"}]}]
+    # the same reports as on contexts that never saw the other problem
+    for p, r in ((p1, r1), (p2, r2)):
+        fresh = mk("N3", n3())
+        assert r.to_dict() == solve(SymbolicProblem(fresh, p.terms)).to_dict()
+
+
+def test_equal_ranges_get_their_own_solutions_in_a_1ep_variety(ka):
+    # x and not(x) share one factor algebra; each answer is its own term
+    r1, r2 = solve(prob(ka, "x")), solve(prob(ka, "not(x)"))
+    assert [w.to_dict()["witnesses"] for w in r1.mcsg] == [[{"z": "x"}]]
+    assert [w.to_dict()["witnesses"] for w in r2.mcsg] == [[{"z": "not(x)"}]]
+
+
+def test_shortcut_memo_keys_on_the_bound():
+    # three generators are needed, so bound 2 finds none and bound 3 does
+    ctx = mk("N3", n3())
+    p = prob(ctx, "x", "y", "w")
+    r2, r3 = solve(p, 2), solve(p, 3)
+    assert r2.shortcut == {"status": "skipped",
+                           "reason": "no generating set of size <= 2"}
+    assert (r3.shortcut["status"], r3.shortcut["generators"]) == ("projective", 3)
+    assert solve(p, 2).to_dict() == r2.to_dict()
+    for bound, r in ((3, r3), (2, r2)):  # the other order on a fresh context
+        fresh = mk("N3", n3())
+        assert solve(SymbolicProblem(fresh, p.terms), bound).to_dict() == r.to_dict()
+
+
+def test_each_report_owns_its_shortcut_dict():
+    ctx = mk("N3", n3())
+    r1 = solve(prob(ctx, "x", "y"))
+    expected = dict(r1.shortcut)
+    r1.shortcut["status"] = "mutated"
+    r1.shortcut.clear()
+    assert solve(prob(ctx, "x", "y")).shortcut == expected
+    assert solve(prob(ctx, "oplus(x,y)", "w")).shortcut == expected
 
 
 def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):

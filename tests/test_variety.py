@@ -8,8 +8,8 @@ from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
-                           GeneratedSubalgebra, VarietyContext, VarietySpec,
-                           _Components)
+                           FreeAlgebra, GeneratedSubalgebra, VarietyContext,
+                           VarietySpec, _Components)
 
 from factories import (
     bool2,
@@ -396,6 +396,73 @@ def test_majority_seeds_match_reference(seed):
     terms = [random_term(rng, spec.sig, names, rng.randint(1, 3))
              for _ in range(rng.randint(2, 3))]
     assert_closure_matches_reference(spec, names, terms)
+
+
+def test_level_sweep_ranks_only_open_entries(monkeypatch):
+    # the sweep gives a preorder code, one sum with a start value, only to
+    # the entries whose result is still unsettled: 724 on boolean F(3); a
+    # sweep that ranked every entry would make the same terms, slower
+    import builtins
+
+    from algen import variety
+
+    ranked = []
+
+    def counting_sum(*args):
+        ranked.extend(args[1:2])
+        return builtins.sum(*args)
+
+    monkeypatch.setattr(variety, "sum", counting_sum, raising=False)
+    FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET))
+    assert len(ranked) == 724
+
+
+# ---------------------------------------------------------------------------
+# Exact factors, closed once per range
+
+
+def exact_factor_cases(variety):
+    """(problem variables, term) pairs: seeded random terms over 0-3 of the
+    problem's variables, ground terms, a bare variable, and terms that miss
+    some of the problem's variables."""
+    sig = load_variety(f"varieties/{variety}.var").sig
+    names = ["x", "y", "w"]
+    rng = random.Random(variety)
+    cases = [(["x", "y"], Var("y")), (["x", "y", "w"], Var("x"))]
+    for k in range(0 if has_constants(variety) else 1, 4):
+        for _ in range(10):
+            t = random_term(rng, sig, names[:k], rng.randint(1, 4))
+            cases.append((names[:rng.randint(k, 3)], t))
+    if has_constants(variety):
+        ground = random_term(random.Random(1), sig, [], 3)
+        cases += [([], ground), (["x", "y"], ground)]
+    return cases
+
+
+@pytest.mark.parametrize("variety", SHIPPED)
+def test_exact_factor_matches_generated_by_terms(variety):
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    for names, t in exact_factor_cases(variety):
+        factor = ctx.exact_factor(names, t)
+        ref = ctx.generated_by_terms(names, [t])
+        assert factor.algebra.tables == ref.algebra.tables, (names, t)
+        assert list(factor.generator_indices) == ref.generator_indices
+        assert factor.reps == ref.reps, (names, t)
+
+
+def test_exact_factors_of_one_range_share_one_closure():
+    # x and not(x) both take every value of K3, so they share E's algebra,
+    # but each gets its own least terms
+    ctx = KA()
+    sig = ctx.spec.sig
+    fx = ctx.exact_factor(["x"], parse_term("x", sig))
+    fnot = ctx.exact_factor(["x", "y"], parse_term("not(x)", sig))
+    assert fx.range == fnot.range == ((0, 0), (0, 1), (0, 2))
+    assert fx.algebra is fnot.algebra
+    # terms in E(not(x)) are built from not(x), so x is not(not(x)) there
+    x_elem = fx.algebra.eval(parse_term("not(x1)", sig), {"x1": 0})
+    assert [term_to_str(f.reps[e]) for f in (fx, fnot) for e in (0, x_elem)] == [
+        "x", "not(x)", "not(x)", "not(not(x))"]
 
 
 # ---------------------------------------------------------------------------
