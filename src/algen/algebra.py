@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -122,6 +123,18 @@ class FiniteAlgebra:
         for a in args:
             r = r[a]
         return r
+
+    @cached_property
+    def _translations(self) -> tuple[tuple[int, ...], ...]:
+        """Each distinct basic translation x -> f(c1, .., x, .., ck) as its
+        row of values, without the constant ones and the identity, which
+        relate no new pair."""
+        rows = dict.fromkeys(
+            tuple(self.op(op, ctx[:i] + (x,) + ctx[i:]) for x in self.elements())
+            for op, arity in self.sig.ops for i in range(arity)
+            for ctx in itertools.product(self.elements(), repeat=arity - 1))
+        return tuple(row for row in rows
+                     if len(set(row)) > 1 and row != tuple(self.elements()))
 
     def constants(self) -> dict[str, int]:
         return {op: self.tables[op] for op, a in self.sig.ops if a == 0}
@@ -447,8 +460,9 @@ def kernel(h: Homomorphism) -> Congruence:
 def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the given pairs.
 
-    Closes under symmetry/transitivity (union-find) and under images of
-    unary polynomial translations of every operation, to a fixpoint.
+    Closes under symmetry/transitivity (union-find) and under the images
+    of each related pair by every basic translation, to a fixpoint; the
+    translations are read as value rows once per algebra.
     """
     parent = list(range(a.size))
 
@@ -470,13 +484,11 @@ def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> 
 
     for x, y in pairs:
         union(x, y)
+    rows = a._translations
     while worklist:
         x, y = worklist.pop()
-        for op, arity in a.sig.ops:
-            for i in range(arity):
-                for ctx in itertools.product(range(a.size), repeat=arity - 1):
-                    union(a.op(op, ctx[:i] + (x,) + ctx[i:]),
-                          a.op(op, ctx[:i] + (y,) + ctx[i:]))
+        for row in rows:
+            union(row[x], row[y])
     return Congruence(tuple(find(i) for i in range(a.size)))
 
 

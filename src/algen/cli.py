@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .algebra import AlgebraError, Congruence, poset_covers
 from .dot import congruence_lattice_dot, congruence_poset_dot
@@ -411,6 +412,7 @@ def _add_common(p, file_arg=True, bound=False, formats=(), budget=True):
                                help="plain text output (default)")
 
 
+@cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="algen",

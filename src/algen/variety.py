@@ -40,7 +40,16 @@ its representatives, least terms built from t, are each term's own.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
-oversized constructions into BudgetExceeded errors instead of hangs.
+oversized constructions into BudgetExceeded errors instead of hangs.  A
+closure charges each element's coordinates as it adds it and each pass's
+fresh argument tuples before the pass, so one that ends with c elements has
+charged c times the width plus c**k per operation of arity k, besides what
+was charged before it.  Counts only grow, so the closure raises as soon as
+that total for the elements it holds exceeds the limit, instead of running
+passes that cannot fit; the total is then a lower bound on the cells
+needed.  A construction that fits never trips this and charges as before.
+Added elements are checked against the largest count that fits, found by
+doubling and, near the limit, bisection.
 """
 
 from __future__ import annotations
@@ -195,11 +204,40 @@ class GeneratedSubalgebra:
         vectors: list[tuple[int, ...]] = []
         index: dict[tuple[int, ...], int] = {}
         seed_reps: dict[int, Term] = {}
+        before = budget.used  # the cells charged before the closure
+        cap = 0  # need fits the limit up to this count
+
+        def need(count: int) -> int:
+            """The cells charged in all by a closure that ends with ``count``
+            elements: a cell per coordinate of each element and one per
+            argument tuple of each operation, besides those made before."""
+            return (before + count * comps.width
+                    + sum(count ** arity for _, arity in spec.sig.ops))
+
+        def largest_fit(count: int) -> int:
+            """The largest count up to 2 * ``count`` whose need fits the
+            limit; raises if ``count``'s does not, as the closure cannot end
+            with fewer elements than it holds."""
+            top = 2 * count
+            if need(top) <= budget.limit:
+                return top
+            if need(count) > budget.limit:
+                raise BudgetExceeded("operation tables", need(count), budget.limit)
+            while top - count > 1:  # need(count) fits, need(top) does not
+                mid = (count + top) // 2
+                if need(mid) <= budget.limit:
+                    count = mid
+                else:
+                    top = mid
+            return count
 
         def add(vec) -> int:
+            nonlocal cap
             budget.charge(comps.width, "free closure")
             index[vec] = len(vectors)
             vectors.append(vec)
+            if len(vectors) > cap:
+                cap = largest_fit(len(vectors))
             return index[vec]
 
         self.generator_indices: list[int] = []

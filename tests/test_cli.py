@@ -24,6 +24,23 @@ def test_byte_identical_across_runs():
         assert (c1, t1) == (c2, t2)
 
 
+def test_one_parser_serves_good_bad_good_calls(capsys):
+    # the parser is built once per process: a usage error between two good
+    # calls leaves neither call's output nor its own one-line message changed
+    from algen.cli import build_parser, main
+
+    assert build_parser() is build_parser()
+    fname, argv = CASES[0]
+    expected = (GOLDEN / fname).read_text(encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert main(["free", "varieties/kleene.var", "-n", "-3"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: algen free: argument -n: must be at least 0, got -3\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_json_reports_have_stable_key_order():
     _, text = run_case(["solve", "varieties/kleene.var", "and(x,not(x))",
                         "and(y,not(y))", "--json"])

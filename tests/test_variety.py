@@ -109,13 +109,17 @@ def reference_subalgebra(spec, varnames, terms):
     first produced each element, relaxed by Bellman passes over all table
     entries to the (size, op-order, arg-order) minimum.
 
-    Returns (generator_indices, vectors, tables, reps, charges), where
-    tables are keyed by argument tuples and charges lists the budget
-    charges the closure would make."""
+    Returns (generator_indices, vectors, tables, reps, charges, ahead),
+    where tables are keyed by argument tuples, charges lists the budget
+    charges the closure would make, and ahead gives, beside each charge that
+    adds an element (None beside the others), the cells charged so far plus
+    those the later passes must still charge: every argument tuple over the
+    elements so far that no pass has charged yet."""
     sig = spec.sig
     entries = [(g, dict(zip(varnames, assign))) for g in spec.generators
                for assign in itertools.product(range(g.size), repeat=len(varnames))]
-    vectors, reps, index, charges = [], [], {}, []
+    vectors, reps, index, charges, ahead = [], [], {}, [], []
+    charged = {}  # op -> the argument tuples its passes have charged
 
     def eval_op(op, arg_vectors):
         return tuple(g.op(op, tuple(v[i] for v in arg_vectors))
@@ -126,6 +130,9 @@ def reference_subalgebra(spec, varnames, terms):
         index[vec] = len(vectors)
         vectors.append(vec)
         reps.append(rep)
+        ahead.append(sum(cells for cells, _ in charges)
+                     + sum(len(vectors) ** arity - charged.get(op, 0)
+                           for op, arity in sig.ops))
 
     generator_indices = []
     for t in terms:
@@ -140,6 +147,8 @@ def reference_subalgebra(spec, varnames, terms):
         for op, arity in sig.ops:
             table = tables[op]
             charges.append((len(vectors) ** arity - len(table), "operation tables"))
+            ahead.append(None)
+            charged[op] = len(vectors) ** arity
             for args in itertools.product(range(len(vectors)), repeat=arity):
                 if args in table:
                     continue
@@ -166,7 +175,7 @@ def reference_subalgebra(spec, varnames, terms):
                     sizes[res] = term_size(cand)
                     ranks[res] = term_rank(cand, sig)
                     changed = True
-    return generator_indices, vectors, tables, reps, charges
+    return generator_indices, vectors, tables, reps, charges, ahead
 
 
 def nested(table, arity, m, prefix=()):
@@ -190,7 +199,8 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
         with pytest.raises(AlgebraError):
             reference_subalgebra(spec, varnames, terms)
         return
-    gens, vectors, tables, reps, charges = reference_subalgebra(spec, varnames, terms)
+    gens, vectors, tables, reps, charges, _ = reference_subalgebra(
+        spec, varnames, terms)
     assert sub.generator_indices == gens
     assert [comps.eval_term(r) for r in sub.reps] == vectors
     assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
@@ -561,37 +571,75 @@ def test_budget_error_during_closure():
 
 
 @pytest.mark.parametrize("variety,n,limit,stage,needed", [
-    ("kleene", 3, DEFAULT_BUDGET, "operation tables", 116531082),
-    ("godel3", 3, 4_900_000, "free closure", 4900007),
+    ("kleene", 3, DEFAULT_BUDGET, "operation tables", 10008272),
+    ("godel3", 3, 4_900_000, "operation tables", 4903658),
 ])
 def test_budget_exit_stage_and_cells(variety, n, limit, stage, needed):
-    # the closure charges the same cells in the same order however fast it
-    # evaluates, so the same constructions fit and exit at the same point
+    # the closure exits at the first element after which the passes it must
+    # still make would charge more than the limit, however fast it evaluates
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"), budget_limit=limit)
     with pytest.raises(BudgetExceeded) as exc:
         ctx.free_algebra(n)
     assert (exc.value.stage, exc.value.needed) == (stage, needed)
 
 
+@pytest.mark.parametrize("variety", ["kleene", "godel3"])
+def test_budget_exit_comes_before_the_grind(variety, capsys):
+    # work, not wall time: the elements F(3) adds before the default budget
+    # stops it.  Exiting only once a pass charged too much, the closure
+    # added 10,778 (kleene) and 24,609 (godel3) of them
+    from algen.cli import main
+
+    budget = RecordingBudget()
+    with pytest.raises(BudgetExceeded):
+        FreeAlgebra(load_variety(f"varieties/{variety}.var"), 3, budget)
+    assert sum(stage == "free closure" for _, stage in budget.charges) <= 2500
+    assert main(["free", f"varieties/{variety}.var", "-n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: budget exceeded during operation tables: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("variety,n", [("boolean", 3), ("godel3", 2)])
 def test_budget_exits_mid_pass_match_reference(variety, n):
-    # every limit just below a cumulative charge: the closure must exit at
-    # that charge, with its stage, whichever kernel makes it
+    # limits just below the reference's cumulative charges and at its
+    # look-ahead needs: the closure must exit where the reference's
+    # look-ahead first exceeds the limit, with its stage and cells, never
+    # after the plain exit, and fit every limit the plain closure fits
     spec = load_variety(f"varieties/{variety}.var")
     names = [f"x{i + 1}" for i in range(n)]
-    charges = reference_subalgebra(spec, names, [Var(v) for v in names])[4]
+    charges, ahead = reference_subalgebra(spec, names, [Var(v) for v in names])[4:]
     totals = list(itertools.accumulate(cells for cells, _ in charges))
     steps = [i for i, (_, stage) in enumerate(charges) if stage == "operation tables"]
     steps += range(0, len(charges), 17)
     assert {charges[i][1] for i in steps} == {"free closure", "operation tables"}
+    limits = {totals[i] - 1 for i in steps}
+    limits |= {ahead[i] + d for i in range(0, len(charges), 7) if ahead[i]
+               for d in (-1, 0)}
+    limits.add(totals[-1])
     comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
     seeds = [(comps.eval_term(Var(v)), Var(v)) for v in names]
-    for i in sorted(set(steps)):
-        limit = totals[i] - 1
-        first = next(j for j, total in enumerate(totals) if total > limit)
+    exits = 0
+    for limit in sorted(limits):
+        plain = next((j for j, total in enumerate(totals) if total > limit), None)
+        early = next((j for j, total in enumerate(totals)
+                      if total > limit or (ahead[j] or 0) > limit), None)
+        if early is None:  # the look-ahead never exceeds what the closure charges
+            assert plain is None
+            budget = Budget(limit)
+            GeneratedSubalgebra(spec, comps, seeds, budget)
+            assert budget.used == totals[-1]
+            continue
+        assert plain is not None and early <= plain
+        expected = ((charges[early][1], totals[early]) if totals[early] > limit
+                    else ("operation tables", ahead[early]))
+        assert limit < expected[1] <= totals[-1]
         with pytest.raises(BudgetExceeded) as exc:
             GeneratedSubalgebra(spec, comps, seeds, Budget(limit))
-        assert (exc.value.stage, exc.value.needed) == (charges[first][1], totals[first])
+        assert (exc.value.stage, exc.value.needed) == expected
+        exits += 1
+    assert exits > len(steps) // 2
 
 
 def test_budget_error_is_not_a_crash():
