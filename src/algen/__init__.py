@@ -9,13 +9,9 @@ from .algebra import (
     congruence_lattice,
     direct_product,
     enumerate_homs,
-    factor_through,
-    find_isomorphism,
-    kernel,
     min_generators,
     principal_congruence,
     quotient,
-    subalgebra_generated,
 )
 from .kleene import (
     InvolutivePoset,

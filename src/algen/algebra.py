@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .terms import Signature, Term, Var
 
@@ -22,16 +22,12 @@ __all__ = [
     "Homomorphism",
     "Congruence",
     "direct_product",
-    "subalgebra_generated",
     "enumerate_homs",
     "quotient",
-    "kernel",
     "principal_congruence",
     "congruence_generated",
     "congruence_lattice",
     "min_generators",
-    "find_isomorphism",
-    "factor_through",
     "poset_covers",
     "close_under",
 ]
@@ -229,12 +225,6 @@ class Homomorphism:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.cod.size
-
 
 @dataclass(frozen=True)
 class Congruence:
@@ -351,27 +341,6 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
     return prod, projections
 
 
-def subalgebra_generated(a: FiniteAlgebra, gens: Iterable[int]):
-    """Subalgebra generated by the given elements (constants included).
-
-    Returns (subalgebra, inclusion).  The subalgebra universe keeps the
-    parent's element order and labels.
-    """
-    gens = list(gens)
-    for g in gens:
-        if not 0 <= g < a.size:
-            raise AlgebraError(f"generator index {g} out of range")
-    members = a.subuniverse(gens)
-    pos = {e: i for i, e in enumerate(members)}
-    tables = {op: _build_table(a.tables[op], arity, members, getitem,
-                               pos.__getitem__)
-              for op, arity in a.sig.ops}
-    sub = FiniteAlgebra._trusted(a.sig, [a.labels[e] for e in members], tables,
-                                 name=f"Sg({a.name})" if a.name else "Sg")
-    inclusion = Homomorphism(sub, a, tuple(members))
-    return sub, inclusion
-
-
 def min_generators(a: FiniteAlgebra, max_size: int | None = None):
     """Smallest generating set, by increasing-size exhaustive search.
 
@@ -453,10 +422,6 @@ def quotient(a: FiniteAlgebra, theta: Congruence):
     return q, epi
 
 
-def kernel(h: Homomorphism) -> Congruence:
-    return Congruence.from_map(h.mapping)
-
-
 def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the given pairs.
 
@@ -498,45 +463,34 @@ def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:
     return congruence_generated(a, [(x, y)])
 
 
-def congruence_lattice(a: FiniteAlgebra) -> tuple[Congruence, ...]:
+def congruence_lattice(a: FiniteAlgebra,
+                       charge: Callable[[int], None] | None = None) -> tuple[Congruence, ...]:
     """All congruences: principal congruences closed under the partition
-    join, plus the identity.  Sorted identity-first, total-last."""
-    found = close_under(Congruence.join, [Congruence.identity(a.size)] + [
-        principal_congruence(a, x, y)
-        for x in range(a.size) for y in range(x + 1, a.size)])
-    if a.size:
-        found.add(Congruence.total(a.size))
+    join, plus the identity.  Sorted identity-first, total-last.  ``charge``,
+    if given, is called with a.size cells per congruence a batch computes
+    before the batch: the principal congruences, then each join round."""
+    n = a.size
+    if charge:
+        charge(n * n * (n - 1) // 2)
+    found = close_under(Congruence.join, [Congruence.identity(n)] + [
+        principal_congruence(a, x, y) for x in range(n) for y in range(x + 1, n)],
+        None if charge is None else lambda joins: charge(joins * n))
+    if n:
+        found.add(Congruence.total(n))
     return tuple(sorted(found, key=Congruence.sort_key))
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
-    if a.size != b.size:
-        return None
-    for h in enumerate_homs(a, b, injective=True, surjective=True):
-        return h
-    return None
-
-
-def factor_through(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """Unique h with g = h . f, for f surjective and ker f <= ker g."""
-    if f.dom is not g.dom:
-        raise AlgebraError("domain mismatch")
-    if not f.is_surjective():
-        raise AlgebraError("first map must be surjective")
-    if not kernel(f).leq(kernel(g)):
-        raise AlgebraError("kernel condition ker f <= ker g fails")
-    images: dict[int, int] = {}
-    for x in range(f.dom.size):
-        images.setdefault(f.mapping[x], g.mapping[x])
-    return Homomorphism(f.cod, g.cod, tuple(images[i] for i in range(f.cod.size)))
-
-
-def close_under(op, items: Iterable) -> set:
+def close_under(op, items: Iterable,
+                charge: Callable[[int], None] | None = None) -> set:
     """The closure of a set under a binary operation, in semi-naive rounds:
-    each round applies the operation only to pairs with a new member."""
+    each round applies the operation only to pairs with a new member.
+    ``charge``, if given, is called with each round's number of applications
+    before the round."""
     found = set(items)
     frontier = set(found)
     while frontier:
+        if charge:
+            charge(len(frontier) * len(found))
         frontier = {op(a, b) for a in frontier for b in found} - found
         found |= frontier
     return found

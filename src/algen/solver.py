@@ -418,9 +418,14 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
 def classify_all(ctx: VarietyContext,
                  bound: int = DEFAULT_BOUND) -> dict[Congruence, CongruenceClassification]:
     _check_bound(bound)
-    return ctx.memo(("classify", bound), lambda: {
-        theta: classify_congruence(ctx, theta, bound)
-        for theta in congruence_lattice(ctx.free_algebra(1).algebra)})
+
+    def classify():
+        budget = Budget(ctx.budget_limit)
+        lattice = congruence_lattice(
+            ctx.free_algebra(1).algebra,
+            lambda cells: budget.charge(cells, "congruence lattice"))
+        return {theta: classify_congruence(ctx, theta, bound) for theta in lattice}
+    return ctx.memo(("classify", bound), classify)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +572,7 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     witnesses = []
     for factor, gen in zip(ap.factors, ap.factor_generators):
         elem = factor.algebra.eval(f1.reps[u], {var_name(0): gen})
-        witnesses.append(Substitution.make({OUTPUT_VAR: factor.reps[elem]}))
+        witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(elem)}))
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ctx, entry, ap.problem.terms)
     return entry
@@ -889,7 +894,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
     s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[0]])
     witnesses = [
-        Substitution.make({f"z{i + 1}": factor.reps[pr(p)]
+        Substitution.make({f"z{i + 1}": factor.rep(pr(p))
                            for i, p in enumerate(points)})
         for factor, pr in zip(ap.factors, projs)]
     entry = SolutionEntry(s_term, tuple(witnesses))
@@ -954,7 +959,7 @@ def pairwise_reduce(problem: SymbolicProblem,
         if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")
-        witnesses.append(Substitution.make({OUTPUT_VAR: factor.reps[found[0]]}))
+        witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(found[0])}))
     entry = SolutionEntry(final, tuple(witnesses))
     _verify_entry(ctx, entry, problem.terms)
 

@@ -3,7 +3,11 @@
 A finitely generated free algebra for Var(A1, ..., Ar) is realized as the
 subalgebra of the product over all assignments, prod_i Ai^(Ai^n), generated
 by the n projection tuples, the subpower construction UACalc also uses.
-Elements are value vectors, one coordinate per assignment.
+Elements are value vectors, one coordinate per assignment.  The
+assignment index set for n variables, its projection vectors and its
+per-coordinate op tables, depends only on n, so a context builds it once
+per variable count and each caller reads it under its own variable names,
+still charging its own budget for it before the lookup.
 
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
@@ -36,7 +40,10 @@ assignment per pair is injective on E(t) and commutes with the operations.
 The closure makes only operation lookups and equality tests, so closing the
 seed x1 over one coordinate per pair visits the same elements in the same
 order and fills the same tables.  E(t) is closed so once per range; only
-its representatives, least terms built from t, are each term's own.
+its representatives, least terms built from t, are each term's own.  They
+are settled on demand: a witness needs one element's term, and the size
+sweep stops once that element's level has settled, as a settled level's
+terms are final.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import getitem
 from typing import Callable, Sequence
 
@@ -139,14 +146,30 @@ class _Coordinates:
                           for op, _ in spec.sig.ops}
 
 
-class _Components(_Coordinates):
+class _AssignmentIndex(_Coordinates):
     """The assignment index set for n variables: for each generator algebra,
     every assignment tuple, in (algebra order, tuple order) lexicographic
-    order.  A term's value vector has one coordinate per assignment."""
+    order.  A term's value vector has one coordinate per assignment.  It
+    holds each variable position's projection vector and the coordinates'
+    op tables; a context builds it once per n and shares it among views."""
+
+    def __init__(self, spec: VarietySpec, n: int):
+        assigns = [assign for g in spec.generators
+                   for assign in itertools.product(range(g.size), repeat=n)]
+        self.projections = tuple(zip(*assigns))
+        super().__init__(spec, [g for g in spec.generators
+                                for _ in range(g.size ** n)])
+
+
+class _Components:
+    """A view of the assignment index set for n variables under the
+    caller's variable names, charged to the caller's budget."""
 
     def __init__(self, spec: VarietySpec, varnames: Sequence[str] | int,
-                 budget: Budget):
-        """``varnames`` may be a count n, standing for x1..xn."""
+                 budget: Budget,
+                 index: Callable[[int], _AssignmentIndex] | None = None):
+        """``varnames`` may be a count n, standing for x1..xn; ``index``
+        looks up a shared index set for n, else one is built."""
         n = varnames if isinstance(varnames, int) else len(varnames)
         # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
         # length, so such a power is charged as 2^bit_length, not computed
@@ -156,12 +179,10 @@ class _Components(_Coordinates):
         budget.charge(n + width, "assignment index set")  # a cell per name too
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
-        assigns = [assign for g in spec.generators
-                   for assign in itertools.product(range(g.size), repeat=n)]
+        shared = index(n) if index else _AssignmentIndex(spec, n)
+        self.width, self.op_tables = shared.width, shared.op_tables
         # each variable's value vector
-        self.projections = dict(zip(varnames, zip(*assigns)))
-        super().__init__(spec, [g for g in spec.generators
-                                for _ in range(g.size ** n)])
+        self.projections = dict(zip(varnames, shared.projections))
 
     def eval_term(self, t: Term) -> tuple[int, ...]:
         if isinstance(t, Var):
@@ -196,7 +217,7 @@ class GeneratedSubalgebra:
     """A subalgebra of a free algebra, generated from seed vectors and kept
     with explicit tables and term representatives."""
 
-    def __init__(self, spec: VarietySpec, comps: _Coordinates,
+    def __init__(self, spec: VarietySpec, comps: _Coordinates | _Components,
                  seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
                  name: str = ""):
         self.spec = spec
@@ -317,10 +338,13 @@ class GeneratedSubalgebra:
         labels = [term_to_str(r) for r in self.reps]
         self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables, name=name)
 
-    def _minimize_reps(self, count: int, tables, seed_reps: dict[int, Term]):
+    def _minimize_reps(self, count: int, tables, seed_reps: dict[int, Term],
+                       stop: int | None = None):
         """Each element's least term in (size, op-order, arg-order) rank,
         and the settle order as steps (element, seed term) or (element,
-        (operation, argument elements)), each after its arguments.
+        (operation, argument elements)), each after its arguments.  With
+        ``stop``, the sweep ends once that element's level has settled, and
+        later elements' terms are None.
 
         Elements are settled one size level at a time.  A least term is a
         seed term, a constant, or op(r1, ..., rk) with each ri the least term
@@ -353,7 +377,11 @@ class GeneratedSubalgebra:
         unsettled = bytearray(b"\1") * count
         levels: dict[int, list[int]] = {}  # settled size -> its elements
         pending, splits = set(found), {}  # sizes to visit; size -> its splits
-        while 1 in unsettled:
+
+        def unfinished() -> bool:
+            return unsettled[stop] if stop is not None else 1 in unsettled
+
+        while unfinished():
             pending.remove(s := min(pending))
             for ops, *parts, last in splits.pop(s, ()):
                 for prefix in itertools.product(*parts):
@@ -375,7 +403,7 @@ class GeneratedSubalgebra:
                 unsettled[e] = 0
                 steps.append((e, d))
             levels[s] = settled
-            for k, ops in by_k.items() if 1 in unsettled else ():
+            for k, ops in by_k.items() if unfinished() else ():
                 for split in itertools.product(levels, repeat=k + 1):
                     if s in split:  # the splits this level makes
                         pending.add(t := 1 + sum(split))
@@ -395,16 +423,20 @@ class ExactFactor:
         self.shared = shared
         self.term = term
         self.range = term_range
+        self._reps = (None,) * shared.algebra.size
 
     @property
     def algebra(self) -> FiniteAlgebra:
         return self.shared.algebra
 
-    @cached_property
-    def reps(self) -> tuple[Term, ...]:
-        # least terms depend on t's size and code, so each term has its own
-        return self.shared._minimize_reps(self.algebra.size, self.algebra.tables,
-                                          {0: self.term})[0]
+    def rep(self, e: int) -> Term:
+        """Element ``e``'s least term built from t.  Least terms depend on
+        t's size and code, so each term has its own; a sweep settles them
+        only up to ``e``'s level, whose terms are final."""
+        if self._reps[e] is None:
+            self._reps = self.shared._minimize_reps(
+                self.algebra.size, self.algebra.tables, {0: self.term}, e)[0]
+        return self._reps[e]
 
 
 class FreeAlgebra:
@@ -491,8 +523,15 @@ class VarietyContext:
 
     # -- evaluation without materializing F(X) ------------------------------
 
-    def components_for(self, varnames: Sequence[str]) -> _Components:
-        return _Components(self.spec, varnames, Budget(self.budget_limit))
+    def components_for(self, varnames: Sequence[str],
+                       budget: Budget | None = None) -> _Components:
+        """The assignment index set for ``varnames``, charged to ``budget``
+        (a fresh one by default) and built once per variable count."""
+        return _Components(self.spec, varnames,
+                            budget or Budget(self.budget_limit), self._index)
+
+    def _index(self, n: int) -> _AssignmentIndex:
+        return self.memo(("index", n), lambda: _AssignmentIndex(self.spec, n))
 
     def generated_by_terms(self, varnames: Sequence[str],
                            terms: Sequence[Term],
@@ -500,7 +539,7 @@ class VarietyContext:
         """Subalgebra of F(varnames) generated by the given terms, with the
         terms themselves as seed representatives."""
         budget = Budget(self.budget_limit)
-        comps = _Components(self.spec, varnames, budget)
+        comps = self.components_for(varnames, budget)
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget, name=name)
 
@@ -532,5 +571,5 @@ class VarietyContext:
         check_term(s, self.spec.sig)
         check_term(t, self.spec.sig)
         names = term_vars(t, term_vars(s))
-        comps = _Components(self.spec, names, Budget(self.budget_limit))
+        comps = self.components_for(names)
         return comps.eval_term(s) == comps.eval_term(t)

@@ -1,0 +1,82 @@
+"""Independent checks and test-only algebra shared across the test suite.
+
+The engine never needs these: isomorphism search, generated subalgebras,
+kernels of homomorphisms and factoring one homomorphism through another
+cross-check its results, and the assignment oracle decides an identity by
+evaluating both sides at every assignment into every generating algebra.
+"""
+
+import itertools
+
+from algen.algebra import (AlgebraError, Congruence, FiniteAlgebra,
+                           Homomorphism, enumerate_homs)
+from algen.terms import term_vars
+
+
+def identity_holds_oracle(gens, s, t):
+    """Exhaustive assignment checking over every generating algebra."""
+    names = sorted(set(term_vars(s)) | set(term_vars(t)))
+    for a in gens:
+        for assign in itertools.product(range(a.size), repeat=len(names)):
+            env = dict(zip(names, assign))
+            if a.eval(s, env) != a.eval(t, env):
+                return False
+    return True
+
+
+def is_injective(h: Homomorphism) -> bool:
+    return len(set(h.mapping)) == len(h.mapping)
+
+
+def is_surjective(h: Homomorphism) -> bool:
+    return len(set(h.mapping)) == h.cod.size
+
+
+def kernel(h: Homomorphism) -> Congruence:
+    return Congruence.from_map(h.mapping)
+
+
+def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
+    if a.size != b.size:
+        return None
+    return next(enumerate_homs(a, b, injective=True, surjective=True), None)
+
+
+def _restrict(table, arity, members, pos):
+    """A nested table restricted to a subuniverse, renumbered by ``pos``."""
+    if not arity:
+        return pos[table]
+    return [_restrict(table[e], arity - 1, members, pos) for e in members]
+
+
+def subalgebra_generated(a: FiniteAlgebra, gens):
+    """Subalgebra generated by the given elements (constants included).
+
+    Returns (subalgebra, inclusion).  The subalgebra universe keeps the
+    parent's element order and labels.
+    """
+    gens = list(gens)
+    for g in gens:
+        if not 0 <= g < a.size:
+            raise AlgebraError(f"generator index {g} out of range")
+    members = a.subuniverse(gens)
+    pos = {e: i for i, e in enumerate(members)}
+    tables = {op: _restrict(a.tables[op], arity, members, pos)
+              for op, arity in a.sig.ops}
+    sub = FiniteAlgebra(a.sig, [a.labels[e] for e in members], tables,
+                        name=f"Sg({a.name})" if a.name else "Sg")
+    return sub, Homomorphism(sub, a, tuple(members))
+
+
+def factor_through(f: Homomorphism, g: Homomorphism) -> Homomorphism:
+    """Unique h with g = h . f, for f surjective and ker f <= ker g."""
+    if f.dom is not g.dom:
+        raise AlgebraError("domain mismatch")
+    if not is_surjective(f):
+        raise AlgebraError("first map must be surjective")
+    if not kernel(f).leq(kernel(g)):
+        raise AlgebraError("kernel condition ker f <= ker g fails")
+    images: dict[int, int] = {}
+    for x in range(f.dom.size):
+        images.setdefault(f.mapping[x], g.mapping[x])
+    return Homomorphism(f.cod, g.cod, tuple(images[i] for i in range(f.cod.size)))

@@ -15,14 +15,10 @@ from algen.algebra import (
     congruence_lattice,
     direct_product,
     enumerate_homs,
-    factor_through,
-    find_isomorphism,
-    kernel,
     min_generators,
     poset_covers,
     principal_congruence,
     quotient,
-    subalgebra_generated,
 )
 
 from factories import (
@@ -38,6 +34,7 @@ from factories import (
     semilattice2,
     trivial_kleene,
 )
+from oracles import factor_through, find_isomorphism, kernel, subalgebra_generated
 
 SMALL_ALGEBRAS = [bool2, k3, k4, ka4_diamond, n3, semilattice2, lattice2,
                   lambda: goedel_chain(3), lambda: goedel_chain(4)]
@@ -301,6 +298,26 @@ def test_congruence_lattice_closure_properties():
                 assert join == congruence_generated(
                     a, [(i, t1.blocks[i]) for i in range(a.size)]
                     + [(i, t2.blocks[i]) for i in range(a.size)])
+
+
+@pytest.mark.parametrize("factory", SMALL_ALGEBRAS)
+def test_congruence_lattice_charges_each_batch_before_it(factory):
+    # a.size cells per congruence a batch computes: the principal ones, then
+    # each semi-naive join round, replayed here from the lattice it returns
+    a = factory()
+    n = a.size
+    charges = []
+    lattice = congruence_lattice(a, charges.append)
+    assert lattice == congruence_lattice(a)
+    found = {Congruence.identity(n)} | {principal_congruence(a, x, y)
+                                        for x in range(n) for y in range(x + 1, n)}
+    expected, frontier = [n * n * (n - 1) // 2], set(found)
+    while frontier:
+        expected.append(len(frontier) * len(found) * n)
+        frontier = {t.join(u) for t in frontier for u in found} - found
+        found |= frontier
+    assert charges == expected
+    assert found | {Congruence.total(n)} == set(lattice)
 
 
 def test_congruence_lattice_trivial_algebra():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from golden_cases import CASES, EXPECTED_EXIT, run_case
 
@@ -303,3 +305,109 @@ def test_var_file_with_duplicate_algebra_name_exits_1(tmp_path, capsys, command)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: algebras[1].name: duplicate algebra name 'K3'\n"
+
+
+def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
+    # two unary operations on a 2- and a 3-element algebra: F(1) has 17
+    # elements and Con F(1) 597 congruences, which took seconds at any
+    # budget; the 136 principal congruences are charged before they are
+    # computed, 17 cells each
+    from algen.cli import main
+
+    doc = {"name": "unary", "signature": [["f", 1], ["g", 1]], "algebras": [
+        {"name": "A0", "universe": ["0", "1"],
+         "ops": {"f": ["1", "1"], "g": ["1", "0"]}},
+        {"name": "A1", "universe": ["0", "1", "2"],
+         "ops": {"f": ["1", "2", "1"], "g": ["0", "0", "1"]}}]}
+    path = tmp_path / "unary.var"
+    path.write_text(json.dumps(doc))
+    assert main(["con", str(path), "--budget", "500"]) == 2
+    assert capsys.readouterr() == ("", "error: budget exceeded during congruence "
+                                       "lattice: needs more than 2312 cells (limit 500)\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed variety files and terms through the CLI
+
+FUZZ_OPS = ["f", "g"]
+
+
+@st.composite
+def fuzz_var_files(draw):
+    """1-2 generating algebras of 2-3 elements over 1-2 operations of arity
+    at most 2, as a variety-file document."""
+    ops = [(op, draw(st.integers(0, 2)))
+           for op in FUZZ_OPS[:draw(st.integers(1, 2))]]
+
+    def table(labels, arity):
+        if not arity:
+            return draw(st.sampled_from(labels))
+        return [table(labels, arity - 1) for _ in labels]
+
+    algebras = []
+    for i in range(draw(st.integers(1, 2))):
+        labels = [str(a) for a in range(draw(st.integers(2, 3)))]
+        algebras.append({"name": f"A{i}", "universe": labels,
+                         "ops": {op: table(labels, arity) for op, arity in ops}})
+    return {"name": "fuzz", "signature": [[op, arity] for op, arity in ops],
+            "algebras": algebras}
+
+
+def fuzz_terms(ops):
+    """Terms over x and y and the given (operation, arity) pairs, in prefix
+    syntax."""
+    leaf = st.sampled_from(["x", "y"] + [op for op, arity in ops if not arity])
+    apps = [(op, arity) for op, arity in ops if arity]
+    if not apps:
+        return leaf
+    return st.recursive(leaf, lambda inner: st.one_of([
+        st.lists(inner, min_size=arity, max_size=arity).map(
+            lambda args, op=op: f"{op}({','.join(args)})")
+        for op, arity in apps]), max_leaves=5)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_varieties_solve_with_sound_witnesses(data):
+    # any small variety and problem ends in exit 0-3 with at most a one-line
+    # message, and every emitted generalizer's witnesses pass the
+    # assignment oracle
+    import contextlib
+    import io
+    import tempfile
+
+    from algen.cli import main
+    from algen.terms import Substitution, apply_subst, parse_term
+    from algen.varfile import loads_variety
+    from oracles import identity_holds_oracle
+
+    doc = data.draw(fuzz_var_files())
+    ops = [tuple(entry) for entry in doc["signature"]]
+    terms = data.draw(st.lists(fuzz_terms(ops), min_size=1, max_size=3))
+    flags = ["--budget", str(data.draw(st.sampled_from([500, 2000, 5000]))),
+             "--json"] + (["--pairwise"] if data.draw(st.booleans()) else [])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.var"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path), *terms, *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    if code in (1, 2):
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    report = json.loads(out)
+    assert (code == 3) == (report["type"]["kind"] == "inconclusive")
+    spec = loads_variety(json.dumps(doc))
+    problem = [parse_term(t, spec.sig) for t in terms]
+    for entry in report["mcsg"]:
+        term = parse_term(entry["term"], spec.sig)
+        assert len(entry["witnesses"]) == len(problem)
+        for witness, t in zip(entry["witnesses"], problem):
+            sigma = Substitution.make({v: parse_term(s, spec.sig)
+                                       for v, s in witness.items()})
+            assert identity_holds_oracle(spec.generators, apply_subst(sigma, term), t)

@@ -10,7 +10,6 @@ from algen.algebra import (
     Congruence,
     direct_product,
     enumerate_homs,
-    find_isomorphism,
     min_generators,
     principal_congruence,
     quotient,
@@ -43,7 +42,7 @@ from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
-from test_variety import identity_holds_oracle
+from oracles import find_isomorphism, identity_holds_oracle
 
 
 def mk(name, *gens, budget=None):
@@ -141,7 +140,7 @@ def double_search_shortcut(ap, bound):
             out_vars = {f"x{i + 1}": Var(f"z{i + 1}") for i in range(fk.n)}
             term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom(h)])
             witnesses = tuple(
-                Substitution.make({f"z{i + 1}": factor.reps[pr(j_hom(x))]
+                Substitution.make({f"z{i + 1}": factor.rep(pr(j_hom(x)))
                                    for i, x in enumerate(fk.generators)})
                 for factor, pr in zip(ap.factors, projs))
             note = {"status": "projective", "generators": n,
@@ -193,7 +192,8 @@ def vector_search_witnesses(ap, final):
     for factor, t in zip(ap.factors, ap.problem.terms):
         target = comps.eval_term(t)
         out.append(next(
-            sigma for sigma in (Substitution.make({"z": rep}) for rep in factor.reps)
+            sigma for sigma in (Substitution.make({"z": factor.rep(e)})
+                                for e in factor.algebra.elements())
             if comps.eval_term(apply_subst(sigma, final)) == target))
     return tuple(out)
 
@@ -252,7 +252,7 @@ def test_alg_of_boolean_factors(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
     for f, g in zip(ap.factors, ap.factor_generators):
         assert f.algebra.size == 2
-        assert term_to_str(f.reps[g]) == "1"
+        assert term_to_str(f.rep(g)) == "1"
 
 
 def test_alg_of_kleene_chain_factors(ka):
@@ -684,27 +684,68 @@ def test_section_search_matches_double_search_n3(n3v):
                                                {"z1": "0", "z2": "y"}]}]
 
 
+_CENSUS = {}
+
+
 @functools.lru_cache(maxsize=None)
-def n3_stream():
-    """The benchmark's solve-n3 stream (seed 7) and its term reader; the
-    stream samples its problem mix once, which takes seconds."""
+def solve_stream(workload, seed):
+    """A solve workload's stream of the benchmark and its term reader.  Each
+    variety's problem mix is sampled once a session, which takes seconds:
+    the sample is drawn with a fixed seed, not the workload's."""
     import pathlib
 
     perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(perfbench))
-        from workloads import SolveWorkload, to_program
+        import mix
+        from workloads import WORKLOADS, to_program
 
-        return SolveWorkload(7, ("n3",), 100, False, 1.0, 1), to_program
+        census = mix.census
+
+        def sampled_once(unary, *args):
+            key = (unary.variety.name, *args)
+            if key not in _CENSUS:
+                _CENSUS[key] = census(unary, *args)
+            return _CENSUS[key]
+
+        mp.setattr(mix, "census", sampled_once)
+        return WORKLOADS[workload](seed), to_program
 
 
 def n3_stream_problems(ctx, count, passes=1):
     """The first ``count`` problems of the first ``passes`` passes of the
-    benchmark's solve-n3 stream, over ``ctx``."""
-    stream, to_program = n3_stream()
+    benchmark's solve-n3 stream (seed 7), over ``ctx``."""
+    stream, to_program = solve_stream("solve-n3", 7)
     ops = [op for i in range(passes) for op in stream.pass_ops(i)][:count]
     return [SymbolicProblem(ctx, tuple(to_program(t) for t in terms))
             for _, terms in ops]
+
+
+@pytest.mark.parametrize("workload", ["solve-1ep", "solve-n3"])
+def test_factor_rep_stops_at_its_element(workload):
+    # each factor of the benchmark's streams (passes 0 and 1, seeds 1, 2, 3
+    # and 7): rep(e), asked for in increasing and in decreasing order, sweeps
+    # only up to e's level, and its terms are those of the full sweep
+    from algen.varfile import load_variety
+
+    ctxs, seen = {}, set()
+    for seed in (1, 2, 3, 7):
+        stream, to_program = solve_stream(workload, seed)
+        for v, terms in (op for i in range(2) for op in stream.pass_ops(i)):
+            if v not in ctxs:
+                ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
+            p = SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
+            for f in alg_of(p).factors:
+                if (v, f.range, f.term) in seen:
+                    continue
+                seen.add((v, f.range, f.term))
+                full, _ = f.shared._minimize_reps(f.algebra.size, f.algebra.tables,
+                                                  {0: f.term})
+                elements = list(f.algebra.elements())
+                for order in (elements, elements[::-1]):
+                    fresh = ctxs[v].exact_factor(list(p.variables), f.term)
+                    assert [fresh.rep(e) for e in order] == [full[e] for e in order]
+    assert len(seen) > 500
 
 
 def test_each_section_found_is_a_homomorphism():

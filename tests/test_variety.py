@@ -1,15 +1,16 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
-from algen.algebra import AlgebraError, FiniteAlgebra, find_isomorphism
+from algen.algebra import AlgebraError, FiniteAlgebra
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
-                         term_size, term_to_str, term_vars)
+                         term_size, term_to_str)
 from algen.varfile import load_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
                            FreeAlgebra, GeneratedSubalgebra, VarietyContext,
-                           VarietySpec, _Components)
+                           VarietySpec, _Components, var_name)
 
 from factories import (
     bool2,
@@ -20,6 +21,7 @@ from factories import (
     semilattice2,
     truncated_monoid,
 )
+from oracles import find_isomorphism, identity_holds_oracle
 
 SHIPPED = ["boolean", "kleene", "godel3", "n3", "semilattice", "lattice"]
 
@@ -41,17 +43,6 @@ N3V = lambda: ctx_for("N3", n3())
 
 # ---------------------------------------------------------------------------
 # Oracles
-
-
-def identity_holds_oracle(gens, s, t):
-    """Exhaustive assignment checking over every generating algebra."""
-    names = sorted(set(term_vars(s)) | set(term_vars(t)))
-    for a in gens:
-        for assign in itertools.product(range(a.size), repeat=len(names)):
-            env = dict(zip(names, assign))
-            if a.eval(s, env) != a.eval(t, env):
-                return False
-    return True
 
 
 def free_size_oracle(gens, max_depth=6):
@@ -427,6 +418,22 @@ def test_level_sweep_ranks_only_open_entries(monkeypatch):
     assert len(ranked) == 724
 
 
+@pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in (1, 2)])
+def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
+    # a sweep stopped at e ends once e's level has settled: every element
+    # with a term that small has the full sweep's term and step, and every
+    # later element has none
+    f = FreeAlgebra(load_variety(f"varieties/{variety}.var"), n,
+                    Budget(DEFAULT_BUDGET))
+    seeds = {e: Var(var_name(i)) for i, e in enumerate(f.generators)}
+    full, steps = f.sub._minimize_reps(f.size, f.algebra.tables, seeds)
+    for e in f.algebra.elements():
+        reps, prefix = f.sub._minimize_reps(f.size, f.algebra.tables, seeds, e)
+        cut = term_size(full[e])
+        assert reps == tuple(r if term_size(r) <= cut else None for r in full)
+        assert prefix == steps[:sum(r is not None for r in reps)]
+
+
 # ---------------------------------------------------------------------------
 # Exact factors, closed once per range
 
@@ -457,7 +464,8 @@ def test_exact_factor_matches_generated_by_terms(variety):
         ref = ctx.generated_by_terms(names, [t])
         assert factor.algebra.tables == ref.algebra.tables, (names, t)
         assert list(factor.generator_indices) == ref.generator_indices
-        assert factor.reps == ref.reps, (names, t)
+        assert [factor.rep(e) for e in factor.algebra.elements()] == list(
+            ref.reps), (names, t)
 
 
 def test_exact_factors_of_one_range_share_one_closure():
@@ -471,7 +479,7 @@ def test_exact_factors_of_one_range_share_one_closure():
     assert fx.algebra is fnot.algebra
     # terms in E(not(x)) are built from not(x), so x is not(not(x)) there
     x_elem = fx.algebra.eval(parse_term("not(x1)", sig), {"x1": 0})
-    assert [term_to_str(f.reps[e]) for f in (fx, fnot) for e in (0, x_elem)] == [
+    assert [term_to_str(f.rep(e)) for f in (fx, fnot) for e in (0, x_elem)] == [
         "x", "not(x)", "not(x)", "not(not(x))"]
 
 
@@ -547,6 +555,43 @@ def test_holds_identity_agrees_with_assignment_oracle(ctx_factory, gens):
         s = random_term(rng, ctx.spec.sig, ["x", "y"], 3)
         t = random_term(rng, ctx.spec.sig, ["x", "y"], 3)
         assert ctx.holds_identity(s, t) == identity_holds_oracle(gens, s, t)
+
+
+# ---------------------------------------------------------------------------
+# The assignment index set, built once per variable count
+
+
+@pytest.mark.parametrize("ctx_factory", [
+    lambda: VarietyContext(load_variety("varieties/boolean.var")),
+    lambda: VarietyContext(load_variety("varieties/n3.var")),
+    lambda: ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)),
+], ids=["boolean", "n3", "G2xG3"])
+def test_shared_index_set_matches_a_fresh_one(ctx_factory):
+    # every variable count up to 3 under every order of its names, the
+    # counts interleaved, so each count's shared index set is read again
+    # under other names: projections, op tables and value vectors are those
+    # of an index set built for the call alone
+    ctx = ctx_factory()
+    rng = random.Random(ctx.spec.name)
+    cases = [list(p) for n in range(4)
+             for p in itertools.permutations(["x", "y", "w"][:n])]
+    rng.shuffle(cases)
+    for names in cases:
+        view = ctx.components_for(names)
+        fresh = _Components(ctx.spec, names, Budget(DEFAULT_BUDGET))
+        assert view.projections == fresh.projections
+        assert (view.width, view.op_tables) == (fresh.width, fresh.op_tables)
+        assert view.op_tables is ctx.components_for(names[::-1]).op_tables
+        for _ in range(8):
+            t = random_term(rng, ctx.spec.sig, names, 3)
+            assert view.eval_term(t) == fresh.eval_term(t), (names, t)
+        unknown = App(ctx.spec.sig.ops[0][0], (Var("v"),) * ctx.spec.sig.ops[0][1])
+        errors = []
+        for comps in (view, fresh):
+            with pytest.raises(AlgebraError) as exc:
+                comps.eval_term(unknown if unknown.args else Var("v"))
+            errors.append(str(exc.value))
+        assert errors == ["unknown variable 'v'"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +692,41 @@ def test_budget_error_is_not_a_crash():
     assert "stage" in str(err) and err.needed == 10
 
 
+def test_index_set_budget_exit_repeats_and_stores_nothing(monkeypatch):
+    # each caller charges n + width cells before the shared index set is
+    # looked up or built: a count that fits is built once, and one that
+    # does not raises with the same stage and cells at every call
+    from algen import variety
+
+    built = []
+
+    class CountingIndex(variety._AssignmentIndex):
+        def __init__(self, spec, n):
+            built.append(n)
+            super().__init__(spec, n)
+
+    monkeypatch.setattr(variety, "_AssignmentIndex", CountingIndex)
+    ctx = ctx_for("BA", bool2(), budget=150)
+    sig = ctx.spec.sig
+    fits = [f"v{i}" for i in range(4)]  # 4 + 2**4 = 20 cells
+    over = [f"v{i}" for i in range(8)]  # 8 + 2**8 = 264 cells
+    wide = reduce(lambda a, b: App("and", (a, b)), map(Var, over))
+    for _ in range(2):
+        budget = RecordingBudget(150)
+        ctx.components_for(fits, budget)
+        assert budget.charges == [(20, "assignment index set")]
+        assert ctx.generated_by_terms(fits, [Var("v0")]).algebra.size == 4
+        for call in (lambda: ctx.components_for(over),
+                     lambda: ctx.generated_by_terms(over, [Var("v0")]),
+                     lambda: ctx.holds_identity(wide, wide)):
+            with pytest.raises(BudgetExceeded) as exc:
+                call()
+            assert (exc.value.stage, exc.value.needed) == ("assignment index set", 264)
+    assert built == [4]
+    assert ctx.holds_identity(parse_term("and(v0,v1)", sig), parse_term("and(v1,v0)", sig))
+    assert built == [4, 2]
+
+
 # ---------------------------------------------------------------------------
 # Free algebras as plain finite algebras
 
@@ -694,8 +774,9 @@ def test_principal_z_notz_in_free_kleene_gives_k3():
 
 
 def test_kernel_of_free_kleene_onto_k4():
-    from algen.algebra import enumerate_homs, kernel, principal_congruence
+    from algen.algebra import enumerate_homs, principal_congruence
     from factories import k4
+    from oracles import kernel
 
     f = KA().free_algebra(1)
     target = k4()
@@ -718,8 +799,7 @@ def assert_passes_full_check(a):
 
 @pytest.mark.parametrize("variety", SHIPPED)
 def test_program_built_algebras_pass_the_full_check(variety):
-    from algen.algebra import (congruence_lattice, direct_product, quotient,
-                               subalgebra_generated)
+    from algen.algebra import congruence_lattice, direct_product, quotient
 
     spec = load_variety(f"varieties/{variety}.var")
     ctx = VarietyContext(spec)
@@ -728,7 +808,6 @@ def test_program_built_algebras_pass_the_full_check(variety):
              direct_product([f1, spec.generators[0]])[0],
              direct_product(list(spec.generators) * 2)[0]]
     built += [quotient(f1, theta)[0] for theta in congruence_lattice(f1)]
-    built += [subalgebra_generated(f1, [e])[0] for e in f1.elements()]
     rng = random.Random(variety)
     built += [ctx.generated_by_terms(["x", "y"], [random_term(rng, spec.sig, ["x", "y"], 3)]).algebra
               for _ in range(5)]
