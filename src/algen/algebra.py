@@ -466,15 +466,18 @@ def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:
 def congruence_lattice(a: FiniteAlgebra,
                        charge: Callable[[int], None] | None = None) -> tuple[Congruence, ...]:
     """All congruences: principal congruences closed under the partition
-    join, plus the identity.  Sorted identity-first, total-last.  ``charge``,
-    if given, is called with a.size cells per congruence a batch computes
-    before the batch: the principal congruences, then each join round."""
+    join, plus the identity.  Sorted identity-first, total-last.  Every
+    congruence is a join of principal ones, so the joins are taken with
+    those alone.  ``charge``, if given, is called with a.size cells per
+    congruence a batch computes before the batch: the principal
+    congruences, then each join round."""
     n = a.size
     if charge:
         charge(n * n * (n - 1) // 2)
-    found = close_under(Congruence.join, [Congruence.identity(n)] + [
+    found = close_under(Congruence.join, [
         principal_congruence(a, x, y) for x in range(n) for y in range(x + 1, n)],
         None if charge is None else lambda joins: charge(joins * n))
+    found.add(Congruence.identity(n))
     if n:
         found.add(Congruence.total(n))
     return tuple(sorted(found, key=Congruence.sort_key))
@@ -482,16 +485,18 @@ def congruence_lattice(a: FiniteAlgebra,
 
 def close_under(op, items: Iterable,
                 charge: Callable[[int], None] | None = None) -> set:
-    """The closure of a set under a binary operation, in semi-naive rounds:
-    each round applies the operation only to pairs with a new member.
+    """The closure of a set under an associative, commutative and idempotent
+    binary operation, such as a meet or a join.  Each member of the closure
+    is op applied to finitely many items, so each round applies the
+    operation only to pairs of a member new in the last round and an item.
     ``charge``, if given, is called with each round's number of applications
     before the round."""
-    found = set(items)
-    frontier = set(found)
+    items = set(items)
+    found, frontier = set(items), items
     while frontier:
         if charge:
-            charge(len(frontier) * len(found))
-        frontier = {op(a, b) for a in frontier for b in found} - found
+            charge(len(frontier) * len(items))
+        frontier = {op(a, b) for a in frontier for b in items} - found
         found |= frontier
     return found
 

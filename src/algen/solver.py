@@ -147,15 +147,20 @@ class AlgebraicProblem:
     algebra, the exact factors generated by each term, and the factorwise
     kernels whose intersection is the problem kernel.  A factor and its
     kernel depend only on the term's range, so both are shared through the
-    context by every term with that range."""
+    context by every term with that range.  The terms are evaluated once,
+    in one assignment view over the problem's variables, which the
+    verification gate reuses."""
 
     def __init__(self, problem: SymbolicProblem):
         self.problem = problem
         ctx = problem.ctx
         self.free1 = ctx.free_algebra(1)
         names = list(problem.variables)
-        self.factors: list[ExactFactor] = [ctx.exact_factor(names, t)
-                                           for t in problem.terms]
+        self.comps = ctx.components_for(names)
+        self.vectors = tuple(map(self.comps.eval_term, problem.terms))
+        self.factors: list[ExactFactor] = [
+            ctx.exact_factor(names, t, vec)
+            for t, vec in zip(problem.terms, self.vectors)]
         self.factor_generators = tuple(f.generator_indices[0] for f in self.factors)
         self.factor_kernels = tuple(
             ctx.memo(("factor-kernel", f.range),
@@ -218,11 +223,8 @@ def _embedding_elements(ctx: VarietyContext, theta: Congruence,
     """Elements t of a free algebra with ker(z -> t) equal to theta, i.e.
     the embeddings of F(1)/theta determined by their generator image;
     ordered by representative rank."""
-    sig = ctx.spec.sig
     kernels = _evaluation_kernels(ctx, target_free)
-    hits = [t for t in range(target_free.size) if kernels[t] == theta]
-    hits.sort(key=lambda t: term_rank(target_free.reps[t], sig))
-    return hits
+    return [t for t in target_free.order if kernels[t] == theta]
 
 
 def classify_congruence(ctx: VarietyContext, theta: Congruence,
@@ -268,10 +270,10 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     embeddings1 = _embedding_elements(ctx, theta, f1)
     retract = None
     attempts = []
+    first = _first_assignments(f1, q_alg, embeddings1, zq)
     for t in embeddings1:
-        rep_t = f1.reps[t]
-        found = _first_assignment(q_alg, rep_t, [var_name(0)], zq)
-        attempts.append({"embedding": term_to_str(_rename_to_output(rep_t)),
+        found = first.get(t)
+        attempts.append({"embedding": term_to_str(_rename_to_output(f1.reps[t])),
                          "retraction_images_tried": q_alg.size if found is None
                          else found[0] + 1,
                          "retraction_found": found is not None,
@@ -317,22 +319,35 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         sp = None
         for k in range(1, bound + 1):
             fk = ctx.free_algebra(k)
-            names = [var_name(i) for i in range(k)]
-            for t in _embedding_elements(ctx, theta, fk):
-                rep_t = fk.reps[t]
-                if _first_assignment(q_alg, rep_t, names, zq) is None:
-                    sp = Verdict("no", None, {
-                        "arity": k,
-                        "embedding": term_to_str(rep_t),
-                        "reason": "embedding admits no retraction",
-                    })
-                    break
-            if sp is not None:
+            embeddings = _embedding_elements(ctx, theta, fk)
+            first = _first_assignments(fk, q_alg, embeddings, zq)
+            t = next((t for t in embeddings if t not in first), None)
+            if t is not None:
+                sp = Verdict("no", None, {
+                    "arity": k,
+                    "embedding": term_to_str(fk.reps[t]),
+                    "reason": "embedding admits no retraction",
+                })
                 break
         if sp is None:
             sp = Verdict("yes", bound)
 
     return CongruenceClassification(theta, exact, projective, sp, retract)
+
+
+def _first_assignments(fk: FreeAlgebra, alg: FiniteAlgebra,
+                       elements: Sequence[int], target: int) -> dict:
+    """The first assignment of elements of ``alg`` to x1..xk, in product
+    order, under which each of ``elements`` of F(k) evaluates to
+    ``target``, keyed by element; an element that never does is absent.
+    One walk of F(k)'s derivation per assignment answers every open one."""
+    first, open_ = {}, list(elements)
+    for vals in itertools.product(range(alg.size), repeat=fk.n):
+        images = fk.images(alg, vals)
+        first.update((t, vals) for t in open_ if images[t] == target)
+        if not (open_ := [t for t in open_ if t not in first]):
+            break
+    return first
 
 
 def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
@@ -475,20 +490,25 @@ def _maximal(congs: Sequence[Congruence]) -> tuple[Congruence, ...]:
 
 def g_congruences(ap: AlgebraicProblem,
                   bound: int = DEFAULT_BOUND) -> GCongruences:
-    cls = classify_all(ap.ctx, bound)
-    ker = ap.kernel
-    lower = tuple(sorted(
-        (t for t, c in cls.items()
-         if c.projective.status == "yes" and t.leq(ker)),
-        key=Congruence.sort_key))
-    upper = tuple(sorted(
-        (t for t, c in cls.items()
-         if c.exact.status in ("yes", "unknown") and t.leq(ker)),
-        key=Congruence.sort_key))
-    # in a 1EP variety every exact congruence, and none unresolved, is
-    # projective, so the two bounds meet
-    status = "exact" if check_1ep(ap.ctx, bound).status == "yes" else "approximate"
-    return GCongruences(status, lower, upper, _maximal(lower))
+    """The problem's G-congruences.  They depend only on the bound and the
+    kernel, a congruence of F(1), so the context finds them once per pair."""
+    ctx, ker = ap.ctx, ap.kernel
+
+    def compute() -> GCongruences:
+        cls = classify_all(ctx, bound)
+        lower = tuple(sorted(
+            (t for t, c in cls.items()
+             if c.projective.status == "yes" and t.leq(ker)),
+            key=Congruence.sort_key))
+        upper = tuple(sorted(
+            (t for t, c in cls.items()
+             if c.exact.status in ("yes", "unknown") and t.leq(ker)),
+            key=Congruence.sort_key))
+        # in a 1EP variety every exact congruence, and none unresolved, is
+        # projective, so the two bounds meet
+        status = "exact" if check_1ep(ctx, bound).status == "yes" else "approximate"
+        return GCongruences(status, lower, upper, _maximal(lower))
+    return ctx.memo(("g-congruences", bound, ker), compute)
 
 
 def _every_exact_is(ctx: VarietyContext, bound: int, prop: str,
@@ -553,7 +573,6 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     The retract pair is re-verified, the witnesses are re-checked against
     the variety, and any failure raises InternalVerificationError.
     """
-    ctx = ap.ctx
     f1 = ap.free1
     a1 = f1.algebra
     t, q = retract
@@ -574,16 +593,28 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
         elem = factor.algebra.eval(f1.reps[u], {var_name(0): gen})
         witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(elem)}))
     entry = SolutionEntry(s_term, tuple(witnesses))
-    _verify_entry(ctx, entry, ap.problem.terms)
+    _verify_entry(ap, entry)
     return entry
 
 
-def _verify_entry(ctx: VarietyContext, entry: SolutionEntry,
-                  terms: Sequence[Term]) -> None:
+def _verify_entry(ap: AlgebraicProblem, entry: SolutionEntry) -> None:
+    """The soundness gate, once per witness: sigma_k(s) = t_k must hold in
+    the variety.  Every assignment to the joint variables extends to the
+    problem's, so comparing the two in the problem's view decides it; a
+    witness that uses any other variable fails."""
+    terms = ap.problem.terms
     if len(entry.witnesses) != len(terms):
         raise InternalVerificationError("wrong number of witnesses")
-    for sigma, t in zip(entry.witnesses, terms):
-        if not ctx.holds_identity(apply_subst(sigma, entry.term), t):
+    for sigma, t, vec in zip(entry.witnesses, terms, ap.vectors):
+        s = apply_subst(sigma, entry.term)
+        check_term(s, ap.ctx.spec.sig)
+        try:
+            holds = ap.comps.eval_term(s) == vec
+        except AlgebraError as e:
+            raise InternalVerificationError(
+                f"witness fails: {sigma}({term_to_str(entry.term)}) is outside "
+                f"the problem's variables: {e}") from None
+        if not holds:
             raise InternalVerificationError(
                 f"witness fails: {sigma}({term_to_str(entry.term)}) is not "
                 f"{term_to_str(t)} in the variety")
@@ -672,8 +703,7 @@ def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
     if theta.is_total():
         return "total"
     f1 = ctx.free_algebra(1)
-    sig = ctx.spec.sig
-    order = sorted(range(f1.size), key=lambda e: term_rank(f1.reps[e], sig))
+    order = f1.order
     for i_pos in range(len(order)):
         for j_pos in range(i_pos + 1, len(order)):
             x, y = order[i_pos], order[j_pos]
@@ -898,7 +928,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
                            for i, p in enumerate(points)})
         for factor, pr in zip(ap.factors, projs)]
     entry = SolutionEntry(s_term, tuple(witnesses))
-    _verify_entry(ap.ctx, entry, ap.problem.terms)
+    _verify_entry(ap, entry)
     return entry
 
 
@@ -961,7 +991,7 @@ def pairwise_reduce(problem: SymbolicProblem,
                 "no witness for the pairwise solution inside the exact factor")
         witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(found[0])}))
     entry = SolutionEntry(final, tuple(witnesses))
-    _verify_entry(ctx, entry, problem.terms)
+    _verify_entry(ap, entry)
 
     cls = classify_all(ctx, bound)
     report = GeneralizationReport(

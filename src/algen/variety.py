@@ -43,7 +43,9 @@ order and fills the same tables.  E(t) is closed so once per range; only
 its representatives, least terms built from t, are each term's own.  They
 are settled on demand: a witness needs one element's term, and the size
 sweep stops once that element's level has settled, as a settled level's
-terms are final.
+terms are final.  Element 0's needs no sweep: a term containing t ranks
+above t, so it is t or, when that ranks lower, the least ground term of 0,
+which the shared closure settles once from the constants alone.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem
 from typing import Callable, Sequence
 
@@ -342,9 +344,11 @@ class GeneratedSubalgebra:
                        stop: int | None = None):
         """Each element's least term in (size, op-order, arg-order) rank,
         and the settle order as steps (element, seed term) or (element,
-        (operation, argument elements)), each after its arguments.  With
-        ``stop``, the sweep ends once that element's level has settled, and
-        later elements' terms are None.
+        (operation, argument elements)), each after its arguments and in
+        (size, code) order, that of ``term_rank``.  With ``stop``, the sweep
+        ends once that element's level has settled; it also ends when no
+        size is left to visit, as without seeds, when the constants reach
+        only part of the elements.  Unsettled elements' terms are None.
 
         Elements are settled one size level at a time.  A least term is a
         seed term, a constant, or op(r1, ..., rk) with each ri the least term
@@ -381,7 +385,7 @@ class GeneratedSubalgebra:
         def unfinished() -> bool:
             return unsettled[stop] if stop is not None else 1 in unsettled
 
-        while unfinished():
+        while pending and unfinished():
             pending.remove(s := min(pending))
             for ops, *parts, last in splits.pop(s, ()):
                 for prefix in itertools.product(*parts):
@@ -396,6 +400,7 @@ class GeneratedSubalgebra:
             settled = [e for e in best if unsettled[e]]  # a seed may be too big
             if not settled:
                 continue
+            settled.sort(key=lambda e: best[e][0])
             for e in settled:
                 codes[e], d = best[e]
                 reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
@@ -409,6 +414,12 @@ class GeneratedSubalgebra:
                         pending.add(t := 1 + sum(split))
                         splits.setdefault(t, []).append((ops, *map(levels.get, split)))
         return tuple(reps), steps
+
+    @cached_property
+    def ground_reps(self) -> tuple[Term | None, ...]:
+        """Each element's least ground term, None where the constants do
+        not reach it."""
+        return self._minimize_reps(self.algebra.size, self.algebra.tables, {})[0]
 
 
 class ExactFactor:
@@ -430,9 +441,15 @@ class ExactFactor:
         return self.shared.algebra
 
     def rep(self, e: int) -> Term:
-        """Element ``e``'s least term built from t.  Least terms depend on
-        t's size and code, so each term has its own; a sweep settles them
-        only up to ``e``'s level, whose terms are final."""
+        """Element ``e``'s least term built from t.  Element 0's is t or its
+        least ground term, as any other term of it contains t.  Other least
+        terms depend on t's size and code, so each term has its own; a sweep
+        settles them only up to ``e``'s level, whose terms are final."""
+        if e == 0:
+            ground, sig = self.shared.ground_reps[0], self.shared.spec.sig
+            return (ground if ground is not None
+                    and term_rank(ground, sig) < term_rank(self.term, sig)
+                    else self.term)
         if self._reps[e] is None:
             self._reps = self.shared._minimize_reps(
                 self.algebra.size, self.algebra.tables, {0: self.term}, e)[0]
@@ -457,6 +474,8 @@ class FreeAlgebra:
         position = {v: i for i, v in enumerate(comps.projections)}
         self.steps = [(e, None, position[d.name]) if isinstance(d, Var)
                       else (e, *d) for e, d in self.sub.steps]
+        # the elements by their representatives' term_rank, the settle order
+        self.order = tuple(e for e, _ in self.sub.steps)
 
     @property
     def algebra(self) -> FiniteAlgebra:
@@ -543,11 +562,11 @@ class VarietyContext:
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget, name=name)
 
-    def exact_factor(self, varnames: Sequence[str], t: Term) -> ExactFactor:
+    def exact_factor(self, varnames: Sequence[str], t: Term,
+                     vec: tuple[int, ...]) -> ExactFactor:
         """E(t), the subalgebra of F(varnames) generated by t, closed once
-        per range of t: the (generating algebra, value) pairs that t's value
-        vector hits."""
-        vec = self.components_for(varnames).eval_term(t)
+        per range of t: the (generating algebra, value) pairs that ``vec``,
+        t's value vector over ``varnames``, hits."""
         term_range, start = [], 0
         for gi, g in enumerate(self.spec.generators):
             stop = start + g.size ** len(varnames)

@@ -303,21 +303,25 @@ def test_congruence_lattice_closure_properties():
 @pytest.mark.parametrize("factory", SMALL_ALGEBRAS)
 def test_congruence_lattice_charges_each_batch_before_it(factory):
     # a.size cells per congruence a batch computes: the principal ones, then
-    # each semi-naive join round, replayed here from the lattice it returns
+    # each semi-naive join round, which joins the congruences new in the
+    # last round with the principal ones, replayed here
     a = factory()
     n = a.size
     charges = []
     lattice = congruence_lattice(a, charges.append)
     assert lattice == congruence_lattice(a)
-    found = {Congruence.identity(n)} | {principal_congruence(a, x, y)
-                                        for x in range(n) for y in range(x + 1, n)}
-    expected, frontier = [n * n * (n - 1) // 2], set(found)
+    principal = {principal_congruence(a, x, y)
+                 for x in range(n) for y in range(x + 1, n)}
+    expected, found, frontier = [n * n * (n - 1) // 2], set(principal), principal
     while frontier:
-        expected.append(len(frontier) * len(found) * n)
-        frontier = {t.join(u) for t in frontier for u in found} - found
+        expected.append(len(frontier) * len(principal) * n)
+        frontier = {t.join(u) for t in frontier for u in principal} - found
         found |= frontier
     assert charges == expected
-    assert found | {Congruence.total(n)} == set(lattice)
+    assert found | {Congruence.identity(n), Congruence.total(n)} == set(lattice)
+    # the full join closure of every pair found reaches no more
+    full = found | {Congruence.identity(n)}
+    assert {t.join(u) for t in full for u in full} <= full | {Congruence.total(n)}
 
 
 def test_congruence_lattice_trivial_algebra():

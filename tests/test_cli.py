@@ -220,7 +220,7 @@ def test_internal_verification_error_exit_code(monkeypatch, capsys):
     import algen.solver
     from algen.cli import EXIT_INTERNAL, main
 
-    def failing(ctx, entry, terms):
+    def failing(ap, entry):
         raise algen.solver.InternalVerificationError("witness fails: planted")
 
     monkeypatch.setattr(algen.solver, "_verify_entry", failing)
@@ -229,6 +229,29 @@ def test_internal_verification_error_exit_code(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: witness fails: planted\n"
+
+
+@pytest.mark.parametrize("plant,message", [
+    ("wrong-value", "is not and(x,y) in the variety"),
+    ("outside-variable", "is outside the problem's variables")])
+def test_planted_witness_exits_4(plant, message, monkeypatch, capsys):
+    # the gate itself, not a stub: a witness term whose value is wrong, or
+    # one that uses a variable the problem does not have, is an internal
+    # error with one line on stderr
+    from algen.cli import EXIT_INTERNAL, main
+    from algen.terms import App, Var
+    from algen.variety import ExactFactor
+
+    real = ExactFactor.rep
+    planted = {"wrong-value": lambda f, e: App("not", (real(f, e),)),
+               "outside-variable": lambda f, e: Var("w")}[plant]
+    monkeypatch.setattr(ExactFactor, "rep", planted)
+    code = main(["solve", "varieties/boolean.var", "and(x,y)", "not(x)"])
+    assert code == EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: witness fails: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _nested(shape: str, depth: int) -> str:

@@ -8,6 +8,7 @@ import pytest
 from algen.algebra import (
     AlgebraError,
     Congruence,
+    FiniteAlgebra,
     direct_product,
     enumerate_homs,
     min_generators,
@@ -19,6 +20,7 @@ from algen.solver import (
     InternalVerificationError,
     SolutionEntry,
     _instance_substitution,
+    _verify_entry,
     _product_shortcut,
     _shortcut_solution,
     SolverError,
@@ -397,6 +399,78 @@ def test_classify_retraction_search_transcript(ba, ka, n3v):
                 assert c.retract[1] == q
 
 
+def per_term_retraction_searches(ctx, theta, bound):
+    """The retraction searches evaluating each embedding's representative
+    under each assignment, embeddings ranked by term_rank: the tried counts
+    of the projectivity search, and the (arity, embedding) of the first
+    embedding into some F(k), k up to the bound, that admits no retraction,
+    or None."""
+    from algen.solver import _first_assignment
+    from algen.terms import term_rank
+
+    f1 = ctx.free_algebra(1)
+    q_alg, nat = quotient(f1.algebra, theta)
+    zq = nat(f1.generators[0])
+
+    def ranked(fk):
+        hits = [t for t in fk.algebra.elements()
+                if Congruence.from_map(f1.images(fk.algebra, (t,))) == theta]
+        return sorted(hits, key=lambda t: term_rank(fk.reps[t], ctx.spec.sig))
+
+    tried = []
+    for t in ranked(f1):
+        found = _first_assignment(q_alg, f1.reps[t], ["x1"], zq)
+        tried.append(q_alg.size if found is None else found[0] + 1)
+        if found is not None:
+            break
+    for k in range(1, bound + 1):
+        fk = ctx.free_algebra(k)
+        names = [f"x{i + 1}" for i in range(k)]
+        for t in ranked(fk):
+            if _first_assignment(q_alg, fk.reps[t], names, zq) is None:
+                return tried, (k, term_to_str(fk.reps[t]))
+    return tried, None
+
+
+def groupoid3():
+    """A 3-element groupoid whose first-ranked embedding into F(1), f(x1,x1),
+    of a projective quotient admits no retraction."""
+    from algen.terms import Signature
+
+    sig = Signature.make([("f", 2)])
+    return FiniteAlgebra(sig, ["0", "1", "2"],
+                         {"f": [[0, 0, 2], [0, 2, 0], [2, 2, 0]]})
+
+
+@pytest.mark.parametrize("name", ["boolean", "kleene", "godel3", "n3", "G34",
+                                  "K34", "groupoid3"])
+def test_retraction_searches_match_per_term_evaluation(name):
+    # the searches answer every embedding from one derivation walk per
+    # assignment; they give the transcript counts and the failure of the
+    # searches that evaluate each representative on its own
+    from algen.varfile import load_variety
+
+    ctx = {"G34": lambda: mk("G34", goedel_chain(3), goedel_chain(4)),
+           "K34": lambda: mk("K34", k3(), k4()),
+           "groupoid3": lambda: mk("groupoid3", groupoid3())}.get(
+        name, lambda: VarietyContext(load_variety(f"varieties/{name}.var")))()
+    failures = 0
+    for bound in (1, 2):
+        for theta, c in classify_all(ctx, bound).items():
+            tried, failure = per_term_retraction_searches(ctx, theta, bound)
+            assert [row["retraction_images_tried"]
+                    for row in c.projective.detail["search"]] == tried
+            if c.projective.status != "yes":
+                continue
+            sp = c.strongly_projective
+            assert (sp.status == "no") == (failure is not None)
+            if failure is not None:
+                failures += 1
+                assert (sp.detail["arity"], sp.detail["embedding"]) == failure
+    if name in ("G34", "groupoid3"):  # 1ESP fails there
+        assert failures
+
+
 # ---------------------------------------------------------------------------
 # E-congruences
 
@@ -735,7 +809,8 @@ def test_factor_rep_stops_at_its_element(workload):
             if v not in ctxs:
                 ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
             p = SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
-            for f in alg_of(p).factors:
+            ap = alg_of(p)
+            for f, vec in zip(ap.factors, ap.vectors):
                 if (v, f.range, f.term) in seen:
                     continue
                 seen.add((v, f.range, f.term))
@@ -743,7 +818,7 @@ def test_factor_rep_stops_at_its_element(workload):
                                                   {0: f.term})
                 elements = list(f.algebra.elements())
                 for order in (elements, elements[::-1]):
-                    fresh = ctxs[v].exact_factor(list(p.variables), f.term)
+                    fresh = ctxs[v].exact_factor(list(p.variables), f.term, vec)
                     assert [fresh.rep(e) for e in order] == [full[e] for e in order]
     assert len(seen) > 500
 
@@ -907,18 +982,111 @@ def test_each_report_owns_its_shortcut_dict():
 
 
 def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
+    import algen.solver
+
+    real = algen.solver.check_term
     for ctx, sources in [(ba, ("1", "or(x,not(x))", "or(y,not(y))")),
                          (ka, ("and(x,not(x))", "and(y,not(y))")),
                          (n3v, ("x", "y"))]:
         p = prob(ctx, *sources)
         calls = []
-        real = ctx.holds_identity
-        monkeypatch.setattr(ctx, "holds_identity",
-                            lambda s, t: calls.append((s, t)) or real(s, t))
+        # the gate checks each sigma_k(s) before evaluating it
+        monkeypatch.setattr(algen.solver, "check_term",
+                            lambda t, sig: calls.append(t) or real(t, sig))
         r = solve(p)
+        monkeypatch.setattr(algen.solver, "check_term", real)
         assert len(r.mcsg) >= 1
         # one identity per witness of each emitted entry, no more
+        assert calls == [apply_subst(sigma, e.term)
+                         for e in r.mcsg for sigma in e.witnesses], sources
         assert len(calls) == len(r.mcsg) * len(p.terms), sources
+
+
+def test_solve_builds_one_assignment_view(monkeypatch):
+    # on a warm context a solve evaluates its terms in one view over the
+    # problem's variables, which the exact factors and the gate reuse
+    import algen.variety
+    from algen.varfile import load_variety
+
+    views = []
+    real = algen.variety._Components.__init__
+    for variety, sources in [("boolean", ("and(x,y)", "not(x)")),
+                             ("kleene", ("and(x,not(x))", "and(y,not(y))", "x")),
+                             ("godel3", ("imp(x,y)", "1")), ("n3", ("x", "y")),
+                             ("n3", ("oplus(x,x)", "0"))]:
+        ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+        p = SymbolicProblem(ctx, tuple(parse_term(t, ctx.spec.sig) for t in sources))
+        solve(p)  # warms the context: free algebras, classification
+        monkeypatch.setattr(algen.variety._Components, "__init__",
+                            lambda self, *a: views.append(a) or real(self, *a))
+        r = solve(p)
+        monkeypatch.setattr(algen.variety._Components, "__init__", real)
+        assert len(views) == 1, sources
+        assert views.pop()[1] == list(p.variables)
+        assert_report_sound(r)
+
+
+@pytest.mark.parametrize("workload,seed", [("solve-1ep", 1), ("solve-n3", 7)])
+def test_gate_agrees_with_holds_identity(workload, seed):
+    # the gate against the identity check over each side's joint
+    # variables, on pass 0 of a fixed-seed stream: every emitted witness
+    # holds, and the witnesses of each entry shifted by one term fail the
+    # gate exactly when some identity fails
+    from algen.varfile import load_variety
+
+    stream, to_program = solve_stream(workload, seed)
+    ctxs, entries, rejected = {}, 0, 0
+    for v, terms in stream.pass_ops(0):
+        if v not in ctxs:
+            ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
+        ctx = ctxs[v]
+        p = SymbolicProblem(ctx, tuple(map(to_program, terms)))
+        ap = alg_of(p)
+        for e in solve(p).mcsg:
+            entries += 1
+            assert all(ctx.holds_identity(apply_subst(sigma, e.term), t)
+                       for sigma, t in zip(e.witnesses, p.terms))
+            shifted = SolutionEntry(e.term, e.witnesses[1:] + e.witnesses[:1])
+            holds = all(ctx.holds_identity(apply_subst(sigma, e.term), t)
+                        for sigma, t in zip(shifted.witnesses, p.terms))
+            try:
+                _verify_entry(ap, shifted)
+            except InternalVerificationError:
+                rejected += 1
+                assert not holds, (terms, e.to_dict())
+            else:
+                assert holds, (terms, e.to_dict())
+    assert entries >= 20 and rejected >= 5
+
+
+@pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3"])
+def test_g_congruences_memo_matches_a_fresh_computation(variety):
+    # every congruence of Con F(1) as the kernel, at bounds 1 and 2, asked
+    # twice in interleaved order: the memoised answer equals the one computed
+    # here from the classification
+    from types import SimpleNamespace
+
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    for bound in (1, 2):
+        for ker in classify_all(ctx, bound):
+            g_congruences(SimpleNamespace(ctx=ctx, kernel=ker), bound)
+    for bound in (2, 1):
+        cls = classify_all(ctx, bound)
+        for ker in reversed(list(cls)):
+            lower = sorted((t for t, c in cls.items()
+                            if c.projective.status == "yes" and t.leq(ker)),
+                           key=Congruence.sort_key)
+            upper = sorted((t for t, c in cls.items()
+                            if c.exact.status != "no" and t.leq(ker)),
+                           key=Congruence.sort_key)
+            maximal = [t for t in lower if not any(t != u and t.leq(u) for u in lower)]
+            g = g_congruences(SimpleNamespace(ctx=ctx, kernel=ker), bound)
+            assert g is g_congruences(SimpleNamespace(ctx=ctx, kernel=ker), bound)
+            assert (g.status, list(g.lower), list(g.upper), list(g.maximal)) == (
+                "exact" if check_1ep(ctx, bound).status == "yes" else "approximate",
+                lower, upper, maximal)
 
 
 @pytest.mark.parametrize("bound", [0, -3])

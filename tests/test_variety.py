@@ -6,7 +6,7 @@ import pytest
 
 from algen.algebra import AlgebraError, FiniteAlgebra
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
-                         term_size, term_to_str)
+                         term_size, term_to_str, term_vars)
 from algen.varfile import load_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
                            FreeAlgebra, GeneratedSubalgebra, VarietyContext,
@@ -438,6 +438,11 @@ def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
 # Exact factors, closed once per range
 
 
+def factor_of(ctx, names, t):
+    """E(t) over ``names``, with t's value vector evaluated here."""
+    return ctx.exact_factor(names, t, ctx.components_for(names).eval_term(t))
+
+
 def exact_factor_cases(variety):
     """(problem variables, term) pairs: seeded random terms over 0-3 of the
     problem's variables, ground terms, a bare variable, and terms that miss
@@ -460,7 +465,7 @@ def exact_factor_cases(variety):
 def test_exact_factor_matches_generated_by_terms(variety):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     for names, t in exact_factor_cases(variety):
-        factor = ctx.exact_factor(names, t)
+        factor = factor_of(ctx, names, t)
         ref = ctx.generated_by_terms(names, [t])
         assert factor.algebra.tables == ref.algebra.tables, (names, t)
         assert list(factor.generator_indices) == ref.generator_indices
@@ -473,14 +478,88 @@ def test_exact_factors_of_one_range_share_one_closure():
     # but each gets its own least terms
     ctx = KA()
     sig = ctx.spec.sig
-    fx = ctx.exact_factor(["x"], parse_term("x", sig))
-    fnot = ctx.exact_factor(["x", "y"], parse_term("not(x)", sig))
+    fx = factor_of(ctx, ["x"], parse_term("x", sig))
+    fnot = factor_of(ctx, ["x", "y"], parse_term("not(x)", sig))
     assert fx.range == fnot.range == ((0, 0), (0, 1), (0, 2))
     assert fx.algebra is fnot.algebra
     # terms in E(not(x)) are built from not(x), so x is not(not(x)) there
     x_elem = fx.algebra.eval(parse_term("not(x1)", sig), {"x1": 0})
     assert [term_to_str(f.rep(e)) for f in (fx, fnot) for e in (0, x_elem)] == [
         "x", "not(x)", "not(x)", "not(not(x))"]
+
+
+@pytest.mark.parametrize("variety", SHIPPED)
+def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
+    # rep(0) is t or the least ground term of element 0, read without a
+    # seeded sweep; it equals the full sweep seeded with t, on seeded random
+    # terms over 1-3 variables and ground terms
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    sig = ctx.spec.sig
+    rng = random.Random(f"seed-witness/{variety}")
+    names = ["x", "y", "w"]
+    cases = [(names[:k], random_term(rng, sig, names[:k], rng.randint(1, 4)))
+             for k in range(0 if has_constants(variety) else 1, 4)
+             for _ in range(25)]
+    expected = []
+    for vs, t in cases:
+        f = factor_of(ctx, vs, t)
+        full, _ = f.shared._minimize_reps(f.algebra.size, f.algebra.tables, {0: t})
+        f.shared.ground_reps  # settled once per closure, before counting
+        expected.append(full[0])
+    sweeps = []
+    real = GeneratedSubalgebra._minimize_reps
+    monkeypatch.setattr(GeneratedSubalgebra, "_minimize_reps",
+                        lambda *a: sweeps.append(a) or real(*a))
+    assert [factor_of(ctx, vs, t).rep(0) for vs, t in cases] == expected
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("variety,source,expected", [
+    ("boolean", "or(x,not(x))", "1"), ("boolean", "and(x,not(x))", "0"),
+    ("boolean", "or(x,or(y,not(y)))", "1"), ("boolean", "x", "x"),
+    ("kleene", "or(x,not(x))", "or(x,not(x))"), ("godel3", "imp(x,x)", "1")])
+def test_seed_witness_examples(variety, source, expected):
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    t = parse_term(source, ctx.spec.sig)
+    assert term_to_str(factor_of(ctx, term_vars(t), t).rep(0)) == expected
+
+
+def test_seed_witness_keeps_a_term_below_its_ground_term():
+    # g is constantly 1 and 1 is no constant, so g(x) and g(c) are the same
+    # element; g(x) ranks lower (a variable before an operation), so it is
+    # its own witness, and the least ground term g(c) is only the second
+    sig = Signature.make([("c", 0), ("g", 1)])
+    ctx = VarietyContext(VarietySpec("cg", sig, (
+        FiniteAlgebra(sig, ["0", "1"], {"c": 0, "g": [1, 1]}),)))
+    t = parse_term("g(x)", sig)
+    f = factor_of(ctx, ["x"], t)
+    assert term_to_str(f.shared.ground_reps[0]) == "g(c)"
+    assert f.rep(0) == t
+    assert term_to_str(factor_of(ctx, ["x"], parse_term("g(g(x))", sig)).rep(0)) == "g(c)"
+
+
+@pytest.mark.parametrize("variety", ["lattice", "semilattice"])
+def test_without_constants_no_element_has_a_ground_term(variety):
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    sig = ctx.spec.sig
+    closures = [ctx.free_algebra(n).sub for n in (1, 2)] + [
+        factor_of(ctx, ["x", "y"], parse_term(src, sig)).shared
+        for src in ("x", "or(x,y)")]
+    for sub in closures:
+        assert sub.ground_reps == (None,) * sub.algebra.size
+
+
+def test_ground_sweep_ends_where_the_constants_stop():
+    # in F(1) and F(2) of the Boolean algebras the constants reach 0 and 1
+    # only: those get their terms and the sweep ends with the rest open
+    ctx = BA()
+    for n in (1, 2):
+        f = ctx.free_algebra(n)
+        ground = {e: term_to_str(r) for e, r in enumerate(f.sub.ground_reps)
+                  if r is not None}
+        assert sorted(ground.values()) == ["0", "1"]
+        assert all(f.algebra.labels[e] == label for e, label in ground.items())
+        assert len(ground) < f.size
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +585,24 @@ def test_free_images_match_evaluating_each_representative(variety, n):
             env = {f"x{i + 1}": p for i, p in enumerate(points)}
             assert fk.images(target, points) == [target.eval(rep, env)
                                                  for rep in fk.reps]
+
+
+@pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)
+                                       if n or has_constants(v)])
+def test_free_order_is_the_rank_order(variety, n):
+    # F(n)'s elements in settle order are in the term_rank order of their
+    # representatives, which naming and the embedding searches read
+    f = FreeAlgebra(load_variety(f"varieties/{variety}.var"), n,
+                    Budget(DEFAULT_BUDGET))
+    sig = f.spec.sig
+    assert list(f.order) == sorted(f.algebra.elements(),
+                                   key=lambda e: term_rank(f.reps[e], sig))
+    # two signatures without constants, whose F(0) is empty
+    for spec in [ctx_for("maj", majority2()).spec,
+                 ctx_for("M5", truncated_monoid(5)).spec][:2 if n else 0]:
+        f = FreeAlgebra(spec, n, Budget(DEFAULT_BUDGET))
+        assert list(f.order) == sorted(f.algebra.elements(),
+                                       key=lambda e: term_rank(f.reps[e], spec.sig))
 
 
 def test_eval_term_examples():
