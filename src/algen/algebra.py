@@ -132,9 +132,6 @@ class FiniteAlgebra:
         return tuple(row for row in rows
                      if len(set(row)) > 1 and row != tuple(self.elements()))
 
-    def constants(self) -> dict[str, int]:
-        return {op: self.tables[op] for op, a in self.sig.ops if a == 0}
-
     def eval(self, t: Term, env: Mapping[str, int]) -> int:
         """Table-driven evaluation of a term under a variable assignment."""
         if isinstance(t, Var):

@@ -389,9 +389,8 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p, file_arg=True, bound=False, formats=(), budget=True):
-    if file_arg:
-        p.add_argument("file", help="variety file (JSON)")
+def _add_common(p, bound=False, dot=False, budget=True):
+    p.add_argument("file", help="variety file (JSON)")
     if bound:
         p.add_argument("--bound", type=_int_at_least(1), default=DEFAULT_BOUND,
                        help="search bound for exactness and strong "
@@ -399,17 +398,11 @@ def _add_common(p, file_arg=True, bound=False, formats=(), budget=True):
     if budget:
         p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
                        help="cell budget for constructions (default 10^7)")
-    if formats:
-        group = p.add_mutually_exclusive_group()
-        if "json" in formats:
-            group.add_argument("--json", action="store_true",
-                               help="JSON output (stable key order)")
-        if "dot" in formats:
-            group.add_argument("--dot", action="store_true",
-                               help="DOT output")
-        if "text" in formats:
-            group.add_argument("--text", action="store_true",
-                               help="plain text output (default)")
+    group = p.add_mutually_exclusive_group()  # text is the default
+    group.add_argument("--json", action="store_true",
+                       help="JSON output (stable key order)")
+    if dot:
+        group.add_argument("--dot", action="store_true", help="DOT output")
 
 
 @cache  # parsing keeps no state in the parser, so one serves every call
@@ -421,22 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a variety file")
-    _add_common(p, formats=("json", "text"), budget=False)
+    _add_common(p, budget=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("free", help="list a free algebra with representatives")
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.add_argument("-n", type=_int_at_least(0), required=True,
                    help="number of generators")
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("con", help="congruence lattice of F(1) with "
                                    "classifications")
-    _add_common(p, bound=True, formats=("json", "dot", "text"))
+    _add_common(p, bound=True, dot=True)
     p.set_defaults(func=cmd_con)
 
     p = sub.add_parser("solve", help="solve a generalization problem")
-    _add_common(p, bound=True, formats=("json", "dot", "text"))
+    _add_common(p, bound=True, dot=True)
     p.add_argument("terms", nargs="+", help="problem terms")
     p.add_argument("--pairwise", action="store_true",
                    help="use the iterated pairing procedure")
@@ -444,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare two terms in the generality "
                                        "preorder")
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_compare)
@@ -458,12 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kleene-dual", help="involutive-poset dual of a "
                                            "Kleene algebra")
-    _add_common(p, formats=("json", "dot", "text"), budget=False)
+    _add_common(p, dot=True, budget=False)
     p.add_argument("algebra", help="algebra name inside the file")
     p.set_defaults(func=cmd_kleene_dual)
 
     p = sub.add_parser("props", help="1EP / 1ESP verdicts for the variety")
-    _add_common(p, bound=True, formats=("json", "text"))
+    _add_common(p, bound=True)
     p.set_defaults(func=cmd_props)
 
     return parser

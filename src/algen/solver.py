@@ -75,7 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_BOUND = 2
-_PRODUCT_CAP = 128
 
 OUTPUT_VAR = "z"
 
@@ -161,7 +160,6 @@ class AlgebraicProblem:
         self.factors: list[ExactFactor] = [
             ctx.exact_factor(names, t, vec)
             for t, vec in zip(problem.terms, self.vectors)]
-        self.factor_generators = tuple(f.generator_indices[0] for f in self.factors)
         self.factor_kernels = tuple(
             ctx.memo(("factor-kernel", f.range),
                      lambda f=f: _kernel_of_evaluation(self.free1, f.algebra, 0))
@@ -589,8 +587,8 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     s_term = _rename_to_output(f1.reps[t])
     # f factors the problem through the quotient; its value on block q is h(u)
     witnesses = []
-    for factor, gen in zip(ap.factors, ap.factor_generators):
-        elem = factor.algebra.eval(f1.reps[u], {var_name(0): gen})
+    for factor in ap.factors:
+        elem = factor.algebra.eval(f1.reps[u], {var_name(0): 0})
         witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(elem)}))
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ap, entry)
@@ -772,15 +770,17 @@ class GeneralizationReport:
         }
 
 
-def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
+def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int,
+                      budget: Budget):
     """The first generating tuple of ``prod`` by size, then lexicographic
     order, with at most ``bound`` elements, as (generators, F(k), pi) with
     pi the images of F(k)'s elements under x_i -> p_i; None if there is
     none.  A tuple generates iff pi is onto, by the universal property of
     F(k), and a k-generated algebra has at most |F(k)| elements, so a k
     with |prod| > |F(k)| is skipped.  When the constants generate, k = 0
-    and x1 goes to element 0 of F(1).  Raises BudgetExceeded for an F(k)
-    above the budget."""
+    and x1 goes to element 0 of F(1).  Each k charges its C(|prod|, k)
+    walks of |F(k)| steps to ``budget`` before the first; raises
+    BudgetExceeded for those or for an F(k) above the budget."""
     if len(prod.subuniverse(())) == prod.size:
         f1 = ctx.free_algebra(1)
         return (), f1, f1.images(prod, (0,))
@@ -788,6 +788,7 @@ def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int):
         fk = ctx.free_algebra(k)
         if prod.size > fk.size:
             continue
+        budget.charge(math.comb(prod.size, k) * fk.size, "product shortcut")
         for gens in itertools.combinations(range(prod.size), k):
             pi = fk.images(prod, gens)
             if len(set(pi)) == prod.size:
@@ -813,7 +814,9 @@ def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
                          bound: int):
     """Whether the product of ``factors`` is projective.  The generator
     search is capped at the bound, and a product larger than F(bound) is
-    skipped without being built.
+    skipped without being built.  Building the product, each size of the
+    generator walk and the section search are charged to one budget
+    before each runs; a charge that does not fit skips the shortcut.
 
     The product P, generated by p_1..p_n, is projective iff the
     epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
@@ -828,9 +831,6 @@ def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
     (product, projections, the points p_i, free algebra, section).
     """
     sizes = math.prod(f.size for f in factors)
-    if sizes > _PRODUCT_CAP:
-        return {"status": "skipped",
-                "reason": f"product has {sizes} elements"}, None
     no_gens = {"status": "skipped",
                "reason": f"no generating set of size <= {bound}"}
     try:
@@ -838,18 +838,27 @@ def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
             return no_gens, None
     except BudgetExceeded:
         pass  # the search below decides, or meets the budget itself
-    prod, projs = direct_product(factors)
+    budget = Budget(ctx.budget_limit)
     try:
-        found = _first_generators(ctx, prod, bound)
+        budget.charge(sizes * len(factors)
+                      + sum(sizes ** arity for _, arity in factors[0].sig.ops),
+                      "product shortcut")
+        prod, projs = direct_product(factors)
+        found = _first_generators(ctx, prod, bound, budget)
+        if found is None:
+            return no_gens, None
+        gens, fk, pi = found
+        points = gens or (0,)
+        fibres = [[] for _ in range(prod.size)]
+        for e, p in enumerate(pi):
+            fibres[p].append(e)
+        budget.charge(math.prod(len(fibres[p]) for p in points) * fk.size,
+                      "product shortcut")
     except BudgetExceeded:
-        return {"status": "skipped", "reason": "free algebra above budget"}, None
-    if found is None:
-        return no_gens, None
-    gens, fk, pi = found
-    points = gens or (0,)
-    fibres = [[] for _ in range(prod.size)]
-    for e, p in enumerate(pi):
-        fibres[p].append(e)
+        # the shortcut's own charges overdraw its budget; an F(k) does not
+        reason = ("search above budget" if budget.used > budget.limit
+                  else "free algebra above budget")
+        return {"status": "skipped", "reason": reason}, None
     for choice in itertools.product(*(fibres[p] for p in points)):
         psi = fk.images(fk.algebra, choice)
         section = [psi[fibre[0]] for fibre in fibres]
@@ -984,8 +993,8 @@ def pairwise_reduce(problem: SymbolicProblem,
 
     ap = alg_of(problem)
     witnesses = []
-    for factor, gen in zip(ap.factors, ap.factor_generators):
-        found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], gen)
+    for factor in ap.factors:
+        found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], 0)
         if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")

@@ -427,8 +427,6 @@ class ExactFactor:
     with t's range, generated by its element 0, which t stands for, with
     t's own representatives."""
 
-    generator_indices = (0,)
-
     def __init__(self, shared: GeneratedSubalgebra, term: Term,
                  term_range: tuple[tuple[int, int], ...]):
         self.shared = shared
@@ -468,7 +466,6 @@ class FreeAlgebra:
         seeds = [(vec, Var(v)) for v, vec in comps.projections.items()]
         self.sub = GeneratedSubalgebra(spec, comps, seeds, budget,
                                        name=f"F_{spec.name}({n})")
-        self.comps = comps
         # F(n)'s derivation: (element, operation, argument elements), or
         # (element, None, i) for the generator x_{i+1}
         position = {v: i for i, v in enumerate(comps.projections)}

@@ -152,6 +152,15 @@ def test_rejects_bounds_without_search(argv, value, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_text_is_the_default_not_a_flag(capsys):
+    from algen.cli import main
+
+    assert main(["solve", "varieties/n3.var", "x", "--text"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: algen: unrecognized arguments: --text\n"
+
+
 def test_rejects_negative_generator_count(capsys):
     from algen.cli import main
 

@@ -16,7 +16,6 @@ from algen.algebra import (
     quotient,
 )
 from algen.solver import (
-    _PRODUCT_CAP,
     InternalVerificationError,
     SolutionEntry,
     _instance_substitution,
@@ -105,8 +104,7 @@ def kernel_by_product_oracle(ap):
     f1 = ap.free1
     images = []
     for rep in f1.reps:
-        per_factor = tuple(f.algebra.eval(rep, {"x1": g})
-                           for f, g in zip(ap.factors, ap.factor_generators))
+        per_factor = tuple(f.algebra.eval(rep, {"x1": 0}) for f in ap.factors)
         elem = next(e for e in range(prod.size)
                     if tuple(pr(e) for pr in projs) == per_factor)
         images.append(elem)
@@ -119,17 +117,19 @@ def double_search_shortcut(ap, bound):
     retraction pinned on its image: P is a retract of F(n).  Returns the
     report dict and the solution entry built from the first such pair."""
     ctx = ap.ctx
-    sizes = 1
-    for f in ap.factors:
-        sizes *= f.algebra.size
-    if sizes > _PRODUCT_CAP:
-        return {"status": "skipped", "reason": f"product has {sizes} elements"}, None
+    no_gens = {"status": "skipped",
+               "reason": f"no generating set of size <= {bound}"}
+    # the program's prune: a k-generated algebra has at most |F(k)| elements
+    try:
+        if math.prod(f.algebra.size for f in ap.factors) > ctx.free_algebra(bound).size:
+            return no_gens, None
+    except BudgetExceeded:
+        pass
     prod, projs = direct_product([f.algebra for f in ap.factors])
     try:
         n, gens = min_generators(prod, max_size=bound)
     except AlgebraError:
-        return {"status": "skipped",
-                "reason": f"no generating set of size <= {bound}"}, None
+        return no_gens, None
     try:
         fk = ctx.free_algebra(max(n, 1))
     except BudgetExceeded:
@@ -138,7 +138,7 @@ def double_search_shortcut(ap, bound):
         pinned = {i_hom(x): (x,) for x in range(prod.size)}
         for j_hom in enumerate_homs(fk.algebra, prod, pinned, gens=fk.generators):
             h = next(e for e in range(prod.size)
-                     if all(pr(e) == g for pr, g in zip(projs, ap.factor_generators)))
+                     if all(pr(e) == 0 for pr in projs))
             out_vars = {f"x{i + 1}": Var(f"z{i + 1}") for i in range(fk.n)}
             term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom(h)])
             witnesses = tuple(
@@ -252,9 +252,9 @@ def unary_solution_classes(ctx, terms):
 
 def test_alg_of_boolean_factors(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
-    for f, g in zip(ap.factors, ap.factor_generators):
+    for f in ap.factors:
         assert f.algebra.size == 2
-        assert term_to_str(f.rep(g)) == "1"
+        assert term_to_str(f.rep(0)) == "1"
 
 
 def test_alg_of_kleene_chain_factors(ka):
@@ -274,8 +274,8 @@ def test_alg_of_projections_surjective(ka):
     # p_k . h is onto E(t_k): the unary-term images of t_k cover the factor
     ap = alg_of(prob(ka, "and(x,not(x))", "or(y,1)"))
     f1 = ap.free1
-    for f, g in zip(ap.factors, ap.factor_generators):
-        images = {f.algebra.eval(rep, {"x1": g}) for rep in f1.reps}
+    for f in ap.factors:
+        images = {f.algebra.eval(rep, {"x1": 0}) for rep in f1.reps}
         assert images == set(range(f.algebra.size))
 
 
@@ -863,13 +863,15 @@ def test_first_generators_match_min_generators_n3():
     for p in problems:
         ap = alg_of(p)
         key = tuple(repr(f.algebra.tables) for f in ap.factors)
-        if math.prod(f.algebra.size for f in ap.factors) <= _PRODUCT_CAP:
+        # larger products are pruned at every bound here, and the subset
+        # search grinds on them
+        if math.prod(f.algebra.size for f in ap.factors) <= 128:
             products.setdefault(key, ap)
     calls = []
     real_search = solver_mod._first_generators
 
-    def recording_search(ctx, prod, bound):
-        found = real_search(ctx, prod, bound)
+    def recording_search(ctx, prod, bound, budget):
+        found = real_search(ctx, prod, bound, budget)
         calls.append((prod, found))
         return found
 
@@ -922,12 +924,43 @@ def test_product_shortcut_free_algebra_above_budget():
     ctx = mk("N3", n3(), budget=400)
     above = {"status": "skipped", "reason": "free algebra above budget"}
     assert _product_shortcut(alg_of(prob(ctx, "x", "y")), 2)[0] == above
-    # no pair generates this 24-element product, but only F(2) can tell
+    # no pair generates this 24-element product, but building it already
+    # costs 24 * 3 + 24 ** 2 + 1 = 649 cells
     assert _product_shortcut(alg_of(prob(
-        ctx, "x", "oplus(x,x)", "oplus(x,oplus(x,x))")), 2)[0] == above
+        ctx, "x", "oplus(x,x)", "oplus(x,oplus(x,x))")), 2)[0] == {
+            "status": "skipped", "reason": "search above budget"}
     # one generator needs only F(1)
     note, _ = _product_shortcut(alg_of(prob(ctx, "x")), 2)
     assert (note["status"], note["generators"]) == ("projective", 1)
+
+
+def test_product_shortcut_stops_on_its_budget(monkeypatch):
+    # at bound 4 both products fit under |F(4)| = 256, so the prune keeps
+    # them, but C(|P|, 4) walks of F(4) far exceed the default budget: the
+    # shortcut stops before its first walk instead of grinding through them
+    from algen.varfile import load_variety
+    from algen.variety import FreeAlgebra
+
+    real_images = FreeAlgebra.images
+    walks = []
+
+    def counting_images(self, target, points):
+        if self.n == 4:
+            walks.append(points)
+            if len(walks) > 1000:
+                raise AssertionError("the shortcut walks F(4)")
+        return real_images(self, target, points)
+
+    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    assert ctx.free_algebra(4).size == 256
+    for sources, size in [(("x", "oplus(y,y)", "oplus(w,w)", "oplus(v,v)"), 108),
+                          (("x", "y", "w", "oplus(v,v)"), 192)]:
+        ap = alg_of(prob(ctx, *sources))
+        assert math.prod(f.algebra.size for f in ap.factors) == size
+        assert _product_shortcut(ap, 4) == (
+            {"status": "skipped", "reason": "search above budget"}, None)
+    assert not walks
 
 
 def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
