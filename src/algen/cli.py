@@ -269,7 +269,7 @@ def _infer_signature(sources) -> Signature:
             if depth:
                 raise ParseError("unbalanced parenthesis",
                                  len(src[:m.end()].encode()))
-            if i == m.end() + 1:
+            if not src[m.end():i - 1].strip():
                 args = 0
             if arities.setdefault(name, args) != args:
                 raise TermError(

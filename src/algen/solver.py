@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .algebra import (
@@ -143,10 +144,10 @@ class SymbolicProblem:
 
 class AlgebraicProblem:
     """The algebraic form of a symbolic problem: the 1-generated free
-    algebra, the exact factors generated by each term, and the factorwise
-    kernels whose intersection is the problem kernel.  A factor and its
-    kernel depend only on the term's range, so both are shared through the
-    context by every term with that range.  The terms are evaluated once,
+    algebra, the exact factors generated by each term, and the problem
+    kernel, the intersection of the factors' kernels.  A factor depends only
+    on the term's range, so it is shared through the context by every term
+    with that range.  The terms are evaluated once,
     in one assignment view over the problem's variables, which the
     verification gate reuses."""
 
@@ -160,14 +161,7 @@ class AlgebraicProblem:
         self.factors: list[ExactFactor] = [
             ctx.exact_factor(names, t, vec)
             for t, vec in zip(problem.terms, self.vectors)]
-        self.factor_kernels = tuple(
-            ctx.memo(("factor-kernel", f.range),
-                     lambda f=f: _kernel_of_evaluation(self.free1, f.algebra, 0))
-            for f in self.factors)
-        acc = self.factor_kernels[0]
-        for k in self.factor_kernels[1:]:
-            acc = acc.meet(k)
-        self.kernel = acc
+        self.kernel = reduce(Congruence.meet, (f.kernel for f in self.factors))
 
     @property
     def ctx(self) -> VarietyContext:
@@ -375,10 +369,10 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     f1 = ctx.free_algebra(1)
     spec = ctx.spec
     # values[gi][a][u]: the unary term function u at a on generator gi, one
-    # homomorphism F(1) -> generator per value a
+    # homomorphism F(1) -> generator per value a, with kernel kappas[gi][a]
     values = [[f1.images(gen, (a,)) for a in range(gen.size)]
               for gen in spec.generators]
-    kappas = [[Congruence.from_map(at_a) for at_a in per_a] for per_a in values]
+    kappas = ctx.value_kernels()
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
         for gi, gen in enumerate(spec.generators)

@@ -32,20 +32,21 @@ element is a generator, a constant or one operation applied to elements
 settled before it.  Every homomorphism out of F(n), fixed by the images of
 the generators, walks it with one table lookup per element.
 
-The exact factor E(t), the subalgebra of F(X) generated by one term t,
-depends only on t's range: the (generating algebra, value) pairs that t's
-value vector hits.  A unary term u(t) at an assignment depends only on that
-assignment's algebra and t's value there, so reading each element at one
-assignment per pair is injective on E(t) and commutes with the operations.
-The closure makes only operation lookups and equality tests, so closing the
-seed x1 over one coordinate per pair visits the same elements in the same
-order and fills the same tables.  E(t) is closed so once per range; only
-its representatives, least terms built from t, are each term's own.  They
-are settled on demand: a witness needs one element's term, and the size
+The exact factor E(t), the subalgebra of F(X) generated by one term t, is
+F(1)/ker(x1 -> t).  Two unary terms u, v agree at t exactly when they agree
+at every (generating algebra, value) pair that t's value vector hits, t's
+range, so the kernel is the meet of the value kernels ker(x1 -> a) over the
+range, and E(t) is found once per range with no closure.  The quotient
+numbers its blocks by their least members, which is the order in which
+closing x1 over E(t) would reach them: a pass visits argument tuples in
+lexicographic order, and the first tuple that yields a new block is made of
+least members, so F(1)'s closure meets the blocks in E(t)'s closure order.
+Only E(t)'s representatives, least terms built from t, are each term's own.
+They are settled on demand: a witness needs one element's term, and the size
 sweep stops once that element's level has settled, as a settled level's
 terms are final.  Element 0's needs no sweep: a term containing t ranks
 above t, so it is t or, when that ranks lower, the least ground term of 0,
-which the shared closure settles once from the constants alone.
+which is settled once per range from the constants alone.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -65,11 +66,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import getitem
 from typing import Callable, Sequence
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
                     term_to_str, term_vars)
 
@@ -136,31 +137,23 @@ def var_name(i: int) -> str:
 # Componentwise evaluation over the assignment index set
 
 
-class _Coordinates:
-    """Value vectors with one coordinate per given generating algebra: for
-    each operation, the nested table of the algebra behind each coordinate,
-    so a result vector is read coordinate by coordinate with one map over
-    these."""
-
-    def __init__(self, spec: VarietySpec, algebras: Sequence[FiniteAlgebra]):
-        self.width = len(algebras)
-        self.op_tables = {op: tuple(g.tables[op] for g in algebras)
-                          for op, _ in spec.sig.ops}
-
-
-class _AssignmentIndex(_Coordinates):
+class _AssignmentIndex:
     """The assignment index set for n variables: for each generator algebra,
     every assignment tuple, in (algebra order, tuple order) lexicographic
     order.  A term's value vector has one coordinate per assignment.  It
-    holds each variable position's projection vector and the coordinates'
-    op tables; a context builds it once per n and shares it among views."""
+    holds each variable position's projection vector and, for each
+    operation, the nested table of the algebra behind each coordinate, so a
+    result vector is read coordinate by coordinate with one map over these;
+    a context builds it once per n and shares it among views."""
 
     def __init__(self, spec: VarietySpec, n: int):
         assigns = [assign for g in spec.generators
                    for assign in itertools.product(range(g.size), repeat=n)]
         self.projections = tuple(zip(*assigns))
-        super().__init__(spec, [g for g in spec.generators
-                                for _ in range(g.size ** n)])
+        self.width = len(assigns)
+        self.op_tables = {op: tuple(g.tables[op] for g in spec.generators
+                                    for _ in range(g.size ** n))
+                          for op, _ in spec.sig.ops}
 
 
 class _Components:
@@ -219,7 +212,7 @@ class GeneratedSubalgebra:
     """A subalgebra of a free algebra, generated from seed vectors and kept
     with explicit tables and term representatives."""
 
-    def __init__(self, spec: VarietySpec, comps: _Coordinates | _Components,
+    def __init__(self, spec: VarietySpec, comps: _Components,
                  seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
                  name: str = ""):
         self.spec = spec
@@ -335,122 +328,117 @@ class GeneratedSubalgebra:
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
-        self.reps, self.steps = self._minimize_reps(len(vectors), tables,
-                                                    seed_reps)
+        self.reps, self.steps = _minimize_reps(spec.sig, len(vectors), tables,
+                                               seed_reps)
         labels = [term_to_str(r) for r in self.reps]
         self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables, name=name)
 
-    def _minimize_reps(self, count: int, tables, seed_reps: dict[int, Term],
-                       stop: int | None = None):
-        """Each element's least term in (size, op-order, arg-order) rank,
-        and the settle order as steps (element, seed term) or (element,
-        (operation, argument elements)), each after its arguments and in
-        (size, code) order, that of ``term_rank``.  With ``stop``, the sweep
-        ends once that element's level has settled; it also ends when no
-        size is left to visit, as without seeds, when the constants reach
-        only part of the elements.  Unsettled elements' terms are None.
 
-        Elements are settled one size level at a time.  A least term is a
-        seed term, a constant, or op(r1, ..., rk) with each ri the least term
-        of a smaller element, as a lower-ranked argument makes a lower-ranked
-        term.  So level s reads the seeds and constants of size s and the
-        table entries whose arguments' levels split s - 1, keeps those whose
-        result is unsettled, and gives each element found its least code,
-        unique as codes are prefix-free.  A settled level files the splits it
-        completes under their sums, so only the sizes a seed, a constant or a
-        split reaches are visited.  The terms are those of Knuth's (size,
-        rank) heap sweep, a generalization of Dijkstra's algorithm.
-        """
-        sig = self.spec.sig
-        found: dict[int, dict] = {}  # size -> {element: (code, derivation)}
+def _minimize_reps(sig: Signature, count: int, tables,
+                   seed_reps: dict[int, Term], stop: int | None = None):
+    """Each element's least term in (size, op-order, arg-order) rank,
+    and the settle order as steps (element, seed term) or (element,
+    (operation, argument elements)), each after its arguments and in
+    (size, code) order, that of ``term_rank``.  With ``stop``, the sweep
+    ends once that element's level has settled; it also ends when no
+    size is left to visit, as without seeds, when the constants reach
+    only part of the elements.  Unsettled elements' terms are None.
 
-        def offer(size: int, code: tuple, e: int, derivation):
-            best = found.setdefault(size, {})
-            if e not in best or code < best[e][0]:
-                best[e] = code, derivation
+    Elements are settled one size level at a time.  A least term is a
+    seed term, a constant, or op(r1, ..., rk) with each ri the least term
+    of a smaller element, as a lower-ranked argument makes a lower-ranked
+    term.  So level s reads the seeds and constants of size s and the
+    table entries whose arguments' levels split s - 1, keeps those whose
+    result is unsettled, and gives each element found its least code,
+    unique as codes are prefix-free.  A settled level files the splits it
+    completes under their sums, so only the sizes a seed, a constant or a
+    split reaches are visited.  The terms are those of Knuth's (size,
+    rank) heap sweep, a generalization of Dijkstra's algorithm.
+    """
+    found: dict[int, dict] = {}  # size -> {element: (code, derivation)}
 
-        for e, t in seed_reps.items():
-            offer(*term_rank(t, sig), e, t)
-        by_k: dict[int, list] = {}  # the operations by prefix length
-        for i, (op, arity) in enumerate(sig.ops):
-            if arity:
-                by_k.setdefault(arity - 1, []).append((((1, i),), op, tables[op]))
-            else:
-                offer(1, ((1, i),), tables[op], (op, ()))
-        reps, codes, steps = [None] * count, [None] * count, []
-        unsettled = bytearray(b"\1") * count
-        levels: dict[int, list[int]] = {}  # settled size -> its elements
-        pending, splits = set(found), {}  # sizes to visit; size -> its splits
+    def offer(size: int, code: tuple, e: int, derivation):
+        best = found.setdefault(size, {})
+        if e not in best or code < best[e][0]:
+            best[e] = code, derivation
 
-        def unfinished() -> bool:
-            return unsettled[stop] if stop is not None else 1 in unsettled
+    for e, t in seed_reps.items():
+        offer(*term_rank(t, sig), e, t)
+    by_k: dict[int, list] = {}  # the operations by prefix length
+    for i, (op, arity) in enumerate(sig.ops):
+        if arity:
+            by_k.setdefault(arity - 1, []).append((((1, i),), op, tables[op]))
+        else:
+            offer(1, ((1, i),), tables[op], (op, ()))
+    reps, codes, steps = [None] * count, [None] * count, []
+    unsettled = bytearray(b"\1") * count
+    levels: dict[int, list[int]] = {}  # settled size -> its elements
+    pending, splits = set(found), {}  # sizes to visit; size -> its splits
 
-        while pending and unfinished():
-            pending.remove(s := min(pending))
-            for ops, *parts, last in splits.pop(s, ()):
-                for prefix in itertools.product(*parts):
-                    for head, op, table in ops:
-                        row = reduce(getitem, prefix, table)
-                        for b in last:
-                            if unsettled[row[b]]:
-                                args = prefix + (b,)
-                                code = sum(map(codes.__getitem__, args), head)
-                                offer(s, code, row[b], (op, args))
-            best = found.pop(s, {})
-            settled = [e for e in best if unsettled[e]]  # a seed may be too big
-            if not settled:
-                continue
-            settled.sort(key=lambda e: best[e][0])
-            for e in settled:
-                codes[e], d = best[e]
-                reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
-                           if isinstance(d, tuple) else d)
-                unsettled[e] = 0
-                steps.append((e, d))
-            levels[s] = settled
-            for k, ops in by_k.items() if unfinished() else ():
-                for split in itertools.product(levels, repeat=k + 1):
-                    if s in split:  # the splits this level makes
-                        pending.add(t := 1 + sum(split))
-                        splits.setdefault(t, []).append((ops, *map(levels.get, split)))
-        return tuple(reps), steps
+    def unfinished() -> bool:
+        return unsettled[stop] if stop is not None else 1 in unsettled
 
-    @cached_property
-    def ground_reps(self) -> tuple[Term | None, ...]:
-        """Each element's least ground term, None where the constants do
-        not reach it."""
-        return self._minimize_reps(self.algebra.size, self.algebra.tables, {})[0]
+    while pending and unfinished():
+        pending.remove(s := min(pending))
+        for ops, *parts, last in splits.pop(s, ()):
+            for prefix in itertools.product(*parts):
+                for head, op, table in ops:
+                    row = reduce(getitem, prefix, table)
+                    for b in last:
+                        if unsettled[row[b]]:
+                            args = prefix + (b,)
+                            code = sum(map(codes.__getitem__, args), head)
+                            offer(s, code, row[b], (op, args))
+        best = found.pop(s, {})
+        settled = [e for e in best if unsettled[e]]  # a seed may be too big
+        if not settled:
+            continue
+        settled.sort(key=lambda e: best[e][0])
+        for e in settled:
+            codes[e], d = best[e]
+            reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
+                       if isinstance(d, tuple) else d)
+            unsettled[e] = 0
+            steps.append((e, d))
+        levels[s] = settled
+        for k, ops in by_k.items() if unfinished() else ():
+            for split in itertools.product(levels, repeat=k + 1):
+                if s in split:  # the splits this level makes
+                    pending.add(t := 1 + sum(split))
+                    splits.setdefault(t, []).append((ops, *map(levels.get, split)))
+    return tuple(reps), steps
 
 
 class ExactFactor:
-    """The exact factor E(t) of a term t: the closure shared by every term
-    with t's range, generated by its element 0, which t stands for, with
-    t's own representatives."""
+    """The exact factor E(t) of a term t: F(1)/kernel, with kernel that of
+    x1 -> t, shared by every term with t's range.  Its element 0, the block
+    of x1, stands for t, and its representatives are t's own."""
 
-    def __init__(self, shared: GeneratedSubalgebra, term: Term,
+    def __init__(self, algebra: FiniteAlgebra, kernel: Congruence,
+                 ground: Term | None, term: Term,
                  term_range: tuple[tuple[int, int], ...]):
-        self.shared = shared
+        """``ground`` is element 0's least ground term, None where the
+        constants do not reach it."""
+        self.algebra = algebra
+        self.kernel = kernel
+        self.ground = ground
         self.term = term
         self.range = term_range
-        self._reps = (None,) * shared.algebra.size
-
-    @property
-    def algebra(self) -> FiniteAlgebra:
-        return self.shared.algebra
+        self._reps = (None,) * algebra.size
 
     def rep(self, e: int) -> Term:
         """Element ``e``'s least term built from t.  Element 0's is t or its
         least ground term, as any other term of it contains t.  Other least
         terms depend on t's size and code, so each term has its own; a sweep
         settles them only up to ``e``'s level, whose terms are final."""
+        sig = self.algebra.sig
         if e == 0:
-            ground, sig = self.shared.ground_reps[0], self.shared.spec.sig
-            return (ground if ground is not None
-                    and term_rank(ground, sig) < term_rank(self.term, sig)
+            return (self.ground if self.ground is not None
+                    and term_rank(self.ground, sig) < term_rank(self.term, sig)
                     else self.term)
         if self._reps[e] is None:
-            self._reps = self.shared._minimize_reps(
-                self.algebra.size, self.algebra.tables, {0: self.term}, e)[0]
+            self._reps = _minimize_reps(sig, self.algebra.size,
+                                        self.algebra.tables, {0: self.term}, e)[0]
         return self._reps[e]
 
 
@@ -559,11 +547,21 @@ class VarietyContext:
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget, name=name)
 
+    def value_kernels(self) -> list[list[Congruence]]:
+        """ker(x1 -> a) on F(1) for each value a of each generating
+        algebra, indexed [algebra][a]."""
+        def compute():
+            f1 = self.free_algebra(1)
+            return [[Congruence.from_map(f1.images(g, (a,))) for a in g.elements()]
+                    for g in self.spec.generators]
+        return self.memo("value-kernels", compute)
+
     def exact_factor(self, varnames: Sequence[str], t: Term,
                      vec: tuple[int, ...]) -> ExactFactor:
-        """E(t), the subalgebra of F(varnames) generated by t, closed once
-        per range of t: the (generating algebra, value) pairs that ``vec``,
-        t's value vector over ``varnames``, hits."""
+        """E(t) = F(1)/ker(x1 -> t), found once per range of t: the
+        (generating algebra, value) pairs that ``vec``, t's value vector
+        over ``varnames``, hits.  The kernel is the meet of the value
+        kernels over the range."""
         term_range, start = [], 0
         for gi, g in enumerate(self.spec.generators):
             stop = start + g.size ** len(varnames)
@@ -571,13 +569,13 @@ class VarietyContext:
             start = stop
         term_range = tuple(term_range)
 
-        def close() -> GeneratedSubalgebra:
-            coords = _Coordinates(self.spec, [self.spec.generators[gi]
-                                              for gi, _ in term_range])
-            seed = tuple(a for _, a in term_range), Var(var_name(0))
-            return GeneratedSubalgebra(self.spec, coords, [seed],
-                                       Budget(self.budget_limit))
-        return ExactFactor(self.memo(("factor", term_range), close), t,
+        def build():
+            kernels = self.value_kernels()
+            kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
+            alg, _ = quotient(self.free_algebra(1).algebra, kernel)
+            ground = _minimize_reps(alg.sig, alg.size, alg.tables, {}, 0)[0][0]
+            return alg, kernel, ground
+        return ExactFactor(*self.memo(("factor", term_range), build), t,
                            term_range)
 
     def holds_identity(self, s: Term, t: Term) -> bool:

@@ -120,6 +120,13 @@ def test_lgg_inconsistent_arity():
     assert code == 1
 
 
+def test_lgg_blank_argument_list_is_nullary():
+    # the parser reads f( ) as f(), so the inferred signature must too
+    code, text = run_case(["lgg", "f( )", "f()"])
+    assert code == 0
+    assert text.splitlines()[0] == "lgg: f"
+
+
 def test_validate_json():
     code, text = run_case(["validate", "varieties/n3.var", "--json"])
     assert code == 0

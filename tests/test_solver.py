@@ -801,6 +801,7 @@ def test_factor_rep_stops_at_its_element(workload):
     # and 7): rep(e), asked for in increasing and in decreasing order, sweeps
     # only up to e's level, and its terms are those of the full sweep
     from algen.varfile import load_variety
+    from algen.variety import _minimize_reps
 
     ctxs, seen = {}, set()
     for seed in (1, 2, 3, 7):
@@ -814,13 +815,39 @@ def test_factor_rep_stops_at_its_element(workload):
                 if (v, f.range, f.term) in seen:
                     continue
                 seen.add((v, f.range, f.term))
-                full, _ = f.shared._minimize_reps(f.algebra.size, f.algebra.tables,
-                                                  {0: f.term})
+                full, _ = _minimize_reps(f.algebra.sig, f.algebra.size,
+                                         f.algebra.tables, {0: f.term})
                 elements = list(f.algebra.elements())
                 for order in (elements, elements[::-1]):
                     fresh = ctxs[v].exact_factor(list(p.variables), f.term, vec)
                     assert [fresh.rep(e) for e in order] == [full[e] for e in order]
     assert len(seen) > 500
+
+
+def test_warm_context_solves_build_no_closure(monkeypatch):
+    # once classify_all has run at the bound, a solve reads each exact
+    # factor off F(1) as a quotient: 50 stream problems per variety (seed 1,
+    # passes 0 and 1) construct no GeneratedSubalgebra
+    from algen import variety
+    from algen.varfile import load_variety
+
+    problems = {}
+    for workload in ("solve-1ep", "solve-n3"):
+        stream, to_program = solve_stream(workload, 1)
+        for v, terms in (op for i in range(2) for op in stream.pass_ops(i)):
+            problems.setdefault(v, []).append(tuple(map(to_program, terms)))
+    ctxs = {v: VarietyContext(load_variety(f"varieties/{v}.var")) for v in problems}
+    for ctx in ctxs.values():
+        classify_all(ctx, 2)
+    closures = []
+    real = variety.GeneratedSubalgebra.__init__
+    monkeypatch.setattr(variety.GeneratedSubalgebra, "__init__",
+                        lambda self, *a, **k: closures.append(a) or real(self, *a, **k))
+    for v, terms in problems.items():
+        assert len(terms) >= 50
+        for ts in terms[:50]:
+            solve(SymbolicProblem(ctxs[v], ts), 2)
+    assert len(problems) == 4 and closures == []
 
 
 def test_each_section_found_is_a_homomorphism():

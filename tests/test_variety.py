@@ -1,16 +1,19 @@
 import itertools
+import json
 import random
 from functools import reduce
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from algen.algebra import AlgebraError, FiniteAlgebra
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
-from algen.varfile import load_variety
+from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
                            FreeAlgebra, GeneratedSubalgebra, VarietyContext,
-                           VarietySpec, _Components, var_name)
+                           VarietySpec, _Components, _minimize_reps, var_name)
 
 from factories import (
     bool2,
@@ -22,6 +25,7 @@ from factories import (
     truncated_monoid,
 )
 from oracles import find_isomorphism, identity_holds_oracle
+from test_cli import fuzz_terms, fuzz_var_files
 
 SHIPPED = ["boolean", "kleene", "godel3", "n3", "semilattice", "lattice"]
 
@@ -426,21 +430,28 @@ def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
     f = FreeAlgebra(load_variety(f"varieties/{variety}.var"), n,
                     Budget(DEFAULT_BUDGET))
     seeds = {e: Var(var_name(i)) for i, e in enumerate(f.generators)}
-    full, steps = f.sub._minimize_reps(f.size, f.algebra.tables, seeds)
+    sig = f.spec.sig
+    full, steps = _minimize_reps(sig, f.size, f.algebra.tables, seeds)
     for e in f.algebra.elements():
-        reps, prefix = f.sub._minimize_reps(f.size, f.algebra.tables, seeds, e)
+        reps, prefix = _minimize_reps(sig, f.size, f.algebra.tables, seeds, e)
         cut = term_size(full[e])
         assert reps == tuple(r if term_size(r) <= cut else None for r in full)
         assert prefix == steps[:sum(r is not None for r in reps)]
 
 
 # ---------------------------------------------------------------------------
-# Exact factors, closed once per range
+# Exact factors, found once per range
 
 
 def factor_of(ctx, names, t):
     """E(t) over ``names``, with t's value vector evaluated here."""
     return ctx.exact_factor(names, t, ctx.components_for(names).eval_term(t))
+
+
+def ground_terms(alg):
+    """Each element's least ground term, None where the constants do not
+    reach it."""
+    return _minimize_reps(alg.sig, alg.size, alg.tables, {})[0]
 
 
 def exact_factor_cases(variety):
@@ -473,6 +484,31 @@ def test_exact_factor_matches_generated_by_terms(variety):
             ref.reps), (names, t)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_exact_factors_match_generated_by_terms(data):
+    # the quotient of F(1) numbers its blocks by their least members; that
+    # is the order in which closing t reaches them, with the same tables and
+    # least terms, on small random varieties as on the shipped ones
+    doc = data.draw(fuzz_var_files())
+    spec = loads_variety(json.dumps(doc))
+    try:
+        FreeAlgebra(spec, 1, Budget(20000))
+    except BudgetExceeded:
+        return  # keep each example fast: no factor is larger than F(1)
+    ctx = VarietyContext(spec)
+    ops = [tuple(entry) for entry in doc["signature"]]
+    for src in data.draw(st.lists(fuzz_terms(ops), min_size=1, max_size=3)):
+        t = parse_term(src, spec.sig)
+        names = data.draw(st.sampled_from([["x", "y"], list(term_vars(t))]))
+        factor = factor_of(ctx, names, t)
+        ref = ctx.generated_by_terms(names, [t])
+        assert factor.algebra.tables == ref.algebra.tables, (doc, names, src)
+        assert [factor.rep(e) for e in factor.algebra.elements()] == list(
+            ref.reps), (doc, names, src)
+
+
 def test_exact_factors_of_one_range_share_one_closure():
     # x and not(x) both take every value of K3, so they share E's algebra,
     # but each gets its own least terms
@@ -503,13 +539,11 @@ def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
     expected = []
     for vs, t in cases:
         f = factor_of(ctx, vs, t)
-        full, _ = f.shared._minimize_reps(f.algebra.size, f.algebra.tables, {0: t})
-        f.shared.ground_reps  # settled once per closure, before counting
+        full, _ = _minimize_reps(sig, f.algebra.size, f.algebra.tables, {0: t})
         expected.append(full[0])
     sweeps = []
-    real = GeneratedSubalgebra._minimize_reps
-    monkeypatch.setattr(GeneratedSubalgebra, "_minimize_reps",
-                        lambda *a: sweeps.append(a) or real(*a))
+    monkeypatch.setattr("algen.variety._minimize_reps",
+                        lambda *a: sweeps.append(a) or _minimize_reps(*a))
     assert [factor_of(ctx, vs, t).rep(0) for vs, t in cases] == expected
     assert sweeps == []
 
@@ -533,7 +567,7 @@ def test_seed_witness_keeps_a_term_below_its_ground_term():
         FiniteAlgebra(sig, ["0", "1"], {"c": 0, "g": [1, 1]}),)))
     t = parse_term("g(x)", sig)
     f = factor_of(ctx, ["x"], t)
-    assert term_to_str(f.shared.ground_reps[0]) == "g(c)"
+    assert term_to_str(f.ground) == "g(c)"
     assert f.rep(0) == t
     assert term_to_str(factor_of(ctx, ["x"], parse_term("g(g(x))", sig)).rep(0)) == "g(c)"
 
@@ -542,11 +576,12 @@ def test_seed_witness_keeps_a_term_below_its_ground_term():
 def test_without_constants_no_element_has_a_ground_term(variety):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     sig = ctx.spec.sig
-    closures = [ctx.free_algebra(n).sub for n in (1, 2)] + [
-        factor_of(ctx, ["x", "y"], parse_term(src, sig)).shared
-        for src in ("x", "or(x,y)")]
-    for sub in closures:
-        assert sub.ground_reps == (None,) * sub.algebra.size
+    factors = [factor_of(ctx, ["x", "y"], parse_term(src, sig))
+               for src in ("x", "or(x,y)")]
+    assert [f.ground for f in factors] == [None, None]
+    for alg in [ctx.free_algebra(n).algebra for n in (1, 2)] + [
+            f.algebra for f in factors]:
+        assert ground_terms(alg) == (None,) * alg.size
 
 
 def test_ground_sweep_ends_where_the_constants_stop():
@@ -555,7 +590,7 @@ def test_ground_sweep_ends_where_the_constants_stop():
     ctx = BA()
     for n in (1, 2):
         f = ctx.free_algebra(n)
-        ground = {e: term_to_str(r) for e, r in enumerate(f.sub.ground_reps)
+        ground = {e: term_to_str(r) for e, r in enumerate(ground_terms(f.algebra))
                   if r is not None}
         assert sorted(ground.values()) == ["0", "1"]
         assert all(f.algebra.labels[e] == label for e, label in ground.items())
