@@ -1,28 +1,25 @@
 """Command-line interface.
 
 Subcommands: validate, free, con, solve, compare, lgg, kleene-dual, props.
-Exit codes: 0 success, 1 bad input, 2 budget exceeded, 3 inconclusive by
-bound, 4 internal verification failure (a bug).  All output is
-deterministic; JSON keys are emitted in a fixed order, DOT nodes are
-labelled by canonical representatives.
+Exit codes: 0 success, 1 bad input (or stdout closed early), 2 budget
+exceeded, 3 inconclusive by bound, 4 internal verification failure (a bug).
+Each subcommand builds one document, the dict that --json prints; its text
+and DOT output are rendered from that dict, so the formats cannot drift
+apart.  All output is deterministic: JSON keys come in a fixed order, and
+DOT nodes are labelled by canonical names, quoted by one writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
 
 from .algebra import AlgebraError, Congruence, poset_covers
-from .dot import congruence_lattice_dot, congruence_poset_dot
-from .kleene import (
-    _exact_by_quasieq,
-    dual_poset,
-    is_projective_by_duality,
-    poset_to_dot,
-)
+from .kleene import _exact_by_quasieq, dual_poset, is_projective_by_duality
 from .solver import (
     DEFAULT_BOUND,
     InternalVerificationError,
@@ -78,8 +75,29 @@ def _rename_display(term, n):
     return term_to_str(term)
 
 
-# Text output is rendered from the dict that --json prints, so the two
+# Text and DOT output are rendered from the dict that --json prints, so the
 # formats cannot drift apart.
+
+
+def _dot_quote(text: str) -> str:
+    # names come from the var file, so a quote or backslash in one must not
+    # end the string early
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(name: str, nodes, edges) -> str:
+    """A digraph drawn bottom-up in boxes.  Nodes are (id, label,
+    attributes) and edges (tail, head, attributes); attributes is a DOT
+    attribute list such as "peripheries=2", or empty."""
+    lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;",
+             "  node [shape=box];"]
+    for node, label, attrs in nodes:
+        lines.append(f"  {node} [label={_dot_quote(label)}"
+                     + (f", {attrs}" if attrs else "") + "];")
+    for tail, head, attrs in edges:
+        lines.append(f"  {tail} -> {head}" + (f" [{attrs}]" if attrs else "") + ";")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _verdict_text(v: dict) -> str:
@@ -116,29 +134,30 @@ def cmd_validate(args) -> int:
     if args.json:
         _emit_json(doc)
     else:
-        _emit(f"variety {spec.name}: ok")
+        _emit(f"variety {doc['variety']}: ok")
         _emit("signature: " + ", ".join(f"{op}/{arity}"
-                                        for op, arity in spec.sig.ops))
-        for a in spec.generators:
-            _emit(f"algebra {a.name}: {a.size} elements")
+                                        for op, arity in doc["signature"]))
+        for a in doc["algebras"]:
+            _emit(f"algebra {a['name']}: {a['size']} elements")
     return EXIT_OK
 
 
 def cmd_free(args) -> int:
     ctx = _context(args)
     f = ctx.free_algebra(args.n)
+    doc = {
+        "variety": ctx.spec.name,
+        "n": args.n,
+        "size": f.size,
+        "elements": [{"index": i, "term": _rename_display(f.reps[i], args.n)}
+                     for i in range(f.size)],
+    }
     if args.json:
-        _emit_json({
-            "variety": ctx.spec.name,
-            "n": args.n,
-            "size": f.size,
-            "elements": [{"index": i, "term": _rename_display(f.reps[i], args.n)}
-                         for i in range(f.size)],
-        })
+        _emit_json(doc)
     else:
-        _emit(f"F_{ctx.spec.name}({args.n}): {f.size} elements")
-        for i in range(f.size):
-            _emit(f"  {i}\t{_rename_display(f.reps[i], args.n)}")
+        _emit(f"F_{doc['variety']}({doc['n']}): {doc['size']} elements")
+        for e in doc["elements"]:
+            _emit(f"  {e['index']}\t{e['term']}")
     return EXIT_OK
 
 
@@ -147,17 +166,23 @@ def cmd_con(args) -> int:
     cls = classify_all(ctx, args.bound)
     rows = classification_rows(ctx, cls)
     items = sorted(cls, key=Congruence.sort_key)  # the order of the rows
+    covers = poset_covers(items, Congruence.leq)
     doc = {
         "variety": ctx.spec.name,
         "bound": args.bound,
         "size": len(rows),
         "congruences": rows,
-        "covers": [[rows[i]["name"], rows[j]["name"]]
-                   for i, j in poset_covers(items, Congruence.leq)],
+        "covers": [[rows[i]["name"], rows[j]["name"]] for i, j in covers],
     }
     if args.dot:
-        _emit(congruence_lattice_dot(ctx, args.bound,
-                                     name=f"con_{ctx.spec.name}"))
+        # projective congruences doubled, non-exact ones dashed
+        _emit(_dot(f"con_{doc['variety']}",
+                   [(f"c{i}", row["name"],
+                     "peripheries=2" if row["projective"]["status"] == "yes"
+                     else "style=dashed" if row["exact"]["status"] == "no"
+                     else "")
+                    for i, row in enumerate(rows)],
+                   [(f"c{i}", f"c{j}", "") for i, j in covers]))
     elif args.json:
         _emit_json(doc)
     else:
@@ -182,13 +207,19 @@ def cmd_solve(args) -> int:
     problem = SymbolicProblem(ctx, terms)
     report = (pairwise_reduce(problem, args.bound) if args.pairwise
               else solve(problem, args.bound))
+    doc = report.to_dict()
     if args.dot:
-        _emit(congruence_poset_dot(ctx, report.g.upper, highlight=report.g.maximal,
-                                   name=f"g_{ctx.spec.name}"))
+        # the upper G-congruences, the maximal generalizing ones doubled
+        g = doc["g_congruences"]
+        _emit(_dot(f"g_{doc['variety']}",
+                   [(f"c{i}", name, "peripheries=2" if name in g["maximal"] else "")
+                    for i, name in enumerate(g["upper"])],
+                   [(f"c{i}", f"c{j}", "")
+                    for i, j in poset_covers(report.g.upper, Congruence.leq)]))
     elif args.json:
-        _emit_json(report.to_dict())
+        _emit_json(doc)
     else:
-        _emit_solve_text(report.to_dict())
+        _emit_solve_text(doc)
     return EXIT_INCONCLUSIVE if report.type.kind == "inconclusive" else EXIT_OK
 
 
@@ -313,33 +344,40 @@ def cmd_kleene_dual(args) -> int:
     p = dual_poset(a)
     proj_ok, failed = is_projective_by_duality(p)
     exact_ok, reason = _exact_by_quasieq(a)  # dual_poset verified a
-    covers = poset_covers(range(p.size), p.le)
+    doc = {
+        "algebra": args.algebra,
+        "points": list(p.labels),
+        "covers": [[p.labels[i], p.labels[j]]
+                   for i, j in poset_covers(range(p.size), p.le)],
+        "involution": {p.labels[i]: p.labels[p.iota[i]] for i in range(p.size)},
+        "projective": {"ok": proj_ok, "failed_condition": failed},
+        "exact": {"ok": exact_ok, "reason": reason},
+    }
+    pos = {x: i for i, x in enumerate(doc["points"])}  # labels are distinct
+    orbits = [(x, y) for x, y in doc["involution"].items() if pos[x] <= pos[y]]
     if args.dot:
-        _emit(poset_to_dot(p, name=f"dual_{args.algebra}"))
+        # covers solid, the involution as dashed arcs
+        _emit(_dot(f"dual_{doc['algebra']}",
+                   [(f"p{i}", x, "") for x, i in pos.items()],
+                   [(f"p{pos[lo]}", f"p{pos[hi]}", "") for lo, hi in doc["covers"]]
+                   + [(f"p{pos[x]}", f"p{pos[y]}",
+                       ("" if x == y else "dir=both, ")
+                       + "style=dashed, constraint=false") for x, y in orbits]))
     elif args.json:
-        _emit_json({
-            "algebra": args.algebra,
-            "points": list(p.labels),
-            "covers": [[p.labels[i], p.labels[j]] for i, j in covers],
-            "involution": {p.labels[i]: p.labels[p.iota[i]]
-                           for i in range(p.size)},
-            "projective": {"ok": proj_ok, "failed_condition": failed},
-            "exact": {"ok": exact_ok, "reason": reason},
-        })
+        _emit_json(doc)
     else:
-        _emit(f"dual poset of {args.algebra}: {p.size} points")
-        _emit("  points: " + ", ".join(p.labels))
-        for i, j in covers:
-            _emit(f"  cover: {p.labels[i]} < {p.labels[j]}")
-        for i in range(p.size):
-            j = p.iota[i]
-            if i <= j:
-                arrow = "fixed" if i == j else f"<-> {p.labels[j]}"
-                _emit(f"  involution: {p.labels[i]} {arrow}")
+        _emit(f"dual poset of {doc['algebra']}: {len(pos)} points")
+        _emit("  points: " + ", ".join(doc["points"]))
+        for lo, hi in doc["covers"]:
+            _emit(f"  cover: {lo} < {hi}")
+        for x, y in orbits:
+            _emit(f"  involution: {x} " + ("fixed" if x == y else f"<-> {y}"))
+        proj, exact = doc["projective"], doc["exact"]
         _emit("projective (duality conditions): "
-              + ("yes" if proj_ok else f"no (condition {failed} fails)"))
+              + ("yes" if proj["ok"]
+                 else f"no (condition {proj['failed_condition']} fails)"))
         _emit("exact (quasi-equation): "
-              + ("yes" if exact_ok else f"no ({reason})"))
+              + ("yes" if exact["ok"] else f"no ({exact['reason']})"))
     return EXIT_OK
 
 
@@ -465,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -476,6 +516,13 @@ def main(argv=None) -> int:
     except InternalVerificationError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader closed stdout: whatever is still buffered goes to
+        # devnull, so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

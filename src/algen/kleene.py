@@ -11,7 +11,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, FiniteAlgebra, poset_covers
+from .algebra import AlgebraError, FiniteAlgebra
 from .terms import Signature, Term, parse_term, term_vars
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "dual_poset",
     "is_projective_by_duality",
     "is_exact_by_quasieq",
-    "poset_to_dot",
 ]
 
 _REQUIRED_OPS = {"and": 2, "or": 2, "not": 1, "0": 0, "1": 0}
@@ -247,20 +246,3 @@ def _exact_by_quasieq(a: FiniteAlgebra):
                                f"y={a.labels[y]}")
     return True, None
 
-
-def poset_to_dot(p: InvolutivePoset, name: str = "dual") -> str:
-    """DOT rendering: cover edges solid (drawn bottom-up), the involution
-    as dashed arcs."""
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=box];']
-    for i, lab in enumerate(p.labels):
-        lines.append(f'  p{i} [label="{lab}"];')
-    for i, j in poset_covers(range(p.size), p.le):
-        lines.append(f"  p{i} -> p{j};")
-    for i in range(p.size):
-        j = p.iota[i]
-        if i < j:
-            lines.append(f"  p{i} -> p{j} [dir=both, style=dashed, constraint=false];")
-        elif i == j:
-            lines.append(f"  p{i} -> p{i} [style=dashed, constraint=false];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

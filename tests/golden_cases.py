@@ -36,6 +36,10 @@ CASES = [
      ["solve", "varieties/n3.var", "oplus(x,x)", "oplus(y,oplus(y,y))"]),
     ("n3_props.txt", ["props", "varieties/n3.var"]),
     ("kleene_con.json", ["con", "varieties/kleene.var", "--json"]),
+    # the JSON documents of kleene-dual and free, which the text reads
+    ("kleene_dual_k3.json",
+     ["kleene-dual", "varieties/kleene.var", "K3", "--json"]),
+    ("kleene_free.json", ["free", "varieties/kleene.var", "-n", "1", "--json"]),
 ]
 
 # exit codes expected alongside the output

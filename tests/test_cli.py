@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -363,6 +365,71 @@ def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
     assert main(["con", str(path), "--budget", "500"]) == 2
     assert capsys.readouterr() == ("", "error: budget exceeded during congruence "
                                        "lattice: needs more than 2312 cells (limit 500)\n")
+
+
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_strings(dot: str) -> list[str]:
+    """The quoted strings of DOT text, unescaped; every quote in the text
+    must open or close one of them."""
+    out = []
+    for line in dot.splitlines():
+        assert '"' not in _DOT_STRING.sub("", line), line
+        out += [re.sub(r"\\(.)", r"\1", s) for s in _DOT_STRING.findall(line)]
+    return out
+
+
+def test_dot_quotes_names_from_the_var_file(tmp_path, capsys):
+    # variety, algebra and element names reach the graph name and the labels
+    # as the var file spells them, quote and backslash included
+    from algen.cli import main
+
+    odd = 'a"\\'
+
+    def relabel(node):
+        if isinstance(node, list):
+            return [relabel(x) for x in node]
+        return odd if node == "a" else node
+
+    doc = json.loads(pathlib.Path("varieties/kleene.var").read_text())
+    doc["name"] = 'kleene"\\'
+    k3 = doc["algebras"][0]
+    k3["name"] = 'K"3\\'
+    k3["universe"] = relabel(k3["universe"])
+    k3["ops"] = {op: relabel(table) for op, table in k3["ops"].items()}
+    path = tmp_path / "quoted.var"
+    path.write_text(json.dumps(doc))
+
+    assert main(["kleene-dual", str(path), 'K"3\\', "--dot"]) == 0
+    assert _dot_strings(capsys.readouterr().out) == ['dual_K"3\\', odd, "1"]
+    assert main(["con", str(path), "--json"]) == 0
+    names = [row["name"] for row in json.loads(capsys.readouterr().out)["congruences"]]
+    assert main(["con", str(path), "--dot"]) == 0
+    assert _dot_strings(capsys.readouterr().out) == ['con_kleene"\\', *names]
+
+
+@pytest.mark.parametrize("argv,buffered", [
+    (["free", "varieties/kleene.var", "-n", "1", "--json"], True),
+    (["kleene-dual", "varieties/kleene.var", "K3", "--dot"], False),
+], ids=["free-buffered", "kleene-dual-unbuffered"])
+def test_closed_stdout_exits_1_with_one_line(argv, buffered):
+    # the reader is gone before the first write: a pipe whose read end is
+    # already closed fails every write, whether it happens during the
+    # command or at the flush on exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "algen.cli", *argv],
+                           stdout=write, stderr=subprocess.PIPE, text=True,
+                           cwd=pathlib.Path(__file__).parent.parent, env=env)
+    finally:
+        os.close(write)
+    assert r.returncode == 1
+    assert r.stderr == "error: stdout was closed before the output was written\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from algen.kleene import (
     dual_poset,
     is_exact_by_quasieq,
     is_projective_by_duality,
-    poset_to_dot,
     verify_kleene,
 )
 from algen.solver import classify_all
+from algen.varfile import dump_variety
 from algen.variety import VarietyContext, VarietySpec
 
 from factories import (
@@ -234,10 +234,18 @@ def test_iota_laws_on_produced_posets():
                     assert p.le(p.iota[y], p.iota[x])
 
 
-def test_poset_dot_output():
-    p = dual_poset(k4())
-    dot = poset_to_dot(p, "k4")
-    assert dot == poset_to_dot(dual_poset(k4()), "k4")
-    assert "style=dashed" in dot
-    assert "->" in dot
-    assert dot.startswith('digraph "k4"')
+def test_poset_dot_output(tmp_path, capsys):
+    # K4 = 0 < m < M < 1: its dual poset is m < M < 1 with M fixed, an arc
+    # the K3 golden has no instance of
+    from algen.cli import main
+
+    path = tmp_path / "k4.var"
+    path.write_text(dump_variety(VarietySpec("k4", k4().sig, (k4(),))))
+    argv = ["kleene-dual", str(path), "A0", "--dot"]
+    assert main(argv) == 0
+    dot = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == dot
+    assert dot.startswith('digraph "dual_A0" {\n')
+    assert "  p1 -> p1 [style=dashed, constraint=false];\n" in dot
+    assert "  p0 -> p2 [dir=both, style=dashed, constraint=false];\n" in dot
