@@ -465,11 +465,14 @@ def congruence_lattice(a: FiniteAlgebra,
     """All congruences: principal congruences closed under the partition
     join, plus the identity.  Sorted identity-first, total-last.  Every
     congruence is a join of principal ones, so the joins are taken with
-    those alone.  ``charge``, if given, is called with a.size cells per
-    congruence a batch computes before the batch: the principal
-    congruences, then each join round."""
+    those alone.  ``charge``, if given, is called before each batch.  The
+    principal congruences are charged first for their union work, as each
+    makes at most a.size - 1 merges and reads each merge through every
+    translation row, then a.size cells per congruence; each join round is
+    charged a.size cells per join."""
     n = a.size
     if charge:
+        charge(n * (n - 1) // 2 * (n - 1) * len(a._translations))
         charge(n * n * (n - 1) // 2)
     found = close_under(Congruence.join, [
         principal_congruence(a, x, y) for x in range(n) for y in range(x + 1, n)],

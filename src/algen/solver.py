@@ -625,8 +625,7 @@ def _instance_substitution(ctx: VarietyContext, s: Term, more_general: Term):
                 if ctx.holds_identity(s, more_general) else None)
     vars_s = term_vars(s)
     try:
-        free_s = ctx.generated_by_terms(vars_s, [Var(v) for v in vars_s],
-                                        name="F(src)")
+        free_s = ctx.generated_by_terms(vars_s, [Var(v) for v in vars_s])
     except AlgebraError:
         return None  # no ground terms exist, so nothing to map into
     Budget(ctx.budget_limit).charge(

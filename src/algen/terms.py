@@ -32,17 +32,30 @@ __all__ = [
 # minted by lgg_syntactic; the parser rejects them as user variables.
 _MINTED_RE = re.compile(r"^g[0-9]+$")
 
+# The names the engine gives variables: x1, x2, ... (F(n)'s generators),
+# z and z1, z2, ... (generalizers' variables) and g1, g2, ... (lgg's).  An
+# operation may not take one, or a printed term would read two ways.
+_RESERVED_OP_RE = re.compile(r"^(z|[gxz][0-9]+)$")
+
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 
 # The deepest nesting parse_term accepts, in brackets and in applications
-# alike.  The parser spends up to seven stack frames a level and the
-# recursive walkers (eval, term_to_str, term_rank, apply_subst) two, so
-# every accepted term fits Python's default recursion limit.
+# alike.  A bracket or argument level costs the parser eight stack frames
+# (nested, parse_infix once per _INFIX level and once below the last,
+# parse_not and parse_atom), a → or ¬ level two, and the recursive walkers
+# (eval, term_to_str, term_rank, apply_subst) two, so every accepted term
+# fits Python's default recursion limit.
 MAX_DEPTH = 100
 
 # Infix sugar accepted on input; each symbol maps to a signature op name.
 _SUGAR = {"∧": "and", "∨": "or", "¬": "not",
           "→": "imp", "+": "plus", "⊕": "oplus"}
+
+# The binary sugar's precedence levels, loosest first, as (symbols,
+# right-associative).  Symbols are tuples: peek() gives "" at the end of
+# input, which a string would contain.
+_INFIX = ((("→",), True), (("+", "⊕"), False), (("∨",), False),
+          (("∧",), False))
 
 
 class TermError(ValueError):
@@ -72,6 +85,9 @@ class Signature:
         for name, arity in self.ops:
             if not name or not _IDENT_RE.fullmatch(name):
                 raise TermError(f"bad operation name {name!r}")
+            if _RESERVED_OP_RE.match(name):
+                raise TermError(f"operation name {name!r} is reserved for "
+                                "variables")
             if name in seen:
                 raise TermError(f"duplicate operation name {name!r}")
             if arity < 0:
@@ -183,8 +199,9 @@ def check_term(t: Term, sig: Signature) -> None:
 class _Parser:
     """Recursive-descent parser with precedence for the infix sugar.
 
-    Precedence (tightest first): not, and, or, plus/oplus, imp.
-    imp is right-associative, the rest left-associative.
+    One routine reads every binary level of ``_INFIX``, loosest first:
+    imp, then plus/oplus, or and and; imp is right-associative, the rest
+    left-associative.  Prefix not binds tighter than all of them.
     """
 
     def __init__(self, src: str, sig: Signature):
@@ -204,12 +221,12 @@ class _Parser:
     def too_deep(self, pos: int | None = None):
         self.error(f"term nested deeper than {MAX_DEPTH} levels", pos)
 
-    def nested(self, parse) -> Term:
+    def nested(self, parse, *args) -> Term:
         """Run a sub-parser one nesting level deeper."""
         if self.level == MAX_DEPTH:
             self.too_deep()
         self.level += 1
-        t = parse()
+        t = parse(*args)
         self.level -= 1
         return t
 
@@ -246,47 +263,26 @@ class _Parser:
         return name
 
     def parse(self) -> Term:
-        t = self.parse_imp()
+        t = self.parse_infix()
         self.skip_ws()
         if self.pos < len(self.src):
             self.error("unexpected trailing input")
         return t
 
-    def parse_imp(self) -> Term:
-        left = self.parse_sum()
-        if self.peek() == "→":
-            start = self.pos
-            self.pos += 1
-            name = self.sugar_op("→", 2)
-            right = self.nested(self.parse_imp)
-            return self.app(name, (left, right), start)
-        return left
-
-    def parse_sum(self) -> Term:
-        t = self.parse_or()
-        while self.peek() in ("+", "⊕"):
+    def parse_infix(self, tier: int = 0) -> Term:
+        """The binary sugar from ``_INFIX[tier]`` down, ¬ below the last."""
+        if tier == len(_INFIX):
+            return self.parse_not()
+        symbols, right = _INFIX[tier]
+        t = self.parse_infix(tier + 1)
+        while self.peek() in symbols:
             sym, start = self.peek(), self.pos
             self.pos += 1
             name = self.sugar_op(sym, 2)
-            t = self.app(name, (t, self.parse_or()), start)
-        return t
-
-    def parse_or(self) -> Term:
-        t = self.parse_and()
-        while self.peek() == "∨":
-            start = self.pos
-            self.pos += 1
-            name = self.sugar_op("∨", 2)
-            t = self.app(name, (t, self.parse_and()), start)
-        return t
-
-    def parse_and(self) -> Term:
-        t = self.parse_not()
-        while self.peek() == "∧":
-            start = self.pos
-            self.pos += 1
-            name = self.sugar_op("∧", 2)
-            t = self.app(name, (t, self.parse_not()), start)
+            if right:  # the operand nests the parse, the chain is done
+                return self.app(name, (t, self.nested(self.parse_infix, tier)),
+                                start)
+            t = self.app(name, (t, self.parse_infix(tier + 1)), start)
         return t
 
     def parse_not(self) -> Term:
@@ -301,7 +297,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.eat("(")
-            t = self.nested(self.parse_imp)
+            t = self.nested(self.parse_infix)
             if self.peek() != ")":
                 self.error("unbalanced parenthesis")
             self.eat(")")
@@ -316,10 +312,10 @@ class _Parser:
             self.eat("(")
             args = []
             if self.peek() != ")":
-                args.append(self.nested(self.parse_imp))
+                args.append(self.nested(self.parse_infix))
                 while self.peek() == ",":
                     self.eat(",")
-                    args.append(self.nested(self.parse_imp))
+                    args.append(self.nested(self.parse_infix))
             if self.peek() != ")":
                 self.error("unbalanced parenthesis")
             self.eat(")")

@@ -213,8 +213,7 @@ class GeneratedSubalgebra:
     with explicit tables and term representatives."""
 
     def __init__(self, spec: VarietySpec, comps: _Components,
-                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
-                 name: str = ""):
+                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget):
         self.spec = spec
         self.comps = comps
         vectors: list[tuple[int, ...]] = []
@@ -331,7 +330,11 @@ class GeneratedSubalgebra:
         self.reps, self.steps = _minimize_reps(spec.sig, len(vectors), tables,
                                                seed_reps)
         labels = [term_to_str(r) for r in self.reps]
-        self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables, name=name)
+        self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables)
+
+    @property
+    def size(self) -> int:
+        return self.algebra.size
 
 
 def _minimize_reps(sig: Signature, count: int, tables,
@@ -442,41 +445,28 @@ class ExactFactor:
         return self._reps[e]
 
 
-class FreeAlgebra:
-    """The free algebra on n generators for a generator-presented variety."""
+class FreeAlgebra(GeneratedSubalgebra):
+    """The free algebra on n generators for a generator-presented variety:
+    the subalgebra its n projection vectors generate."""
 
     def __init__(self, spec: VarietySpec, n: int, budget: Budget):
         if n < 0:
             raise AlgebraError("free algebra arity must be >= 0")
-        self.spec = spec
         self.n = n
         comps = _Components(spec, n, budget)
-        seeds = [(vec, Var(v)) for v, vec in comps.projections.items()]
-        self.sub = GeneratedSubalgebra(spec, comps, seeds, budget,
-                                       name=f"F_{spec.name}({n})")
+        super().__init__(spec, comps, [(vec, Var(v)) for v, vec
+                                       in comps.projections.items()], budget)
+        # the elements by their representatives' term_rank, the settle order
+        self.order = tuple(e for e, _ in self.steps)
         # F(n)'s derivation: (element, operation, argument elements), or
         # (element, None, i) for the generator x_{i+1}
         position = {v: i for i, v in enumerate(comps.projections)}
         self.steps = [(e, None, position[d.name]) if isinstance(d, Var)
-                      else (e, *d) for e, d in self.sub.steps]
-        # the elements by their representatives' term_rank, the settle order
-        self.order = tuple(e for e, _ in self.sub.steps)
-
-    @property
-    def algebra(self) -> FiniteAlgebra:
-        return self.sub.algebra
-
-    @property
-    def size(self) -> int:
-        return self.sub.algebra.size
+                      else (e, *d) for e, d in self.steps]
 
     @property
     def generators(self) -> tuple[int, ...]:
-        return tuple(self.sub.generator_indices)
-
-    @property
-    def reps(self) -> tuple[Term, ...]:
-        return self.sub.reps
+        return tuple(self.generator_indices)
 
     def images(self, target: FiniteAlgebra, points: Sequence[int]) -> list[int]:
         """The homomorphism F(n) -> target with x_i -> points[i], for a
@@ -538,14 +528,13 @@ class VarietyContext:
         return self.memo(("index", n), lambda: _AssignmentIndex(self.spec, n))
 
     def generated_by_terms(self, varnames: Sequence[str],
-                           terms: Sequence[Term],
-                           name: str = "") -> GeneratedSubalgebra:
+                           terms: Sequence[Term]) -> GeneratedSubalgebra:
         """Subalgebra of F(varnames) generated by the given terms, with the
         terms themselves as seed representatives."""
         budget = Budget(self.budget_limit)
         comps = self.components_for(varnames, budget)
         seeds = [(comps.eval_term(t), t) for t in terms]
-        return GeneratedSubalgebra(self.spec, comps, seeds, budget, name=name)
+        return GeneratedSubalgebra(self.spec, comps, seeds, budget)
 
     def value_kernels(self) -> list[list[Congruence]]:
         """ker(x1 -> a) on F(1) for each value a of each generating

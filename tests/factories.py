@@ -3,7 +3,8 @@
 Tables are nested lists of element indices, read table[a1]...[ak], written
 out from their textbook definitions (min/max lattices, involutions,
 truncated addition, Goedel implication) independently of any package
-construction code, so they double as fixtures and oracles.
+construction code, so they double as fixtures and oracles.  ``renamed_op``
+edits a variety-file document for tests of rejected signatures.
 """
 
 import itertools
@@ -114,6 +115,16 @@ def lattice2():
     return FiniteAlgebra(
         LATTICE_SIG, ["0", "1"],
         {"and": _binary(2, min), "or": _binary(2, max)})
+
+
+def renamed_op(doc, old, new):
+    """A variety-file document with operation ``old`` renamed ``new`` in
+    its signature and in every algebra's tables, changed in place."""
+    doc["signature"] = [[new if op == old else op, arity]
+                        for op, arity in doc["signature"]]
+    for a in doc["algebras"]:
+        a["ops"] = {new if op == old else op: t for op, t in a["ops"].items()}
+    return doc
 
 
 def all_partitions(n):

@@ -40,6 +40,8 @@ CASES = [
     ("kleene_dual_k3.json",
      ["kleene-dual", "varieties/kleene.var", "K3", "--json"]),
     ("kleene_free.json", ["free", "varieties/kleene.var", "-n", "1", "--json"]),
+    # the generality comparison, which no case above runs
+    ("boolean_compare.txt", ["compare", "varieties/boolean.var", "1", "z"]),
 ]
 
 # exit codes expected alongside the output

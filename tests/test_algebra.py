@@ -302,9 +302,11 @@ def test_congruence_lattice_closure_properties():
 
 @pytest.mark.parametrize("factory", SMALL_ALGEBRAS)
 def test_congruence_lattice_charges_each_batch_before_it(factory):
-    # a.size cells per congruence a batch computes: the principal ones, then
-    # each semi-naive join round, which joins the congruences new in the
-    # last round with the principal ones, replayed here
+    # the union bound of the principal congruences, n - 1 merges each read
+    # through every translation row, then a.size cells per congruence a
+    # batch computes: the principal ones, then each semi-naive join round,
+    # which joins the congruences new in the last round with the principal
+    # ones, replayed here
     a = factory()
     n = a.size
     charges = []
@@ -312,7 +314,9 @@ def test_congruence_lattice_charges_each_batch_before_it(factory):
     assert lattice == congruence_lattice(a)
     principal = {principal_congruence(a, x, y)
                  for x in range(n) for y in range(x + 1, n)}
-    expected, found, frontier = [n * n * (n - 1) // 2], set(principal), principal
+    unions = n * (n - 1) // 2 * (n - 1) * len(a._translations)
+    expected = [unions, n * n * (n - 1) // 2]
+    found, frontier = set(principal), principal
     while frontier:
         expected.append(len(frontier) * len(principal) * n)
         frontier = {t.join(u) for t in frontier for u in principal} - found

@@ -129,6 +129,71 @@ def test_lgg_blank_argument_list_is_nullary():
     assert text.splitlines()[0] == "lgg: f"
 
 
+def test_lgg_nested_arguments():
+    # a call inside an argument list is an operation of its own, and its
+    # commas do not count towards the outer call's arity
+    code, text = run_case(["lgg", "f(g(a),b)", "f(g(c),b)"])
+    assert code == 0
+    assert text.splitlines()[0] == "lgg: f(g(g1),b)"
+
+
+def test_lgg_unbalanced_parenthesis_exits_1(capsys):
+    from algen.cli import main
+
+    assert main(["lgg", "f(g(a)", "f(b)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: unbalanced parenthesis (byte offset 2)\n")
+
+
+def test_compare_json():
+    code, text = run_case(["compare", "varieties/boolean.var", "1", "z",
+                           "--json"])
+    assert code == 0
+    assert json.loads(text) == {"left": "1", "right": "z", "relation": "less"}
+
+
+def test_compare_over_budget_exits_2(capsys):
+    from algen.cli import main
+
+    assert main(["compare", "varieties/boolean.var", "and(x,y)", "or(x,w)",
+                 "--budget", "50"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("needs more than 60 cells (limit 50)\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("renames,argv", [
+    ({"0": "x2"}, ["free", "-n", "2"]),
+    ({"0": "z", "1": "x1"}, ["con"]),
+], ids=["free-x2", "con-z-x1"])
+def test_operation_named_like_a_minted_variable_exits_1(tmp_path, capsys,
+                                                        renames, argv):
+    # x2 printed both F(2)'s generator and the constant, and con named a
+    # congruence con(z,z); the first reserved name in the signature is reported
+    from algen.cli import main
+    from factories import renamed_op
+
+    doc = json.loads(pathlib.Path("varieties/boolean.var").read_text())
+    for old, new in renames.items():
+        renamed_op(doc, old, new)
+    path = tmp_path / "renamed.var"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: signature: operation name '{renames['0']}' is reserved "
+            "for variables\n")
+
+
+def test_lgg_operation_named_like_a_minted_variable_exits_1(capsys):
+    # lgg's own variables are g1, g2, ...: this printed lgg: g1(g1)
+    from algen.cli import main
+
+    assert main(["lgg", "g1(a)", "g1(b)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: operation name 'g1' is reserved for variables\n")
+
+
 def test_validate_json():
     code, text = run_case(["validate", "varieties/n3.var", "--json"])
     assert code == 0
@@ -273,31 +338,40 @@ def test_planted_witness_exits_4(plant, message, monkeypatch, capsys):
 
 
 def _nested(shape: str, depth: int) -> str:
-    """A Boolean term nested ``depth`` levels deep in one of four ways."""
+    """A term nested ``depth`` levels deep in one of six ways."""
     if shape == "call":
         return "not(" * depth + "x" + ")" * depth
     if shape == "parens":
         return "(" * depth + "x" + ")" * depth
     if shape == "prefix":
         return "¬" * depth + "x"
-    return "∧".join(["x"] * (depth + 1))  # a left-associative chain
+    symbol = {"chain": "∧", "imp-chain": "→", "oplus-chain": "⊕"}[shape]
+    return symbol.join(["x"] * (depth + 1))  # → nests right, the rest left
 
 
-@pytest.mark.parametrize("shape", ["call", "parens", "prefix", "chain"])
-def test_nesting_limit(shape, capsys):
+@pytest.mark.parametrize("shape,variety,offset", [
+    ("call", "boolean", None), ("parens", "boolean", None),
+    ("prefix", "boolean", None), ("chain", "boolean", None),
+    # one level is "x→" or "x⊕", four bytes: the 101st → fails once read,
+    # the 101st ⊕ at its own offset
+    ("imp-chain", "godel3", 404), ("oplus-chain", "n3", 401),
+], ids=["call", "parens", "prefix", "chain", "imp-chain", "oplus-chain"])
+def test_nesting_limit(shape, variety, offset, capsys):
     from algen.cli import main
     from algen.terms import MAX_DEPTH
 
-    assert main(["solve", "varieties/boolean.var",
-                 _nested(shape, MAX_DEPTH)]) == 0
+    path = f"varieties/{variety}.var"
+    assert main(["solve", path, _nested(shape, MAX_DEPTH)]) == 0
     capsys.readouterr()
-    assert main(["solve", "varieties/boolean.var",
-                 _nested(shape, MAX_DEPTH + 1)]) == 1
+    assert main(["solve", path, _nested(shape, MAX_DEPTH + 1)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: term nested deeper than {MAX_DEPTH} levels "
                           "(byte offset ")
     assert err.count("\n") == 1
+    if offset is not None:
+        assert err == (f"error: term nested deeper than {MAX_DEPTH} levels "
+                       f"(byte offset {offset})\n")
 
 
 @pytest.mark.parametrize("row", [["1"], ["1", "2"]], ids=["missing", "out-of-range"])
@@ -352,7 +426,7 @@ def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
     # two unary operations on a 2- and a 3-element algebra: F(1) has 17
     # elements and Con F(1) 597 congruences, which took seconds at any
     # budget; the 136 principal congruences are charged before they are
-    # computed, 17 cells each
+    # computed, 16 merges each through 2 translation rows
     from algen.cli import main
 
     doc = {"name": "unary", "signature": [["f", 1], ["g", 1]], "algebras": [
@@ -364,7 +438,40 @@ def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["con", str(path), "--budget", "500"]) == 2
     assert capsys.readouterr() == ("", "error: budget exceeded during congruence "
-                                       "lattice: needs more than 2312 cells (limit 500)\n")
+                                       "lattice: needs more than 4352 cells (limit 500)\n")
+
+
+# |F(1)| = 108 with 217 translation rows: Con F(1)'s 5,778 principal
+# congruences took minutes before their union work was charged
+_R12 = {"name": "r12", "signature": [["f", 2], ["g", 1]], "algebras": [
+    {"name": "A0", "universe": ["0", "1"],
+     "ops": {"f": [["1", "1"], ["1", "0"]], "g": ["1", "1"]}},
+    {"name": "A1", "universe": ["0", "1", "2"],
+     "ops": {"f": [["2", "1", "2"], ["0", "2", "2"], ["0", "2", "0"]],
+             "g": ["1", "0", "0"]}}]}
+
+
+@pytest.mark.parametrize("command", [["con"], ["solve", "x", "f(x,y)"]],
+                         ids=["con", "solve"])
+def test_principal_congruences_over_budget_exit_before_any(tmp_path, capsys,
+                                                           monkeypatch, command):
+    # counted, not timed: at the default budget the union bound is charged
+    # before the first principal congruence is computed
+    from algen import algebra
+    from algen.cli import main
+
+    path = tmp_path / "r12.var"
+    path.write_text(json.dumps(_R12))
+    calls = []
+    real = algebra.principal_congruence
+    monkeypatch.setattr(algebra, "principal_congruence",
+                        lambda *a: calls.append(a) or real(*a))
+    argv = [command[0], str(path), *command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: budget exceeded during congruence "
+                                       "lattice: needs more than 134159382 cells "
+                                       "(limit 10000000)\n")
+    assert calls == []
 
 
 _DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')

@@ -20,6 +20,8 @@ KLEENE_SIG = Signature.make([("and", 2), ("or", 2), ("not", 1), ("0", 0), ("1", 
 BOOL_SIG = KLEENE_SIG
 FAB_SIG = Signature.make([("f", 2), ("a", 0), ("b", 0)])
 FG_SIG = Signature.make([("f", 1), ("g", 1), ("a", 0)])
+SUGAR_SIG = Signature.make([("and", 2), ("or", 2), ("not", 1), ("imp", 2),
+                            ("plus", 2), ("oplus", 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,17 @@ def test_parse_infix_sugar():
     assert t == App("and", (Var("x"), App("not", (Var("x"),))))
     t2 = parse_term("(x∧¬x)∨(y∨¬y)", KLEENE_SIG)
     assert t2.op == "or"
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("x → y → z", "imp(x,imp(y,z))"),
+    ("x + y ⊕ z", "oplus(plus(x,y),z)"),
+    ("x ∨ y ∧ z", "or(x,and(y,z))"),
+    ("x ∧ y ∨ z → w + v", "imp(or(and(x,y),z),plus(w,v))"),
+], ids=["imp-right", "sum-left", "and-over-or", "all-levels"])
+def test_parse_sugar_precedence_and_associativity(src, expected):
+    # loosest first: → (right-associative), then + and ⊕, ∨, ∧ (left)
+    assert term_to_str(parse_term(src, SUGAR_SIG)) == expected
 
 
 def test_parse_sugar_requires_named_op():

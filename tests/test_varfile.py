@@ -3,6 +3,7 @@ import json
 import pytest
 
 from algen.varfile import VarFileError, dump_variety, load_variety, loads_variety
+from factories import renamed_op
 
 SHIPPED = {
     "varieties/boolean.var": ("boolean", [2]),
@@ -104,6 +105,24 @@ def test_error_bad_signature():
     doc["signature"] = [["or", 2], ["or", 1]]
     with pytest.raises(VarFileError, match="duplicate"):
         loads_doc(doc)
+
+
+@pytest.mark.parametrize("name", ["x1", "x2", "z", "z3", "g1", "g10"])
+def test_error_operation_named_like_a_minted_variable(name):
+    # F(n)'s generators print as x1, x2, ..., generalizers' variables as z
+    # and z1, z2, ... and lgg's as g1, g2, ...
+    with open("varieties/boolean.var") as f:
+        doc = renamed_op(json.load(f), "0", name)
+    with pytest.raises(VarFileError, match=f"^signature: operation name "
+                                           f"'{name}' is reserved for variables$"):
+        loads_doc(doc)
+
+
+@pytest.mark.parametrize("name", ["x", "g", "zz", "x1a", "y1"])
+def test_operation_names_near_the_reserved_ones_load(name):
+    with open("varieties/boolean.var") as f:
+        doc = renamed_op(json.load(f), "0", name)
+    assert loads_doc(doc).sig.has_op(name)
 
 
 @pytest.mark.parametrize("arity", [True, False], ids=["true", "false"])
