@@ -32,6 +32,17 @@ element is a generator, a constant or one operation applied to elements
 settled before it.  Every homomorphism out of F(n), fixed by the images of
 the generators, walks it with one table lookup per element.
 
+A binary operation commutative in every generating algebra is commutative,
+coordinatewise, in every algebra built here, and the spec finds these once.
+The closure mirrors them: a fresh prefix a with range [s, m) and a > s
+copies its entries for b in [s, a) from rows b, which the same pass filled
+to m before it, and evaluates only [a, m).  A copied result is already
+indexed, so element order and tables are those of the plain closure, and as
+a pass is charged before it runs, so are the charges: a mirrored entry
+still costs its cell.  The sweep visits each unordered pair of elements
+once for such an operation and offers the argument order whose first code
+is smaller; codes are prefix-free, so that order is the lesser term.
+
 The exact factor E(t), the subalgebra of F(X) generated by one term t, is
 F(1)/ker(x1 -> t).  Two unary terms u, v agree at t exactly when they agree
 at every (generating algebra, value) pair that t's value vector hits, t's
@@ -66,8 +77,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import getitem
+from functools import cached_property, reduce
+from operator import getitem, itemgetter
 from typing import Callable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
@@ -127,6 +138,14 @@ class VarietySpec:
         for g in self.generators:
             if g.sig != self.sig:
                 raise AlgebraError("generating algebras must share the signature")
+
+    @cached_property
+    def commutative(self) -> frozenset[str]:
+        """The binary operations commutative in every generating algebra, so
+        in every algebra of the variety."""
+        return frozenset(op for op, arity in self.sig.ops if arity == 2 and all(
+            t[a][b] == t[b][a] for g in self.generators for t in [g.tables[op]]
+            for a in range(g.size) for b in range(a)))
 
 
 def var_name(i: int) -> str:
@@ -289,6 +308,7 @@ class GeneratedSubalgebra:
                 # row, at any depth, is appended where it belongs
                 table = tables.setdefault(op, [])
                 old = old or 0
+                mirror = op in spec.commutative
                 # the ranges shared by enough prefixes, as applied tables
                 base, applied = comps.op_tables[op], {}
                 if m > a_max:  # else no range has that many readers
@@ -307,8 +327,12 @@ class GeneratedSubalgebra:
                         if a == len(row):
                             row.append([])
                         row = row[a]
+                    lo = s
+                    if mirror and prefix[0] > s:  # rows s..a-1 are complete
+                        lo = prefix[0]
+                        row.extend([r[lo] for r in table[s:lo]])
                     if not cols:
-                        for b in range(s, m):
+                        for b in range(lo, m):
                             vec = tuple(map(getitem, rows, vectors[b]))
                             res = index.get(vec)
                             if res is None:
@@ -316,7 +340,7 @@ class GeneratedSubalgebra:
                                 changed = True
                             row.append(res)
                         continue
-                    vecs = list(zip(*rows))
+                    vecs = list(zip(*map(itemgetter(slice(lo - s, None)), rows)))
                     found = list(map(index.get, vecs))
                     if None in found:
                         # add new vectors in order; one may recur in the row
@@ -328,7 +352,7 @@ class GeneratedSubalgebra:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
         self.reps, self.steps = _minimize_reps(spec.sig, len(vectors), tables,
-                                               seed_reps)
+                                               seed_reps, mirrored=spec.commutative)
         labels = [term_to_str(r) for r in self.reps]
         self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables)
 
@@ -338,7 +362,8 @@ class GeneratedSubalgebra:
 
 
 def _minimize_reps(sig: Signature, count: int, tables,
-                   seed_reps: dict[int, Term], stop: int | None = None):
+                   seed_reps: dict[int, Term], stop: int | None = None,
+                   mirrored: frozenset[str] = frozenset()):
     """Each element's least term in (size, op-order, arg-order) rank,
     and the settle order as steps (element, seed term) or (element,
     (operation, argument elements)), each after its arguments and in
@@ -346,6 +371,7 @@ def _minimize_reps(sig: Signature, count: int, tables,
     ends once that element's level has settled; it also ends when no
     size is left to visit, as without seeds, when the constants reach
     only part of the elements.  Unsettled elements' terms are None.
+    ``mirrored`` names binary operations commutative in these tables.
 
     Elements are settled one size level at a time.  A least term is a
     seed term, a constant, or op(r1, ..., rk) with each ri the least term
@@ -367,10 +393,11 @@ def _minimize_reps(sig: Signature, count: int, tables,
 
     for e, t in seed_reps.items():
         offer(*term_rank(t, sig), e, t)
-    by_k: dict[int, list] = {}  # the operations by prefix length
+    by_k: dict[tuple, list] = {}  # the operations by (prefix length, mirrored)
     for i, (op, arity) in enumerate(sig.ops):
         if arity:
-            by_k.setdefault(arity - 1, []).append((((1, i),), op, tables[op]))
+            by_k.setdefault((arity - 1, op in mirrored), []).append(
+                (((1, i),), op, tables[op]))
         else:
             offer(1, ((1, i),), tables[op], (op, ()))
     reps, codes, steps = [None] * count, [None] * count, []
@@ -383,13 +410,17 @@ def _minimize_reps(sig: Signature, count: int, tables,
 
     while pending and unfinished():
         pending.remove(s := min(pending))
-        for ops, *parts, last in splits.pop(s, ()):
-            for prefix in itertools.product(*parts):
+        for ops, mirror, *parts, last in splits.pop(s, ()):
+            for i, prefix in enumerate(itertools.product(*parts)):
+                # a mirrored pair of elements of one level is visited once
+                tail = last[i:] if mirror and parts[0] is last else last
                 for head, op, table in ops:
                     row = reduce(getitem, prefix, table)
-                    for b in last:
+                    for b in tail:
                         if unsettled[row[b]]:
                             args = prefix + (b,)
+                            if mirror and codes[b] < codes[args[0]]:
+                                args = args[::-1]  # the lesser term
                             code = sum(map(codes.__getitem__, args), head)
                             offer(s, code, row[b], (op, args))
         best = found.pop(s, {})
@@ -404,11 +435,13 @@ def _minimize_reps(sig: Signature, count: int, tables,
             unsettled[e] = 0
             steps.append((e, d))
         levels[s] = settled
-        for k, ops in by_k.items() if unfinished() else ():
+        for (k, mirror), ops in by_k.items() if unfinished() else ():
             for split in itertools.product(levels, repeat=k + 1):
-                if s in split:  # the splits this level makes
+                # the splits this level makes, a mirrored pair's once
+                if s in split and not (mirror and split[0] > split[1]):
                     pending.add(t := 1 + sum(split))
-                    splits.setdefault(t, []).append((ops, *map(levels.get, split)))
+                    splits.setdefault(t, []).append(
+                        (ops, mirror, *map(levels.get, split)))
     return tuple(reps), steps
 
 
@@ -419,14 +452,17 @@ class ExactFactor:
 
     def __init__(self, algebra: FiniteAlgebra, kernel: Congruence,
                  ground: Term | None, term: Term,
-                 term_range: tuple[tuple[int, int], ...]):
+                 term_range: tuple[tuple[int, int], ...],
+                 mirrored: frozenset[str]):
         """``ground`` is element 0's least ground term, None where the
-        constants do not reach it."""
+        constants do not reach it; ``mirrored`` names the commutative
+        binary operations."""
         self.algebra = algebra
         self.kernel = kernel
         self.ground = ground
         self.term = term
         self.range = term_range
+        self.mirrored = mirrored
         self._reps = (None,) * algebra.size
 
     def rep(self, e: int) -> Term:
@@ -440,8 +476,8 @@ class ExactFactor:
                     and term_rank(self.ground, sig) < term_rank(self.term, sig)
                     else self.term)
         if self._reps[e] is None:
-            self._reps = _minimize_reps(sig, self.algebra.size,
-                                        self.algebra.tables, {0: self.term}, e)[0]
+            self._reps = _minimize_reps(sig, self.algebra.size, self.algebra.tables,
+                                        {0: self.term}, e, self.mirrored)[0]
         return self._reps[e]
 
 
@@ -562,10 +598,11 @@ class VarietyContext:
             kernels = self.value_kernels()
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
             alg, _ = quotient(self.free_algebra(1).algebra, kernel)
-            ground = _minimize_reps(alg.sig, alg.size, alg.tables, {}, 0)[0][0]
+            ground = _minimize_reps(alg.sig, alg.size, alg.tables, {}, 0,
+                                    self.spec.commutative)[0][0]
             return alg, kernel, ground
         return ExactFactor(*self.memo(("factor", term_range), build), t,
-                           term_range)
+                           term_range, self.spec.commutative)
 
     def holds_identity(self, s: Term, t: Term) -> bool:
         """Whether the variety satisfies s = t, by evaluating both sides in

@@ -2,15 +2,17 @@
 
 The engine never needs these: isomorphism search, generated subalgebras,
 kernels of homomorphisms and factoring one homomorphism through another
-cross-check its results, and the assignment oracle decides an identity by
-evaluating both sides at every assignment into every generating algebra.
+cross-check its results, the assignment oracle decides an identity by
+evaluating both sides at every assignment into every generating algebra, and
+the Bellman relaxation finds least terms from every table entry, in both
+argument orders.
 """
 
 import itertools
 
 from algen.algebra import (AlgebraError, Congruence, FiniteAlgebra,
                            Homomorphism, enumerate_homs)
-from algen.terms import term_vars
+from algen.terms import App, term_rank, term_vars
 
 
 def identity_holds_oracle(gens, s, t):
@@ -80,3 +82,31 @@ def factor_through(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     for x in range(f.dom.size):
         images.setdefault(f.mapping[x], g.mapping[x])
     return Homomorphism(f.cod, g.cod, tuple(images[i] for i in range(f.cod.size)))
+
+
+def least_terms(a: FiniteAlgebra, seeds):
+    """Each element's least term in ``term_rank`` order built from the seed
+    terms ({element: term}) and the constants, None where they do not reach
+    it: Bellman passes over every table entry until none makes a lesser
+    term."""
+    best = [None] * a.size
+    ranks = [None] * a.size
+
+    def relax(e, t):
+        rank = term_rank(t, a.sig)
+        if best[e] is None or rank < ranks[e]:
+            best[e], ranks[e] = t, rank
+            return True
+        return False
+
+    for e, t in seeds.items():
+        relax(e, t)
+    changed = True
+    while changed:
+        changed = False
+        for op, arity in a.sig.ops:
+            for args in itertools.product(a.elements(), repeat=arity):
+                if all(best[x] is not None for x in args):
+                    term = App(op, tuple(best[x] for x in args))
+                    changed |= relax(a.op(op, args), term)
+    return best

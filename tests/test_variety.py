@@ -24,7 +24,7 @@ from factories import (
     semilattice2,
     truncated_monoid,
 )
-from oracles import find_isomorphism, identity_holds_oracle
+from oracles import find_isomorphism, identity_holds_oracle, least_terms
 from test_cli import fuzz_terms, fuzz_var_files
 
 SHIPPED = ["boolean", "kleene", "godel3", "n3", "semilattice", "lattice"]
@@ -288,6 +288,39 @@ def constants_only():
             FiniteAlgebra(sig, ["0", "1", "2"], {"c": 2, "d": 2}))
 
 
+def groupoid(table):
+    sig = Signature.make([("f", 2)])
+    return FiniteAlgebra(sig, [str(i) for i in range(len(table))], {"f": table})
+
+
+def half_commutative():
+    """f is the join of {0, 1} and 2x + y on Z3: commutative in the first
+    generating algebra only, and in no F(n) for n >= 1."""
+    z3 = groupoid([[(2 * x + y) % 3 for y in range(3)] for x in range(3)])
+    return ctx_for("HALF", groupoid([[0, 1], [1, 1]]), z3).spec
+
+
+def random_groupoids(seed, count):
+    """Varieties of one or two random groupoids of 2-3 elements; every
+    even-numbered one is forced commutative."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randint(2, 3)
+            table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+            if i % 2 == 0:
+                table = [[table[min(a, b)][max(a, b)] for b in range(k)]
+                         for a in range(k)]
+            gens.append(groupoid(table))
+        specs.append(ctx_for(f"G{i}", *gens).spec)
+    return specs
+
+
+GROUPOIDS = random_groupoids(22, 16)
+
+
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)]
                          + [("boolean", 3), ("n3", 3), ("lattice", 3)])
 def test_closure_matches_reference_on_shipped(variety, n):
@@ -309,6 +342,42 @@ def test_closure_matches_reference_on_shipped(variety, n):
         "g2g3-2"])
 def test_closure_matches_reference_on_fixtures(spec, n):
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+def test_commutative_operations_of_the_shipped_varieties():
+    commutative = {v: sorted(load_variety(f"varieties/{v}.var").commutative)
+                   for v in SHIPPED}
+    assert commutative == {
+        "boolean": ["and", "or"], "kleene": ["and", "or"],
+        "godel3": ["and", "or"], "n3": ["oplus"], "semilattice": ["or"],
+        "lattice": ["and", "or"]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closure_does_not_mirror_an_operation_commutative_in_one_algebra(n):
+    # a mirrored closure would copy f(x2, x1) from f(x1, x2), which differ
+    # in the Z3 coordinates
+    spec = half_commutative()
+    assert spec.commutative == frozenset()
+    assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+@pytest.mark.parametrize("i", range(len(GROUPOIDS)))
+def test_closure_matches_reference_on_random_groupoids(i):
+    spec = GROUPOIDS[i]
+    if i % 2 == 0:
+        assert spec.commutative == {"f"}
+    rng = random.Random(i)
+    for n in (1, 2):
+        names = [f"x{j + 1}" for j in range(n)]
+        try:  # keep the reference closure small
+            FreeAlgebra(spec, n, Budget(20000))
+        except BudgetExceeded:
+            assert n == 2
+            continue
+        assert_closure_matches_reference(spec, names)
+        terms = [random_term(rng, spec.sig, names, 3) for _ in range(2)]
+        assert_closure_matches_reference(spec, names, terms)
 
 
 @pytest.mark.parametrize("spec,names,terms,shared", [
@@ -405,8 +474,10 @@ def test_majority_seeds_match_reference(seed):
 
 def test_level_sweep_ranks_only_open_entries(monkeypatch):
     # the sweep gives a preorder code, one sum with a start value, only to
-    # the entries whose result is still unsettled: 724 on boolean F(3); a
-    # sweep that ranked every entry would make the same terms, slower
+    # the entries whose result is still unsettled: 394 on boolean F(3),
+    # where and/or are mirrored, each unordered pair ranked once (724 when
+    # both argument orders were); a sweep that ranked every entry would make
+    # the same terms, slower
     import builtins
 
     from algen import variety
@@ -419,7 +490,7 @@ def test_level_sweep_ranks_only_open_entries(monkeypatch):
 
     monkeypatch.setattr(variety, "sum", counting_sum, raising=False)
     FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET))
-    assert len(ranked) == 724
+    assert len(ranked) == 394
 
 
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in (1, 2)])
@@ -507,6 +578,24 @@ def test_fuzzed_exact_factors_match_generated_by_terms(data):
         assert factor.algebra.tables == ref.algebra.tables, (doc, names, src)
         assert [factor.rep(e) for e in factor.algebra.elements()] == list(
             ref.reps), (doc, names, src)
+
+
+@pytest.mark.parametrize("variety", SHIPPED)
+def test_exact_factor_reps_match_the_bellman_oracle(variety):
+    # every element's term from rep(e), on seeded random terms over one and
+    # two variables, is the least term built from t, found by relaxing every
+    # table entry in both argument orders
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    sig = ctx.spec.sig
+    rng = random.Random(f"factor-oracle/{variety}")
+    for k in (1, 2):
+        names = ["x", "y"][:k]
+        for _ in range(12):
+            t = random_term(rng, sig, names, rng.randint(1, 4))
+            factor = factor_of(ctx, names, t)
+            assert factor.mirrored == ctx.spec.commutative
+            reps = [factor.rep(e) for e in factor.algebra.elements()]
+            assert reps == least_terms(factor.algebra, {0: t}), (names, t)
 
 
 def test_exact_factors_of_one_range_share_one_closure():
@@ -778,13 +867,17 @@ def test_budget_exit_comes_before_the_grind(variety, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("variety,n", [("boolean", 3), ("godel3", 2)])
-def test_budget_exits_mid_pass_match_reference(variety, n):
+@pytest.mark.parametrize("spec,n", [
+    pytest.param(load_variety("varieties/boolean.var"), 3, id="boolean-3"),
+    pytest.param(load_variety("varieties/godel3.var"), 2, id="godel3-2"),
+    # a commutative groupoid whose F(2) has 130 elements
+    pytest.param(GROUPOIDS[14], 2, id="groupoid-2"),
+])
+def test_budget_exits_mid_pass_match_reference(spec, n):
     # limits just below the reference's cumulative charges and at its
     # look-ahead needs: the closure must exit where the reference's
     # look-ahead first exceeds the limit, with its stage and cells, never
     # after the plain exit, and fit every limit the plain closure fits
-    spec = load_variety(f"varieties/{variety}.var")
     names = [f"x{i + 1}" for i in range(n)]
     charges, ahead = reference_subalgebra(spec, names, [Var(v) for v in names])[4:]
     totals = list(itertools.accumulate(cells for cells, _ in charges))
