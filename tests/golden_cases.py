@@ -42,6 +42,11 @@ CASES = [
     ("kleene_free.json", ["free", "varieties/kleene.var", "-n", "1", "--json"]),
     # the generality comparison, which no case above runs
     ("boolean_compare.txt", ["compare", "varieties/boolean.var", "1", "z"]),
+    # free algebras on more than one generator, where the closure permutes
+    # variables
+    ("boolean_free3.txt", ["free", "varieties/boolean.var", "-n", "3"]),
+    ("n3_free4.txt", ["free", "varieties/n3.var", "-n", "4"]),
+    ("n3_free5.txt", ["free", "varieties/n3.var", "-n", "5"]),
 ]
 
 # exit codes expected alongside the output
