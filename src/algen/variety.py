@@ -16,14 +16,30 @@ order, tables and budget charges are those of the plain closure.  The
 tuples come as rows: a prefix, which walks the generating algebras' nested
 tables down to one innermost row per coordinate, and the range [s, m) of
 last arguments it reads ([0, m) if the prefix uses a fresh element, else
-[old, m)).  Two kernels read a row's result vectors.  Per entry, each is
-looked up from those innermost rows one coordinate at a time.  Shared, each
-innermost row of each coordinate's algebra is first mapped over that
-coordinate's column of the range, so a prefix walk ends on its whole row of
-result vectors, found in the index in one batch.  A range is shared when
-at least twice as many prefixes read it as the largest generating algebra
-has innermost rows; below that, the mapping costs more than it saves.  The
-free algebra's nested tables grow by appending results in tuple order.
+[old, m)).  Value vectors are bytes when no generating algebra has more
+than 256 elements, else tuples.  Two kernels read a row's result vectors.
+Per entry, each is looked up from those innermost rows one coordinate at a
+time.  Shared, for byte vectors, each coordinate's column of the range is
+first translated through each innermost row of its algebra, as a 256-byte
+table, so a prefix walk ends on one result column per coordinate; joined,
+their strided slices are the result vectors, found in the index in one
+batch.  A range is shared when at least twice as many prefixes read it as
+the largest generating algebra has innermost rows; below that, as in F(1),
+translating costs more than it saves.  The free algebra's nested tables
+grow by appending results in tuple order.
+
+In F(n), a swap of two adjacent variables permutes the assignments, so it
+commutes with every operation, fixes the constants and exchanges two
+projections: it acts on the elements as an automorphism p.  A pass adds
+only results over the elements it starts with, so the elements at every
+pass start, [0, m) and [0, old), are closed under p, and a binary row a
+over [s, m) is p . row(p a) . p.  Where a swap maps a to an earlier row,
+the closure derives row a from that row with two maps instead of
+evaluating it.  p of an element from an earlier pass is read off the
+tables from its first table entry, p(op(a, b)) = op(p a, p b); a result
+whose image is not known yet is evaluated, in column order, so each new
+element lands where the plain closure puts it.  No permutation of the
+coordinates is built: at width |A|^n it would outweigh the closure.
 Each element's representative is its least term in (size, op-order,
 arg-order) rank, settled size by size (Knuth's generalization of Dijkstra's
 algorithm) from the table entries whose argument sizes add up to one less.
@@ -78,7 +94,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Callable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
@@ -220,11 +236,24 @@ def _fresh_rows(arity: int, old: int, m: int):
             yield prefix, old
 
 
-def _apply_last(table, column: tuple[int, ...]):
-    """A nested table with each innermost row mapped over a column."""
+def _conjugate_row(perm: list, row: list, s: int, m: int) -> list:
+    """p . row . p over [s, m) for the permutation ``perm``, None where p of
+    a result is not known yet."""
+    return list(map(perm.__getitem__, map(row.__getitem__, perm[s:m])))
+
+
+def _byte_rows(table):
+    """A nested table, each innermost row a 256-byte translation table."""
     if isinstance(table[0], list):
-        return [_apply_last(t, column) for t in table]
-    return tuple(map(table.__getitem__, column))
+        return [_byte_rows(t) for t in table]
+    return bytes(table).ljust(256, b"\0")
+
+
+def _translate(rows, column: bytes):
+    """Nested translation tables, each mapped over a column of values."""
+    if isinstance(rows, bytes):
+        return column.translate(rows)
+    return [_translate(r, column) for r in rows]
 
 
 class GeneratedSubalgebra:
@@ -232,11 +261,18 @@ class GeneratedSubalgebra:
     with explicit tables and term representatives."""
 
     def __init__(self, spec: VarietySpec, comps: _Components,
-                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget):
+                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
+                 swaps: Sequence[tuple[int, int]] = ()):
+        """``swaps`` pairs seed positions whose exchange, fixing the other
+        seeds, is a permutation of the variables."""
         self.spec = spec
         self.comps = comps
-        vectors: list[tuple[int, ...]] = []
-        index: dict[tuple[int, ...], int] = {}
+        a_max = max(g.size for g in spec.generators)
+        code = bytes if a_max <= 256 else tuple  # the type of value vectors
+        vectors: list = []
+        index: dict = {}
+        born: list = []  # each element's first (table, arguments), else None
+        perms: list[list] = []  # each swap's permutation, None where not known yet
         seed_reps: dict[int, Term] = {}
         before = budget.used  # the cells charged before the closure
         cap = 0  # need fits the limit up to this count
@@ -265,22 +301,31 @@ class GeneratedSubalgebra:
                     top = mid
             return count
 
-        def add(vec) -> int:
+        def add(vec, entry=None) -> int:
             nonlocal cap
             budget.charge(comps.width, "free closure")
             index[vec] = len(vectors)
             vectors.append(vec)
+            born.append(entry)
+            for perm in perms:
+                perm.append(None)
             if len(vectors) > cap:
                 cap = largest_fit(len(vectors))
             return index[vec]
 
         self.generator_indices: list[int] = []
         for vec, rep in seeds:
+            vec = code(vec)
             if vec not in index:
                 seed_reps[add(vec)] = rep
             self.generator_indices.append(index[vec])
+        for i, j in swaps:
+            perm = list(range(len(vectors)))
+            gi, gj = self.generator_indices[i], self.generator_indices[j]
+            perm[gi], perm[gj] = gj, gi
+            perms.append(perm)
+        known = len(vectors)  # each perm is known on the elements below this
         tables: dict[str, list | int] = {}
-        a_max = max(g.size for g in spec.generators)
         # the element count at each operation's last pass, absent before its
         # first: its table holds every argument tuple over those elements,
         # so the next pass takes only the tuples that use a later one
@@ -298,7 +343,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        vec = comps.op_tables[op]
+                        vec = code(comps.op_tables[op])
                         if vec not in index:
                             add(vec)
                             changed = True
@@ -309,16 +354,53 @@ class GeneratedSubalgebra:
                 table = tables.setdefault(op, [])
                 old = old or 0
                 mirror = op in spec.commutative
-                # the ranges shared by enough prefixes, as applied tables
+                source = {}  # binary rows derived from earlier rows: a -> perm
+                if arity == 2 and perms:
+                    for perm in perms:  # [0, m) is closed under each swap
+                        for e in range(known, m):
+                            if perm[e] is None:
+                                entry = born[e]
+                                perm[e] = e if entry is None else reduce(
+                                    getitem, map(perm.__getitem__, entry[1]),
+                                    entry[0])
+                        for a in range(m):
+                            if perm[a] < a:
+                                source.setdefault(a, perm)
+                    known = m
+                # the ranges shared by enough prefixes, as translated columns
                 base, applied = comps.op_tables[op], {}
-                if m > a_max:  # else no range has that many readers
+                if code is bytes and m > a_max:  # else no range has that many readers
                     k = arity - 1
                     for s, readers in (((0, m ** k - old ** k), (old, old ** k))
                                        if old else ((0, m ** k),)):
                         if readers >= 2 * a_max ** k and s < m:
-                            applied[s] = list(map(_apply_last, base,
-                                                  zip(*vectors[s:m])))
+                            flat, w = b"".join(vectors[s:m]), comps.width
+                            trans = {id(g.tables[op]): _byte_rows(g.tables[op])
+                                     for g in spec.generators}
+                            applied[s] = [_translate(trans[id(t)], flat[c::w])
+                                          for c, t in enumerate(base)]
                 for prefix, s in _fresh_rows(arity, old, m):
+                    perm = source.get(prefix[0]) if source else None
+                    if perm:  # row a is p . row(p a) . p over [s, m)
+                        a = prefix[0]
+                        if a == len(table):
+                            table.append([])
+                        src = table[perm[a]]
+                        found = _conjugate_row(perm, src, s, m)
+                        if None in found:  # a new result's image, in column order
+                            rows = tuple(map(getitem, base, vectors[a]))
+                            for j in [j for j, e in enumerate(found) if e is None]:
+                                r = src[perm[s + j]]
+                                if perm[r] is None:
+                                    vec = code(map(getitem, rows, vectors[s + j]))
+                                    e = index.get(vec)
+                                    if e is None:
+                                        e = add(vec, (table, (a, s + j)))
+                                        changed = True
+                                    perm[r], perm[e] = e, r
+                                found[j] = perm[r]
+                        table[a].extend(found)
+                        continue
                     cols = applied.get(s)
                     rows = cols or base
                     row = table
@@ -333,19 +415,22 @@ class GeneratedSubalgebra:
                         row.extend([r[lo] for r in table[s:lo]])
                     if not cols:
                         for b in range(lo, m):
-                            vec = tuple(map(getitem, rows, vectors[b]))
+                            vec = code(map(getitem, rows, vectors[b]))
                             res = index.get(vec)
                             if res is None:
-                                res = add(vec)
+                                res = add(vec, (table, prefix + (b,)))
                                 changed = True
                             row.append(res)
                         continue
-                    vecs = list(zip(*map(itemgetter(slice(lo - s, None)), rows)))
+                    flat, width = b"".join(rows), m - s
+                    vecs = [flat[j::width] for j in range(lo - s, width)]
                     found = list(map(index.get, vecs))
                     if None in found:
                         # add new vectors in order; one may recur in the row
-                        found = [(index[v] if v in index else add(v)) if f is None
-                                 else f for f, v in zip(found, vecs)]
+                        found = [(index[v] if v in index else
+                                  add(v, (table, prefix + (lo + j,))))
+                                 if f is None else f
+                                 for j, (f, v) in enumerate(zip(found, vecs))]
                         changed = True
                     row.extend(found)
         if not vectors:
@@ -490,8 +575,10 @@ class FreeAlgebra(GeneratedSubalgebra):
             raise AlgebraError("free algebra arity must be >= 0")
         self.n = n
         comps = _Components(spec, n, budget)
+        # swapping two adjacent variables is an automorphism of F(n)
         super().__init__(spec, comps, [(vec, Var(v)) for v, vec
-                                       in comps.projections.items()], budget)
+                                       in comps.projections.items()], budget,
+                         [(i, i + 1) for i in range(n - 1)])
         # the elements by their representatives' term_rank, the settle order
         self.order = tuple(e for e, _ in self.steps)
         # F(n)'s derivation: (element, operation, argument elements), or

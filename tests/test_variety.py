@@ -182,17 +182,23 @@ def nested(table, arity, m, prefix=()):
 
 def assert_closure_matches_reference(spec, varnames, terms=None):
     """GeneratedSubalgebra agrees with reference_subalgebra on generator
-    indices, element order, tables, representatives and budget charges."""
+    indices, element order, tables, representatives and budget charges.
+    When the seeds are the variables x1..xn, so does FreeAlgebra, which
+    derives rows across variable swaps, and its steps are the subalgebra's."""
     comps = _Components(spec, varnames, Budget(DEFAULT_BUDGET))
+    free = terms is None and varnames == [var_name(i) for i in range(len(varnames))]
     if terms is None:
         terms = [Var(v) for v in varnames]
     seeds = [(comps.eval_term(t), t) for t in terms]
-    budget = RecordingBudget()
+    budget, free_budget = RecordingBudget(), RecordingBudget()
     try:
         sub = GeneratedSubalgebra(spec, comps, seeds, budget)
     except AlgebraError:
         with pytest.raises(AlgebraError):
             reference_subalgebra(spec, varnames, terms)
+        if free:
+            with pytest.raises(AlgebraError):
+                FreeAlgebra(spec, len(varnames), free_budget)
         return
     gens, vectors, tables, reps, charges, _ = reference_subalgebra(
         spec, varnames, terms)
@@ -202,6 +208,18 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
                                   for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
     assert budget.charges == charges
+    if not free:
+        return
+    f = FreeAlgebra(spec, len(varnames), free_budget)
+    assert f.generator_indices == gens
+    assert f.algebra.tables == sub.algebra.tables
+    assert f.reps == sub.reps
+    assert f.order == tuple(e for e, _ in sub.steps)
+    assert f.steps == [(e, None, varnames.index(d.name)) if isinstance(d, Var)
+                       else (e, *d) for e, d in sub.steps]
+    # the assignment index set, then the closure's own charges
+    assert free_budget.charges[0][1] == "assignment index set"
+    assert free_budget.charges[1:] == charges
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +311,16 @@ def groupoid(table):
     return FiniteAlgebra(sig, [str(i) for i in range(len(table))], {"f": table})
 
 
+def chain_semilattice(size):
+    sig = Signature.make([("or", 2)])
+    return FiniteAlgebra(sig, [str(a) for a in range(size)], {
+        "or": [[max(a, b) for b in range(size)] for a in range(size)]})
+
+
+# too many elements for byte vectors: F(1) and F(2) have 1 and 3
+CHAIN300 = ctx_for("C300", chain_semilattice(300)).spec
+
+
 def half_commutative():
     """f is the join of {0, 1} and 2x + y on Z3: commutative in the first
     generating algebra only, and in no F(n) for n >= 1."""
@@ -322,7 +350,8 @@ GROUPOIDS = random_groupoids(22, 16)
 
 
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)]
-                         + [("boolean", 3), ("n3", 3), ("lattice", 3)])
+                         + [("boolean", 3), ("n3", 3), ("lattice", 3),
+                            ("semilattice", 3)])
 def test_closure_matches_reference_on_shipped(variety, n):
     spec = load_variety(f"varieties/{variety}.var")
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
@@ -338,8 +367,10 @@ def test_closure_matches_reference_on_shipped(variety, n):
     (ctx_for("CONST", *constants_only()).spec, 2),
     # shared rows of generating algebras of two sizes
     (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2),
+    (CHAIN300, 1),
+    (CHAIN300, 2),
 ], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2",
-        "g2g3-2"])
+        "g2g3-2", "chain300-1", "chain300-2"])
 def test_closure_matches_reference_on_fixtures(spec, n):
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
 
@@ -380,25 +411,36 @@ def test_closure_matches_reference_on_random_groupoids(i):
         assert_closure_matches_reference(spec, names, terms)
 
 
-@pytest.mark.parametrize("spec,names,terms,shared", [
-    (ctx_for("MAJ", majority2()).spec, ["x1", "x2", "x3", "x4"], None, True),
-    (load_variety("varieties/boolean.var"), ["x1", "x2", "x3"], None, True),
-    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, ["x1", "x2"], None, True),
-    # a factor closure as solve builds them: few elements, 27 coordinates
-    (load_variety("varieties/kleene.var"), ["x", "y", "z"], ["and(x,not(x))"], False),
-], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor"])
-def test_closure_kernel_choice(monkeypatch, spec, names, terms, shared):
+@pytest.mark.parametrize("spec,n,terms,shared,derived", [
+    # ternary: translated columns, and no row is derived
+    (ctx_for("MAJ", majority2()).spec, 4, None, True, False),
+    (load_variety("varieties/boolean.var"), 3, None, True, True),
+    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2, None, True, True),
+    # a factor closure as solve builds them: few elements, 27 coordinates,
+    # and no swaps
+    (load_variety("varieties/kleene.var"), 3, ["and(x,not(x))"], False, False),
+    # F(1) has no swap, and its ranges are read by too few prefixes
+    (load_variety("varieties/godel3.var"), 1, None, False, False),
+    # 300 elements: tuple vectors, so every evaluated row is per entry
+    (CHAIN300, 1, None, False, False),
+    (CHAIN300, 2, None, False, True),
+], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor", "godel3-1",
+        "chain300-1", "chain300-2"])
+def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, derived):
+    # shared: the translate kernel ran; derived: some row was derived from
+    # an earlier one across a variable swap
     from algen import variety
 
-    calls, apply_last = [], variety._apply_last
-    monkeypatch.setattr(variety, "_apply_last",
-                        lambda *args: calls.append(args) or apply_last(*args))
-    comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
-    terms = [Var(v) for v in names] if terms is None else [
-        parse_term(t, spec.sig) for t in terms]
-    GeneratedSubalgebra(spec, comps, [(comps.eval_term(t), t) for t in terms],
-                        Budget(DEFAULT_BUDGET))
-    assert bool(calls) == shared
+    calls = {"_translate": 0, "_conjugate_row": 0}
+    for name in calls:
+        monkeypatch.setattr(variety, name, lambda *args, name=name, real=getattr(
+            variety, name): calls.__setitem__(name, calls[name] + 1) or real(*args))
+    if terms is None:
+        FreeAlgebra(spec, n, Budget(DEFAULT_BUDGET))
+    else:
+        VarietyContext(spec).generated_by_terms(
+            ["x", "y", "z"][:n], [parse_term(t, spec.sig) for t in terms])
+    assert (calls["_translate"] > 0, calls["_conjugate_row"] > 0) == (shared, derived)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -870,14 +912,25 @@ def test_budget_exit_comes_before_the_grind(variety, capsys):
 @pytest.mark.parametrize("spec,n", [
     pytest.param(load_variety("varieties/boolean.var"), 3, id="boolean-3"),
     pytest.param(load_variety("varieties/godel3.var"), 2, id="godel3-2"),
+    pytest.param(load_variety("varieties/kleene.var"), 2, id="kleene-2"),
+    pytest.param(load_variety("varieties/n3.var"), 3, id="n3-3"),
     # a commutative groupoid whose F(2) has 130 elements
     pytest.param(GROUPOIDS[14], 2, id="groupoid-2"),
+    # non-commutative groupoids whose F(2) have 170 and 162 elements, so
+    # no operation is mirrored
+    pytest.param(GROUPOIDS[5], 2, id="groupoid5-2"),
+    pytest.param(GROUPOIDS[15], 2, id="groupoid15-2"),
+    pytest.param(ctx_for("MAJ", majority2()).spec, 3, id="maj-3"),
+    pytest.param(ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2,
+                 id="g2g3-2"),
 ])
 def test_budget_exits_mid_pass_match_reference(spec, n):
     # limits just below the reference's cumulative charges and at its
     # look-ahead needs: the closure must exit where the reference's
     # look-ahead first exceeds the limit, with its stage and cells, never
-    # after the plain exit, and fit every limit the plain closure fits
+    # after the plain exit, and fit every limit the plain closure fits.
+    # FreeAlgebra, which derives rows across variable swaps, first charges
+    # the assignment index set, then must exit or fit alike
     names = [f"x{i + 1}" for i in range(n)]
     charges, ahead = reference_subalgebra(spec, names, [Var(v) for v in names])[4:]
     totals = list(itertools.accumulate(cells for cells, _ in charges))
@@ -890,6 +943,7 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
     limits.add(totals[-1])
     comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
     seeds = [(comps.eval_term(Var(v)), Var(v)) for v in names]
+    index_cells = n + comps.width
     exits = 0
     for limit in sorted(limits):
         plain = next((j for j, total in enumerate(totals) if total > limit), None)
@@ -897,9 +951,11 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
                       if total > limit or (ahead[j] or 0) > limit), None)
         if early is None:  # the look-ahead never exceeds what the closure charges
             assert plain is None
-            budget = Budget(limit)
+            budget, free_budget = Budget(limit), Budget(limit + index_cells)
             GeneratedSubalgebra(spec, comps, seeds, budget)
+            FreeAlgebra(spec, n, free_budget)
             assert budget.used == totals[-1]
+            assert free_budget.used == totals[-1] + index_cells
             continue
         assert plain is not None and early <= plain
         expected = ((charges[early][1], totals[early]) if totals[early] > limit
@@ -908,6 +964,9 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
         with pytest.raises(BudgetExceeded) as exc:
             GeneratedSubalgebra(spec, comps, seeds, Budget(limit))
         assert (exc.value.stage, exc.value.needed) == expected
+        with pytest.raises(BudgetExceeded) as exc:
+            FreeAlgebra(spec, n, Budget(limit + index_cells))
+        assert (exc.value.stage, exc.value.needed - index_cells) == expected
         exits += 1
     assert exits > len(steps) // 2
 
