@@ -26,12 +26,12 @@ from .solver import (
     SolverError,
     SymbolicProblem,
     TypeVerdict,
-    _rename_to_output,
     check_1ep,
     check_1esp,
     classification_rows,
     classify_all,
     compare_generality,
+    output_names,
     pairwise_reduce,
     solve,
 )
@@ -66,13 +66,6 @@ def _emit_json(obj):
 def _context(args) -> VarietyContext:
     spec = load_variety(args.file)
     return VarietyContext(spec, budget_limit=args.budget)
-
-
-def _rename_display(term, n):
-    # 1-generated listings read better with the conventional variable z
-    if n == 1:
-        return term_to_str(_rename_to_output(term))
-    return term_to_str(term)
 
 
 # Text and DOT output are rendered from the dict that --json prints, so the
@@ -145,12 +138,13 @@ def cmd_validate(args) -> int:
 def cmd_free(args) -> int:
     ctx = _context(args)
     f = ctx.free_algebra(args.n)
+    # 1-generated listings read better with the conventional variable z
+    terms = output_names(ctx) if args.n == 1 else list(map(term_to_str, f.reps))
     doc = {
         "variety": ctx.spec.name,
         "n": args.n,
         "size": f.size,
-        "elements": [{"index": i, "term": _rename_display(f.reps[i], args.n)}
-                     for i in range(f.size)],
+        "elements": [{"index": i, "term": t} for i, t in enumerate(terms)],
     }
     if args.json:
         _emit_json(doc)

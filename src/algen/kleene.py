@@ -139,13 +139,11 @@ class InvolutivePoset:
     def le(self, x: int, y: int) -> bool:
         return (x, y) in self.leq
 
-    def upper_bounds(self, xs, within=None) -> list[int]:
-        dom = range(self.size) if within is None else within
-        return [u for u in dom if all(self.le(x, u) for x in xs)]
+    def upper_bounds(self, xs, within) -> list[int]:
+        return [u for u in within if all(self.le(x, u) for x in xs)]
 
-    def lower_bounds(self, xs, within=None) -> list[int]:
-        dom = range(self.size) if within is None else within
-        return [u for u in dom if all(self.le(u, x) for x in xs)]
+    def lower_bounds(self, xs, within) -> list[int]:
+        return [u for u in within if all(self.le(u, x) for x in xs)]
 
 
 def dual_poset(a: FiniteAlgebra) -> InvolutivePoset:

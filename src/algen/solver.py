@@ -70,6 +70,7 @@ __all__ = [
     "solve",
     "compare_generality",
     "pairwise_reduce",
+    "output_names",
     "congruence_name",
     "congruence_blocks_labels",
     "classification_rows",
@@ -258,6 +259,7 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     q_alg, nat = quotient(a1, theta)
     zq = nat(f1.generators[0])
 
+    names = output_names(ctx)
     blocks = congruence_blocks_labels(ctx, theta)
     embeddings1 = _embedding_elements(ctx, theta, f1)
     retract = None
@@ -265,7 +267,7 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     first = _first_assignments(f1, q_alg, embeddings1, zq)
     for t in embeddings1:
         found = first.get(t)
-        attempts.append({"embedding": term_to_str(_rename_to_output(f1.reps[t])),
+        attempts.append({"embedding": names[t],
                          "retraction_images_tried": q_alg.size if found is None
                          else found[0] + 1,
                          "retraction_found": found is not None,
@@ -285,9 +287,7 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         })
 
     if projective.status == "yes":
-        exact = Verdict("yes", None, {"arity": 1,
-                                      "element": term_to_str(
-                                          _rename_to_output(f1.reps[retract[0]]))})
+        exact = Verdict("yes", None, {"arity": 1, "element": names[retract[0]]})
     else:
         exact = None
         for k in range(1, bound + 1):
@@ -681,27 +681,36 @@ class TypeVerdict:
         return out
 
 
+def output_names(ctx: VarietyContext) -> list[str]:
+    """F(1)'s elements as printed: each representative in the output
+    variable z.  Computed once per context."""
+    return ctx.memo("output-names", lambda: [
+        term_to_str(_rename_to_output(r)) for r in ctx.free_algebra(1).reps])
+
+
 def congruence_blocks_labels(ctx: VarietyContext, theta: Congruence) -> list[list[str]]:
-    f1 = ctx.free_algebra(1)
-    return [[term_to_str(_rename_to_output(f1.reps[e])) for e in block]
-            for block in theta.classes()]
+    names = output_names(ctx)
+    return [[names[e] for e in block] for block in theta.classes()]
 
 
 def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
-    """Stable display name: identity/total, else a minimal generating pair."""
+    """Stable display name: identity/total, else a minimal generating pair,
+    the first in rank order in one pass over F(1)'s principal congruences
+    per context."""
     if theta.is_identity():
         return "identity" if not theta.is_total() else "identity=total"
     if theta.is_total():
         return "total"
-    f1 = ctx.free_algebra(1)
-    order = f1.order
-    for i_pos in range(len(order)):
-        for j_pos in range(i_pos + 1, len(order)):
-            x, y = order[i_pos], order[j_pos]
-            if theta.related(x, y) and principal_congruence(f1.algebra, x, y) == theta:
-                return (f"con({term_to_str(_rename_to_output(f1.reps[x]))},"
-                        f"{term_to_str(_rename_to_output(f1.reps[y]))})")
-    return "congruence" + str(theta.blocks)
+
+    def principal_names() -> dict[Congruence, str]:
+        f1, names = ctx.free_algebra(1), output_names(ctx)
+        found = {}
+        for x, y in itertools.combinations(f1.order, 2):
+            found.setdefault(principal_congruence(f1.algebra, x, y),
+                             f"con({names[x]},{names[y]})")
+        return found
+    return ctx.memo("principal-names", principal_names).get(
+        theta, "congruence" + str(theta.blocks))
 
 
 def classification_rows(ctx: VarietyContext,

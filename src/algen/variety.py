@@ -7,7 +7,8 @@ Elements are value vectors, one coordinate per assignment.  The
 assignment index set for n variables, its projection vectors and its
 per-coordinate op tables, depends only on n, so a context builds it once
 per variable count and each caller reads it under its own variable names,
-still charging its own budget for it before the lookup.
+still charging its own budget for it before the lookup.  The projections
+are built from runs of values, so no assignment tuple is ever made.
 
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
@@ -26,14 +27,17 @@ their strided slices are the result vectors, found in the index in one
 batch.  A range is shared when at least twice as many prefixes read it as
 the largest generating algebra has innermost rows; below that, as in F(1),
 translating costs more than it saves.  The free algebra's nested tables
-grow by appending results in tuple order.
+grow by appending results in tuple order.  Seeds, constants and results
+go through one lookup-or-add (the per-entry kernel keeps its hits inline),
+and the closure ends with a round of passes that adds no element.
 
-In F(n), a swap of two adjacent variables permutes the assignments, so it
-commutes with every operation, fixes the constants and exchanges two
-projections: it acts on the elements as an automorphism p.  A pass adds
-only results over the elements it starts with, so the elements at every
-pass start, [0, m) and [0, old), are closed under p, and a binary row a
-over [s, m) is p . row(p a) . p.  Where a swap maps a to an earlier row,
+When every seed is a variable, as in F(n), a swap of two adjacent seeds
+permutes the variables, hence the assignments, so it commutes with every
+operation, fixes the constants and exchanges two projections: it acts on
+the elements as an automorphism p, read off the seeds.  A pass adds only
+results over the elements it starts with, so the elements at every pass
+start, [0, m) and [0, old), are closed under p, and a binary row a over
+[s, m) is p . row(p a) . p.  Where a swap maps a to an earlier row,
 the closure derives row a from that row with two maps instead of
 evaluating it.  p of an element from an earlier pass is read off the
 tables from its first table entry, p(op(a, b)) = op(p a, p b); a result
@@ -182,12 +186,15 @@ class _AssignmentIndex:
     a context builds it once per n and shares it among views."""
 
     def __init__(self, spec: VarietySpec, n: int):
-        assigns = [assign for g in spec.generators
-                   for assign in itertools.product(range(g.size), repeat=n)]
-        self.projections = tuple(zip(*assigns))
-        self.width = len(assigns)
-        self.op_tables = {op: tuple(g.tables[op] for g in spec.generators
-                                    for _ in range(g.size ** n))
+        gens = spec.generators
+        # over one algebra, position i repeats each value size**(n-1-i)
+        # times, and that run size**i times; no assignment tuple is made
+        self.projections = tuple(reduce(tuple.__add__, (
+            tuple(v for v in range(g.size) for _ in range(g.size ** (n - 1 - i)))
+            * g.size ** i for g in gens)) for i in range(n))
+        self.width = sum(g.size ** n for g in gens)
+        self.op_tables = {op: reduce(tuple.__add__, ((g.tables[op],) * g.size ** n
+                                                     for g in gens))
                           for op, _ in spec.sig.ops}
 
 
@@ -261,10 +268,8 @@ class GeneratedSubalgebra:
     with explicit tables and term representatives."""
 
     def __init__(self, spec: VarietySpec, comps: _Components,
-                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget,
-                 swaps: Sequence[tuple[int, int]] = ()):
-        """``swaps`` pairs seed positions whose exchange, fixing the other
-        seeds, is a permutation of the variables."""
+                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget):
+        """When every seed term is a variable, rows are derived across swaps."""
         self.spec = spec
         self.comps = comps
         a_max = max(g.size for g in spec.generators)
@@ -301,38 +306,38 @@ class GeneratedSubalgebra:
                     top = mid
             return count
 
-        def add(vec, entry=None) -> int:
+        def element(vec, entry=None) -> int:
+            """``vec``'s element, looked up, else added as first made by ``entry``."""
             nonlocal cap
-            budget.charge(comps.width, "free closure")
-            index[vec] = len(vectors)
-            vectors.append(vec)
-            born.append(entry)
-            for perm in perms:
-                perm.append(None)
-            if len(vectors) > cap:
-                cap = largest_fit(len(vectors))
-            return index[vec]
+            e = index.get(vec)
+            if e is None:
+                budget.charge(comps.width, "free closure")
+                e = index[vec] = len(vectors)
+                vectors.append(vec)
+                born.append(entry)
+                for perm in perms:
+                    perm.append(None)
+                if len(vectors) > cap:
+                    cap = largest_fit(len(vectors))
+            return e
 
-        self.generator_indices: list[int] = []
-        for vec, rep in seeds:
-            vec = code(vec)
-            if vec not in index:
-                seed_reps[add(vec)] = rep
-            self.generator_indices.append(index[vec])
-        for i, j in swaps:
-            perm = list(range(len(vectors)))
-            gi, gj = self.generator_indices[i], self.generator_indices[j]
-            perm[gi], perm[gj] = gj, gi
-            perms.append(perm)
+        self.generator_indices = [element(code(vec)) for vec, _ in seeds]
+        for e, (_, rep) in zip(self.generator_indices, seeds):
+            seed_reps.setdefault(e, rep)
+        if all(isinstance(rep, Var) for _, rep in seeds):
+            for gi, gj in zip(self.generator_indices, self.generator_indices[1:]):
+                perm = list(range(len(vectors)))
+                perm[gi], perm[gj] = gj, gi
+                perms.append(perm)
         known = len(vectors)  # each perm is known on the elements below this
         tables: dict[str, list | int] = {}
         # the element count at each operation's last pass, absent before its
         # first: its table holds every argument tuple over those elements,
         # so the next pass takes only the tuples that use a later one
         seen: dict[str, int] = {}
-        changed = True
-        while changed:
-            changed = False
+        count = None
+        while count != len(vectors):  # a round that adds nothing ends it
+            count = len(vectors)
             for op, arity in spec.sig.ops:
                 m = len(vectors)
                 old = seen.get(op)
@@ -343,11 +348,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        vec = code(comps.op_tables[op])
-                        if vec not in index:
-                            add(vec)
-                            changed = True
-                        tables[op] = index[vec]
+                        tables[op] = element(code(comps.op_tables[op]))
                     continue
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs
@@ -392,11 +393,8 @@ class GeneratedSubalgebra:
                             for j in [j for j, e in enumerate(found) if e is None]:
                                 r = src[perm[s + j]]
                                 if perm[r] is None:
-                                    vec = code(map(getitem, rows, vectors[s + j]))
-                                    e = index.get(vec)
-                                    if e is None:
-                                        e = add(vec, (table, (a, s + j)))
-                                        changed = True
+                                    e = element(code(map(getitem, rows, vectors[s + j])),
+                                                (table, (a, s + j)))
                                     perm[r], perm[e] = e, r
                                 found[j] = perm[r]
                         table[a].extend(found)
@@ -416,10 +414,9 @@ class GeneratedSubalgebra:
                     if not cols:
                         for b in range(lo, m):
                             vec = code(map(getitem, rows, vectors[b]))
-                            res = index.get(vec)
+                            res = index.get(vec)  # inline: most entries hit
                             if res is None:
-                                res = add(vec, (table, prefix + (b,)))
-                                changed = True
+                                res = element(vec, (table, prefix + (b,)))
                             row.append(res)
                         continue
                     flat, width = b"".join(rows), m - s
@@ -427,11 +424,9 @@ class GeneratedSubalgebra:
                     found = list(map(index.get, vecs))
                     if None in found:
                         # add new vectors in order; one may recur in the row
-                        found = [(index[v] if v in index else
-                                  add(v, (table, prefix + (lo + j,))))
+                        found = [element(v, (table, prefix + (lo + j,)))
                                  if f is None else f
                                  for j, (f, v) in enumerate(zip(found, vecs))]
-                        changed = True
                     row.extend(found)
         if not vectors:
             raise AlgebraError(
@@ -575,10 +570,8 @@ class FreeAlgebra(GeneratedSubalgebra):
             raise AlgebraError("free algebra arity must be >= 0")
         self.n = n
         comps = _Components(spec, n, budget)
-        # swapping two adjacent variables is an automorphism of F(n)
         super().__init__(spec, comps, [(vec, Var(v)) for v, vec
-                                       in comps.projections.items()], budget,
-                         [(i, i + 1) for i in range(n - 1)])
+                                       in comps.projections.items()], budget)
         # the elements by their representatives' term_rank, the settle order
         self.order = tuple(e for e, _ in self.steps)
         # F(n)'s derivation: (element, operation, argument elements), or

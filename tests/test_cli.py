@@ -422,23 +422,48 @@ def test_var_file_with_duplicate_algebra_name_exits_1(tmp_path, capsys, command)
     assert err == "error: algebras[1].name: duplicate algebra name 'K3'\n"
 
 
+# two unary operations on a 2- and a 3-element algebra: F(1) has 17 elements
+# and Con F(1) 597 congruences
+_UNARY = {"name": "unary", "signature": [["f", 1], ["g", 1]], "algebras": [
+    {"name": "A0", "universe": ["0", "1"],
+     "ops": {"f": ["1", "1"], "g": ["1", "0"]}},
+    {"name": "A1", "universe": ["0", "1", "2"],
+     "ops": {"f": ["1", "2", "1"], "g": ["0", "0", "1"]}}]}
+
+
 def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
-    # two unary operations on a 2- and a 3-element algebra: F(1) has 17
-    # elements and Con F(1) 597 congruences, which took seconds at any
-    # budget; the 136 principal congruences are charged before they are
-    # computed, 16 merges each through 2 translation rows
+    # Con F(1) took seconds at any budget; the 136 principal congruences
+    # are charged before they are computed, 16 merges each through 2
+    # translation rows
     from algen.cli import main
 
-    doc = {"name": "unary", "signature": [["f", 1], ["g", 1]], "algebras": [
-        {"name": "A0", "universe": ["0", "1"],
-         "ops": {"f": ["1", "1"], "g": ["1", "0"]}},
-        {"name": "A1", "universe": ["0", "1", "2"],
-         "ops": {"f": ["1", "2", "1"], "g": ["0", "0", "1"]}}]}
     path = tmp_path / "unary.var"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_UNARY))
     assert main(["con", str(path), "--budget", "500"]) == 2
     assert capsys.readouterr() == ("", "error: budget exceeded during congruence "
                                        "lattice: needs more than 4352 cells (limit 500)\n")
+
+
+def test_congruence_names_read_each_principal_congruence_once(tmp_path, capsys,
+                                                              monkeypatch):
+    # counted, not timed: Con F(1) computes the C(17, 2) principal
+    # congruences once, and naming its 597 members reads them from one
+    # more pass, not one search per name
+    from algen import algebra, solver
+    from algen.cli import main
+
+    path = tmp_path / "unary.var"
+    path.write_text(json.dumps(_UNARY))
+    calls = []
+    real = algebra.principal_congruence
+    for module in (algebra, solver):
+        monkeypatch.setattr(module, "principal_congruence",
+                            lambda *a: calls.append(a) or real(*a))
+    assert main(["con", str(path), "--json"]) == 3  # some exactness is unknown
+    doc = json.loads(capsys.readouterr().out)
+    names = [row["name"] for row in doc["congruences"]]
+    assert len(names) == len(set(names)) == 597
+    assert len(calls) <= 2 * (17 * 16 // 2)
 
 
 # |F(1)| = 108 with 217 translation rows: Con F(1)'s 5,778 principal

@@ -424,8 +424,11 @@ def test_closure_matches_reference_on_random_groupoids(i):
     # 300 elements: tuple vectors, so every evaluated row is per entry
     (CHAIN300, 1, None, False, False),
     (CHAIN300, 2, None, False, True),
+    # variable seeds, as compare builds F(Var(s)): the closure reads the
+    # swaps off the seeds
+    (load_variety("varieties/boolean.var"), 3, ["x", "y", "z"], True, True),
 ], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor", "godel3-1",
-        "chain300-1", "chain300-2"])
+        "chain300-1", "chain300-2", "boolean-vars-3"])
 def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, derived):
     # shared: the translate kernel ran; derived: some row was derived from
     # an earlier one across a variable swap
@@ -1009,6 +1012,25 @@ def test_index_set_budget_exit_repeats_and_stores_nothing(monkeypatch):
     assert built == [4]
     assert ctx.holds_identity(parse_term("and(v0,v1)", sig), parse_term("and(v1,v0)", sig))
     assert built == [4, 2]
+
+
+def test_index_set_peaks_at_what_it_holds():
+    # a 60-element chain at n = 3, width 216,000: the projections are
+    # built from runs, with no tuple per assignment, so the traced peak
+    # stays near the memory the index holds
+    import tracemalloc
+
+    from algen.variety import _AssignmentIndex
+
+    spec = ctx_for("C60", chain_semilattice(60)).spec
+    tracemalloc.start()
+    try:
+        index = _AssignmentIndex(spec, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.width == 60 ** 3
+    assert peak <= 1.25 * held
 
 
 # ---------------------------------------------------------------------------
