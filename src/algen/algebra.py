@@ -132,6 +132,13 @@ class FiniteAlgebra:
         return tuple(row for row in rows
                      if len(set(row)) > 1 and row != tuple(self.elements()))
 
+    @cached_property
+    def principal_congruences(self) -> dict[tuple[int, int], "Congruence"]:
+        """Cg(x, y) for each pair of elements x < y, computed once per
+        algebra: the congruence lattice joins them and names read them."""
+        return {(x, y): principal_congruence(self, x, y)
+                for x, y in itertools.combinations(self.elements(), 2)}
+
     def eval(self, t: Term, env: Mapping[str, int]) -> int:
         """Table-driven evaluation of a term under a variable assignment."""
         if isinstance(t, Var):
@@ -462,11 +469,11 @@ def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:
 
 def congruence_lattice(a: FiniteAlgebra,
                        charge: Callable[[int], None] | None = None) -> tuple[Congruence, ...]:
-    """All congruences: principal congruences closed under the partition
-    join, plus the identity.  Sorted identity-first, total-last.  Every
-    congruence is a join of principal ones, so the joins are taken with
-    those alone.  ``charge``, if given, is called before each batch.  The
-    principal congruences are charged first for their union work, as each
+    """All congruences: the algebra's principal congruences closed under
+    the partition join, plus the identity, which is also the total one when
+    a.size <= 1.  Sorted identity-first, total-last.  ``charge``, if given,
+    is called before each batch, even when the principal congruences are
+    already held.  They are charged first for their union work, as each
     makes at most a.size - 1 merges and reads each merge through every
     translation row, then a.size cells per congruence; each join round is
     charged a.size cells per join."""
@@ -474,12 +481,9 @@ def congruence_lattice(a: FiniteAlgebra,
     if charge:
         charge(n * (n - 1) // 2 * (n - 1) * len(a._translations))
         charge(n * n * (n - 1) // 2)
-    found = close_under(Congruence.join, [
-        principal_congruence(a, x, y) for x in range(n) for y in range(x + 1, n)],
-        None if charge is None else lambda joins: charge(joins * n))
+    found = close_under(Congruence.join, a.principal_congruences.values(),
+                        None if charge is None else lambda joins: charge(joins * n))
     found.add(Congruence.identity(n))
-    if n:
-        found.add(Congruence.total(n))
     return tuple(sorted(found, key=Congruence.sort_key))
 
 

@@ -159,8 +159,7 @@ def cmd_con(args) -> int:
     ctx = _context(args)
     cls = classify_all(ctx, args.bound)
     rows = classification_rows(ctx, cls)
-    items = sorted(cls, key=Congruence.sort_key)  # the order of the rows
-    covers = poset_covers(items, Congruence.leq)
+    covers = poset_covers(list(cls), Congruence.leq)  # in the order of the rows
     doc = {
         "variety": ctx.spec.name,
         "bound": args.bound,

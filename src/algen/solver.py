@@ -24,7 +24,6 @@ from .algebra import (
     close_under,
     congruence_lattice,
     direct_product,
-    principal_congruence,
     quotient,
 )
 from .terms import (
@@ -202,21 +201,12 @@ class CongruenceClassification:
             raise InternalVerificationError("strongly projective implies projective")
 
 
-def _evaluation_kernels(ctx: VarietyContext,
-                        target_free: FreeAlgebra) -> list[Congruence]:
-    """ker(z -> t) for every element t of the target free algebra, cached."""
-    f1 = ctx.free_algebra(1)
-    return ctx.memo(("evaluation-kernels", target_free.n), lambda: [
-        _kernel_of_evaluation(f1, target_free.algebra, t)
-        for t in range(target_free.size)])
-
-
 def _embedding_elements(ctx: VarietyContext, theta: Congruence,
                         target_free: FreeAlgebra) -> list[int]:
     """Elements t of a free algebra with ker(z -> t) equal to theta, i.e.
     the embeddings of F(1)/theta determined by their generator image;
     ordered by representative rank."""
-    kernels = _evaluation_kernels(ctx, target_free)
+    kernels = ctx.evaluation_kernels(target_free.algebra)
     return [t for t in target_free.order if kernels[t] == theta]
 
 
@@ -256,6 +246,8 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     a1 = f1.algebra
     if theta.size != a1.size:
         raise SolverError("congruence is not over F(1)")
+    if theta != Congruence.from_map(theta.blocks):
+        raise SolverError("congruence is not in canonical form")
     q_alg, nat = quotient(a1, theta)
     zq = nat(f1.generators[0])
 
@@ -372,7 +364,7 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     # homomorphism F(1) -> generator per value a, with kernel kappas[gi][a]
     values = [[f1.images(gen, (a,)) for a in range(gen.size)]
               for gen in spec.generators]
-    kappas = ctx.value_kernels()
+    kappas = [ctx.evaluation_kernels(gen) for gen in spec.generators]
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
         for gi, gen in enumerate(spec.generators)
@@ -424,15 +416,18 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
 
 def classify_all(ctx: VarietyContext,
                  bound: int = DEFAULT_BOUND) -> dict[Congruence, CongruenceClassification]:
+    """Each congruence of F(1), in ``Congruence.sort_key`` order, with its
+    classification at the bound; Con F(1) is built once per context."""
     _check_bound(bound)
 
-    def classify():
+    def lattice():
         budget = Budget(ctx.budget_limit)
-        lattice = congruence_lattice(
+        return congruence_lattice(
             ctx.free_algebra(1).algebra,
             lambda cells: budget.charge(cells, "congruence lattice"))
-        return {theta: classify_congruence(ctx, theta, bound) for theta in lattice}
-    return ctx.memo(("classify", bound), classify)
+    return ctx.memo(("classify", bound), lambda: {
+        theta: classify_congruence(ctx, theta, bound)
+        for theta in ctx.memo("congruence-lattice", lattice)})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +438,7 @@ def exact_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
     cls = classify_all(ctx, bound)
     yes = [t for t, c in cls.items() if c.exact.status == "yes"]
     complete = all(c.exact.status in ("yes", "no") for c in cls.values())
-    return sorted(yes, key=Congruence.sort_key), complete
+    return yes, complete
 
 
 def e_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
@@ -475,9 +470,8 @@ class GCongruences:
 
 
 def _maximal(congs: Sequence[Congruence]) -> tuple[Congruence, ...]:
-    out = [t for t in congs
-           if not any(t is not u and t.leq(u) for u in congs)]
-    return tuple(sorted(out, key=Congruence.sort_key))
+    return tuple(t for t in congs
+                 if not any(t is not u and t.leq(u) for u in congs))
 
 
 def g_congruences(ap: AlgebraicProblem,
@@ -488,14 +482,10 @@ def g_congruences(ap: AlgebraicProblem,
 
     def compute() -> GCongruences:
         cls = classify_all(ctx, bound)
-        lower = tuple(sorted(
-            (t for t, c in cls.items()
-             if c.projective.status == "yes" and t.leq(ker)),
-            key=Congruence.sort_key))
-        upper = tuple(sorted(
-            (t for t, c in cls.items()
-             if c.exact.status in ("yes", "unknown") and t.leq(ker)),
-            key=Congruence.sort_key))
+        lower = tuple(t for t, c in cls.items()
+                      if c.projective.status == "yes" and t.leq(ker))
+        upper = tuple(t for t, c in cls.items()
+                      if c.exact.status in ("yes", "unknown") and t.leq(ker))
         # in a 1EP variety every exact congruence, and none unresolved, is
         # projective, so the two bounds meet
         status = "exact" if check_1ep(ctx, bound).status == "yes" else "approximate"
@@ -704,9 +694,10 @@ def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
 
     def principal_names() -> dict[Congruence, str]:
         f1, names = ctx.free_algebra(1), output_names(ctx)
+        principal = f1.algebra.principal_congruences
         found = {}
         for x, y in itertools.combinations(f1.order, 2):
-            found.setdefault(principal_congruence(f1.algebra, x, y),
+            found.setdefault(principal[min(x, y), max(x, y)],
                              f"con({names[x]},{names[y]})")
         return found
     return ctx.memo("principal-names", principal_names).get(
@@ -715,14 +706,14 @@ def congruence_name(ctx: VarietyContext, theta: Congruence) -> str:
 
 def classification_rows(ctx: VarietyContext,
                         cls: dict[Congruence, CongruenceClassification]) -> list[dict]:
-    """One row per classified congruence, identity first: its name, its
-    blocks and its three verdicts."""
+    """One row per classified congruence, in the order of ``cls``: its
+    name, its blocks and its three verdicts."""
     return [{"name": congruence_name(ctx, t),
              "blocks": congruence_blocks_labels(ctx, t),
-             "exact": cls[t].exact.to_dict(),
-             "projective": cls[t].projective.to_dict(),
-             "strongly_projective": cls[t].strongly_projective.to_dict()}
-            for t in sorted(cls, key=Congruence.sort_key)]
+             "exact": c.exact.to_dict(),
+             "projective": c.projective.to_dict(),
+             "strongly_projective": c.strongly_projective.to_dict()}
+            for t, c in cls.items()]
 
 
 @dataclass

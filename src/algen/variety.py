@@ -652,14 +652,14 @@ class VarietyContext:
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget)
 
-    def value_kernels(self) -> list[list[Congruence]]:
-        """ker(x1 -> a) on F(1) for each value a of each generating
-        algebra, indexed [algebra][a]."""
+    def evaluation_kernels(self, target: FiniteAlgebra) -> list[Congruence]:
+        """ker(x1 -> a) on F(1) for each element a of ``target``, a
+        generating algebra or a free algebra, computed once per target."""
         def compute():
             f1 = self.free_algebra(1)
-            return [[Congruence.from_map(f1.images(g, (a,))) for a in g.elements()]
-                    for g in self.spec.generators]
-        return self.memo("value-kernels", compute)
+            return [Congruence.from_map(f1.images(target, (a,)))
+                    for a in target.elements()]
+        return self.memo(("evaluation-kernels", target), compute)
 
     def exact_factor(self, varnames: Sequence[str], t: Term,
                      vec: tuple[int, ...]) -> ExactFactor:
@@ -675,7 +675,7 @@ class VarietyContext:
         term_range = tuple(term_range)
 
         def build():
-            kernels = self.value_kernels()
+            kernels = [self.evaluation_kernels(g) for g in self.spec.generators]
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
             alg, _ = quotient(self.free_algebra(1).algebra, kernel)
             ground = _minimize_reps(alg.sig, alg.size, alg.tables, {}, 0,

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -348,6 +349,51 @@ def test_classify_kleene_exact_quotients_are_f1_k4_2(ka):
         assert any(find_isomorphism(q, e) is not None for e in expected)
     for e in expected:
         assert any(find_isomorphism(q, e) is not None for q in exact_quotients)
+
+
+def test_classify_rejects_a_congruence_out_of_canonical_form():
+    # blocks (4, 5, 2, 3, 4, 5) partition F(1) as (0, 1, 2, 3, 0, 1) does,
+    # but name no least member; read as they stand they matched no kernel,
+    # and both verdicts came out an unsound "no"
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety("varieties/kleene.var"))
+    canonical = Congruence((0, 1, 2, 3, 0, 1))
+    c = classify_congruence(ctx, canonical)
+    assert (c.exact.status, c.projective.status) == ("yes", "yes")
+    with pytest.raises(SolverError, match="canonical form"):
+        classify_congruence(ctx, Congruence((4, 5, 2, 3, 4, 5)))
+
+
+def test_classify_all_builds_con_f1_once_per_context(monkeypatch):
+    # counted: the lattice does not depend on the bound, and F(1)'s
+    # C(4, 2) principal congruences are computed once, also for the names
+    from algen import algebra
+    from algen.solver import classification_rows
+    from algen.varfile import load_variety
+
+    counted = {"congruence_lattice": [], "principal_congruence": []}
+    for name, calls in counted.items():
+        real = getattr(algebra, name)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("algen.") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, lambda *a, real=real, calls=calls:
+                                    calls.append(a) or real(*a))
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    assert ctx.free_algebra(1).size == 4
+    for bound in (2, 3):
+        classification_rows(ctx, classify_all(ctx, bound))
+    assert [len(calls) for calls in counted.values()] == [1, 6]
+
+
+@pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3",
+                                     "semilattice", "lattice"])
+def test_classify_all_is_in_lattice_order(variety):
+    # the classification's readers take its order as the rows' order
+    from algen.varfile import load_variety
+
+    cls = classify_all(VarietyContext(load_variety(f"varieties/{variety}.var")))
+    assert list(cls) == sorted(cls, key=Congruence.sort_key)
 
 
 def test_classify_n3_subalgebra_exact_not_projective(n3v):
