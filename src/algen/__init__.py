@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraError,
     Congruence,
     FiniteAlgebra,
-    Homomorphism,
     congruence_lattice,
     direct_product,
     enumerate_homs,

@@ -19,7 +19,6 @@ from .terms import Signature, Term, Var
 __all__ = [
     "AlgebraError",
     "FiniteAlgebra",
-    "Homomorphism",
     "Congruence",
     "direct_product",
     "enumerate_homs",
@@ -203,34 +202,6 @@ class FiniteAlgebra:
 
 
 @dataclass(frozen=True)
-class Homomorphism:
-    """A homomorphism between finite algebras; commutation with every
-    operation table is checked at construction."""
-
-    dom: FiniteAlgebra
-    cod: FiniteAlgebra
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.dom.is_hom_map(self.mapping, self.cod):
-            raise AlgebraError("mapping is not a homomorphism")
-
-    @classmethod
-    def _trusted(cls, dom: FiniteAlgebra, cod: FiniteAlgebra,
-                 mapping: tuple[int, ...]) -> "Homomorphism":
-        """Wrap a mapping that is a homomorphism by construction or that the
-        caller has already verified with is_hom_map."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "dom", dom)
-        object.__setattr__(h, "cod", cod)
-        object.__setattr__(h, "mapping", mapping)
-        return h
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-
-@dataclass(frozen=True)
 class Congruence:
     """A compatible partition in canonical form: blocks[i] is the least
     element index in the class of i."""
@@ -318,8 +289,10 @@ class Congruence:
 def direct_product(algebras: Sequence[FiniteAlgebra]):
     """Direct product; universe is tuples in lexicographic order.
 
-    Returns (product, projections).  Element labels are tuple strings
-    "(e1,e2,...)".
+    Returns (product, projections), each projection the tuple of its
+    factor's coordinates.  Element labels are tuple strings "(e1,e2,...)";
+    a backslash or a comma inside a factor's label is escaped by a
+    backslash, so distinct tuples keep distinct labels.
     """
     if not algebras:
         raise AlgebraError("nullary product unsupported")
@@ -329,10 +302,9 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
             raise AlgebraError("signature mismatch in product")
     tuples = list(itertools.product(*[range(a.size) for a in algebras]))
     index = {t: i for i, t in enumerate(tuples)}
-    labels = ["(" + ",".join(a.labels[x] for a, x in zip(algebras, t)) + ")"
-              for t in tuples]
-    if len(set(labels)) != len(labels):  # labels may contain commas
-        raise AlgebraError("duplicate element labels")
+    escaped = [[lab.replace("\\", "\\\\").replace(",", "\\,") for lab in a.labels]
+               for a in algebras]
+    labels = ["(" + ",".join(map(getitem, escaped, t)) + ")" for t in tuples]
     tables = {op: _build_table(tuple(alg.tables[op] for alg in algebras), arity,
                                tuples, lambda rows, t: tuple(map(getitem, rows, t)),
                                index.__getitem__)
@@ -340,9 +312,7 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
     prod = FiniteAlgebra._trusted(sig, labels, tables,
                                   name="x".join(a.name or "?" for a in algebras))
     # a projection commutes with the operations by construction
-    projections = [Homomorphism._trusted(prod, alg, tuple(t[i] for t in tuples))
-                   for i, alg in enumerate(algebras)]
-    return prod, projections
+    return prod, [tuple(t[i] for t in tuples) for i in range(len(algebras))]
 
 
 def min_generators(a: FiniteAlgebra, max_size: int | None = None):
@@ -365,8 +335,8 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
                    constraints: Mapping[int, Collection[int]] | None = None,
                    *, injective: bool = False,
                    surjective: bool = False,
-                   gens: Sequence[int] | None = None) -> Iterator[Homomorphism]:
-    """All homomorphisms a -> b, deterministically ordered.
+                   gens: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """All homomorphisms a -> b as image tuples, deterministically ordered.
 
     Backtracks over images of a generating set only (generator images
     determine the map); every emitted map is verified once to be a total
@@ -405,12 +375,15 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
         if surjective and len(set(full)) != b.size:
             continue
         if a.is_hom_map(full, b):
-            yield Homomorphism._trusted(a, b, full)
+            yield full
 
 
 def quotient(a: FiniteAlgebra, theta: Congruence):
-    """Quotient algebra and natural epimorphism; blocks are labelled by
-    their least member's label."""
+    """Quotient algebra and natural epimorphism, the tuple of each
+    element's block; blocks are labelled by their least member's label.
+    ``theta`` must be a congruence of ``a``: the tables read each block's
+    least member, so a partition that is not compatible gives tables that
+    are not a quotient."""
     if theta.size != a.size:
         raise AlgebraError("congruence size mismatch")
     reps = sorted(set(theta.blocks))
@@ -421,9 +394,7 @@ def quotient(a: FiniteAlgebra, theta: Congruence):
               for op, arity in a.sig.ops}
     q = FiniteAlgebra._trusted(a.sig, [a.labels[r] for r in reps], tables,
                                name=f"{a.name}/~" if a.name else "quotient")
-    # well-definedness is implied by compatibility; verify defensively
-    epi = Homomorphism(a, q, nat)
-    return q, epi
+    return q, nat
 
 
 def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:

@@ -22,6 +22,7 @@ from .algebra import (
     Congruence,
     FiniteAlgebra,
     close_under,
+    congruence_generated,
     congruence_lattice,
     direct_product,
     quotient,
@@ -222,7 +223,8 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     unknown(bound).  Strong projectivity is checked against free codomains
     F(k), k up to the bound (an embedding into a projective algebra factors
     through its section into a free algebra, so free targets suffice);
-    "yes" carries the bound, "no" carries an explicit witness.
+    "yes" carries the bound, "no" carries an explicit witness.  A theta
+    that is not a congruence of F(1) in canonical form is a SolverError.
 
     The projectivity verdict's detail holds the search transcript under
     ``"search"``, one row per embedding tried, in rank order; the search
@@ -248,8 +250,10 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         raise SolverError("congruence is not over F(1)")
     if theta != Congruence.from_map(theta.blocks):
         raise SolverError("congruence is not in canonical form")
+    if congruence_generated(a1, enumerate(theta.blocks)) != theta:
+        raise SolverError(f"partition {theta.blocks} is not a congruence of F(1)")
     q_alg, nat = quotient(a1, theta)
-    zq = nat(f1.generators[0])
+    zq = nat[f1.generators[0]]
 
     names = output_names(ctx)
     blocks = congruence_blocks_labels(ctx, theta)
@@ -926,7 +930,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
     s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[0]])
     witnesses = [
-        Substitution.make({f"z{i + 1}": factor.rep(pr(p))
+        Substitution.make({f"z{i + 1}": factor.rep(pr[p])
                            for i, p in enumerate(points)})
         for factor, pr in zip(ap.factors, projs)]
     entry = SolutionEntry(s_term, tuple(witnesses))

@@ -2,16 +2,16 @@
 
 The engine never needs these: isomorphism search, generated subalgebras,
 kernels of homomorphisms and factoring one homomorphism through another
-cross-check its results, the assignment oracle decides an identity by
-evaluating both sides at every assignment into every generating algebra, and
-the Bellman relaxation finds least terms from every table entry, in both
-argument orders.
+cross-check its results, each homomorphism a tuple of images as in the
+engine; the assignment oracle decides an identity by evaluating both sides
+at every assignment into every generating algebra, and the Bellman
+relaxation finds least terms from every table entry, in both argument
+orders.
 """
 
 import itertools
 
-from algen.algebra import (AlgebraError, Congruence, FiniteAlgebra,
-                           Homomorphism, enumerate_homs)
+from algen.algebra import AlgebraError, Congruence, FiniteAlgebra, enumerate_homs
 from algen.terms import App, term_rank, term_vars
 
 
@@ -26,19 +26,19 @@ def identity_holds_oracle(gens, s, t):
     return True
 
 
-def is_injective(h: Homomorphism) -> bool:
-    return len(set(h.mapping)) == len(h.mapping)
+def is_injective(h) -> bool:
+    return len(set(h)) == len(h)
 
 
-def is_surjective(h: Homomorphism) -> bool:
-    return len(set(h.mapping)) == h.cod.size
+def is_surjective(h, cod: FiniteAlgebra) -> bool:
+    return len(set(h)) == cod.size
 
 
-def kernel(h: Homomorphism) -> Congruence:
-    return Congruence.from_map(h.mapping)
+def kernel(h) -> Congruence:
+    return Congruence.from_map(h)
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
+def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
     if a.size != b.size:
         return None
     return next(enumerate_homs(a, b, injective=True, surjective=True), None)
@@ -54,8 +54,8 @@ def _restrict(table, arity, members, pos):
 def subalgebra_generated(a: FiniteAlgebra, gens):
     """Subalgebra generated by the given elements (constants included).
 
-    Returns (subalgebra, inclusion).  The subalgebra universe keeps the
-    parent's element order and labels.
+    Returns (subalgebra, inclusion), the inclusion as its tuple of images.
+    The subalgebra universe keeps the parent's element order and labels.
     """
     gens = list(gens)
     for g in gens:
@@ -67,21 +67,20 @@ def subalgebra_generated(a: FiniteAlgebra, gens):
               for op, arity in a.sig.ops}
     sub = FiniteAlgebra(a.sig, [a.labels[e] for e in members], tables,
                         name=f"Sg({a.name})" if a.name else "Sg")
-    return sub, Homomorphism(sub, a, tuple(members))
+    return sub, tuple(members)
 
 
-def factor_through(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """Unique h with g = h . f, for f surjective and ker f <= ker g."""
-    if f.dom is not g.dom:
+def factor_through(f, g, cod: FiniteAlgebra):
+    """Unique h with g = h . f, for maps out of one algebra, f onto ``cod``
+    and ker f <= ker g; all maps are image tuples."""
+    if len(f) != len(g):
         raise AlgebraError("domain mismatch")
-    if not is_surjective(f):
+    if not is_surjective(f, cod):
         raise AlgebraError("first map must be surjective")
     if not kernel(f).leq(kernel(g)):
         raise AlgebraError("kernel condition ker f <= ker g fails")
-    images: dict[int, int] = {}
-    for x in range(f.dom.size):
-        images.setdefault(f.mapping[x], g.mapping[x])
-    return Homomorphism(f.cod, g.cod, tuple(images[i] for i in range(f.cod.size)))
+    images = dict(zip(f, g))
+    return tuple(images[i] for i in range(cod.size))
 
 
 def least_terms(a: FiniteAlgebra, seeds):

@@ -514,24 +514,29 @@ def _dot_strings(dot: str) -> list[str]:
     return out
 
 
+def _kleene_relabelled(label: str) -> dict:
+    """The kleene variety file with K3's element ``a`` renamed ``label``."""
+    def relabel(node):
+        if isinstance(node, list):
+            return [relabel(x) for x in node]
+        return label if node == "a" else node
+
+    doc = json.loads(pathlib.Path("varieties/kleene.var").read_text())
+    k3 = doc["algebras"][0]
+    k3["universe"] = relabel(k3["universe"])
+    k3["ops"] = {op: relabel(table) for op, table in k3["ops"].items()}
+    return doc
+
+
 def test_dot_quotes_names_from_the_var_file(tmp_path, capsys):
     # variety, algebra and element names reach the graph name and the labels
     # as the var file spells them, quote and backslash included
     from algen.cli import main
 
     odd = 'a"\\'
-
-    def relabel(node):
-        if isinstance(node, list):
-            return [relabel(x) for x in node]
-        return odd if node == "a" else node
-
-    doc = json.loads(pathlib.Path("varieties/kleene.var").read_text())
+    doc = _kleene_relabelled(odd)
     doc["name"] = 'kleene"\\'
-    k3 = doc["algebras"][0]
-    k3["name"] = 'K"3\\'
-    k3["universe"] = relabel(k3["universe"])
-    k3["ops"] = {op: relabel(table) for op, table in k3["ops"].items()}
+    doc["algebras"][0]["name"] = 'K"3\\'
     path = tmp_path / "quoted.var"
     path.write_text(json.dumps(doc))
 
@@ -541,6 +546,21 @@ def test_dot_quotes_names_from_the_var_file(tmp_path, capsys):
     names = [row["name"] for row in json.loads(capsys.readouterr().out)["congruences"]]
     assert main(["con", str(path), "--dot"]) == 0
     assert _dot_strings(capsys.readouterr().out) == ['con_kleene"\\', *names]
+
+
+def test_comma_in_a_generator_label_changes_no_output(tmp_path, capsys):
+    # the exactness certificate builds K3 x K3; with the label "0,0" the
+    # pairs ("0", "0,0") and ("0,0", "0") must still get distinct labels
+    from algen.cli import main
+
+    path = tmp_path / "comma.var"
+    path.write_text(json.dumps(_kleene_relabelled("0,0")))
+    for command in (["con"], ["props"], ["solve", "x", "not(x)"]):
+        runs = []
+        for var in ("varieties/kleene.var", str(path)):
+            code = main([command[0], var, *command[1:]])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1], command
 
 
 @pytest.mark.parametrize("argv,buffered", [

@@ -39,7 +39,7 @@ from algen.solver import (
     symbolic_solution,
     two_term_unitary,
 )
-from algen.terms import Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
+from algen.terms import App, Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
 from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
@@ -107,7 +107,7 @@ def kernel_by_product_oracle(ap):
     for rep in f1.reps:
         per_factor = tuple(f.algebra.eval(rep, {"x1": 0}) for f in ap.factors)
         elem = next(e for e in range(prod.size)
-                    if tuple(pr(e) for pr in projs) == per_factor)
+                    if tuple(pr[e] for pr in projs) == per_factor)
         images.append(elem)
     return Congruence.from_map(images)
 
@@ -136,14 +136,14 @@ def double_search_shortcut(ap, bound):
     except BudgetExceeded:
         return {"status": "skipped", "reason": "free algebra above budget"}, None
     for i_hom in enumerate_homs(prod, fk.algebra, injective=True, gens=gens):
-        pinned = {i_hom(x): (x,) for x in range(prod.size)}
+        pinned = {i_hom[x]: (x,) for x in range(prod.size)}
         for j_hom in enumerate_homs(fk.algebra, prod, pinned, gens=fk.generators):
             h = next(e for e in range(prod.size)
-                     if all(pr(e) == 0 for pr in projs))
+                     if all(pr[e] == 0 for pr in projs))
             out_vars = {f"x{i + 1}": Var(f"z{i + 1}") for i in range(fk.n)}
-            term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom(h)])
+            term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom[h]])
             witnesses = tuple(
-                Substitution.make({f"z{i + 1}": factor.rep(pr(j_hom(x)))
+                Substitution.make({f"z{i + 1}": factor.rep(pr[j_hom[x]])
                                    for i, x in enumerate(fk.generators)})
                 for factor, pr in zip(ap.factors, projs))
             note = {"status": "projective", "generators": n,
@@ -365,6 +365,33 @@ def test_classify_rejects_a_congruence_out_of_canonical_form():
         classify_congruence(ctx, Congruence((4, 5, 2, 3, 4, 5)))
 
 
+def test_classify_rejects_a_partition_that_is_not_a_congruence(ka):
+    # canonical, but F(1)'s first two elements generate a larger congruence;
+    # the quotient's tables would read each block's least member regardless
+    with pytest.raises(SolverError,
+                       match=r"partition \(0, 0, 2, 3, 4, 5\) is not a congruence"):
+        classify_congruence(ka, Congruence((0, 0, 2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3",
+                                     "semilattice", "lattice"])
+def test_engine_paths_run_no_homomorphism_check(variety, monkeypatch):
+    # the quotient's natural map commutes by construction, and the tests
+    # check it; classification and solving must not recheck it on every call
+    from algen.varfile import load_variety
+
+    def refuse(*args):
+        raise AssertionError("is_hom_map called on an engine path")
+
+    monkeypatch.setattr(FiniteAlgebra, "is_hom_map", refuse)
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    classify_all(ctx)
+    check_1esp(ctx)
+    op, arity = max(ctx.spec.sig.ops, key=lambda o: o[1])
+    terms = tuple(App(op, (Var(v),) * arity) for v in "xy")
+    solve(SymbolicProblem(ctx, terms))
+
+
 def test_classify_all_builds_con_f1_once_per_context(monkeypatch):
     # counted: the lattice does not depend on the bound, and F(1)'s
     # C(4, 2) principal congruences are computed once, also for the names
@@ -422,7 +449,7 @@ def test_classify_retraction_search_transcript(ba, ka, n3v):
         sig = ctx.spec.sig
         for theta, c in classify_all(ctx).items():
             q_alg, nat = quotient(f1.algebra, theta)
-            zq = nat(f1.generators[0])
+            zq = nat[f1.generators[0]]
             blocks = {tuple(term_to_str(apply_subst(to_z, f1.reps[e])) for e in cls):
                       cls for cls in theta.classes()}
             search = c.projective.detail["search"]
@@ -437,7 +464,7 @@ def test_classify_retraction_search_transcript(ba, ka, n3v):
                     continue
                 image = tuple(row["retraction_image"])
                 assert image in blocks
-                q = nat(blocks[image][0])
+                q = nat[blocks[image][0]]
                 # the hit is the last quotient element evaluated
                 assert tried == q + 1
                 emb = parse_term(row["embedding"], sig)
@@ -456,7 +483,7 @@ def per_term_retraction_searches(ctx, theta, bound):
 
     f1 = ctx.free_algebra(1)
     q_alg, nat = quotient(f1.algebra, theta)
-    zq = nat(f1.generators[0])
+    zq = nat[f1.generators[0]]
 
     def ranked(fk):
         hits = [t for t in fk.algebra.elements()
@@ -1386,7 +1413,7 @@ def test_symbolic_solution_rejects_bad_retract(ka):
     cls = classify_all(ka)[theta]
     t, _ = cls.retract
     q_alg, nat = quotient(ka.free_algebra(1).algebra, theta)
-    zq = nat(ka.free_algebra(1).generators[0])
+    zq = nat[ka.free_algebra(1).generators[0]]
     bad_q = next(q for q in range(q_alg.size)
                  if q_alg.eval(ka.free_algebra(1).reps[t], {"x1": q}) != zq)
     with pytest.raises(InternalVerificationError):

@@ -1113,7 +1113,11 @@ def test_program_built_algebras_pass_the_full_check(variety):
     built = [f1, ctx.free_algebra(2).algebra,
              direct_product([f1, spec.generators[0]])[0],
              direct_product(list(spec.generators) * 2)[0]]
-    built += [quotient(f1, theta)[0] for theta in congruence_lattice(f1)]
+    for theta in congruence_lattice(f1):
+        # quotient builds its tables unchecked; the natural map must commute
+        q, nat = quotient(f1, theta)
+        assert f1.is_hom_map(nat, q)
+        built.append(q)
     rng = random.Random(variety)
     built += [ctx.generated_by_terms(["x", "y"], [random_term(rng, spec.sig, ["x", "y"], 3)]).algebra
               for _ in range(5)]
