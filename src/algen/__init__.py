@@ -48,6 +48,7 @@ from .terms import (
     TermError,
     Var,
     apply_subst,
+    infer_signature,
     lgg_syntactic,
     parse_term,
     term_to_str,

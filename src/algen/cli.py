@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache
 
@@ -37,8 +36,8 @@ from .solver import (
 )
 from .terms import (
     ParseError,
-    Signature,
     TermError,
+    infer_signature,
     lgg_syntactic,
     parse_term,
     term_to_str,
@@ -263,54 +262,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_CALL_RE = re.compile(r"([A-Za-z0-9_]+)\s*\(")
-
-
-def _infer_signature(sources) -> Signature:
-    """Signature inference for the syntactic baseline: every applied
-    identifier becomes an operation; arities must be consistent."""
-    arities: dict[str, int] = {}
-
-    def scan(src: str):
-        pos = 0
-        while True:
-            m = _CALL_RE.search(src, pos)
-            if not m:
-                return
-            name = m.group(1)
-            depth = 1
-            args = 1
-            i = m.end()
-            while i < len(src) and depth:
-                ch = src[i]
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 1:
-                    args += 1
-                i += 1
-            if depth:
-                raise ParseError("unbalanced parenthesis",
-                                 len(src[:m.end()].encode()))
-            if not src[m.end():i - 1].strip():
-                args = 0
-            if arities.setdefault(name, args) != args:
-                raise TermError(
-                    f"operation {name!r} used with arities "
-                    f"{arities[name]} and {args}")
-            pos = m.end()
-
-    for src in sources:
-        scan(src)
-    return Signature.make(sorted(arities.items()))
-
-
 def cmd_lgg(args) -> int:
     if args.file:
         sig = load_variety(args.file).sig
     else:
-        sig = _infer_signature(args.terms)
+        sig = infer_signature(args.terms)
     terms = [parse_term(s, sig) for s in args.terms]
     g, sigmas = lgg_syntactic(terms)
     doc = {

@@ -20,6 +20,7 @@ __all__ = [
     "TermError",
     "ParseError",
     "parse_term",
+    "infer_signature",
     "term_to_str",
     "term_size",
     "term_rank",
@@ -202,11 +203,16 @@ class _Parser:
     One routine reads every binary level of ``_INFIX``, loosest first:
     imp, then plus/oplus, or and and; imp is right-associative, the rest
     left-associative.  Prefix not binds tighter than all of them.
+
+    Given ``arities``, the parser records each application's arity there
+    instead of checking it against ``sig``, and leaves sugar unchecked.
     """
 
-    def __init__(self, src: str, sig: Signature):
+    def __init__(self, src: str, sig: Signature,
+                 arities: dict[str, int] | None = None):
         self.src = src
         self.sig = sig
+        self.arities = arities
         self.pos = 0  # character position
         self.level = 0  # brackets, argument lists and operands open
         self.depths: dict[int, int] = {}  # id of each App built -> its depth
@@ -255,6 +261,8 @@ class _Parser:
 
     def sugar_op(self, symbol: str, want_arity: int) -> str:
         name = _SUGAR[symbol]
+        if self.arities is not None:
+            return name
         if not self.sig.has_op(name):
             self.error(f"unknown operation {symbol!r} (no {name!r} in signature)")
         if self.sig.arity(name) != want_arity:
@@ -319,9 +327,13 @@ class _Parser:
             if self.peek() != ")":
                 self.error("unbalanced parenthesis")
             self.eat(")")
-            if not self.sig.has_op(name):
+            if self.arities is not None:
+                if self.arities.setdefault(name, len(args)) != len(args):
+                    raise TermError(f"operation {name!r} used with arities "
+                                    f"{self.arities[name]} and {len(args)}")
+            elif not self.sig.has_op(name):
                 self.error(f"unknown operation {name!r}", name_pos)
-            if self.sig.arity(name) != len(args):
+            elif self.sig.arity(name) != len(args):
                 self.error(f"operation {name!r} expects {self.sig.arity(name)} "
                            f"arguments, got {len(args)}", name_pos)
             return self.app(name, args, name_pos)
@@ -341,6 +353,16 @@ def parse_term(src: str, sig: Signature) -> Term:
     (nullary ops may be written bare); all other identifiers are variables.
     """
     return _Parser(src, sig).parse()
+
+
+def infer_signature(sources: Sequence[str]) -> Signature:
+    """The signature that makes every applied identifier in the sources an
+    operation of the arity it is applied with.  Infix sugar adds nothing:
+    parsing with the result checks it."""
+    arities: dict[str, int] = {}
+    for src in sources:
+        _Parser(src, Signature(()), arities).parse()
+    return Signature.make(sorted(arities.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ CASES = [
     ("boolean_free3.txt", ["free", "varieties/boolean.var", "-n", "3"]),
     ("n3_free4.txt", ["free", "varieties/n3.var", "-n", "4"]),
     ("n3_free5.txt", ["free", "varieties/n3.var", "-n", "5"]),
+    # the iterated pairing procedure, which no case above runs
+    ("boolean_solve_pairwise.txt",
+     ["solve", "varieties/boolean.var", "1", "or(x,not(x))", "or(y,not(y))",
+      "--pairwise"]),
 ]
 
 # exit codes expected alongside the output

@@ -142,7 +142,29 @@ def test_lgg_unbalanced_parenthesis_exits_1(capsys):
 
     assert main(["lgg", "f(g(a)", "f(b)"]) == 1
     assert capsys.readouterr() == (
-        "", "error: unbalanced parenthesis (byte offset 2)\n")
+        "", "error: unbalanced parenthesis (byte offset 6)\n")
+
+
+@pytest.mark.parametrize("terms", [["f(,)", "f(a)"], ["f(", "f(b)"]],
+                         ids=["empty-argument", "open-end"])
+def test_lgg_malformed_term_gets_parse_terms_message(capsys, terms):
+    # the signature is read by the term parser, so a missing argument is
+    # reported where solve reports it, not as an arity clash or a bracket
+    from algen.cli import main
+
+    assert main(["lgg", *terms]) == 1
+    assert capsys.readouterr() == (
+        "", "error: expected identifier or '(' (byte offset 2)\n")
+
+
+@pytest.mark.parametrize("terms,first_line", [
+    (["a()", "a"], "lgg: a"),
+    (["and(x,y)", "x∧z"], "lgg: and(x,g1)"),
+], ids=["applied-once-is-a-constant", "sugar-beside-applied"])
+def test_lgg_inferred_signature(terms, first_line):
+    code, text = run_case(["lgg", *terms])
+    assert code == 0
+    assert text.splitlines()[0] == first_line
 
 
 def test_compare_json():
@@ -560,6 +582,39 @@ def test_comma_in_a_generator_label_changes_no_output(tmp_path, capsys):
         for var in ("varieties/kleene.var", str(path)):
             code = main([command[0], var, *command[1:]])
             runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1], command
+
+
+# one solve and one compare per shipped variety, in its own signature
+_PRESENTED = {
+    "boolean": (["or(x,not(x))", "1"], ["1", "z"]),
+    "kleene": (["and(x,not(x))", "and(y,not(y))"],
+               ["and(x,not(x))", "or(x,not(x))"]),
+    "godel3": (["imp(x,0)", "imp(imp(y,0),0)"], ["imp(x,x)", "1"]),
+    "n3": (["oplus(x,x)", "oplus(y,oplus(y,y))"], ["oplus(x,x)", "z"]),
+    "lattice": (["and(x,y)", "or(y,w)"], ["and(x,y)", "x"]),
+}
+
+
+@pytest.mark.parametrize("variety", list(_PRESENTED))
+def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
+    # A and A x A generate the same variety, so appending the square of the
+    # generating algebra to its file may move no output
+    from algen.algebra import direct_product
+    from algen.varfile import dump_variety, load_variety
+    from algen.variety import VarietySpec
+
+    original = f"varieties/{variety}.var"
+    spec = load_variety(original)
+    square, _ = direct_product([spec.generators[0]] * 2)
+    path = tmp_path / f"{variety}.var"
+    path.write_text(dump_variety(VarietySpec(
+        spec.name, spec.sig, (*spec.generators, square))), encoding="utf-8")
+    solved, compared = _PRESENTED[variety]
+    for command in (["free", "-n", "2"], ["con"], ["props"],
+                    ["solve", *solved], ["compare", *compared]):
+        runs = [run_case([command[0], var, *command[1:]])
+                for var in (original, str(path))]
         assert runs[0] == runs[1], command
 
 

@@ -10,6 +10,7 @@ from algen.terms import (
     TermError,
     Var,
     apply_subst,
+    infer_signature,
     lgg_syntactic,
     parse_term,
     term_to_str,
@@ -133,10 +134,8 @@ def test_print_parse_roundtrip_examples():
 
 
 def terms_strategy(sig, max_depth=3):
-    leaves = st.one_of(
-        st.sampled_from([Var("x"), Var("y"), Var("z")]),
-        st.sampled_from([App(n, ()) for n, a in sig.ops if a == 0]),
-    )
+    leaves = st.sampled_from([Var("x"), Var("y"), Var("z")]
+                             + [App(n, ()) for n, a in sig.ops if a == 0])
 
     def extend(children):
         ops = [(n, a) for n, a in sig.ops if a > 0]
@@ -150,6 +149,69 @@ def terms_strategy(sig, max_depth=3):
 @settings(max_examples=200)
 def test_print_parse_roundtrip_property(t):
     assert parse_term(term_to_str(t), KLEENE_SIG) == t
+
+
+# ---------------------------------------------------------------------------
+# Signature inference: the parser, recording arities instead of checking them
+
+
+def test_infer_signature_counts_only_its_own_commas():
+    assert infer_signature(["f(g(a,b),c)"]) == Signature.make(
+        [("f", 2), ("g", 2)])
+
+
+def test_infer_signature_blank_argument_list_is_nullary():
+    assert infer_signature(["f( )", "f()"]) == Signature.make([("f", 0)])
+
+
+def test_infer_signature_applied_once_is_a_constant_everywhere():
+    # bare a is a variable until a() somewhere makes a a constant
+    sig = infer_signature(["a", "a()"])
+    assert sig == Signature.make([("a", 0)])
+    assert parse_term("a", sig) == App("a", ())
+
+
+def test_infer_signature_leaves_sugar_to_the_checking_read():
+    sig = infer_signature(["and(x,y)", "x∧z"])
+    assert sig == Signature.make([("and", 2)])
+    assert parse_term("x∧z", sig) == App("and", (Var("x"), Var("z")))
+    assert infer_signature(["x∨y"]) == Signature.make([])
+
+
+def test_infer_signature_rejects_an_arity_clash():
+    with pytest.raises(TermError, match="'f' used with arities 1 and 2"):
+        infer_signature(["f(a)", "f(a,b)"])
+
+
+def test_infer_signature_rejects_an_operation_named_like_a_variable():
+    with pytest.raises(TermError, match="'g1' is reserved for variables"):
+        infer_signature(["g1(a)", "g1(b)"])
+
+
+def operations(t):
+    if isinstance(t, App):
+        yield t.op, len(t.args)
+        for a in t.args:
+            yield from operations(a)
+
+
+@st.composite
+def constant_free_problems(draw):
+    arities = draw(st.dictionaries(
+        st.sampled_from(["f", "h", "k", "and", "not", "op_2"]),
+        st.integers(1, 3), min_size=1))
+    sig = Signature.make(sorted(arities.items()))
+    return draw(st.lists(terms_strategy(sig), min_size=1, max_size=3))
+
+
+@given(constant_free_problems())
+@settings(max_examples=100)
+def test_infer_signature_reads_back_the_operations_property(ts):
+    # without constants every operation prints applied, so the text shows
+    # each one with its arity and nothing else
+    contained = {op for t in ts for op in operations(t)}
+    assert infer_signature([term_to_str(t) for t in ts]) == Signature.make(
+        sorted(contained))
 
 
 # ---------------------------------------------------------------------------
