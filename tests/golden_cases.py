@@ -51,6 +51,10 @@ CASES = [
     ("boolean_solve_pairwise.txt",
      ["solve", "varieties/boolean.var", "1", "or(x,not(x))", "or(y,not(y))",
       "--pairwise"]),
+    # a projective factor product outside 1EP, whose answer is a least term
+    # of F(2)
+    ("n3_solve_shortcut.txt",
+     ["solve", "varieties/n3.var", "x", "oplus(x,oplus(x,x))"]),
 ]
 
 # exit codes expected alongside the output
