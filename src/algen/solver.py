@@ -205,10 +205,10 @@ class CongruenceClassification:
 def _embedding_elements(ctx: VarietyContext, theta: Congruence,
                         target_free: FreeAlgebra) -> list[int]:
     """Elements t of a free algebra with ker(z -> t) equal to theta, i.e.
-    the embeddings of F(1)/theta determined by their generator image;
-    ordered by representative rank."""
+    the embeddings of F(1)/theta determined by their generator image, in
+    element order, so that finding them settles no representative."""
     kernels = ctx.evaluation_kernels(target_free.algebra)
-    return [t for t in target_free.order if kernels[t] == theta]
+    return [t for t in target_free.algebra.elements() if kernels[t] == theta]
 
 
 def classify_congruence(ctx: VarietyContext, theta: Congruence,
@@ -228,7 +228,10 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
 
     The projectivity verdict's detail holds the search transcript under
     ``"search"``, one row per embedding tried, in rank order; the search
-    stops at the first embedding that admits a retraction.  Each row has:
+    stops at the first embedding that admits a retraction.  The exactness
+    element and the strong projectivity failure are the rank-least of their
+    sets in F(k); F(k) is read as a closure, and only that element's level
+    of representatives is settled.  Each row has:
 
     ``embedding``
         the generator image of the embedding F(1)/theta -> F(1);
@@ -257,7 +260,8 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
 
     names = output_names(ctx)
     blocks = congruence_blocks_labels(ctx, theta)
-    embeddings1 = _embedding_elements(ctx, theta, f1)
+    hits = set(_embedding_elements(ctx, theta, f1))
+    embeddings1 = [t for t in f1.order if t in hits]  # tried in rank order
     retract = None
     attempts = []
     first = _first_assignments(f1, q_alg, embeddings1, zq)
@@ -287,11 +291,11 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     else:
         exact = None
         for k in range(1, bound + 1):
-            fk = ctx.free_algebra(k)
+            fk = ctx.free_closure(k)
             hits = _embedding_elements(ctx, theta, fk)
             if hits:
-                exact = Verdict("yes", None,
-                                {"arity": k, "element": term_to_str(fk.reps[hits[0]])})
+                exact = Verdict("yes", None, {
+                    "arity": k, "element": term_to_str(fk.rep(fk.least(hits)))})
                 break
         if exact is None:
             reason = _no_exact_certificate(ctx, theta)
@@ -306,14 +310,14 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
     else:
         sp = None
         for k in range(1, bound + 1):
-            fk = ctx.free_algebra(k)
+            fk = ctx.free_closure(k)
             embeddings = _embedding_elements(ctx, theta, fk)
             first = _first_assignments(fk, q_alg, embeddings, zq)
-            t = next((t for t in embeddings if t not in first), None)
-            if t is not None:
+            failing = [t for t in embeddings if t not in first]
+            if failing:
                 sp = Verdict("no", None, {
                     "arity": k,
-                    "embedding": term_to_str(fk.reps[t]),
+                    "embedding": term_to_str(fk.rep(fk.least(failing))),
                     "reason": "embedding admits no retraction",
                 })
                 break
@@ -328,13 +332,18 @@ def _first_assignments(fk: FreeAlgebra, alg: FiniteAlgebra,
     """The first assignment of elements of ``alg`` to x1..xk, in product
     order, under which each of ``elements`` of F(k) evaluates to
     ``target``, keyed by element; an element that never does is absent.
-    One walk of F(k)'s derivation per assignment answers every open one."""
+    One walk per assignment, of the cone of F(k)'s derivation that the
+    open elements read, answers every open one."""
     first, open_ = {}, list(elements)
+    cone = fk.cone(open_)
     for vals in itertools.product(range(alg.size), repeat=fk.n):
-        images = fk.images(alg, vals)
-        first.update((t, vals) for t in open_ if images[t] == target)
-        if not (open_ := [t for t in open_ if t not in first]):
-            break
+        images = fk.images(alg, vals, cone)
+        found = [t for t in open_ if images[t] == target]
+        if found:
+            first.update((t, vals) for t in found)
+            if not (open_ := [t for t in open_ if t not in first]):
+                break
+            cone = fk.cone(open_)
     return first
 
 
@@ -628,7 +637,7 @@ def _instance_substitution(ctx: VarietyContext, s: Term, more_general: Term):
     target = alg.eval(s, dict(zip(vars_s, free_s.generator_indices)))
     found = _first_assignment(alg, more_general, vars_target, target)
     return None if found is None else Substitution.make(
-        {v: free_s.reps[e] for v, e in zip(vars_target, found)})
+        {v: free_s.rep(e) for v, e in zip(vars_target, found)})
 
 
 def compare_generality(ctx: VarietyContext, s: Term, s2: Term) -> str:
@@ -779,10 +788,10 @@ def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int,
     walks of |F(k)| steps to ``budget`` before the first; raises
     BudgetExceeded for those or for an F(k) above the budget."""
     if len(prod.subuniverse(())) == prod.size:
-        f1 = ctx.free_algebra(1)
+        f1 = ctx.free_closure(1)
         return (), f1, f1.images(prod, (0,))
     for k in range(1, min(bound, prod.size) + 1):
-        fk = ctx.free_algebra(k)
+        fk = ctx.free_closure(k)
         if prod.size > fk.size:
             continue
         budget.charge(math.comb(prod.size, k) * fk.size, "product shortcut")
@@ -831,7 +840,7 @@ def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
     no_gens = {"status": "skipped",
                "reason": f"no generating set of size <= {bound}"}
     try:
-        if sizes > ctx.free_algebra(bound).size:
+        if sizes > ctx.free_closure(bound).size:
             return no_gens, None
     except BudgetExceeded:
         pass  # the search below decides, or meets the budget itself
@@ -928,7 +937,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     # the problem tuple h is the factors' generators (0, ..., 0), the
     # first element of the lexicographically ordered product
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
-    s_term = apply_subst(Substitution.make(out_vars), fk.reps[section[0]])
+    s_term = apply_subst(Substitution.make(out_vars), fk.rep(section[0]))
     witnesses = [
         Substitution.make({f"z{i + 1}": factor.rep(pr[p])
                            for i, p in enumerate(points)})

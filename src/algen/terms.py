@@ -329,8 +329,8 @@ class _Parser:
             self.eat(")")
             if self.arities is not None:
                 if self.arities.setdefault(name, len(args)) != len(args):
-                    raise TermError(f"operation {name!r} used with arities "
-                                    f"{self.arities[name]} and {len(args)}")
+                    self.error(f"operation {name!r} used with arities "
+                               f"{self.arities[name]} and {len(args)}", name_pos)
             elif not self.sig.has_op(name):
                 self.error(f"unknown operation {name!r}", name_pos)
             elif self.sig.arity(name) != len(args):

@@ -44,13 +44,20 @@ tables from its first table entry, p(op(a, b)) = op(p a, p b); a result
 whose image is not known yet is evaluated, in column order, so each new
 element lands where the plain closure puts it.  No permutation of the
 coordinates is built: at width |A|^n it would outweigh the closure.
+The closure keeps its own derivation, each element's first table entry:
+every element is a generator, a constant or one operation applied to
+elements made before it.  Every homomorphism out of F(n), fixed by the
+images of the generators, walks it in element order with one table lookup
+per element, or walks only the cone that the images of a few elements read.
 Each element's representative is its least term in (size, op-order,
 arg-order) rank, settled size by size (Knuth's generalization of Dijkstra's
 algorithm) from the table entries whose argument sizes add up to one less.
-The order in which the representatives settle is F(n)'s derivation: each
-element is a generator, a constant or one operation applied to elements
-settled before it.  Every homomorphism out of F(n), fixed by the images of
-the generators, walks it with one table lookup per element.
+That sweep, the labels and the rank order are not part of the closure: they
+run when something first reads them, and a read that needs one element, or
+the rank-least of a set, stops once that level has settled, as a settled
+level's terms are final.  A context builds each F(n) once; free_algebra(n)
+settles every representative, while classification and the product
+shortcut read F(k) as a closure and settle only the elements they print.
 
 A binary operation commutative in every generating algebra is commutative,
 coordinatewise, in every algebra built here, and the spec finds these once.
@@ -99,7 +106,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
@@ -276,7 +283,7 @@ class GeneratedSubalgebra:
         code = bytes if a_max <= 256 else tuple  # the type of value vectors
         vectors: list = []
         index: dict = {}
-        born: list = []  # each element's first (table, arguments), else None
+        born: list = []  # each element's first (operation, arguments), else None
         perms: list[list] = []  # each swap's permutation, None where not known yet
         seed_reps: dict[int, Term] = {}
         before = budget.used  # the cells charged before the closure
@@ -348,7 +355,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        tables[op] = element(code(comps.op_tables[op]))
+                        tables[op] = element(code(comps.op_tables[op]), (op, ()))
                     continue
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs
@@ -363,7 +370,7 @@ class GeneratedSubalgebra:
                                 entry = born[e]
                                 perm[e] = e if entry is None else reduce(
                                     getitem, map(perm.__getitem__, entry[1]),
-                                    entry[0])
+                                    tables[entry[0]])
                         for a in range(m):
                             if perm[a] < a:
                                 source.setdefault(a, perm)
@@ -394,7 +401,7 @@ class GeneratedSubalgebra:
                                 r = src[perm[s + j]]
                                 if perm[r] is None:
                                     e = element(code(map(getitem, rows, vectors[s + j])),
-                                                (table, (a, s + j)))
+                                                (op, (a, s + j)))
                                     perm[r], perm[e] = e, r
                                 found[j] = perm[r]
                         table[a].extend(found)
@@ -416,7 +423,7 @@ class GeneratedSubalgebra:
                             vec = code(map(getitem, rows, vectors[b]))
                             res = index.get(vec)  # inline: most entries hit
                             if res is None:
-                                res = element(vec, (table, prefix + (b,)))
+                                res = element(vec, (op, prefix + (b,)))
                             row.append(res)
                         continue
                     flat, width = b"".join(rows), m - s
@@ -424,33 +431,78 @@ class GeneratedSubalgebra:
                     found = list(map(index.get, vecs))
                     if None in found:
                         # add new vectors in order; one may recur in the row
-                        found = [element(v, (table, prefix + (lo + j,)))
+                        found = [element(v, (op, prefix + (lo + j,)))
                                  if f is None else f
                                  for j, (f, v) in enumerate(zip(found, vecs))]
                     row.extend(found)
         if not vectors:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
-        self.reps, self.steps = _minimize_reps(spec.sig, len(vectors), tables,
-                                               seed_reps, mirrored=spec.commutative)
-        labels = [term_to_str(r) for r in self.reps]
-        self.algebra = FiniteAlgebra._trusted(spec.sig, labels, tables)
+        self.size = len(vectors)
+        # the derivation: each element's first table entry, None for a seed
+        self.born = born
+        self._terms = _LeastTerms(spec.sig, tables, self.size, seed_reps,
+                                  spec.commutative)
+        self.algebra = _ClosureAlgebra(spec.sig, tables, self._terms)
+
+    def settle(self) -> None:
+        """Settle every representative and the rank order, once."""
+        self._terms.complete()
+
+    @cached_property
+    def reps(self) -> tuple[Term, ...]:
+        """Each element's least term; the first read settles them all."""
+        return self._terms.complete()
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The elements by their representatives' term_rank, the settle order."""
+        self.settle()
+        return tuple(e for e, _ in self._terms.steps)
+
+    def rep(self, e: int) -> Term:
+        """Element ``e``'s least term, settling levels only up to its own."""
+        return self._terms.rep(e)
+
+    def least(self, elements: Iterable[int]) -> int:
+        """The rank-least of ``elements``, not empty, settling levels only up
+        to its own."""
+        return self._terms.least(elements)
+
+
+class _ClosureAlgebra(FiniteAlgebra):
+    """A closure's tables as an algebra, kept as ``FiniteAlgebra._trusted``
+    keeps them.  Its labels, the representatives as text, are settled when
+    first read; its size and tables are not."""
+
+    def __init__(self, sig: Signature, tables: dict, terms: "_LeastTerms"):
+        self.sig, self.tables, self.name = sig, tables, ""
+        self._terms = terms
 
     @property
     def size(self) -> int:
-        return self.algebra.size
+        return self._terms.size
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(term_to_str, self._terms.complete()))
+
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 def _minimize_reps(sig: Signature, count: int, tables,
-                   seed_reps: dict[int, Term], stop: int | None = None,
+                   seed_reps: dict[int, Term], stop: Collection[int] = (),
                    mirrored: frozenset[str] = frozenset()):
     """Each element's least term in (size, op-order, arg-order) rank,
     and the settle order as steps (element, seed term) or (element,
     (operation, argument elements)), each after its arguments and in
     (size, code) order, that of ``term_rank``.  With ``stop``, the sweep
-    ends once that element's level has settled; it also ends when no
-    size is left to visit, as without seeds, when the constants reach
-    only part of the elements.  Unsettled elements' terms are None.
+    ends once the level of one of those elements has settled; it also
+    ends when no size is left to visit, as without seeds, when the
+    constants reach only part of the elements.  Unsettled elements' terms
+    are None.
     ``mirrored`` names binary operations commutative in these tables.
 
     Elements are settled one size level at a time.  A least term is a
@@ -484,11 +536,8 @@ def _minimize_reps(sig: Signature, count: int, tables,
     unsettled = bytearray(b"\1") * count
     levels: dict[int, list[int]] = {}  # settled size -> its elements
     pending, splits = set(found), {}  # sizes to visit; size -> its splits
-
-    def unfinished() -> bool:
-        return unsettled[stop] if stop is not None else 1 in unsettled
-
-    while pending and unfinished():
+    left, stops = count, set(stop)  # how many are unsettled; where to stop
+    while pending and left:
         pending.remove(s := min(pending))
         for ops, mirror, *parts, last in splits.pop(s, ()):
             for i, prefix in enumerate(itertools.product(*parts)):
@@ -514,8 +563,11 @@ def _minimize_reps(sig: Signature, count: int, tables,
                        if isinstance(d, tuple) else d)
             unsettled[e] = 0
             steps.append((e, d))
+        left -= len(settled)
+        if not left or not stops.isdisjoint(settled):
+            break  # every element, or one of stop's, has settled
         levels[s] = settled
-        for (k, mirror), ops in by_k.items() if unfinished() else ():
+        for (k, mirror), ops in by_k.items():
             for split in itertools.product(levels, repeat=k + 1):
                 # the splits this level makes, a mirrored pair's once
                 if s in split and not (mirror and split[0] > split[1]):
@@ -523,6 +575,47 @@ def _minimize_reps(sig: Signature, count: int, tables,
                     splits.setdefault(t, []).append(
                         (ops, mirror, *map(levels.get, split)))
     return tuple(reps), steps
+
+
+class _LeastTerms:
+    """Each element's least term, settled on demand.  A read that needs one
+    element, or the rank-least of a set, sweeps only up to that level, as a
+    settled level's terms are final: every element with a smaller term is
+    settled too, in rank order.  A later read reuses what has settled and
+    sweeps again only for an element above it."""
+
+    def __init__(self, sig: Signature, tables, size: int,
+                 seeds: dict[int, Term], mirrored: frozenset[str]):
+        self.sig, self.tables, self.size = sig, tables, size
+        self.seeds, self.mirrored = seeds, mirrored
+        self.terms: tuple = (None,) * size
+        self.steps: list = []  # the settle order, as _minimize_reps gives it
+        self.whole = False  # whether a sweep ran to the end
+
+    def _sweep(self, stop: Collection[int] = ()) -> None:
+        self.terms, self.steps = _minimize_reps(self.sig, self.size, self.tables,
+                                                self.seeds, stop, self.mirrored)
+        self.whole = not stop
+
+    def complete(self) -> tuple:
+        """Every element's term, settled on the first call."""
+        if not self.whole:
+            self._sweep()
+        return self.terms
+
+    def rep(self, e: int) -> Term | None:
+        """Element ``e``'s term, None when the seeds and constants do not
+        reach it."""
+        if self.terms[e] is None and not self.whole:
+            self._sweep((e,))
+        return self.terms[e]
+
+    def least(self, elements: Iterable[int]) -> int:
+        """The rank-least of ``elements``, some of which the sweep reaches."""
+        wanted = set(elements)
+        if all(self.terms[e] is None for e in wanted):
+            self._sweep(wanted)
+        return next(e for e, _ in self.steps if e in wanted)
 
 
 class ExactFactor:
@@ -543,7 +636,8 @@ class ExactFactor:
         self.term = term
         self.range = term_range
         self.mirrored = mirrored
-        self._reps = (None,) * algebra.size
+        self._terms = _LeastTerms(algebra.sig, algebra.tables, algebra.size,
+                                  {0: term}, mirrored)
 
     def rep(self, e: int) -> Term:
         """Element ``e``'s least term built from t.  Element 0's is t or its
@@ -555,10 +649,7 @@ class ExactFactor:
             return (self.ground if self.ground is not None
                     and term_rank(self.ground, sig) < term_rank(self.term, sig)
                     else self.term)
-        if self._reps[e] is None:
-            self._reps = _minimize_reps(sig, self.algebra.size, self.algebra.tables,
-                                        {0: self.term}, e, self.mirrored)[0]
-        return self._reps[e]
+        return self._terms.rep(e)
 
 
 class FreeAlgebra(GeneratedSubalgebra):
@@ -572,24 +663,27 @@ class FreeAlgebra(GeneratedSubalgebra):
         comps = _Components(spec, n, budget)
         super().__init__(spec, comps, [(vec, Var(v)) for v, vec
                                        in comps.projections.items()], budget)
-        # the elements by their representatives' term_rank, the settle order
-        self.order = tuple(e for e, _ in self.steps)
-        # F(n)'s derivation: (element, operation, argument elements), or
-        # (element, None, i) for the generator x_{i+1}
-        position = {v: i for i, v in enumerate(comps.projections)}
-        self.steps = [(e, None, position[d.name]) if isinstance(d, Var)
-                      else (e, *d) for e, d in self.steps]
+        # F(n)'s derivation in element order: (element, operation, argument
+        # elements), or (element, None, i) for the generator x_{i+1}
+        position: dict[int, int] = {}
+        for i, e in enumerate(self.generator_indices):
+            position.setdefault(e, i)
+        self.steps = [(e, None, position[e]) if entry is None else (e, *entry)
+                      for e, entry in enumerate(self.born)]
 
     @property
     def generators(self) -> tuple[int, ...]:
         return tuple(self.generator_indices)
 
-    def images(self, target: FiniteAlgebra, points: Sequence[int]) -> list[int]:
+    def images(self, target: FiniteAlgebra, points: Sequence[int],
+               steps: Sequence | None = None) -> list[int]:
         """The homomorphism F(n) -> target with x_i -> points[i], for a
         target in the variety, as the image of every element: one walk of
-        the derivation steps with one table lookup per element."""
+        the derivation steps with one table lookup per element.  Given
+        ``steps``, a cone of the derivation, only those are walked, and the
+        other elements' images read 0."""
         images = [0] * self.size
-        for e, op, args in self.steps:
+        for e, op, args in self.steps if steps is None else steps:
             if op is None:
                 images[e] = points[args]
                 continue
@@ -598,6 +692,19 @@ class FreeAlgebra(GeneratedSubalgebra):
                 value = value[images[a]]
             images[e] = value
         return images
+
+    def cone(self, elements: Iterable[int]) -> list:
+        """The derivation steps that the images of ``elements`` read, in
+        element order: theirs and, in turn, their arguments'."""
+        need = bytearray(self.size)
+        for e in elements:
+            need[e] = 1
+        for e in reversed(range(self.size)):  # arguments come before results
+            _, op, args = self.steps[e]
+            if need[e] and op is not None:
+                for a in args:
+                    need[a] = 1
+        return [step for step, wanted in zip(self.steps, need) if wanted]
 
     def eval_term(self, t: Term) -> int:
         """Evaluate a term over x1..xn to an element of the free algebra."""
@@ -628,6 +735,13 @@ class VarietyContext:
     # -- free algebras ------------------------------------------------------
 
     def free_algebra(self, n: int) -> FreeAlgebra:
+        """F(n) with every representative settled."""
+        f = self.free_closure(n)
+        f.settle()
+        return f
+
+    def free_closure(self, n: int) -> FreeAlgebra:
+        """F(n), built once per n; its representatives settle when read."""
         return self.memo(("free", n), lambda: FreeAlgebra(
             self.spec, n, Budget(self.budget_limit)))
 
@@ -678,8 +792,8 @@ class VarietyContext:
             kernels = [self.evaluation_kernels(g) for g in self.spec.generators]
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
             alg, _ = quotient(self.free_algebra(1).algebra, kernel)
-            ground = _minimize_reps(alg.sig, alg.size, alg.tables, {}, 0,
-                                    self.spec.commutative)[0][0]
+            ground = _LeastTerms(alg.sig, alg.tables, alg.size, {},
+                                 self.spec.commutative).rep(0)
             return alg, kernel, ground
         return ExactFactor(*self.memo(("factor", term_range), build), t,
                            term_range, self.spec.commutative)

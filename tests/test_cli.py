@@ -122,6 +122,16 @@ def test_lgg_inconsistent_arity():
     assert code == 1
 
 
+def test_lgg_arity_clash_names_its_place(capsys):
+    # the clash is reported at the second application's name, with a byte
+    # offset like every other malformed lgg input
+    from algen.cli import main
+
+    assert main(["lgg", "f(a)", "f(a,b)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: operation 'f' used with arities 1 and 2 (byte offset 0)\n")
+
+
 def test_lgg_blank_argument_list_is_nullary():
     # the parser reads f( ) as f(), so the inferred signature must too
     code, text = run_case(["lgg", "f( )", "f()"])
@@ -596,10 +606,28 @@ _PRESENTED = {
 }
 
 
+def _relabelled(a):
+    """An isomorphic copy of ``a`` with its universe reversed and renamed:
+    element x of ``a`` is element n-1-x of the copy, labelled "e" and x's
+    label."""
+    from algen.algebra import FiniteAlgebra
+
+    def flip(x):
+        return a.size - 1 - x
+
+    def table(op, arity, args=()):
+        if len(args) == arity:
+            return flip(a.op(op, tuple(map(flip, args))))
+        return [table(op, arity, args + (y,)) for y in a.elements()]
+    return FiniteAlgebra(a.sig, [f"e{a.labels[flip(y)]}" for y in a.elements()],
+                         {op: table(op, arity) for op, arity in a.sig.ops}, a.name)
+
+
 @pytest.mark.parametrize("variety", list(_PRESENTED))
 def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
-    # A and A x A generate the same variety, so appending the square of the
-    # generating algebra to its file may move no output
+    # A and A x A generate the same variety, in either order, and so does a
+    # copy of A with its universe permuted and relabelled, so no such
+    # presentation of a var file's generating algebras may move an output
     from algen.algebra import direct_product
     from algen.varfile import dump_variety, load_variety
     from algen.variety import VarietySpec
@@ -607,15 +635,22 @@ def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
     original = f"varieties/{variety}.var"
     spec = load_variety(original)
     square, _ = direct_product([spec.generators[0]] * 2)
-    path = tmp_path / f"{variety}.var"
-    path.write_text(dump_variety(VarietySpec(
-        spec.name, spec.sig, (*spec.generators, square))), encoding="utf-8")
+    presentations = {
+        "square-appended": (*spec.generators, square),
+        "reordered": (square, *reversed(spec.generators)),
+        "relabelled": tuple(map(_relabelled, spec.generators)),
+    }
+    for kind, algebras in presentations.items():
+        (tmp_path / f"{kind}.var").write_text(
+            dump_variety(VarietySpec(spec.name, spec.sig, algebras)), encoding="utf-8")
     solved, compared = _PRESENTED[variety]
     for command in (["free", "-n", "2"], ["con"], ["props"],
                     ["solve", *solved], ["compare", *compared]):
-        runs = [run_case([command[0], var, *command[1:]])
-                for var in (original, str(path))]
-        assert runs[0] == runs[1], command
+        expected = run_case([command[0], original, *command[1:]])
+        for kind in presentations:
+            path = str(tmp_path / f"{kind}.var")
+            assert run_case([command[0], path, *command[1:]]) == expected, (
+                kind, command)
 
 
 @pytest.mark.parametrize("argv,buffered", [

@@ -1,10 +1,13 @@
 import functools
 import itertools
+import json
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from algen.algebra import (
     AlgebraError,
@@ -472,6 +475,18 @@ def test_classify_retraction_search_transcript(ba, ka, n3v):
                 assert c.retract[1] == q
 
 
+def ranked_embeddings(ctx, theta, k):
+    """The embeddings of F(1)/theta into F(k), the elements t with
+    ker(x1 -> t) = theta, ranked by their representatives' term_rank in
+    F(k) with every representative settled."""
+    from algen.terms import term_rank
+
+    f1, fk = ctx.free_algebra(1), ctx.free_algebra(k)
+    hits = [t for t in fk.algebra.elements()
+            if Congruence.from_map(f1.images(fk.algebra, (t,))) == theta]
+    return sorted(hits, key=lambda t: term_rank(fk.reps[t], ctx.spec.sig))
+
+
 def per_term_retraction_searches(ctx, theta, bound):
     """The retraction searches evaluating each embedding's representative
     under each assignment, embeddings ranked by term_rank: the tried counts
@@ -479,16 +494,13 @@ def per_term_retraction_searches(ctx, theta, bound):
     embedding into some F(k), k up to the bound, that admits no retraction,
     or None."""
     from algen.solver import _first_assignment
-    from algen.terms import term_rank
 
     f1 = ctx.free_algebra(1)
     q_alg, nat = quotient(f1.algebra, theta)
     zq = nat[f1.generators[0]]
 
     def ranked(fk):
-        hits = [t for t in fk.algebra.elements()
-                if Congruence.from_map(f1.images(fk.algebra, (t,))) == theta]
-        return sorted(hits, key=lambda t: term_rank(fk.reps[t], ctx.spec.sig))
+        return ranked_embeddings(ctx, theta, fk.n)
 
     tried = []
     for t in ranked(f1):
@@ -542,6 +554,104 @@ def test_retraction_searches_match_per_term_evaluation(name):
                 assert (sp.detail["arity"], sp.detail["embedding"]) == failure
     if name in ("G34", "groupoid3"):  # 1ESP fails there
         assert failures
+
+
+def exact_at_two():
+    """Two algebras over one binary operation, found by a seeded search of
+    small varieties: some quotients of F(1) embed into F(2) but not into
+    F(1), so classification prints their exactness element from F(2)."""
+    from algen.terms import Signature
+
+    sig = Signature.make([("f", 2)])
+    return (FiniteAlgebra(sig, ["0", "1"], {"f": [[1, 1], [1, 0]]}),
+            FiniteAlgebra(sig, ["0", "1", "2"],
+                          {"f": [[2, 0, 2], [2, 1, 2], [2, 2, 2]]}))
+
+
+def assert_printed_elements_are_rank_least(ctx, bound):
+    """Each element of F(k) that classify_all prints, the exactness element
+    and the strong projectivity failure, is the rank-least of its set in a
+    fresh context whose F(k) has every representative settled, each
+    embedding evaluated on its own; returns how many have arity 2."""
+    oracle = VarietyContext(ctx.spec, ctx.budget_limit)
+    at_two = 0
+    for theta, c in classify_all(ctx, bound).items():
+        if c.exact.status == "yes" and c.projective.status != "yes":
+            k = c.exact.detail["arity"]
+            assert not any(ranked_embeddings(oracle, theta, j) for j in range(1, k))
+            least = ranked_embeddings(oracle, theta, k)[0]
+            assert c.exact.detail["element"] == term_to_str(
+                oracle.free_algebra(k).reps[least])
+            at_two += k == 2
+        sp = c.strongly_projective
+        if sp.status == "no" and c.projective.status == "yes":
+            assert (sp.detail["arity"], sp.detail["embedding"]) == (
+                per_term_retraction_searches(oracle, theta, bound)[1])
+            at_two += sp.detail["arity"] == 2
+    return at_two
+
+
+@pytest.mark.parametrize("name,at_two", [("G34", 2), ("groupoid3", 0),
+                                         ("unary", 0), ("exact-at-two", 3)])
+def test_printed_free_elements_are_rank_least(name, at_two):
+    # classification reads F(2) as a closure and settles representatives
+    # only up to the element it prints; that element must be the one a
+    # fully settled F(2) ranks first
+    from algen.varfile import loads_variety
+
+    from test_cli import _UNARY
+
+    ctx = {"G34": lambda: mk("G34", goedel_chain(3), goedel_chain(4)),
+           "groupoid3": lambda: mk("groupoid3", groupoid3()),
+           "unary": lambda: VarietyContext(loads_variety(json.dumps(_UNARY))),
+           "exact-at-two": lambda: mk("exact-at-two", *exact_at_two())}[name]()
+    assert assert_printed_elements_are_rank_least(ctx, 2) == at_two
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_printed_free_elements_are_rank_least_property(data):
+    # the same on small fuzzed varieties whose F(2) fits a small budget
+    from algen.varfile import loads_variety
+
+    from test_cli import fuzz_var_files
+
+    ctx = VarietyContext(loads_variety(json.dumps(data.draw(fuzz_var_files()))),
+                         budget_limit=100_000)
+    try:
+        if ctx.free_algebra(1).size > 12 or ctx.free_closure(2).size > 150:
+            return
+        classify_all(ctx, 2)
+    except (AlgebraError, BudgetExceeded):
+        return  # no closure, or one above the budget
+    assert_printed_elements_are_rank_least(ctx, 2)
+
+
+def test_classification_settles_no_element_of_f2(monkeypatch):
+    # counted, not timed: classify_all, 1EP and 1ESP at bound 2 read
+    # godel3's F(2) of 162 elements as a closure, and no verdict prints an
+    # element of it, so no sweep runs over it; free_algebra(2) then settles
+    # all 162 in one sweep.  Every module of algen that binds _minimize_reps
+    # counts its sweeps by element count
+    from algen import variety
+    from algen.varfile import load_variety
+
+    sweeps = []
+    real = variety._minimize_reps
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algen.") and vars(module).get("_minimize_reps") is real:
+            monkeypatch.setattr(module, "_minimize_reps",
+                                lambda *a, **k: sweeps.append(a[1]) or real(*a, **k))
+    ctx = VarietyContext(load_variety("varieties/godel3.var"))
+    classify_all(ctx, 2)
+    check_1ep(ctx, 2)
+    check_1esp(ctx, 2)
+    assert 162 not in sweeps
+    f2 = ctx.free_algebra(2)
+    assert f2.size == 162
+    assert sweeps.count(162) == 1
+    assert None not in f2.reps and len(f2.order) == 162
 
 
 # ---------------------------------------------------------------------------

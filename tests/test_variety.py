@@ -104,27 +104,29 @@ def reference_subalgebra(spec, varnames, terms):
     first produced each element, relaxed by Bellman passes over all table
     entries to the (size, op-order, arg-order) minimum.
 
-    Returns (generator_indices, vectors, tables, reps, charges, ahead),
-    where tables are keyed by argument tuples, charges lists the budget
-    charges the closure would make, and ahead gives, beside each charge that
-    adds an element (None beside the others), the cells charged so far plus
-    those the later passes must still charge: every argument tuple over the
-    elements so far that no pass has charged yet."""
+    Returns (generator_indices, vectors, tables, reps, charges, ahead,
+    born), where tables are keyed by argument tuples, charges lists the
+    budget charges the closure would make, ahead gives, beside each charge
+    that adds an element (None beside the others), the cells charged so far
+    plus those the later passes must still charge: every argument tuple over
+    the elements so far that no pass has charged yet, and born gives each
+    element's first table entry (operation, arguments), None for a seed."""
     sig = spec.sig
     entries = [(g, dict(zip(varnames, assign))) for g in spec.generators
                for assign in itertools.product(range(g.size), repeat=len(varnames))]
-    vectors, reps, index, charges, ahead = [], [], {}, [], []
+    vectors, reps, index, charges, ahead, born = [], [], {}, [], [], []
     charged = {}  # op -> the argument tuples its passes have charged
 
     def eval_op(op, arg_vectors):
         return tuple(g.op(op, tuple(v[i] for v in arg_vectors))
                      for i, (g, _) in enumerate(entries))
 
-    def add(vec, rep):
+    def add(vec, rep, entry=None):
         charges.append((len(entries), "free closure"))
         index[vec] = len(vectors)
         vectors.append(vec)
         reps.append(rep)
+        born.append(entry)
         ahead.append(sum(cells for cells, _ in charges)
                      + sum(len(vectors) ** arity - charged.get(op, 0)
                            for op, arity in sig.ops))
@@ -149,7 +151,7 @@ def reference_subalgebra(spec, varnames, terms):
                     continue
                 vec = eval_op(op, [vectors[a] for a in args])
                 if vec not in index:
-                    add(vec, App(op, tuple(reps[a] for a in args)))
+                    add(vec, App(op, tuple(reps[a] for a in args)), (op, args))
                     changed = True
                 table[args] = index[vec]
     if not vectors:
@@ -170,7 +172,7 @@ def reference_subalgebra(spec, varnames, terms):
                     sizes[res] = term_size(cand)
                     ranks[res] = term_rank(cand, sig)
                     changed = True
-    return generator_indices, vectors, tables, reps, charges, ahead
+    return generator_indices, vectors, tables, reps, charges, ahead, born
 
 
 def nested(table, arity, m, prefix=()):
@@ -182,9 +184,11 @@ def nested(table, arity, m, prefix=()):
 
 def assert_closure_matches_reference(spec, varnames, terms=None):
     """GeneratedSubalgebra agrees with reference_subalgebra on generator
-    indices, element order, tables, representatives and budget charges.
-    When the seeds are the variables x1..xn, so does FreeAlgebra, which
-    derives rows across variable swaps, and its steps are the subalgebra's."""
+    indices, element order, tables, representatives, each element's first
+    table entry and budget charges.  When the seeds are the variables
+    x1..xn, so does FreeAlgebra, which derives rows across variable swaps;
+    its rank order is the subalgebra's, and its steps are those first
+    entries in element order."""
     comps = _Components(spec, varnames, Budget(DEFAULT_BUDGET))
     free = terms is None and varnames == [var_name(i) for i in range(len(varnames))]
     if terms is None:
@@ -200,13 +204,14 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
             with pytest.raises(AlgebraError):
                 FreeAlgebra(spec, len(varnames), free_budget)
         return
-    gens, vectors, tables, reps, charges, _ = reference_subalgebra(
+    gens, vectors, tables, reps, charges, _, born = reference_subalgebra(
         spec, varnames, terms)
     assert sub.generator_indices == gens
     assert [comps.eval_term(r) for r in sub.reps] == vectors
     assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
                                   for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
+    assert sub.born == born
     assert budget.charges == charges
     if not free:
         return
@@ -214,9 +219,9 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     assert f.generator_indices == gens
     assert f.algebra.tables == sub.algebra.tables
     assert f.reps == sub.reps
-    assert f.order == tuple(e for e, _ in sub.steps)
-    assert f.steps == [(e, None, varnames.index(d.name)) if isinstance(d, Var)
-                       else (e, *d) for e, d in sub.steps]
+    assert f.order == sub.order
+    assert f.steps == [(e, None, gens.index(e)) if entry is None else (e, *entry)
+                       for e, entry in enumerate(born)]
     # the assignment index set, then the closure's own charges
     assert free_budget.charges[0][1] == "assignment index set"
     assert free_budget.charges[1:] == charges
@@ -534,7 +539,7 @@ def test_level_sweep_ranks_only_open_entries(monkeypatch):
         return builtins.sum(*args)
 
     monkeypatch.setattr(variety, "sum", counting_sum, raising=False)
-    FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET))
+    FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET)).settle()
     assert len(ranked) == 394
 
 
@@ -549,7 +554,7 @@ def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
     sig = f.spec.sig
     full, steps = _minimize_reps(sig, f.size, f.algebra.tables, seeds)
     for e in f.algebra.elements():
-        reps, prefix = _minimize_reps(sig, f.size, f.algebra.tables, seeds, e)
+        reps, prefix = _minimize_reps(sig, f.size, f.algebra.tables, seeds, (e,))
         cut = term_size(full[e])
         assert reps == tuple(r if term_size(r) <= cut else None for r in full)
         assert prefix == steps[:sum(r is not None for r in reps)]
@@ -756,6 +761,28 @@ def test_free_images_match_evaluating_each_representative(variety, n):
                                                  for rep in fk.reps]
 
 
+@pytest.mark.parametrize("variety", SHIPPED)
+def test_cone_walk_matches_the_full_walk(variety):
+    # a cone of F(2)'s derivation holds the elements asked for and every
+    # argument of its steps, and the images it reads are the full walk's;
+    # neither walk settles a representative
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    f2 = ctx.free_closure(2)
+    rng = random.Random(f"cone/{variety}")
+    for target in ctx.spec.generators:
+        for _ in range(6):
+            points = [rng.randrange(target.size) for _ in range(2)]
+            wanted = rng.sample(range(f2.size), min(3, f2.size))
+            cone = f2.cone(wanted)
+            held = {e for e, _, _ in cone}
+            assert set(wanted) <= held
+            assert all(set(args) <= held for _, op, args in cone if op is not None)
+            assert [e for e, _, _ in cone] == sorted(held)
+            full, part = f2.images(target, points), f2.images(target, points, cone)
+            assert all(part[e] == full[e] for e in held)
+    assert f2._terms.steps == []  # nothing settled
+
+
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in range(3)
                                        if n or has_constants(v)])
 def test_free_order_is_the_rank_order(variety, n):
@@ -935,7 +962,7 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
     # FreeAlgebra, which derives rows across variable swaps, first charges
     # the assignment index set, then must exit or fit alike
     names = [f"x{i + 1}" for i in range(n)]
-    charges, ahead = reference_subalgebra(spec, names, [Var(v) for v in names])[4:]
+    charges, ahead = reference_subalgebra(spec, names, [Var(v) for v in names])[4:6]
     totals = list(itertools.accumulate(cells for cells, _ in charges))
     steps = [i for i, (_, stage) in enumerate(charges) if stage == "operation tables"]
     steps += range(0, len(charges), 17)
