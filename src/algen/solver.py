@@ -260,8 +260,8 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
 
     names = output_names(ctx)
     blocks = congruence_blocks_labels(ctx, theta)
-    hits = set(_embedding_elements(ctx, theta, f1))
-    embeddings1 = [t for t in f1.order if t in hits]  # tried in rank order
+    into_f1 = set(_embedding_elements(ctx, theta, f1))
+    embeddings1 = [t for t in f1.order if t in into_f1]  # tried in rank order
     retract = None
     attempts = []
     first = _first_assignments(f1, q_alg, embeddings1, zq)

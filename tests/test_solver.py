@@ -499,11 +499,8 @@ def per_term_retraction_searches(ctx, theta, bound):
     q_alg, nat = quotient(f1.algebra, theta)
     zq = nat[f1.generators[0]]
 
-    def ranked(fk):
-        return ranked_embeddings(ctx, theta, fk.n)
-
     tried = []
-    for t in ranked(f1):
+    for t in ranked_embeddings(ctx, theta, 1):
         found = _first_assignment(q_alg, f1.reps[t], ["x1"], zq)
         tried.append(q_alg.size if found is None else found[0] + 1)
         if found is not None:
@@ -511,7 +508,7 @@ def per_term_retraction_searches(ctx, theta, bound):
     for k in range(1, bound + 1):
         fk = ctx.free_algebra(k)
         names = [f"x{i + 1}" for i in range(k)]
-        for t in ranked(fk):
+        for t in ranked_embeddings(ctx, theta, k):
             if _first_assignment(q_alg, fk.reps[t], names, zq) is None:
                 return tried, (k, term_to_str(fk.reps[t]))
     return tried, None
