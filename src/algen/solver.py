@@ -173,13 +173,6 @@ def alg_of(problem: SymbolicProblem) -> AlgebraicProblem:
     return AlgebraicProblem(problem)
 
 
-def _kernel_of_evaluation(free1: FreeAlgebra, target: FiniteAlgebra,
-                          elem: int) -> Congruence:
-    """Kernel of the homomorphism F(1) -> target sending the generator to
-    ``elem``."""
-    return Congruence.from_map(free1.images(target, (elem,)))
-
-
 # ---------------------------------------------------------------------------
 # Classification of congruences of F(1)
 
@@ -382,10 +375,9 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
         for gi, gen in enumerate(spec.generators)
     ]
-    for gi, vals in enumerate(allowed):
-        if not vals:
-            return (f"no element of generator {gi} identifies the classes "
-                    "of the congruence")
+    if not all(allowed):
+        return ("a generating algebra has no element that identifies the "
+                "classes of the congruence")
 
     ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
     unary_ok = [u for u in range(f1.size)
@@ -574,7 +566,7 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     # the quotient numbers its blocks by their least members; u is the least
     # member of block q, so the retraction sends the generator to u's block
     u = sorted(set(theta.blocks))[q]
-    if _kernel_of_evaluation(f1, a1, t) != theta:
+    if ap.ctx.evaluation_kernels(a1)[t] != theta:
         raise InternalVerificationError("embedding element does not realize the kernel")
     if not theta.related(a1.eval(f1.reps[t], {var_name(0): u}), f1.generators[0]):
         raise InternalVerificationError("retract pair does not compose to the identity")

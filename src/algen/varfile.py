@@ -123,7 +123,8 @@ def loads_variety(text: str, origin: str = "<string>") -> VarietySpec:
                                       f"{p}.ops.{op}")
         extra = set(ops_node) - {op for op, _ in sig.ops}
         _expect(not extra, f"{p}.ops", f"tables for unknown operations {sorted(extra)}")
-        algebras.append(FiniteAlgebra(sig, universe, tables, name=aname))
+        # _parse_table checked every shape and label, naming its JSON path
+        algebras.append(FiniteAlgebra._trusted(sig, universe, tables, aname))
     return VarietySpec(name, sig, tuple(algebras))
 
 

@@ -26,6 +26,13 @@ def identity_holds_oracle(gens, s, t):
     return True
 
 
+def first_failing_law(a, laws):
+    """The name of the first law (name, s, t) that fails in the algebra by
+    the assignment oracle, or None when all hold."""
+    return next((name for name, s, t in laws
+                 if not identity_holds_oracle([a], s, t)), None)
+
+
 def is_injective(h) -> bool:
     return len(set(h)) == len(h)
 

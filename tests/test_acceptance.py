@@ -20,7 +20,6 @@ from algen.algebra import (
 from algen.kleene import dual_poset, is_exact_by_quasieq, is_projective_by_duality
 from algen.solver import (
     SymbolicProblem,
-    _kernel_of_evaluation,
     alg_of,
     check_1ep,
     check_1esp,
@@ -38,7 +37,7 @@ from algen.variety import VarietyContext
 from factories import brute_force_congruences, goedel_chain
 from golden_cases import run_case
 from oracles import (find_isomorphism, identity_holds_oracle, is_injective,
-                     subalgebra_generated)
+                     kernel, subalgebra_generated)
 from test_solver import kernel_by_product_oracle, unary_solution_classes
 from test_variety import free_size_oracle, random_term
 
@@ -288,7 +287,7 @@ def test_criterion_7b_round_trip():
             for cls_ in classes:
                 elem = f1.eval_term(
                     apply_subst(Substitution.make({"z": Var("x1")}), cls_[0]))
-                kernels.append(_kernel_of_evaluation(f1, f1.algebra, elem))
+                kernels.append(kernel(f1.images(f1.algebra, (elem,))))
             assert len(set(kernels)) == len(kernels)
             assert set(kernels) == set(g.lower)
             for i, ci in enumerate(classes):

@@ -625,20 +625,27 @@ def _relabelled(a):
 
 @pytest.mark.parametrize("variety", list(_PRESENTED))
 def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
-    # A and A x A generate the same variety, in either order, and so does a
-    # copy of A with its universe permuted and relabelled, so no such
-    # presentation of a var file's generating algebras may move an output
-    from algen.algebra import direct_product
+    # A and A x A generate the same variety, in either order, and so do A
+    # with its quotients and a copy of A with its universe permuted and
+    # relabelled, so no such presentation of a var file's generating
+    # algebras may move an output
+    from algen.algebra import FiniteAlgebra, congruence_lattice, direct_product, quotient
     from algen.varfile import dump_variety, load_variety
     from algen.variety import VarietySpec
 
     original = f"varieties/{variety}.var"
     spec = load_variety(original)
-    square, _ = direct_product([spec.generators[0]] * 2)
+    first = spec.generators[0]
+    square, _ = direct_product([first] * 2)
+    quotients = [quotient(first, theta)[0] for theta in congruence_lattice(first)
+                 if not theta.is_identity()]
     presentations = {
         "square-appended": (*spec.generators, square),
         "reordered": (square, *reversed(spec.generators)),
         "relabelled": tuple(map(_relabelled, spec.generators)),
+        "quotients-appended": (*spec.generators, *(
+            FiniteAlgebra(q.sig, q.labels, q.tables, f"Q{i}")
+            for i, q in enumerate(quotients))),
     }
     for kind, algebras in presentations.items():
         (tmp_path / f"{kind}.var").write_text(
@@ -651,6 +658,43 @@ def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
             path = str(tmp_path / f"{kind}.var")
             assert run_case([command[0], path, *command[1:]]) == expected, (
                 kind, command)
+
+
+def _reversed_and_relabelled(doc: dict) -> dict:
+    """The var-file document with its generating algebras in reverse order,
+    each replaced by its ``_relabelled`` copy."""
+    from algen.varfile import dump_variety, loads_variety
+    from algen.variety import VarietySpec
+
+    spec = loads_variety(json.dumps(doc))
+    algebras = tuple(map(_relabelled, reversed(spec.generators)))
+    return json.loads(dump_variety(VarietySpec(spec.name, spec.sig, algebras)))
+
+
+# no element of the 2-element algebra identifies the classes of one
+# congruence, so the exactness certificate's reason once named its position
+_CERTIFIED_BY_ONE_ALGEBRA = {
+    "name": "t", "signature": [["f", 2]],
+    "algebras": [
+        {"name": "A0", "universe": ["a0", "a1"],
+         "ops": {"f": [["a1", "a0"], ["a1", "a0"]]}},
+        {"name": "A1", "universe": ["a0", "a1", "a2"],
+         "ops": {"f": [["a0", "a0", "a1"], ["a0", "a1", "a2"],
+                       ["a1", "a2", "a1"]]}},
+    ],
+}
+
+
+def test_certificate_reason_names_no_algebra_position(tmp_path):
+    doc = _CERTIFIED_BY_ONE_ALGEBRA
+    runs = []
+    for kind, algebras in (("given", doc["algebras"]),
+                           ("reversed", doc["algebras"][::-1])):
+        path = tmp_path / f"{kind}.var"
+        path.write_text(json.dumps({**doc, "algebras": algebras}))
+        runs.append(run_case(["con", str(path)]))
+    assert runs[0] == runs[1]
+    assert "a generating algebra has no element that identifies" in runs[0][1]
 
 
 @pytest.mark.parametrize("argv,buffered", [
@@ -761,3 +805,23 @@ def test_fuzzed_varieties_solve_with_sound_witnesses(data):
             sigma = Substitution.make({v: parse_term(s, spec.sig)
                                        for v, s in witness.items()})
             assert identity_holds_oracle(spec.generators, apply_subst(sigma, term), t)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=fuzz_var_files())
+def test_fuzzed_output_depends_on_the_variety_not_its_presentation(doc):
+    # reversing the generating algebras and permuting and relabelling each
+    # universe presents the same variety, so con and props must not move;
+    # the budget keeps each run short, and its exit must not move either
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for kind, d in (("given", doc), ("presented", _reversed_and_relabelled(doc))):
+            paths.append(pathlib.Path(tmp) / f"{kind}.var")
+            paths[-1].write_text(json.dumps(d), encoding="utf-8")
+        for command in ("con", "props"):
+            given_run, presented_run = (
+                run_case([command, str(p), "--budget", "100000"]) for p in paths)
+            assert given_run == presented_run, command

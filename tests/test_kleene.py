@@ -1,3 +1,9 @@
+import copy
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
 from algen.algebra import AlgebraError, FiniteAlgebra, quotient
@@ -10,6 +16,7 @@ from algen.kleene import (
     verify_kleene,
 )
 from algen.solver import classify_all
+from algen.terms import parse_term
 from algen.varfile import dump_variety
 from algen.variety import VarietyContext, VarietySpec
 
@@ -20,8 +27,10 @@ from factories import (
     k3,
     k4,
     ka4_diamond,
+    kleene_chain,
     trivial_kleene,
 )
+from oracles import first_failing_law
 
 
 def de_morgan_fence():
@@ -75,6 +84,55 @@ def test_verify_kleene_names_failed_axiom():
     with pytest.raises(NotKleeneError) as exc:
         dual_poset(de_morgan_fence())
     assert exc.value.axiom == "Kleene"
+
+
+def test_verify_kleene_names_the_first_failing_law_as_the_oracle_does():
+    # single table entries of K3 and K4 changed at random (seeded): the law
+    # check over the assignment index names the law that the assignment
+    # oracle finds failing first, or none when both find the mutant Kleene
+    import algen.kleene as kleene
+
+    rng = random.Random(0)
+    named = set()
+    for base in (k3(), k4()):
+        laws = [(name, parse_term(s, base.sig), parse_term(t, base.sig))
+                for name, s, t in kleene._AXIOMS]
+        for _ in range(60):
+            op, arity = rng.choice(base.sig.ops)
+            args = [rng.randrange(base.size) for _ in range(arity)]
+            value = rng.choice([v for v in base.elements()
+                                if v != base.op(op, tuple(args))])
+            tables = copy.deepcopy(base.tables)
+            if arity:
+                row = tables[op]
+                for x in args[:-1]:
+                    row = row[x]
+                row[args[-1]] = value
+            else:
+                tables[op] = value
+            mutant = FiniteAlgebra(base.sig, base.labels, tables)
+            try:
+                verify_kleene(mutant)
+                axiom = None
+            except NotKleeneError as e:
+                axiom = e.axiom
+            assert axiom == first_failing_law(mutant, laws), (op, args, value)
+            named.add(axiom)
+    assert len(named) >= 8, named
+
+
+def test_kleene_dual_charges_the_law_check_to_the_default_budget(tmp_path):
+    # 216^3 + 3 assignment cells exceed 10^7, so the first three-variable
+    # law ends the run with the budget exit instead of |A|^3 evaluations
+    chain = kleene_chain([str(i) for i in range(216)], lambda i: 215 - i)
+    path = tmp_path / "chain.var"
+    path.write_text(dump_variety(VarietySpec("chain", chain.sig, (chain,))))
+    r = subprocess.run([sys.executable, "-m", "algen.cli", "kleene-dual",
+                        str(path), "A0"], capture_output=True, text=True,
+                       timeout=5, cwd=pathlib.Path(__file__).parent.parent)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.count("\n") == 1
+    assert "assignment index set" in r.stderr
 
 
 def test_verify_kleene_rejects_wrong_signature():

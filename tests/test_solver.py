@@ -47,7 +47,7 @@ from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
-from oracles import find_isomorphism, identity_holds_oracle
+from oracles import find_isomorphism, identity_holds_oracle, kernel
 
 
 def mk(name, *gens, budget=None):
@@ -684,7 +684,6 @@ def test_e_congruences_trivial_free_algebra(sl):
 def test_e_congruence_characterization_depth2(ba, ka):
     # kernels of problems built from depth<=2 terms (variables at depth 0)
     # generate exactly the E-congruences, for Boolean and Kleene
-    from algen.solver import _kernel_of_evaluation
     from algen.terms import App
 
     for ctx in (ba, ka):
@@ -1376,8 +1375,7 @@ def test_round_trip_poset_isomorphism(ba, ka):
         for cls in classes:
             elem = f1.eval_term(apply_subst(Substitution.make({"z": Var("x1")}),
                                             cls[0]))
-            from algen.solver import _kernel_of_evaluation
-            kernels.append(_kernel_of_evaluation(f1, f1.algebra, elem))
+            kernels.append(kernel(f1.images(f1.algebra, (elem,))))
         assert len(set(kernels)) == len(kernels)
         assert set(kernels) == set(g.lower)
         # and it reverses the generality order
