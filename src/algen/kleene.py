@@ -172,6 +172,12 @@ def is_projective_by_duality(p: InvolutivePoset):
     3. {x : x <= iota(x)} is a non-empty meet-semilattice;
     4. points x, y below both iota(x) and iota(y) have a common upper
        bound w with w <= iota(w).
+
+    Condition 2 reads only pairs and triples of that set.  If every bounded
+    pair has a join, a bounded set's join folds them, as its bounds bound
+    each partial join.  If every pairwise-bounded triple is bounded, a bound
+    of {x1, x2, xi} bounds x1 v x2 and xi, so by induction on k, a bound of
+    x1 v x2, x3, ..., xk bounds a pairwise-bounded x1, ..., xk.
     """
     n = p.size
     q = [x for x in range(n) if p.le(x, p.iota[x])]
@@ -180,7 +186,7 @@ def is_projective_by_duality(p: InvolutivePoset):
         if not any(p.le(x, y) and p.iota[y] == y for y in range(n)):
             return False, 1
 
-    for r in range(1, len(q) + 1):
+    for r in (2, 3):
         for xs in itertools.combinations(q, r):
             if all(p.upper_bounds((x, y), within=q)
                    for x, y in itertools.combinations(xs, 2)):

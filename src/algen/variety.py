@@ -52,12 +52,12 @@ per element, or walks only the cone that the images of a few elements read.
 Each element's representative is its least term in (size, op-order,
 arg-order) rank, settled size by size (Knuth's generalization of Dijkstra's
 algorithm) from the table entries whose argument sizes add up to one less.
-That sweep, the labels and the rank order are not part of the closure: they
-run when something first reads them, and a read that needs one element, or
-the rank-least of a set, stops once that level has settled, as a settled
-level's terms are final.  A context builds each F(n) once; free_algebra(n)
-settles every representative, while classification and the product
-shortcut read F(k) as a closure and settle only the elements they print.
+That sweep, the labels and the rank order are not part of the closure: each
+closure keeps one sweep, and a read that needs one element, or the
+rank-least of a set, resumes it only until that level has settled, as a
+settled level's terms are final.  A context builds each F(n) once;
+free_algebra(n) settles every representative, while classification and the
+product shortcut read F(k) as a closure and settle only what they print.
 
 A binary operation commutative in every generating algebra is commutative,
 coordinatewise, in every algebra built here, and the spec finds these once.
@@ -80,9 +80,9 @@ closing x1 over E(t) would reach them: a pass visits argument tuples in
 lexicographic order, and the first tuple that yields a new block is made of
 least members, so F(1)'s closure meets the blocks in E(t)'s closure order.
 Only E(t)'s representatives, least terms built from t, are each term's own.
-They are settled on demand: a witness needs one element's term, and the size
-sweep stops once that element's level has settled, as a settled level's
-terms are final.  Element 0's needs no sweep: a term containing t ranks
+They are settled on demand: a witness needs one element's term, and the
+factor's one size sweep is resumed only until that element's level has
+settled.  Element 0's needs no sweep: a term containing t ranks
 above t, so it is t or, when that ranks lower, the least ground term of 0,
 which is settled once per range from the constants alone.
 
@@ -106,7 +106,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
@@ -283,7 +283,9 @@ class GeneratedSubalgebra:
         code = bytes if a_max <= 256 else tuple  # the type of value vectors
         vectors: list = []
         index: dict = {}
-        born: list = []  # each element's first (operation, arguments), else None
+        # the derivation in element order: (element, operation, argument
+        # elements), or (element, None, i) for seed i
+        self.steps = steps = []
         perms: list[list] = []  # each swap's permutation, None where not known yet
         seed_reps: dict[int, Term] = {}
         before = budget.used  # the cells charged before the closure
@@ -313,22 +315,24 @@ class GeneratedSubalgebra:
                     top = mid
             return count
 
-        def element(vec, entry=None) -> int:
-            """``vec``'s element, looked up, else added as first made by ``entry``."""
+        def element(vec, op, args) -> int:
+            """``vec``'s element, looked up, else added as first made by
+            ``op`` applied to ``args``, or as seed ``args`` when op is None."""
             nonlocal cap
             e = index.get(vec)
             if e is None:
                 budget.charge(comps.width, "free closure")
                 e = index[vec] = len(vectors)
                 vectors.append(vec)
-                born.append(entry)
+                steps.append((e, op, args))
                 for perm in perms:
                     perm.append(None)
                 if len(vectors) > cap:
                     cap = largest_fit(len(vectors))
             return e
 
-        self.generator_indices = [element(code(vec)) for vec, _ in seeds]
+        self.generator_indices = [element(code(vec), None, i)
+                                  for i, (vec, _) in enumerate(seeds)]
         for e, (_, rep) in zip(self.generator_indices, seeds):
             seed_reps.setdefault(e, rep)
         if all(isinstance(rep, Var) for _, rep in seeds):
@@ -355,7 +359,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        tables[op] = element(code(comps.op_tables[op]), (op, ()))
+                        tables[op] = element(code(comps.op_tables[op]), op, ())
                     continue
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs
@@ -366,11 +370,10 @@ class GeneratedSubalgebra:
                 if arity == 2 and perms:
                     for perm in perms:  # [0, m) is closed under each swap
                         for e in range(known, m):
-                            if perm[e] is None:
-                                entry = born[e]
-                                perm[e] = e if entry is None else reduce(
-                                    getitem, map(perm.__getitem__, entry[1]),
-                                    tables[entry[0]])
+                            if perm[e] is None:  # e is no seed, as e >= known
+                                _, op_e, args = steps[e]
+                                perm[e] = reduce(getitem, map(perm.__getitem__, args),
+                                                 tables[op_e])
                         for a in range(m):
                             if perm[a] < a:
                                 source.setdefault(a, perm)
@@ -401,7 +404,7 @@ class GeneratedSubalgebra:
                                 r = src[perm[s + j]]
                                 if perm[r] is None:
                                     e = element(code(map(getitem, rows, vectors[s + j])),
-                                                (op, (a, s + j)))
+                                                op, (a, s + j))
                                     perm[r], perm[e] = e, r
                                 found[j] = perm[r]
                         table[a].extend(found)
@@ -423,7 +426,7 @@ class GeneratedSubalgebra:
                             vec = code(map(getitem, rows, vectors[b]))
                             res = index.get(vec)  # inline: most entries hit
                             if res is None:
-                                res = element(vec, (op, prefix + (b,)))
+                                res = element(vec, op, prefix + (b,))
                             row.append(res)
                         continue
                     flat, width = b"".join(rows), m - s
@@ -431,7 +434,7 @@ class GeneratedSubalgebra:
                     found = list(map(index.get, vecs))
                     if None in found:
                         # add new vectors in order; one may recur in the row
-                        found = [element(v, (op, prefix + (lo + j,)))
+                        found = [element(v, op, prefix + (lo + j,))
                                  if f is None else f
                                  for j, (f, v) in enumerate(zip(found, vecs))]
                     row.extend(found)
@@ -439,15 +442,9 @@ class GeneratedSubalgebra:
             raise AlgebraError(
                 "empty free algebra: no generators and no constants in the signature")
         self.size = len(vectors)
-        # the derivation: each element's first table entry, None for a seed
-        self.born = born
         self._terms = _LeastTerms(spec.sig, tables, self.size, seed_reps,
                                   spec.commutative)
         self.algebra = _ClosureAlgebra(spec.sig, tables, self._terms)
-
-    def settle(self) -> None:
-        """Settle every representative and the rank order, once."""
-        self._terms.complete()
 
     @cached_property
     def reps(self) -> tuple[Term, ...]:
@@ -457,7 +454,7 @@ class GeneratedSubalgebra:
     @cached_property
     def order(self) -> tuple[int, ...]:
         """The elements by their representatives' term_rank, the settle order."""
-        self.settle()
+        self._terms.complete()
         return tuple(e for e, _ in self._terms.steps)
 
     def rep(self, e: int) -> Term:
@@ -492,29 +489,27 @@ class _ClosureAlgebra(FiniteAlgebra):
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _minimize_reps(sig: Signature, count: int, tables,
-                   seed_reps: dict[int, Term], stop: Collection[int] = (),
-                   mirrored: frozenset[str] = frozenset()):
+def _settle_levels(sig: Signature, tables, reps: list,
+                   seeds: dict[int, Term], mirrored: frozenset[str]):
     """Each element's least term in (size, op-order, arg-order) rank,
-    and the settle order as steps (element, seed term) or (element,
-    (operation, argument elements)), each after its arguments and in
-    (size, code) order, that of ``term_rank``.  With ``stop``, the sweep
-    ends once the level of one of those elements has settled; it also
-    ends when no size is left to visit, as without seeds, when the
-    constants reach only part of the elements.  Unsettled elements' terms
-    are None.
-    ``mirrored`` names binary operations commutative in these tables.
+    written into ``reps`` one size level at a time; yields each settled
+    level's steps, (element, seed term) or (element, (operation, argument
+    elements)), each after its arguments and in (size, code) order, that of
+    ``term_rank``.  It returns after the level that settles the last
+    element, or when no size is left to visit, as without seeds, when the
+    constants reach only part of the elements; unsettled elements' terms
+    stay None.  ``mirrored`` names binary operations commutative in these
+    tables.
 
-    Elements are settled one size level at a time.  A least term is a
-    seed term, a constant, or op(r1, ..., rk) with each ri the least term
-    of a smaller element, as a lower-ranked argument makes a lower-ranked
-    term.  So level s reads the seeds and constants of size s and the
-    table entries whose arguments' levels split s - 1, keeps those whose
-    result is unsettled, and gives each element found its least code,
-    unique as codes are prefix-free.  A settled level files the splits it
-    completes under their sums, so only the sizes a seed, a constant or a
-    split reaches are visited.  The terms are those of Knuth's (size,
-    rank) heap sweep, a generalization of Dijkstra's algorithm.
+    A least term is a seed term, a constant, or op(r1, ..., rk) with each
+    ri the least term of a smaller element, as a lower-ranked argument
+    makes a lower-ranked term.  So level s reads the seeds and constants of
+    size s and the table entries whose arguments' levels split s - 1, keeps
+    those whose result is unsettled, and gives each element found its least
+    code, unique as codes are prefix-free.  A settled level files the splits
+    it completes under their sums, so only the sizes a seed, a constant or a
+    split reaches are visited.  The terms are those of Knuth's (size, rank)
+    heap sweep, a generalization of Dijkstra's algorithm.
     """
     found: dict[int, dict] = {}  # size -> {element: (code, derivation)}
 
@@ -523,7 +518,7 @@ def _minimize_reps(sig: Signature, count: int, tables,
         if e not in best or code < best[e][0]:
             best[e] = code, derivation
 
-    for e, t in seed_reps.items():
+    for e, t in seeds.items():
         offer(*term_rank(t, sig), e, t)
     by_k: dict[tuple, list] = {}  # the operations by (prefix length, mirrored)
     for i, (op, arity) in enumerate(sig.ops):
@@ -532,12 +527,12 @@ def _minimize_reps(sig: Signature, count: int, tables,
                 (((1, i),), op, tables[op]))
         else:
             offer(1, ((1, i),), tables[op], (op, ()))
-    reps, codes, steps = [None] * count, [None] * count, []
-    unsettled = bytearray(b"\1") * count
+    codes = [None] * len(reps)
+    unsettled = bytearray(b"\1") * len(reps)
     levels: dict[int, list[int]] = {}  # settled size -> its elements
     pending, splits = set(found), {}  # sizes to visit; size -> its splits
-    left, stops = count, set(stop)  # how many are unsettled; where to stop
-    while pending and left:
+    left = len(reps)  # how many are unsettled
+    while pending:
         pending.remove(s := min(pending))
         for ops, mirror, *parts, last in splits.pop(s, ()):
             for i, prefix in enumerate(itertools.product(*parts)):
@@ -557,15 +552,17 @@ def _minimize_reps(sig: Signature, count: int, tables,
         if not settled:
             continue
         settled.sort(key=lambda e: best[e][0])
+        steps = []
         for e in settled:
             codes[e], d = best[e]
             reps[e] = (App(d[0], tuple(map(reps.__getitem__, d[1])))
                        if isinstance(d, tuple) else d)
             unsettled[e] = 0
             steps.append((e, d))
+        yield steps
         left -= len(settled)
-        if not left or not stops.isdisjoint(settled):
-            break  # every element, or one of stop's, has settled
+        if not left:
+            return  # every element has settled
         levels[s] = settled
         for (k, mirror), ops in by_k.items():
             for split in itertools.product(levels, repeat=k + 1):
@@ -574,47 +571,45 @@ def _minimize_reps(sig: Signature, count: int, tables,
                     pending.add(t := 1 + sum(split))
                     splits.setdefault(t, []).append(
                         (ops, mirror, *map(levels.get, split)))
-    return tuple(reps), steps
 
 
 class _LeastTerms:
-    """Each element's least term, settled on demand.  A read that needs one
-    element, or the rank-least of a set, sweeps only up to that level, as a
-    settled level's terms are final: every element with a smaller term is
-    settled too, in rank order.  A later read reuses what has settled and
-    sweeps again only for an element above it."""
+    """Each element's least term, settled on demand by one sweep, which a
+    read resumes only until what it needs has settled: a settled level's
+    terms are final, and every element with a smaller term is settled too,
+    in rank order."""
 
     def __init__(self, sig: Signature, tables, size: int,
                  seeds: dict[int, Term], mirrored: frozenset[str]):
-        self.sig, self.tables, self.size = sig, tables, size
-        self.seeds, self.mirrored = seeds, mirrored
-        self.terms: tuple = (None,) * size
-        self.steps: list = []  # the settle order, as _minimize_reps gives it
-        self.whole = False  # whether a sweep ran to the end
+        self.size = size
+        self.terms: list = [None] * size
+        self.steps: list = []  # the settle order, as _settle_levels yields it
+        self._levels = _settle_levels(sig, tables, self.terms, seeds, mirrored)
 
-    def _sweep(self, stop: Collection[int] = ()) -> None:
-        self.terms, self.steps = _minimize_reps(self.sig, self.size, self.tables,
-                                                self.seeds, stop, self.mirrored)
-        self.whole = not stop
+    def _settle_level(self) -> bool:
+        """Settle the next level; False when the sweep has ended."""
+        level = next(self._levels, [])
+        self.steps += level
+        return bool(level)
 
     def complete(self) -> tuple:
-        """Every element's term, settled on the first call."""
-        if not self.whole:
-            self._sweep()
-        return self.terms
+        """Every element's term."""
+        while self._settle_level():
+            pass
+        return tuple(self.terms)
 
     def rep(self, e: int) -> Term | None:
         """Element ``e``'s term, None when the seeds and constants do not
         reach it."""
-        if self.terms[e] is None and not self.whole:
-            self._sweep((e,))
+        while self.terms[e] is None and self._settle_level():
+            pass
         return self.terms[e]
 
     def least(self, elements: Iterable[int]) -> int:
         """The rank-least of ``elements``, some of which the sweep reaches."""
         wanted = set(elements)
-        if all(self.terms[e] is None for e in wanted):
-            self._sweep(wanted)
+        while all(self.terms[e] is None for e in wanted) and self._settle_level():
+            pass
         return next(e for e, _ in self.steps if e in wanted)
 
 
@@ -635,15 +630,14 @@ class ExactFactor:
         self.ground = ground
         self.term = term
         self.range = term_range
-        self.mirrored = mirrored
         self._terms = _LeastTerms(algebra.sig, algebra.tables, algebra.size,
                                   {0: term}, mirrored)
 
     def rep(self, e: int) -> Term:
         """Element ``e``'s least term built from t.  Element 0's is t or its
         least ground term, as any other term of it contains t.  Other least
-        terms depend on t's size and code, so each term has its own; a sweep
-        settles them only up to ``e``'s level, whose terms are final."""
+        terms depend on t's size and code, so each term has its own; the
+        sweep is resumed only up to ``e``'s level, whose terms are final."""
         sig = self.algebra.sig
         if e == 0:
             return (self.ground if self.ground is not None
@@ -663,13 +657,6 @@ class FreeAlgebra(GeneratedSubalgebra):
         comps = _Components(spec, n, budget)
         super().__init__(spec, comps, [(vec, Var(v)) for v, vec
                                        in comps.projections.items()], budget)
-        # F(n)'s derivation in element order: (element, operation, argument
-        # elements), or (element, None, i) for the generator x_{i+1}
-        position: dict[int, int] = {}
-        for i, e in enumerate(self.generator_indices):
-            position.setdefault(e, i)
-        self.steps = [(e, None, position[e]) if entry is None else (e, *entry)
-                      for e, entry in enumerate(self.born)]
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -737,7 +724,7 @@ class VarietyContext:
     def free_algebra(self, n: int) -> FreeAlgebra:
         """F(n) with every representative settled."""
         f = self.free_closure(n)
-        f.settle()
+        f.reps  # the first read settles them all
         return f
 
     def free_closure(self, n: int) -> FreeAlgebra:

@@ -6,7 +6,8 @@ cross-check its results, each homomorphism a tuple of images as in the
 engine; the assignment oracle decides an identity by evaluating both sides
 at every assignment into every generating algebra, and the Bellman
 relaxation finds least terms from every table entry, in both argument
-orders.
+orders.  Kleene projectivity is also read off the dual poset with every
+subset checked.
 """
 
 import itertools
@@ -116,3 +117,33 @@ def least_terms(a: FiniteAlgebra, seeds):
                     term = App(op, tuple(best[x] for x in args))
                     changed |= relax(a.op(op, args), term)
     return best
+
+
+def projective_by_all_subsets(p):
+    """``kleene.is_projective_by_duality`` read literally: the first of the
+    four conditions that the involutive poset ``p`` fails, with condition 2
+    checked on every subset of q = {x : x <= iota(x)}, not only on its
+    pairs and triples.  Returns (True, None) or (False, condition)."""
+    n = p.size
+    q = [x for x in range(n) if p.le(x, p.iota[x])]
+
+    def least(xs, le):  # whether xs has a least element under le
+        return any(all(le(u, v) for v in xs) for u in xs)
+
+    if not all(any(p.le(x, y) and p.iota[y] == y for y in range(n)) for x in q):
+        return False, 1
+    for r in range(1, len(q) + 1):
+        for xs in itertools.combinations(q, r):
+            if all(p.upper_bounds(pair, within=q)
+                   for pair in itertools.combinations(xs, 2)):
+                if not least(p.upper_bounds(xs, within=q), p.le):
+                    return False, 2
+    if not q or not all(least(p.lower_bounds(pair, within=q),
+                              lambda u, v: p.le(v, u))
+                        for pair in itertools.combinations(q, 2)):
+        return False, 3
+    for x, y in itertools.product(range(n), repeat=2):
+        if (all(p.le(a, p.iota[b]) for a in (x, y) for b in (x, y))
+                and not p.upper_bounds((x, y), within=q)):
+            return False, 4
+    return True, None

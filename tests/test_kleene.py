@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pathlib
 import random
 import subprocess
@@ -30,7 +31,7 @@ from factories import (
     kleene_chain,
     trivial_kleene,
 )
-from oracles import first_failing_law
+from oracles import first_failing_law, projective_by_all_subsets
 
 
 def de_morgan_fence():
@@ -212,6 +213,59 @@ def test_k3_dual_fails_condition_one():
 def test_diamond_dual_not_projective():
     ok, failed = is_projective_by_duality(dual_poset(ka4_diamond()))
     assert not ok
+
+
+def random_involutive_poset(rng):
+    """m points x < iota(x), k fixpoints and the m images, with random
+    relations from each of the m points to later ones of them, to the
+    fixpoints and to the images, closed under iota and transitivity; every
+    relation leads upward through those three groups, so none closes to a
+    cycle."""
+    m, k = rng.randint(0, 4), rng.randint(0, 3)
+    n = 2 * m + k
+    iota = [*range(m + k, n), *range(m, m + k), *range(m)]
+    le = [[x == y for y in range(n)] for x in range(n)]
+    for x in range(m):
+        le[x][iota[x]] = True
+        for y in range(x + 1, m + k):
+            le[x][y] |= rng.random() < 0.4
+        for y in range(m):
+            le[x][iota[y]] |= rng.random() < 0.2
+    for x, y in itertools.product(range(n), repeat=2):
+        if le[x][y]:
+            le[iota[y]][iota[x]] = True
+    for w, x in itertools.product(range(n), repeat=2):
+        if le[x][w]:
+            le[x] = list(map(max, le[x], le[w]))
+    return InvolutivePoset(tuple(map(str, range(n))), frozenset(
+        (x, y) for x, y in itertools.product(range(n), repeat=2) if le[x][y]),
+        tuple(iota))
+
+
+def test_condition_two_on_pairs_and_triples_agrees_with_all_subsets():
+    # seeded random involutive posets: the verdict that checks condition 2
+    # on the pairs and triples of q is the one that checks every subset
+    rng = random.Random(0)
+    verdicts = []
+    for _ in range(400):
+        p = random_involutive_poset(rng)
+        verdicts.append(is_projective_by_duality(p))
+        assert verdicts[-1] == projective_by_all_subsets(p), p
+    assert verdicts.count((False, 2)) >= 5
+    assert (True, None) in verdicts
+
+
+def test_kleene_dual_of_a_forty_element_chain_ends_quickly(tmp_path):
+    # condition 2 over every subset of q took hours here; pairs and triples
+    # take well under a second
+    chain = kleene_chain([str(i) for i in range(40)], lambda i: 39 - i)
+    path = tmp_path / "chain.var"
+    path.write_text(dump_variety(VarietySpec("chain", chain.sig, (chain,))))
+    r = subprocess.run([sys.executable, "-m", "algen.cli", "kleene-dual",
+                        str(path), "A0"], capture_output=True, text=True,
+                       timeout=10, cwd=pathlib.Path(__file__).parent.parent)
+    assert r.returncode == 0, r.stderr
+    assert "projective (duality conditions): yes\n" in r.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -628,26 +628,30 @@ def test_printed_free_elements_are_rank_least_property(data):
 def test_classification_settles_no_element_of_f2(monkeypatch):
     # counted, not timed: classify_all, 1EP and 1ESP at bound 2 read
     # godel3's F(2) of 162 elements as a closure, and no verdict prints an
-    # element of it, so no sweep runs over it; free_algebra(2) then settles
-    # all 162 in one sweep.  Every module of algen that binds _minimize_reps
-    # counts its sweeps by element count
+    # element of it, so no level of a sweep over it settles;
+    # free_algebra(2) then settles all 162 in one sweep, one level per term
+    # size.  Each settled level is counted by its holder's element count
     from algen import variety
+    from algen.terms import term_size
     from algen.varfile import load_variety
 
-    sweeps = []
-    real = variety._minimize_reps
-    for name, module in list(sys.modules.items()):
-        if name.startswith("algen.") and vars(module).get("_minimize_reps") is real:
-            monkeypatch.setattr(module, "_minimize_reps",
-                                lambda *a, **k: sweeps.append(a[1]) or real(*a, **k))
+    settled = []
+    real = variety._settle_levels
+
+    def counting(sig, tables, reps, *rest):
+        for level in real(sig, tables, reps, *rest):
+            settled.append(len(reps))
+            yield level
+
+    monkeypatch.setattr(variety, "_settle_levels", counting)
     ctx = VarietyContext(load_variety("varieties/godel3.var"))
     classify_all(ctx, 2)
     check_1ep(ctx, 2)
     check_1esp(ctx, 2)
-    assert 162 not in sweeps
+    assert 162 not in settled
     f2 = ctx.free_algebra(2)
     assert f2.size == 162
-    assert sweeps.count(162) == 1
+    assert settled.count(162) == len({term_size(r) for r in f2.reps})
     assert None not in f2.reps and len(f2.order) == 162
 
 
@@ -977,10 +981,11 @@ def n3_stream_problems(ctx, count, passes=1):
 @pytest.mark.parametrize("workload", ["solve-1ep", "solve-n3"])
 def test_factor_rep_stops_at_its_element(workload):
     # each factor of the benchmark's streams (passes 0 and 1, seeds 1, 2, 3
-    # and 7): rep(e), asked for in increasing and in decreasing order, sweeps
-    # only up to e's level, and its terms are those of the full sweep
+    # and 7): rep(e) on a fresh factor, asked for in increasing and in
+    # decreasing order, resumes the sweep only up to e's level, and its
+    # terms are those of the full sweep
     from algen.varfile import load_variety
-    from algen.variety import _minimize_reps
+    from algen.variety import _LeastTerms
 
     ctxs, seen = {}, set()
     for seed in (1, 2, 3, 7):
@@ -994,8 +999,8 @@ def test_factor_rep_stops_at_its_element(workload):
                 if (v, f.range, f.term) in seen:
                     continue
                 seen.add((v, f.range, f.term))
-                full, _ = _minimize_reps(f.algebra.sig, f.algebra.size,
-                                         f.algebra.tables, {0: f.term})
+                full = _LeastTerms(f.algebra.sig, f.algebra.tables, f.algebra.size,
+                                   {0: f.term}, ctxs[v].spec.commutative).complete()
                 elements = list(f.algebra.elements())
                 for order in (elements, elements[::-1]):
                     fresh = ctxs[v].exact_factor(list(p.variables), f.term, vec)

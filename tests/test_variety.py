@@ -13,7 +13,8 @@ from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
 from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
                            FreeAlgebra, GeneratedSubalgebra, VarietyContext,
-                           VarietySpec, _Components, _minimize_reps, var_name)
+                           VarietySpec, _Components, _LeastTerms,
+                           _settle_levels, var_name)
 
 from factories import (
     bool2,
@@ -184,11 +185,11 @@ def nested(table, arity, m, prefix=()):
 
 def assert_closure_matches_reference(spec, varnames, terms=None):
     """GeneratedSubalgebra agrees with reference_subalgebra on generator
-    indices, element order, tables, representatives, each element's first
-    table entry and budget charges.  When the seeds are the variables
-    x1..xn, so does FreeAlgebra, which derives rows across variable swaps;
-    its rank order is the subalgebra's, and its steps are those first
-    entries in element order."""
+    indices, element order, tables, representatives, the derivation steps,
+    each element's first table entry (or seed position) in element order,
+    and budget charges.  When the seeds are the variables x1..xn, so does
+    FreeAlgebra, which derives rows across variable swaps; its rank order is
+    the subalgebra's."""
     comps = _Components(spec, varnames, Budget(DEFAULT_BUDGET))
     free = terms is None and varnames == [var_name(i) for i in range(len(varnames))]
     if terms is None:
@@ -211,7 +212,9 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
                                   for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
-    assert sub.born == born
+    steps = [(e, None, gens.index(e)) if entry is None else (e, *entry)
+             for e, entry in enumerate(born)]
+    assert sub.steps == steps
     assert budget.charges == charges
     if not free:
         return
@@ -220,8 +223,7 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     assert f.algebra.tables == sub.algebra.tables
     assert f.reps == sub.reps
     assert f.order == sub.order
-    assert f.steps == [(e, None, gens.index(e)) if entry is None else (e, *entry)
-                       for e, entry in enumerate(born)]
+    assert f.steps == steps
     # the assignment index set, then the closure's own charges
     assert free_budget.charges[0][1] == "assignment index set"
     assert free_budget.charges[1:] == charges
@@ -539,22 +541,54 @@ def test_level_sweep_ranks_only_open_entries(monkeypatch):
         return builtins.sum(*args)
 
     monkeypatch.setattr(variety, "sum", counting_sum, raising=False)
-    FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET)).settle()
+    FreeAlgebra(load_variety("varieties/boolean.var"), 3, Budget(DEFAULT_BUDGET)).reps
     assert len(ranked) == 394
+
+
+@pytest.mark.parametrize("variety,n,codes", [
+    ("boolean", 3, 394), ("godel3", 2, 397), ("kleene", 2, 144), ("n3", 3, 440)])
+def test_reads_resume_one_sweep(monkeypatch, variety, n, codes):
+    # rep(e) for every element in element order, then reps: each read
+    # resumes the closure's one sweep where the last stopped, so together
+    # they rank exactly the codes one full sweep ranks (a sweep restarted
+    # from size 1 for each read ranked 3,444, 1,757, 668 and 2,116)
+    import builtins
+
+    from algen import variety as module
+
+    ranked = []
+
+    def counting_sum(*args):
+        ranked.extend(args[1:2])
+        return builtins.sum(*args)
+
+    monkeypatch.setattr(module, "sum", counting_sum, raising=False)
+    f = FreeAlgebra(load_variety(f"varieties/{variety}.var"), n,
+                    Budget(DEFAULT_BUDGET))
+    reps = [f.rep(e) for e in f.algebra.elements()]
+    assert f.reps == tuple(reps)
+    assert len(ranked) == codes
 
 
 @pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in (1, 2)])
 def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
-    # a sweep stopped at e ends once e's level has settled: every element
-    # with a term that small has the full sweep's term and step, and every
-    # later element has none
+    # rep(e) on a fresh holder sweeps until e's level has settled: every
+    # element with a term that small has the full sweep's term and step,
+    # and every later element has none
     f = FreeAlgebra(load_variety(f"varieties/{variety}.var"), n,
                     Budget(DEFAULT_BUDGET))
     seeds = {e: Var(var_name(i)) for i, e in enumerate(f.generators)}
-    sig = f.spec.sig
-    full, steps = _minimize_reps(sig, f.size, f.algebra.tables, seeds)
+
+    def holder():
+        return _LeastTerms(f.spec.sig, f.algebra.tables, f.size, seeds,
+                           f.spec.commutative)
+
+    whole = holder()
+    full, steps = whole.complete(), whole.steps
     for e in f.algebra.elements():
-        reps, prefix = _minimize_reps(sig, f.size, f.algebra.tables, seeds, (e,))
+        part = holder()
+        part.rep(e)
+        reps, prefix = tuple(part.terms), part.steps
         cut = term_size(full[e])
         assert reps == tuple(r if term_size(r) <= cut else None for r in full)
         assert prefix == steps[:sum(r is not None for r in reps)]
@@ -572,7 +606,7 @@ def factor_of(ctx, names, t):
 def ground_terms(alg):
     """Each element's least ground term, None where the constants do not
     reach it."""
-    return _minimize_reps(alg.sig, alg.size, alg.tables, {})[0]
+    return _LeastTerms(alg.sig, alg.tables, alg.size, {}, frozenset()).complete()
 
 
 def exact_factor_cases(variety):
@@ -643,7 +677,6 @@ def test_exact_factor_reps_match_the_bellman_oracle(variety):
         for _ in range(12):
             t = random_term(rng, sig, names, rng.randint(1, 4))
             factor = factor_of(ctx, names, t)
-            assert factor.mirrored == ctx.spec.commutative
             reps = [factor.rep(e) for e in factor.algebra.elements()]
             assert reps == least_terms(factor.algebra, {0: t}), (names, t)
 
@@ -665,9 +698,9 @@ def test_exact_factors_of_one_range_share_one_closure():
 
 @pytest.mark.parametrize("variety", SHIPPED)
 def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
-    # rep(0) is t or the least ground term of element 0, read without a
-    # seeded sweep; it equals the full sweep seeded with t, on seeded random
-    # terms over 1-3 variables and ground terms
+    # rep(0) is t or the least ground term of element 0, read without
+    # settling a level of the seeded sweep; it equals the full sweep seeded
+    # with t, on seeded random terms over 1-3 variables and ground terms
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     sig = ctx.spec.sig
     rng = random.Random(f"seed-witness/{variety}")
@@ -678,11 +711,16 @@ def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
     expected = []
     for vs, t in cases:
         f = factor_of(ctx, vs, t)
-        full, _ = _minimize_reps(sig, f.algebra.size, f.algebra.tables, {0: t})
-        expected.append(full[0])
+        expected.append(_LeastTerms(sig, f.algebra.tables, f.algebra.size,
+                                    {0: t}, ctx.spec.commutative).complete()[0])
     sweeps = []
-    monkeypatch.setattr("algen.variety._minimize_reps",
-                        lambda *a: sweeps.append(a) or _minimize_reps(*a))
+
+    def counting(*args):  # each level a sweep settles
+        for level in _settle_levels(*args):
+            sweeps.append(level)
+            yield level
+
+    monkeypatch.setattr("algen.variety._settle_levels", counting)
     assert [factor_of(ctx, vs, t).rep(0) for vs, t in cases] == expected
     assert sweeps == []
 
