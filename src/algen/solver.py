@@ -240,15 +240,22 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         retraction found, or ``None`` (JSON ``null``) when there is none.
     """
     _check_bound(bound)
-    f1 = ctx.free_algebra(1)
-    a1 = f1.algebra
+    a1 = ctx.free_algebra(1).algebra
     if theta.size != a1.size:
         raise SolverError("congruence is not over F(1)")
     if theta != Congruence.from_map(theta.blocks):
         raise SolverError("congruence is not in canonical form")
     if congruence_generated(a1, enumerate(theta.blocks)) != theta:
         raise SolverError(f"partition {theta.blocks} is not a congruence of F(1)")
-    q_alg, nat = quotient(a1, theta)
+    return _classify(ctx, theta, bound)
+
+
+def _classify(ctx: VarietyContext, theta: Congruence,
+              bound: int) -> CongruenceClassification:
+    """``classify_congruence`` for a congruence of F(1) in canonical form,
+    unchecked."""
+    f1 = ctx.free_algebra(1)
+    q_alg, nat = quotient(f1.algebra, theta)
     zq = nat[f1.generators[0]]
 
     names = output_names(ctx)
@@ -401,19 +408,19 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
             per_b.append(row)
         rows.append(per_b)
 
+    # theta is below the meet of the value kernels over each u's range with
+    # no check: that range lies inside Allowed, whose value kernels are all
+    # >= theta, so their meet is too
     total = Congruence.total(f1.size)
     for u in unary_ok:
         theta_u = total
-        eta_u = total
         for gi, gen in enumerate(spec.generators):
             s_vals = set(allowed[gi])
             for b in range(gen.size):
                 s_vals &= rows[gi][b][values[gi][b][u]]
             for a in sorted(s_vals):
                 theta_u = theta_u.meet(kappas[gi][a])
-            for a in sorted(ranges[gi][u]):
-                eta_u = eta_u.meet(kappas[gi][a])
-        if theta_u == theta and theta.leq(eta_u):
+        if theta_u == theta:
             return None
     return ("no unary diagonal is consistent with the admissible generator "
             "values under the pointed compatible relations")
@@ -430,8 +437,9 @@ def classify_all(ctx: VarietyContext,
         return congruence_lattice(
             ctx.free_algebra(1).algebra,
             lambda cells: budget.charge(cells, "congruence lattice"))
+    # the lattice's members are canonical congruences of F(1) as built
     return ctx.memo(("classify", bound), lambda: {
-        theta: classify_congruence(ctx, theta, bound)
+        theta: _classify(ctx, theta, bound)
         for theta in ctx.memo("congruence-lattice", lattice)})
 
 

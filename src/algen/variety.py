@@ -18,18 +18,28 @@ tuples come as rows: a prefix, which walks the generating algebras' nested
 tables down to one innermost row per coordinate, and the range [s, m) of
 last arguments it reads ([0, m) if the prefix uses a fresh element, else
 [old, m)).  Value vectors are bytes when no generating algebra has more
-than 256 elements, else tuples.  Two kernels read a row's result vectors.
-Per entry, each is looked up from those innermost rows one coordinate at a
-time.  Shared, for byte vectors, each coordinate's column of the range is
-first translated through each innermost row of its algebra, as a 256-byte
-table, so a prefix walk ends on one result column per coordinate; joined,
-their strided slices are the result vectors, found in the index in one
-batch.  A range is shared when at least twice as many prefixes read it as
-the largest generating algebra has innermost rows; below that, as in F(1),
-translating costs more than it saves.  The free algebra's nested tables
-grow by appending results in tuple order.  Seeds, constants and results
-go through one lookup-or-add (the per-entry kernel keeps its hits inline),
-and the closure ends with a round of passes that adds no element.
+than 256 elements, else tuples.  Three kernels read a row's results.  Per
+entry, each is looked up from those innermost rows one coordinate at a
+time.  The other two read a range shared by enough prefixes, for byte
+vectors, whose columns are first translated through each innermost row of
+their algebra, as 256-byte tables, so a prefix walk ends on one result
+column per coordinate.  Packed, where an element's coordinates fit a key
+of one or two bytes (as many to a byte as fit, each byte a mixed-radix
+number), each column's values are scaled to their place in the key,
+spread one key apart and read as one int, so a row's keys are the sum of
+its columns' ints written out as bytes; a dict maps each key to its
+element, filled in by evaluating the entry where a row first meets it.
+Joined, for wider vectors, the columns' strided slices are the result
+vectors, found in the index in one batch: an int per coordinate as long
+as the key would cost the width times the key length per row (n3 F(4),
+64-byte keys, took 8.5 times as long packed), so the key length is the
+one test between the two.  A range is shared when at least twice as many
+prefixes read it as the largest generating algebra has innermost rows;
+below that, as in F(1), translating costs more than it saves, and the key
+layout is made at the first shared range.  The free algebra's nested
+tables grow by appending results in tuple order.  Seeds, constants and
+results go through one lookup-or-add (the per-entry kernel keeps its hits
+inline), and the closure ends with a round of passes that adds no element.
 
 When every seed is a variable, as in F(n), a swap of two adjacent seeds
 permutes the variables, hence the assignments, so it commutes with every
@@ -38,11 +48,13 @@ the elements as an automorphism p, read off the seeds.  A pass adds only
 results over the elements it starts with, so the elements at every pass
 start, [0, m) and [0, old), are closed under p, and a binary row a over
 [s, m) is p . row(p a) . p.  Where a swap maps a to an earlier row,
-the closure derives row a from that row with two maps instead of
-evaluating it.  p of an element from an earlier pass is read off the
-tables from its first table entry, p(op(a, b)) = op(p a, p b); a result
-whose image is not known yet is evaluated, in column order, so each new
-element lands where the plain closure puts it.  No permutation of the
+the closure derives row a from that row with two gathers instead of
+evaluating it: one, made once per pass from p over [s, m), picks row(p
+a)'s entries, and the other applies p to them.  p of an element from an
+earlier pass is read off the tables from its first table entry,
+p(op(a, b)) = op(p a, p b); a result whose image is not known yet, which
+only an element added in this pass can be, is evaluated, in column
+order, so each new element lands where the plain closure puts it.  No permutation of the
 coordinates is built: at width |A|^n it would outweigh the closure.
 The closure keeps its own derivation, each element's first table entry:
 every element is a generator, a constant or one operation applied to
@@ -105,7 +117,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
@@ -250,24 +262,60 @@ def _fresh_rows(arity: int, old: int, m: int):
             yield prefix, old
 
 
-def _conjugate_row(perm: list, row: list, s: int, m: int) -> list:
-    """p . row . p over [s, m) for the permutation ``perm``, None where p of
-    a result is not known yet."""
-    return list(map(perm.__getitem__, map(row.__getitem__, perm[s:m])))
+def _gather(indices: Sequence[int]) -> Callable:
+    """The items at ``indices``, not empty, of a sequence, as a tuple."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
-def _byte_rows(table):
-    """A nested table, each innermost row a 256-byte translation table."""
+def _walk(rows, vectors: list, prefix: tuple) -> tuple:
+    """Each coordinate's nested table walked down by the prefix's elements."""
+    for a in prefix:
+        rows = tuple(map(getitem, rows, vectors[a]))
+    return rows
+
+
+def _lane_layout(sizes: Sequence[int]) -> list | None:
+    """Each coordinate's (byte, scale) in a packed key: the coordinates, of
+    the given sizes, in order, as many to a byte as fit, each byte a
+    mixed-radix number; None when that takes more than two bytes."""
+    layout, byte, scale = [], 0, 1
+    for size in sizes:
+        if scale * size > 256:
+            byte, scale = byte + 1, 1
+        layout.append((byte, scale))
+        scale *= size
+    return layout if byte < 2 else None
+
+
+def _byte_rows(table, scale: int = 1):
+    """A nested table, each innermost row a 256-byte translation table to
+    its values times ``scale``."""
     if isinstance(table[0], list):
-        return [_byte_rows(t) for t in table]
-    return bytes(table).ljust(256, b"\0")
+        return [_byte_rows(t, scale) for t in table]
+    return bytes(scale * v for v in table).ljust(256, b"\0")
 
 
-def _translate(rows, column: bytes):
-    """Nested translation tables, each mapped over a column of values."""
+def _translate(rows, column: bytes, lane: tuple[int, int] | None = None):
+    """Nested translation tables, each mapped over a column of values; with
+    a ``lane`` (key bytes, byte), each as that byte of packed keys."""
     if isinstance(rows, bytes):
-        return column.translate(rows)
-    return [_translate(r, column) for r in rows]
+        column = column.translate(rows)
+        return column if lane is None else _widen(column, *lane)
+    return [_translate(r, column, lane) for r in rows]
+
+
+def _widen(column: bytes, lanes: int, byte: int) -> int:
+    """``column`` as byte ``byte`` of keys ``lanes`` bytes wide, zero
+    elsewhere, read as one little-endian int: the sum of such ints over a
+    row's coordinates holds its results' packed keys."""
+    if lanes == 2:
+        wide = bytearray(2 * len(column))
+        wide[byte::2] = column
+        column = wide
+    return int.from_bytes(column, "little")
 
 
 class GeneratedSubalgebra:
@@ -346,6 +394,13 @@ class GeneratedSubalgebra:
         # first: its table holds every argument tuple over those elements,
         # so the next pass takes only the tuples that use a later one
         seen: dict[str, int] = {}
+        # packed keys, set up at the first shared range: the bytes a key
+        # takes, 0 where that would be more than two, and each coordinate's
+        # (byte, scale) in it; keyed maps each key a row has met to its
+        # element, and scaled holds each operation's translation tables
+        lanes = layout = None
+        keyed: dict[int, int] = {}
+        scaled: dict[str, list] = {}
         count = None
         while count != len(vectors):  # a round that adds nothing ends it
             count = len(vectors)
@@ -366,7 +421,9 @@ class GeneratedSubalgebra:
                 table = tables.setdefault(op, [])
                 old = old or 0
                 mirror = op in spec.commutative
-                source = {}  # binary rows derived from earlier rows: a -> perm
+                # binary rows derived from earlier rows: a -> (perm, each
+                # range start's gather of perm over the range)
+                source = {}
                 if arity == 2 and perms:
                     for perm in perms:  # [0, m) is closed under each swap
                         for e in range(known, m):
@@ -374,9 +431,10 @@ class GeneratedSubalgebra:
                                 _, op_e, args = steps[e]
                                 perm[e] = reduce(getitem, map(perm.__getitem__, args),
                                                  tables[op_e])
+                        gathers = {s: _gather(perm[s:m]) for s in (0, old) if s < m}
                         for a in range(m):
                             if perm[a] < a:
-                                source.setdefault(a, perm)
+                                source.setdefault(a, (perm, gathers))
                     known = m
                 # the ranges shared by enough prefixes, as translated columns
                 base, applied = comps.op_tables[op], {}
@@ -385,21 +443,36 @@ class GeneratedSubalgebra:
                     for s, readers in (((0, m ** k - old ** k), (old, old ** k))
                                        if old else ((0, m ** k),)):
                         if readers >= 2 * a_max ** k and s < m:
+                            if lanes is None:  # a coordinate's size: its table's length
+                                layout = _lane_layout(list(map(len, base)))
+                                lanes = layout[-1][0] + 1 if layout else 0
                             flat, w = b"".join(vectors[s:m]), comps.width
-                            trans = {id(g.tables[op]): _byte_rows(g.tables[op])
-                                     for g in spec.generators}
-                            applied[s] = [_translate(trans[id(t)], flat[c::w])
-                                          for c, t in enumerate(base)]
+                            if not lanes:
+                                trans = {id(g.tables[op]): _byte_rows(g.tables[op])
+                                         for g in spec.generators}
+                                applied[s] = [_translate(trans[id(t)], flat[c::w])
+                                              for c, t in enumerate(base)]
+                                continue
+                            if op not in scaled:  # each coordinate's, once
+                                scaled[op] = [_byte_rows(t, scale)
+                                              for t, (_, scale) in zip(base, layout)]
+                            applied[s] = [_translate(rows, flat[c::w], (lanes, byte))
+                                          for c, (rows, (byte, _)) in enumerate(
+                                              zip(scaled[op], layout))]
                 for prefix, s in _fresh_rows(arity, old, m):
-                    perm = source.get(prefix[0]) if source else None
-                    if perm:  # row a is p . row(p a) . p over [s, m)
+                    if source and prefix[0] in source:
+                        # row a is p . row(p a) . p over [s, m)
+                        perm, gathers = source[prefix[0]]
                         a = prefix[0]
                         if a == len(table):
                             table.append([])
                         src = table[perm[a]]
-                        found = _conjugate_row(perm, src, s, m)
-                        if None in found:  # a new result's image, in column order
-                            rows = tuple(map(getitem, base, vectors[a]))
+                        found = _gather(gathers[s](src))(perm)
+                        # only an element added in this pass can have an
+                        # image not known yet
+                        if len(vectors) > m and None in found:
+                            found = list(found)  # a new image, in column order
+                            rows = _walk(base, vectors, (a,))
                             for j in [j for j, e in enumerate(found) if e is None]:
                                 r = src[perm[s + j]]
                                 if perm[r] is None:
@@ -428,6 +501,23 @@ class GeneratedSubalgebra:
                             if res is None:
                                 res = element(vec, op, prefix + (b,))
                             row.append(res)
+                        continue
+                    if lanes:  # the row's keys, from lo on
+                        keys = (sum(rows) >> 8 * lanes * (lo - s)).to_bytes(
+                            lanes * (m - lo), "little")
+                        if lanes == 2:
+                            keys = memoryview(keys).cast("H")
+                        found = list(map(keyed.get, keys))
+                        if None in found:  # keys first met here, in order
+                            rows = _walk(base, vectors, prefix)
+                            for j in [j for j, e in enumerate(found) if e is None]:
+                                e = keyed.get(keys[j])  # met earlier in this row?
+                                if e is None:
+                                    e = keyed[keys[j]] = element(
+                                        code(map(getitem, rows, vectors[lo + j])),
+                                        op, prefix + (lo + j,))
+                                found[j] = e
+                        row.extend(found)
                         continue
                     flat, width = b"".join(rows), m - s
                     vecs = [flat[j::width] for j in range(lo - s, width)]

@@ -300,11 +300,18 @@ def test_free_algebra_cached():
 # Semi-naive closure against the coordinatewise reference
 
 
-def majority2():
+def ternary2(f):
     sig = Signature.make([("maj", 3)])
-    table = [[[int(a + b + c >= 2) for c in range(2)] for b in range(2)]
-             for a in range(2)]
+    table = [[[f(a, b, c) for c in range(2)] for b in range(2)] for a in range(2)]
     return FiniteAlgebra(sig, ["0", "1"], {"maj": table})
+
+
+def majority2():
+    return ternary2(lambda a, b, c: int(a + b + c >= 2))
+
+
+def minority2():
+    return ternary2(lambda a, b, c: a ^ b ^ c)
 
 
 def constants_only():
@@ -326,6 +333,13 @@ def chain_semilattice(size):
 
 # too many elements for byte vectors: F(1) and F(2) have 1 and 3
 CHAIN300 = ctx_for("C300", chain_semilattice(300)).spec
+# as many elements as byte vectors hold: values up to 255
+CHAIN256 = ctx_for("C256", chain_semilattice(256)).spec
+# F(3) has 16 coordinates of size 2, as many as a two-byte packed key
+# holds; a third algebra, a copy, adds 8 more and a third key byte, and
+# leaves the closure as it is
+MAJMIN = ctx_for("MAJMIN", majority2(), minority2()).spec
+MAJMINMAJ = ctx_for("MAJMINMAJ", majority2(), minority2(), majority2()).spec
 
 
 def half_commutative():
@@ -376,8 +390,15 @@ def test_closure_matches_reference_on_shipped(variety, n):
     (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2),
     (CHAIN300, 1),
     (CHAIN300, 2),
+    (CHAIN256, 1),
+    (CHAIN256, 2),
+    (MAJMIN, 3),
+    (MAJMINMAJ, 3),
+    # a groupoid of 2 elements beside one of 3: both sizes in one key byte
+    (GROUPOIDS[12], 1),
 ], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2",
-        "g2g3-2", "chain300-1", "chain300-2"])
+        "g2g3-2", "chain300-1", "chain300-2", "chain256-1", "chain256-2",
+        "majmin-3", "majminmaj-3", "mixed-sizes-1"])
 def test_closure_matches_reference_on_fixtures(spec, n):
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
 
@@ -418,30 +439,41 @@ def test_closure_matches_reference_on_random_groupoids(i):
         assert_closure_matches_reference(spec, names, terms)
 
 
-@pytest.mark.parametrize("spec,n,terms,shared,derived", [
-    # ternary: translated columns, and no row is derived
-    (ctx_for("MAJ", majority2()).spec, 4, None, True, False),
-    (load_variety("varieties/boolean.var"), 3, None, True, True),
-    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2, None, True, True),
+@pytest.mark.parametrize("spec,n,terms,shared,packed,derived", [
+    # ternary: translated columns, and no row is derived; 16 coordinates of
+    # size 2 fill a two-byte key
+    (ctx_for("MAJ", majority2()).spec, 4, None, True, True, False),
+    (load_variety("varieties/boolean.var"), 3, None, True, True, True),
+    # 2^4 * 3^9 values take a third key byte
+    (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2, None, True, False,
+     True),
     # a factor closure as solve builds them: few elements, 27 coordinates,
     # and no swaps
-    (load_variety("varieties/kleene.var"), 3, ["and(x,not(x))"], False, False),
+    (load_variety("varieties/kleene.var"), 3, ["and(x,not(x))"], False, False, False),
     # F(1) has no swap, and its ranges are read by too few prefixes
-    (load_variety("varieties/godel3.var"), 1, None, False, False),
+    (load_variety("varieties/godel3.var"), 1, None, False, False, False),
     # 300 elements: tuple vectors, so every evaluated row is per entry
-    (CHAIN300, 1, None, False, False),
-    (CHAIN300, 2, None, False, True),
+    (CHAIN300, 1, None, False, False, False),
+    (CHAIN300, 2, None, False, False, True),
     # variable seeds, as compare builds F(Var(s)): the closure reads the
     # swaps off the seeds
-    (load_variety("varieties/boolean.var"), 3, ["x", "y", "z"], True, True),
+    (load_variety("varieties/boolean.var"), 3, ["x", "y", "z"], True, True, True),
+    # two-byte keys, and the key bytes' boundary
+    (load_variety("varieties/godel3.var"), 2, None, True, True, True),
+    (MAJMIN, 3, None, True, True, False),
+    (MAJMINMAJ, 3, None, True, False, False),
+    # 64-byte keys: joined columns
+    (load_variety("varieties/n3.var"), 4, None, True, False, True),
 ], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor", "godel3-1",
-        "chain300-1", "chain300-2", "boolean-vars-3"])
-def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, derived):
-    # shared: the translate kernel ran; derived: some row was derived from
-    # an earlier one across a variable swap
+        "chain300-1", "chain300-2", "boolean-vars-3", "godel3-2", "majmin-3",
+        "majminmaj-3", "n3-4"])
+def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, packed, derived):
+    # shared: a range was translated, for either kernel; packed: its columns
+    # were read as packed keys; derived: some row was derived from an
+    # earlier one across a variable swap
     from algen import variety
 
-    calls = {"_translate": 0, "_conjugate_row": 0}
+    calls = {"_translate": 0, "_widen": 0, "_gather": 0}
     for name in calls:
         monkeypatch.setattr(variety, name, lambda *args, name=name, real=getattr(
             variety, name): calls.__setitem__(name, calls[name] + 1) or real(*args))
@@ -450,7 +482,24 @@ def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, derived):
     else:
         VarietyContext(spec).generated_by_terms(
             ["x", "y", "z"][:n], [parse_term(t, spec.sig) for t in terms])
-    assert (calls["_translate"] > 0, calls["_conjugate_row"] > 0) == (shared, derived)
+    assert (calls["_translate"] > 0, calls["_widen"] > 0,
+            calls["_gather"] > 0) == (shared, packed, derived)
+
+
+def test_no_f1_of_a_shipped_variety_sets_up_packed_keys(monkeypatch):
+    # F(1)'s ranges have too few readers to be translated, so its closure
+    # never lays out packed keys; godel3 F(2) lays them out once, at its
+    # first shared range, for its 9 coordinates
+    from algen import variety
+
+    sizes = []
+    monkeypatch.setattr(variety, "_lane_layout", lambda s, real=variety._lane_layout:
+                        sizes.append(len(s)) or real(s))
+    for name in SHIPPED:
+        FreeAlgebra(load_variety(f"varieties/{name}.var"), 1, Budget(DEFAULT_BUDGET))
+    assert sizes == []
+    FreeAlgebra(load_variety("varieties/godel3.var"), 2, Budget(DEFAULT_BUDGET))
+    assert sizes == [9]
 
 
 @pytest.mark.parametrize("seed", range(40))
