@@ -240,22 +240,15 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
         retraction found, or ``None`` (JSON ``null``) when there is none.
     """
     _check_bound(bound)
-    a1 = ctx.free_algebra(1).algebra
+    f1 = ctx.free_algebra(1)
+    a1 = f1.algebra
     if theta.size != a1.size:
         raise SolverError("congruence is not over F(1)")
     if theta != Congruence.from_map(theta.blocks):
         raise SolverError("congruence is not in canonical form")
     if congruence_generated(a1, enumerate(theta.blocks)) != theta:
         raise SolverError(f"partition {theta.blocks} is not a congruence of F(1)")
-    return _classify(ctx, theta, bound)
-
-
-def _classify(ctx: VarietyContext, theta: Congruence,
-              bound: int) -> CongruenceClassification:
-    """``classify_congruence`` for a congruence of F(1) in canonical form,
-    unchecked."""
-    f1 = ctx.free_algebra(1)
-    q_alg, nat = quotient(f1.algebra, theta)
+    q_alg, nat = quotient(a1, theta)
     zq = nat[f1.generators[0]]
 
     names = output_names(ctx)
@@ -437,9 +430,8 @@ def classify_all(ctx: VarietyContext,
         return congruence_lattice(
             ctx.free_algebra(1).algebra,
             lambda cells: budget.charge(cells, "congruence lattice"))
-    # the lattice's members are canonical congruences of F(1) as built
     return ctx.memo(("classify", bound), lambda: {
-        theta: _classify(ctx, theta, bound)
+        theta: classify_congruence(ctx, theta, bound)
         for theta in ctx.memo("congruence-lattice", lattice)})
 
 

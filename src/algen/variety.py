@@ -25,19 +25,22 @@ vectors, whose columns are first translated through each innermost row of
 their algebra, as 256-byte tables, so a prefix walk ends on one result
 column per coordinate.  Packed, where an element's coordinates fit a key
 of one or two bytes (as many to a byte as fit, each byte a mixed-radix
-number), each column's values are scaled to their place in the key,
-spread one key apart and read as one int, so a row's keys are the sum of
-its columns' ints written out as bytes; a dict maps each key to its
+number), each column is spread one key apart, read as one int and
+multiplied by its coordinate's place in the key, so a row's keys are the
+sum of its columns' ints written out as bytes; a dict maps each key to its
 element, filled in by evaluating the entry where a row first meets it.
-Joined, for wider vectors, the columns' strided slices are the result
-vectors, found in the index in one batch: an int per coordinate as long
-as the key would cost the width times the key length per row (n3 F(4),
-64-byte keys, took 8.5 times as long packed), so the key length is the
-one test between the two.  A range is shared when at least twice as many
+Joined, otherwise, the columns' strided slices are the result vectors,
+found in the index in one batch.  Wider keys stay joined: an int per
+coordinate as long as the key would cost the width times the key length
+per row (n3 F(4), 64-byte keys, took 8.5 times as long packed).  Fewer
+than 64 elements stay joined too: there nearly every key is met first in
+some row and evaluated once more, and lattice F(3), 18 elements, took
+1.07 times as long packed.  A range is shared when at least twice as many
 prefixes read it as the largest generating algebra has innermost rows;
-below that, as in F(1), translating costs more than it saves, and the key
-layout is made at the first shared range.  The free algebra's nested
-tables grow by appending results in tuple order.  Seeds, constants and
+below that, as in the shipped varieties' F(1), translating costs more than
+it saves.  The key layout is made at the first shared range of a pass
+over 64 elements or more.  The free algebra's nested tables grow by
+appending results in tuple order.  Seeds, constants and
 results go through one lookup-or-add (the per-entry kernel keeps its hits
 inline), and the closure ends with a round of passes that adds no element.
 
@@ -270,6 +273,13 @@ def _gather(indices: Sequence[int]) -> Callable:
     return itemgetter(*indices)
 
 
+def _conjugate_row(perm: list, gather: Callable, row: list) -> tuple:
+    """p . row . p over a range, for the permutation ``perm`` and ``gather``,
+    its gather of p over the range; None where p of a result is not known
+    yet."""
+    return _gather(gather(row))(perm)
+
+
 def _walk(rows, vectors: list, prefix: tuple) -> tuple:
     """Each coordinate's nested table walked down by the prefix's elements."""
     for a in prefix:
@@ -277,43 +287,44 @@ def _walk(rows, vectors: list, prefix: tuple) -> tuple:
     return rows
 
 
-def _lane_layout(sizes: Sequence[int]) -> list | None:
-    """Each coordinate's (byte, scale) in a packed key: the coordinates, of
-    the given sizes, in order, as many to a byte as fit, each byte a
-    mixed-radix number; None when that takes more than two bytes."""
-    layout, byte, scale = [], 0, 1
+def _lane_layout(sizes: Sequence[int]) -> tuple[int, list[int]] | None:
+    """The bytes a packed key takes and each coordinate's multiplier in it:
+    the coordinates, of the given sizes, in order, as many to a byte as fit,
+    each byte a mixed-radix number; None when that takes more than two
+    bytes."""
+    factors, byte, scale = [], 0, 1
     for size in sizes:
         if scale * size > 256:
             byte, scale = byte + 1, 1
-        layout.append((byte, scale))
+        factors.append(scale << 8 * byte)
         scale *= size
-    return layout if byte < 2 else None
+    return (byte + 1, factors) if byte < 2 else None
 
 
-def _byte_rows(table, scale: int = 1):
-    """A nested table, each innermost row a 256-byte translation table to
-    its values times ``scale``."""
+def _byte_rows(table):
+    """A nested table, each innermost row a 256-byte translation table."""
     if isinstance(table[0], list):
-        return [_byte_rows(t, scale) for t in table]
-    return bytes(scale * v for v in table).ljust(256, b"\0")
+        return [_byte_rows(t) for t in table]
+    return bytes(table).ljust(256, b"\0")
 
 
 def _translate(rows, column: bytes, lane: tuple[int, int] | None = None):
     """Nested translation tables, each mapped over a column of values; with
-    a ``lane`` (key bytes, byte), each as that byte of packed keys."""
+    a ``lane`` (key bytes, multiplier), each as its place in packed keys."""
     if isinstance(rows, bytes):
         column = column.translate(rows)
-        return column if lane is None else _widen(column, *lane)
+        return _widen(column, lane[0]) * lane[1] if lane else column
     return [_translate(r, column, lane) for r in rows]
 
 
-def _widen(column: bytes, lanes: int, byte: int) -> int:
-    """``column`` as byte ``byte`` of keys ``lanes`` bytes wide, zero
-    elsewhere, read as one little-endian int: the sum of such ints over a
-    row's coordinates holds its results' packed keys."""
+def _widen(column: bytes, lanes: int) -> int:
+    """``column`` as the low bytes of keys ``lanes`` bytes wide, read as one
+    little-endian int.  A coordinate's values times its multiplier stay
+    inside its byte, so the sum of such ints over a row's coordinates, each
+    times its multiplier, holds its results' packed keys."""
     if lanes == 2:
         wide = bytearray(2 * len(column))
-        wide[byte::2] = column
+        wide[::2] = column
         column = wide
     return int.from_bytes(column, "little")
 
@@ -394,13 +405,12 @@ class GeneratedSubalgebra:
         # first: its table holds every argument tuple over those elements,
         # so the next pass takes only the tuples that use a later one
         seen: dict[str, int] = {}
-        # packed keys, set up at the first shared range: the bytes a key
-        # takes, 0 where that would be more than two, and each coordinate's
-        # (byte, scale) in it; keyed maps each key a row has met to its
-        # element, and scaled holds each operation's translation tables
-        lanes = layout = None
+        # packed keys, set up at the first shared range of a pass over 64
+        # elements or more: the bytes a key takes, 0 where that would be more
+        # than two, and each coordinate's multiplier in it; keyed maps each
+        # key a row has met to its element
+        lanes = factors = None
         keyed: dict[int, int] = {}
-        scaled: dict[str, list] = {}
         count = None
         while count != len(vectors):  # a round that adds nothing ends it
             count = len(vectors)
@@ -437,28 +447,23 @@ class GeneratedSubalgebra:
                                 source.setdefault(a, (perm, gathers))
                     known = m
                 # the ranges shared by enough prefixes, as translated columns
-                base, applied = comps.op_tables[op], {}
+                base, applied, packed = comps.op_tables[op], {}, 0
                 if code is bytes and m > a_max:  # else no range has that many readers
                     k = arity - 1
                     for s, readers in (((0, m ** k - old ** k), (old, old ** k))
                                        if old else ((0, m ** k),)):
                         if readers >= 2 * a_max ** k and s < m:
-                            if lanes is None:  # a coordinate's size: its table's length
-                                layout = _lane_layout(list(map(len, base)))
-                                lanes = layout[-1][0] + 1 if layout else 0
+                            if m >= 64 and lanes is None:
+                                # a coordinate's size is its table's length
+                                lanes, factors = (_lane_layout(list(map(len, base)))
+                                                  or (0, []))
+                            packed = lanes if m >= 64 else 0
                             flat, w = b"".join(vectors[s:m]), comps.width
-                            if not lanes:
-                                trans = {id(g.tables[op]): _byte_rows(g.tables[op])
-                                         for g in spec.generators}
-                                applied[s] = [_translate(trans[id(t)], flat[c::w])
-                                              for c, t in enumerate(base)]
-                                continue
-                            if op not in scaled:  # each coordinate's, once
-                                scaled[op] = [_byte_rows(t, scale)
-                                              for t, (_, scale) in zip(base, layout)]
-                            applied[s] = [_translate(rows, flat[c::w], (lanes, byte))
-                                          for c, (rows, (byte, _)) in enumerate(
-                                              zip(scaled[op], layout))]
+                            trans = {id(g.tables[op]): _byte_rows(g.tables[op])
+                                     for g in spec.generators}
+                            applied[s] = [_translate(trans[id(t)], flat[c::w],
+                                                     packed and (lanes, factors[c]))
+                                          for c, t in enumerate(base)]
                 for prefix, s in _fresh_rows(arity, old, m):
                     if source and prefix[0] in source:
                         # row a is p . row(p a) . p over [s, m)
@@ -467,7 +472,7 @@ class GeneratedSubalgebra:
                         if a == len(table):
                             table.append([])
                         src = table[perm[a]]
-                        found = _gather(gathers[s](src))(perm)
+                        found = _conjugate_row(perm, gathers[s], src)
                         # only an element added in this pass can have an
                         # image not known yet
                         if len(vectors) > m and None in found:
@@ -502,7 +507,7 @@ class GeneratedSubalgebra:
                                 res = element(vec, op, prefix + (b,))
                             row.append(res)
                         continue
-                    if lanes:  # the row's keys, from lo on
+                    if packed:  # the row's keys, from lo on
                         keys = (sum(rows) >> 8 * lanes * (lo - s)).to_bytes(
                             lanes * (m - lo), "little")
                         if lanes == 2:

@@ -300,18 +300,11 @@ def test_free_algebra_cached():
 # Semi-naive closure against the coordinatewise reference
 
 
-def ternary2(f):
-    sig = Signature.make([("maj", 3)])
-    table = [[[f(a, b, c) for c in range(2)] for b in range(2)] for a in range(2)]
-    return FiniteAlgebra(sig, ["0", "1"], {"maj": table})
-
-
 def majority2():
-    return ternary2(lambda a, b, c: int(a + b + c >= 2))
-
-
-def minority2():
-    return ternary2(lambda a, b, c: a ^ b ^ c)
+    sig = Signature.make([("maj", 3)])
+    table = [[[int(a + b + c >= 2) for c in range(2)] for b in range(2)]
+             for a in range(2)]
+    return FiniteAlgebra(sig, ["0", "1"], {"maj": table})
 
 
 def constants_only():
@@ -335,11 +328,11 @@ def chain_semilattice(size):
 CHAIN300 = ctx_for("C300", chain_semilattice(300)).spec
 # as many elements as byte vectors hold: values up to 255
 CHAIN256 = ctx_for("C256", chain_semilattice(256)).spec
-# F(3) has 16 coordinates of size 2, as many as a two-byte packed key
-# holds; a third algebra, a copy, adds 8 more and a third key byte, and
-# leaves the closure as it is
-MAJMIN = ctx_for("MAJMIN", majority2(), minority2()).spec
-MAJMINMAJ = ctx_for("MAJMINMAJ", majority2(), minority2(), majority2()).spec
+# nor beside Webb's (max(a, b) + 1) mod 3, each primal: F(1) holds all
+# 4 * 27 pairs of unary maps, 108 elements whose 5 coordinates, of sizes 2
+# and 3, pack into one key byte
+PRIMAL2X3 = ctx_for("NORxWEBB", groupoid([[1, 0], [0, 0]]), groupoid(
+    [[(max(a, b) + 1) % 3 for b in range(3)] for a in range(3)])).spec
 
 
 def half_commutative():
@@ -392,13 +385,13 @@ def test_closure_matches_reference_on_shipped(variety, n):
     (CHAIN300, 2),
     (CHAIN256, 1),
     (CHAIN256, 2),
-    (MAJMIN, 3),
-    (MAJMINMAJ, 3),
-    # a groupoid of 2 elements beside one of 3: both sizes in one key byte
-    (GROUPOIDS[12], 1),
+    # packed keys: 16 coordinates of size 2 fill two key bytes (G2xG3 F(2)
+    # takes a third), and two sizes share one
+    (load_variety("varieties/lattice.var"), 4),
+    (PRIMAL2X3, 1),
 ], ids=["g3g4-0", "g3g4-1", "maj-1", "maj-3", "maj-4", "const-0", "const-2",
         "g2g3-2", "chain300-1", "chain300-2", "chain256-1", "chain256-2",
-        "majmin-3", "majminmaj-3", "mixed-sizes-1"])
+        "lattice-4", "primal2x3-1"])
 def test_closure_matches_reference_on_fixtures(spec, n):
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
 
@@ -440,9 +433,9 @@ def test_closure_matches_reference_on_random_groupoids(i):
 
 
 @pytest.mark.parametrize("spec,n,terms,shared,packed,derived", [
-    # ternary: translated columns, and no row is derived; 16 coordinates of
-    # size 2 fill a two-byte key
-    (ctx_for("MAJ", majority2()).spec, 4, None, True, True, False),
+    # ternary: translated columns, and no row is derived; 12 elements are
+    # too few to pack
+    (ctx_for("MAJ", majority2()).spec, 4, None, True, False, False),
     (load_variety("varieties/boolean.var"), 3, None, True, True, True),
     # 2^4 * 3^9 values take a third key byte
     (ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec, 2, None, True, False,
@@ -458,22 +451,25 @@ def test_closure_matches_reference_on_random_groupoids(i):
     # variable seeds, as compare builds F(Var(s)): the closure reads the
     # swaps off the seeds
     (load_variety("varieties/boolean.var"), 3, ["x", "y", "z"], True, True, True),
-    # two-byte keys, and the key bytes' boundary
+    # two-byte keys: 9 coordinates of size 3, and 16 of size 2
     (load_variety("varieties/godel3.var"), 2, None, True, True, True),
-    (MAJMIN, 3, None, True, True, False),
-    (MAJMINMAJ, 3, None, True, False, False),
+    (load_variety("varieties/lattice.var"), 4, None, True, True, True),
+    # one key byte, but 18 elements are too few to pack
+    (load_variety("varieties/lattice.var"), 3, None, True, False, True),
+    # sizes 2 and 3 in one key byte, and no swap
+    (PRIMAL2X3, 1, None, True, True, False),
     # 64-byte keys: joined columns
     (load_variety("varieties/n3.var"), 4, None, True, False, True),
 ], ids=["maj-4", "boolean-3", "g2g3-2", "kleene-factor", "godel3-1",
-        "chain300-1", "chain300-2", "boolean-vars-3", "godel3-2", "majmin-3",
-        "majminmaj-3", "n3-4"])
+        "chain300-1", "chain300-2", "boolean-vars-3", "godel3-2", "lattice-4",
+        "lattice-3", "primal2x3-1", "n3-4"])
 def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, packed, derived):
     # shared: a range was translated, for either kernel; packed: its columns
     # were read as packed keys; derived: some row was derived from an
     # earlier one across a variable swap
     from algen import variety
 
-    calls = {"_translate": 0, "_widen": 0, "_gather": 0}
+    calls = {"_translate": 0, "_widen": 0, "_conjugate_row": 0}
     for name in calls:
         monkeypatch.setattr(variety, name, lambda *args, name=name, real=getattr(
             variety, name): calls.__setitem__(name, calls[name] + 1) or real(*args))
@@ -483,7 +479,7 @@ def test_closure_kernel_choice(monkeypatch, spec, n, terms, shared, packed, deri
         VarietyContext(spec).generated_by_terms(
             ["x", "y", "z"][:n], [parse_term(t, spec.sig) for t in terms])
     assert (calls["_translate"] > 0, calls["_widen"] > 0,
-            calls["_gather"] > 0) == (shared, packed, derived)
+            calls["_conjugate_row"] > 0) == (shared, packed, derived)
 
 
 def test_no_f1_of_a_shipped_variety_sets_up_packed_keys(monkeypatch):
