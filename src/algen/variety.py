@@ -28,14 +28,16 @@ of one or two bytes (as many to a byte as fit, each byte a mixed-radix
 number), each column is spread one key apart, read as one int and
 multiplied by its coordinate's place in the key, so a row's keys are the
 sum of its columns' ints written out as bytes; a dict maps each key to its
-element, filled in by evaluating the entry where a row first meets it.
-Joined, otherwise, the columns' strided slices are the result vectors,
+element, filled in where a row first meets it from that entry's vector, a
+strided slice of the row's byte columns, which a packed range keeps beside
+their ints (each column is translated once, then widened).  Joined,
+otherwise, the columns' strided slices are the result vectors,
 found in the index in one batch.  Wider keys stay joined: an int per
 coordinate as long as the key would cost the width times the key length
 per row (n3 F(4), 64-byte keys, took 8.5 times as long packed).  Fewer
 than 64 elements stay joined too: there nearly every key is met first in
-some row and evaluated once more, and lattice F(3), 18 elements, took
-1.07 times as long packed.  A range is shared when at least twice as many
+some row and read twice, and lattice F(3), 18 elements, took 1.11 times
+as long packed.  A range is shared when at least twice as many
 prefixes read it as the largest generating algebra has innermost rows;
 below that, as in the shipped varieties' F(1), translating costs more than
 it saves.  The key layout is made at the first shared range of a pass
@@ -56,9 +58,11 @@ evaluating it: one, made once per pass from p over [s, m), picks row(p
 a)'s entries, and the other applies p to them.  p of an element from an
 earlier pass is read off the tables from its first table entry,
 p(op(a, b)) = op(p a, p b); a result whose image is not known yet, which
-only an element added in this pass can be, is evaluated, in column
-order, so each new element lands where the plain closure puts it.  No permutation of the
-coordinates is built: at width |A|^n it would outweigh the closure.
+only an element added in this pass can be, is read in column order, so
+each new element lands where the plain closure puts it: where the range is
+shared, as a strided slice of the row's translated columns, else
+evaluated one coordinate at a time.  No permutation of the coordinates is
+built: at width |A|^n it would outweigh the closure.
 The closure keeps its own derivation, each element's first table entry:
 every element is a generator, a constant or one operation applied to
 elements made before it.  Every homomorphism out of F(n), fixed by the
@@ -308,25 +312,32 @@ def _byte_rows(table):
     return bytes(table).ljust(256, b"\0")
 
 
-def _translate(rows, column: bytes, lane: tuple[int, int] | None = None):
-    """Nested translation tables, each mapped over a column of values; with
-    a ``lane`` (key bytes, multiplier), each as its place in packed keys."""
+def _translate(rows, column: bytes):
+    """Nested translation tables, each mapped over a column of values."""
     if isinstance(rows, bytes):
-        column = column.translate(rows)
-        return _widen(column, lane[0]) * lane[1] if lane else column
-    return [_translate(r, column, lane) for r in rows]
+        return column.translate(rows)
+    return [_translate(r, column) for r in rows]
 
 
-def _widen(column: bytes, lanes: int) -> int:
-    """``column`` as the low bytes of keys ``lanes`` bytes wide, read as one
-    little-endian int.  A coordinate's values times its multiplier stay
-    inside its byte, so the sum of such ints over a row's coordinates, each
-    times its multiplier, holds its results' packed keys."""
+def _widen(cols, lanes: int, factor: int):
+    """Nested translated columns, each as the low bytes of keys ``lanes``
+    bytes wide, read as one little-endian int times ``factor``, its
+    coordinate's multiplier.  A coordinate's values times its multiplier
+    stay inside its byte, so the sum of such ints over a row's coordinates
+    holds its results' packed keys."""
+    if not isinstance(cols, bytes):
+        return [_widen(c, lanes, factor) for c in cols]
     if lanes == 2:
-        wide = bytearray(2 * len(column))
-        wide[::2] = column
-        column = wide
-    return int.from_bytes(column, "little")
+        wide = bytearray(2 * len(cols))
+        wide[::2] = cols
+        cols = wide
+    return int.from_bytes(cols, "little") * factor
+
+
+def _evaluate(code: type, rows, vector) -> bytes | tuple:
+    """The result vector at a last argument's ``vector``, read one
+    coordinate at a time off ``rows``, the row's walked innermost tables."""
+    return code(map(getitem, rows, vector))
 
 
 class GeneratedSubalgebra:
@@ -446,8 +457,9 @@ class GeneratedSubalgebra:
                             if perm[a] < a:
                                 source.setdefault(a, (perm, gathers))
                     known = m
-                # the ranges shared by enough prefixes, as translated columns
-                base, applied, packed = comps.op_tables[op], {}, 0
+                # the ranges shared by enough prefixes, as translated byte
+                # columns and, where packed, those widened to ints
+                base, applied, widened, packed = comps.op_tables[op], {}, {}, 0
                 if code is bytes and m > a_max:  # else no range has that many readers
                     k = arity - 1
                     for s, readers in (((0, m ** k - old ** k), (old, old ** k))
@@ -461,9 +473,11 @@ class GeneratedSubalgebra:
                             flat, w = b"".join(vectors[s:m]), comps.width
                             trans = {id(g.tables[op]): _byte_rows(g.tables[op])
                                      for g in spec.generators}
-                            applied[s] = [_translate(trans[id(t)], flat[c::w],
-                                                     packed and (lanes, factors[c]))
-                                          for c, t in enumerate(base)]
+                            applied[s] = cols = [_translate(trans[id(t)], flat[c::w])
+                                                 for c, t in enumerate(base)]
+                            if packed:
+                                widened[s] = [_widen(col, lanes, f)
+                                              for col, f in zip(cols, factors)]
                 for prefix, s in _fresh_rows(arity, old, m):
                     if source and prefix[0] in source:
                         # row a is p . row(p a) . p over [s, m)
@@ -477,18 +491,23 @@ class GeneratedSubalgebra:
                         # image not known yet
                         if len(vectors) > m and None in found:
                             found = list(found)  # a new image, in column order
-                            rows = _walk(base, vectors, (a,))
+                            # its vector, a slice of the row's columns where
+                            # the range is shared
+                            cols = applied.get(s)
+                            rows = _walk(cols or base, vectors, (a,))
+                            flat = cols and b"".join(rows)
                             for j in [j for j, e in enumerate(found) if e is None]:
                                 r = src[perm[s + j]]
                                 if perm[r] is None:
-                                    e = element(code(map(getitem, rows, vectors[s + j])),
+                                    e = element(flat[j::m - s] if flat else
+                                                _evaluate(code, rows, vectors[s + j]),
                                                 op, (a, s + j))
                                     perm[r], perm[e] = e, r
                                 found[j] = perm[r]
                         table[a].extend(found)
                         continue
                     cols = applied.get(s)
-                    rows = cols or base
+                    rows = widened.get(s) or cols or base
                     row = table
                     for a in prefix:
                         rows = tuple(map(getitem, rows, vectors[a]))
@@ -514,13 +533,12 @@ class GeneratedSubalgebra:
                             keys = memoryview(keys).cast("H")
                         found = list(map(keyed.get, keys))
                         if None in found:  # keys first met here, in order
-                            rows = _walk(base, vectors, prefix)
+                            flat = b"".join(_walk(cols, vectors, prefix))
                             for j in [j for j, e in enumerate(found) if e is None]:
                                 e = keyed.get(keys[j])  # met earlier in this row?
                                 if e is None:
                                     e = keyed[keys[j]] = element(
-                                        code(map(getitem, rows, vectors[lo + j])),
-                                        op, prefix + (lo + j,))
+                                        flat[lo - s + j::m - s], op, prefix + (lo + j,))
                                 found[j] = e
                         row.extend(found)
                         continue

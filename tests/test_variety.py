@@ -994,6 +994,9 @@ def test_budget_error_during_closure():
 @pytest.mark.parametrize("variety,n,limit,stage,needed", [
     ("kleene", 3, DEFAULT_BUDGET, "operation tables", 10008272),
     ("godel3", 3, 4_900_000, "operation tables", 4903658),
+    # packed keys, the closure made mostly of new elements
+    ("boolean", 4, DEFAULT_BUDGET, "operation tables", 10001614),
+    ("lattice", 5, DEFAULT_BUDGET, "operation tables", 10008247),
 ])
 def test_budget_exit_stage_and_cells(variety, n, limit, stage, needed):
     # the closure exits at the first element after which the passes it must
@@ -1002,6 +1005,44 @@ def test_budget_exit_stage_and_cells(variety, n, limit, stage, needed):
     with pytest.raises(BudgetExceeded) as exc:
         ctx.free_algebra(n)
     assert (exc.value.stage, exc.value.needed) == (stage, needed)
+
+
+@pytest.mark.parametrize("variety,n,limit,unshared", [
+    ("kleene", 3, DEFAULT_BUDGET, 36),
+    ("godel3", 3, 4_900_000, 12),
+    ("boolean", 4, DEFAULT_BUDGET, 0),
+])
+def test_budget_exits_read_shared_ranges_as_column_slices(monkeypatch, variety, n,
+                                                          limit, unshared):
+    # a new vector of a shared range, a swap image not known yet or a packed
+    # key first met, is a strided slice of its row's translated columns;
+    # only rows of unshared ranges evaluate one coordinate at a time.
+    # Evaluated so, the 1,502, 960 and 2,801 shared ones took about half of
+    # each exit
+    from algen import variety as module
+
+    spec = load_variety(f"varieties/{variety}.var")
+    a_max = max(g.size for g in spec.generators)
+    shared = [None]  # whether the current row's range is shared
+
+    def fresh_rows(arity, old, m, real=module._fresh_rows):
+        k = arity - 1
+        for prefix, s in real(arity, old, m):
+            readers = old ** k if s else m ** k - old ** k
+            shared[0] = m > a_max and readers >= 2 * a_max ** k
+            yield prefix, s
+
+    evaluated = {True: 0, False: 0}
+
+    def evaluate(*args, real=module._evaluate):
+        evaluated[shared[0]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, "_fresh_rows", fresh_rows)
+    monkeypatch.setattr(module, "_evaluate", evaluate)
+    with pytest.raises(BudgetExceeded):
+        FreeAlgebra(spec, n, Budget(limit))
+    assert evaluated == {True: 0, False: unshared}
 
 
 @pytest.mark.parametrize("variety", ["kleene", "godel3"])
