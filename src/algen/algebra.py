@@ -262,20 +262,10 @@ class Congruence:
         return Congruence.from_map(list(zip(self.blocks, other.blocks)))
 
     def join(self, other: "Congruence") -> "Congruence":
-        """Join of the two partitions, by union-find.  The join of two
-        congruences in Con A is their join as equivalence relations, so no
-        closure under the operations is needed."""
-        parent = list(self.blocks)  # every tree is rooted at its least element
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for i, j in enumerate(other.blocks):
-            ri, rj = find(i), find(j)
-            parent[max(ri, rj)] = min(ri, rj)
-        return Congruence(tuple(find(i) for i in range(self.size)))
+        """Join of the two partitions.  The join of two congruences in Con A
+        is their join as equivalence relations, so no closure under the
+        operations is needed: the union-find runs with no translation rows."""
+        return _union_find(list(self.blocks), enumerate(other.blocks), ())
 
     def sort_key(self) -> tuple:
         # identity first, total last, deterministic in between
@@ -397,15 +387,14 @@ def quotient(a: FiniteAlgebra, theta: Congruence):
     return q, nat
 
 
-def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the given pairs.
-
-    Closes under symmetry/transitivity (union-find) and under the images
-    of each related pair by every basic translation, to a fixpoint; the
-    translations are read as value rows once per algebra.
-    """
-    parent = list(range(a.size))
-
+def _union_find(parent: list[int], pairs: Iterable[tuple[int, int]],
+                rows: Sequence[Sequence[int]]) -> Congruence:
+    """The least equivalence containing the partition ``parent``, a forest
+    with each tree rooted at its least element, and ``pairs``, closed under
+    the images of each merged pair by every row in ``rows``, to a fixpoint.
+    Path halving; a merge hangs the larger root under the smaller, so no
+    parent exceeds its child and one pass in index order reads off the
+    roots."""
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
@@ -424,12 +413,19 @@ def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> 
 
     for x, y in pairs:
         union(x, y)
-    rows = a._translations
     while worklist:
         x, y = worklist.pop()
         for row in rows:
             union(row[x], row[y])
-    return Congruence(tuple(find(i) for i in range(a.size)))
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return Congruence(tuple(parent))
+
+
+def congruence_generated(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Least congruence containing the given pairs: the union-find closed
+    under every basic translation, read as value rows once per algebra."""
+    return _union_find(list(range(a.size)), pairs, a._translations)
 
 
 def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:

@@ -25,6 +25,7 @@ from .algebra import (
     congruence_generated,
     congruence_lattice,
     direct_product,
+    min_generators,
     quotient,
 )
 from .terms import (
@@ -61,7 +62,6 @@ __all__ = [
     "alg_of",
     "classify_congruence",
     "classify_all",
-    "exact_congruences",
     "e_congruences",
     "g_congruences",
     "check_1ep",
@@ -253,69 +253,54 @@ def classify_congruence(ctx: VarietyContext, theta: Congruence,
 
     names = output_names(ctx)
     blocks = congruence_blocks_labels(ctx, theta)
-    into_f1 = set(_embedding_elements(ctx, theta, f1))
-    embeddings1 = [t for t in f1.order if t in into_f1]  # tried in rank order
-    retract = None
-    attempts = []
-    first = _first_assignments(f1, q_alg, embeddings1, zq)
-    for t in embeddings1:
-        found = first.get(t)
-        attempts.append({"embedding": names[t],
-                         "retraction_images_tried": q_alg.size if found is None
-                         else found[0] + 1,
-                         "retraction_found": found is not None,
-                         "retraction_image": None if found is None
-                         else blocks[found[0]]})
-        if found is not None:
-            retract = (t, found[0])
-            break
-    if retract is not None:
-        projective = Verdict("yes", None, {"search": attempts})
-    else:
-        projective = Verdict("no", None, {
-            "search": attempts,
-            "reason": ("no embedding of the quotient into F(1) exists"
-                       if not embeddings1 else
-                       "every embedding into F(1) admits no retraction"),
-        })
-
-    if projective.status == "yes":
-        exact = Verdict("yes", None, {"arity": 1, "element": names[retract[0]]})
-    else:
-        exact = None
-        for k in range(1, bound + 1):
-            fk = ctx.free_closure(k)
-            hits = _embedding_elements(ctx, theta, fk)
-            if hits:
-                exact = Verdict("yes", None, {
-                    "arity": k, "element": term_to_str(fk.rep(fk.least(hits)))})
-                break
-        if exact is None:
-            reason = _no_exact_certificate(ctx, theta)
-            if reason is not None:
-                exact = Verdict("no", None, reason)
+    # one walk of F(1)..F(bound): each F(k) is scanned for embeddings once
+    # and searched for retractions at most once; F(1)'s search gives the
+    # projectivity transcript and both verdicts at arity 1
+    exact = sp = retract = None
+    for k in range(1, bound + 1):
+        fk = ctx.free_closure(k)
+        hits = _embedding_elements(ctx, theta, fk)
+        if k == 1 or sp is None:
+            first = _first_assignments(fk, q_alg, hits, zq)
+        if k == 1:
+            attempts, into = [], set(hits)
+            for t in [t for t in f1.order if t in into]:  # tried in rank order
+                found = first.get(t)
+                attempts.append({"embedding": names[t],
+                                 "retraction_images_tried": q_alg.size
+                                 if found is None else found[0] + 1,
+                                 "retraction_found": found is not None,
+                                 "retraction_image": None if found is None
+                                 else blocks[found[0]]})
+                if found is not None:
+                    retract = (t, found[0])
+                    break
+            detail = {"search": attempts}
+            if retract is None:
+                detail["reason"] = ("every embedding into F(1) admits no retraction"
+                                    if hits else
+                                    "no embedding of the quotient into F(1) exists")
+                sp = Verdict("no", None, "not projective")
             else:
-                exact = Verdict("unknown", bound,
-                                "no generator image found within the bound")
-
-    if projective.status != "yes":
-        sp = Verdict("no", None, "not projective")
-    else:
-        sp = None
-        for k in range(1, bound + 1):
-            fk = ctx.free_closure(k)
-            embeddings = _embedding_elements(ctx, theta, fk)
-            first = _first_assignments(fk, q_alg, embeddings, zq)
-            failing = [t for t in embeddings if t not in first]
-            if failing:
-                sp = Verdict("no", None, {
-                    "arity": k,
-                    "embedding": term_to_str(fk.rep(fk.least(failing))),
-                    "reason": "embedding admits no retraction",
-                })
-                break
-        if sp is None:
-            sp = Verdict("yes", bound)
+                exact = Verdict("yes", None, {"arity": 1, "element": names[retract[0]]})
+            projective = Verdict("no" if retract is None else "yes", None, detail)
+        if exact is None and hits:
+            exact = Verdict("yes", None, {
+                "arity": k, "element": term_to_str(fk.rep(fk.least(hits)))})
+        if sp is None and (failing := [t for t in hits if t not in first]):
+            sp = Verdict("no", None, {
+                "arity": k,
+                "embedding": term_to_str(fk.rep(fk.least(failing))),
+                "reason": "embedding admits no retraction",
+            })
+        if exact is not None and sp is not None:
+            break
+    if exact is None:
+        reason = _no_exact_certificate(ctx, theta)
+        exact = (Verdict("no", None, reason) if reason is not None else
+                 Verdict("unknown", bound, "no generator image found within the bound"))
+    if sp is None:
+        sp = Verdict("yes", bound)
 
     return CongruenceClassification(theta, exact, projective, sp, retract)
 
@@ -351,6 +336,31 @@ def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
                  if alg.eval(term, dict(zip(names, vals))) == target), None)
 
 
+def _irredundant_generators(ctx: VarietyContext) -> list[FiniteAlgebra]:
+    """The generating algebras not in HS of another one, which generate the
+    same variety; of two each in HS of the other, so isomorphic, the first.
+    B is in HS(A) when some tuple of A, paired with a generating tuple of B,
+    generates a functional relation in A x B, the graph of a homomorphism
+    from a subalgebra of A onto B.  Each pair is charged |A|^k |A||B| cells
+    for its k-tuples before its search.  Found once per context."""
+    budget, algebras = Budget(ctx.budget_limit), ctx.spec.generators
+
+    def in_hs(b: FiniteAlgebra, a: FiniteAlgebra) -> bool:
+        _, gens = min_generators(b)
+        budget.charge(a.size ** len(gens) * a.size * b.size, "exactness certificate")
+        ab, _ = direct_product([a, b])
+        for tup in itertools.product(a.elements(), repeat=len(gens)):
+            graph = ab.subuniverse([x * b.size + y for x, y in zip(tup, gens)])
+            if len({m // b.size for m in graph}) == len(graph):
+                return True
+        return False
+    return ctx.memo("irredundant-generators", lambda: [
+        b for i, b in enumerate(algebras)
+        # a larger algebra, or an earlier one of the same size
+        if not any((a.size, -j) > (b.size, -i) and in_hs(b, a)
+                   for j, a in enumerate(algebras))])
+
+
 def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     """Sound, bound-free impossibility argument for exactness.
 
@@ -362,18 +372,20 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     every base point b they lie inside the row of the compatible relation
     generated by {b} x A at the diagonal's value at b.  If no unary term
     function is consistent with these constraints, theta is not exact.
+    It reads only the generating algebras not in HS of another: t's values
+    on one in HS(A) follow from those on A, and relaxing them would loosen it.
     Returns a reason string, or None when no certificate exists.
     """
     f1 = ctx.free_algebra(1)
-    spec = ctx.spec
+    algebras = _irredundant_generators(ctx)
     # values[gi][a][u]: the unary term function u at a on generator gi, one
     # homomorphism F(1) -> generator per value a, with kernel kappas[gi][a]
     values = [[f1.images(gen, (a,)) for a in range(gen.size)]
-              for gen in spec.generators]
-    kappas = [ctx.evaluation_kernels(gen) for gen in spec.generators]
+              for gen in algebras]
+    kappas = [ctx.evaluation_kernels(gen) for gen in algebras]
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
-        for gi, gen in enumerate(spec.generators)
+        for gi, gen in enumerate(algebras)
     ]
     if not all(allowed):
         return ("a generating algebra has no element that identifies the "
@@ -382,14 +394,14 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
     unary_ok = [u for u in range(f1.size)
                 if all(ranges[gi][u] <= set(allowed[gi])
-                       for gi in range(len(spec.generators)))]
+                       for gi in range(len(algebras)))]
     if not unary_ok:
         return ("every unary term function attains a value outside the "
                 "admissible generator values")
 
     # rows of the pointed compatible relations Sg_{A^2}({b} x A)
     rows: list[list[list[set[int]]]] = []
-    for gen in spec.generators:
+    for gen in algebras:
         sq, _ = direct_product([gen, gen])
         per_b = []
         for b in range(gen.size):
@@ -407,7 +419,7 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     total = Congruence.total(f1.size)
     for u in unary_ok:
         theta_u = total
-        for gi, gen in enumerate(spec.generators):
+        for gi, gen in enumerate(algebras):
             s_vals = set(allowed[gi])
             for b in range(gen.size):
                 s_vals &= rows[gi][b][values[gi][b][u]]
@@ -439,13 +451,6 @@ def classify_all(ctx: VarietyContext,
 # E- and G-congruences
 
 
-def exact_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
-    cls = classify_all(ctx, bound)
-    yes = [t for t, c in cls.items() if c.exact.status == "yes"]
-    complete = all(c.exact.status in ("yes", "no") for c in cls.values())
-    return yes, complete
-
-
 def e_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
     """All finite intersections of exact congruences of F(1).
 
@@ -453,8 +458,10 @@ def e_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
     exactness verdict is unknown at the bound, in which case the set is a
     lower approximation.
     """
-    base, complete = exact_congruences(ctx, bound)
-    return sorted(close_under(Congruence.meet, base), key=Congruence.sort_key), complete
+    cls = classify_all(ctx, bound)
+    exact = [t for t, c in cls.items() if c.exact.status == "yes"]
+    complete = all(c.exact.status in ("yes", "no") for c in cls.values())
+    return sorted(close_under(Congruence.meet, exact), key=Congruence.sort_key), complete
 
 
 @dataclass(frozen=True)

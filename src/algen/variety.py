@@ -531,25 +531,20 @@ class GeneratedSubalgebra:
                             lanes * (m - lo), "little")
                         if lanes == 2:
                             keys = memoryview(keys).cast("H")
-                        found = list(map(keyed.get, keys))
-                        if None in found:  # keys first met here, in order
+                        lookup = keyed
+                    else:  # the result vectors, from lo on
+                        flat, lookup = b"".join(rows), index
+                        keys = [flat[j::m - s] for j in range(lo - s, m - s)]
+                    found = list(map(lookup.get, keys))
+                    if None in found:  # keys first met here, in column order
+                        if packed:
                             flat = b"".join(_walk(cols, vectors, prefix))
-                            for j in [j for j, e in enumerate(found) if e is None]:
-                                e = keyed.get(keys[j])  # met earlier in this row?
-                                if e is None:
-                                    e = keyed[keys[j]] = element(
-                                        flat[lo - s + j::m - s], op, prefix + (lo + j,))
-                                found[j] = e
-                        row.extend(found)
-                        continue
-                    flat, width = b"".join(rows), m - s
-                    vecs = [flat[j::width] for j in range(lo - s, width)]
-                    found = list(map(index.get, vecs))
-                    if None in found:
-                        # add new vectors in order; one may recur in the row
-                        found = [element(v, op, prefix + (lo + j,))
-                                 if f is None else f
-                                 for j, (f, v) in enumerate(zip(found, vecs))]
+                        for j in [j for j, e in enumerate(found) if e is None]:
+                            e = lookup.get(keys[j])  # met earlier in this row?
+                            if e is None:
+                                e = lookup[keys[j]] = element(
+                                    flat[lo - s + j::m - s], op, prefix + (lo + j,))
+                            found[j] = e
                     row.extend(found)
         if not vectors:
             raise AlgebraError(

@@ -7,13 +7,17 @@ engine; the assignment oracle decides an identity by evaluating both sides
 at every assignment into every generating algebra, and the Bellman
 relaxation finds least terms from every table entry, in both argument
 orders.  Kleene projectivity is also read off the dual poset with every
-subset checked.
+subset checked.  A problem's least general generalizers are found among
+F(2)'s elements by walking its derivation into F(m) and into F(2) under
+every assignment of its two generators.
 """
 
 import itertools
 
 from algen.algebra import AlgebraError, Congruence, FiniteAlgebra, enumerate_homs
-from algen.terms import App, term_rank, term_vars
+from algen.terms import (App, Substitution, Var, apply_subst, term_rank, term_to_str,
+                         term_vars)
+from algen.variety import var_name
 
 
 def identity_holds_oracle(gens, s, t):
@@ -147,3 +151,63 @@ def projective_by_all_subsets(p):
                 and not p.upper_bounds((x, y), within=q)):
             return False, 4
     return True, None
+
+
+def _instances(source, target):
+    """For each element of the free algebra ``source``, the set of its
+    images under every map of its generators into the free algebra
+    ``target``: one walk of ``source``'s derivation steps per map."""
+    reached = [set() for _ in range(source.size)]
+    for points in itertools.product(target.algebra.elements(), repeat=source.n):
+        images = [0] * source.size
+        for e, op, args in source.steps:
+            if op is None:
+                images[e] = points[args]
+                continue
+            value = target.algebra.tables[op]
+            for a in args:
+                value = value[images[a]]
+            images[e] = value
+        for seen, image in zip(reached, images):
+            seen.add(image)
+    return reached
+
+
+def lgg_violations(ctx, terms, emitted):
+    """How the terms ``emitted``, over z or z1, z2, fail to be a complete
+    set of least general generalizers of ``terms`` among F(2)'s elements;
+    empty when they are one.  A generalizer is an element s of F(2) whose
+    images under the maps F(2) -> F(m), over the problem's m variables,
+    include every term; s is an instance of g when some map F(2) -> F(2)
+    sends g to s.  Checked: each emitted term is a generalizer with no
+    generalizer strictly less general, no emitted term is an instance of
+    another, and every generalizer has an emitted instance."""
+    names = []
+    for t in terms:
+        term_vars(t, names)
+    fm, f2 = ctx.free_algebra(len(names)), ctx.free_algebra(2)
+
+    def element(free, t, renaming):
+        return free.eval_term(apply_subst(Substitution.make(
+            {v: Var(x) for v, x in renaming.items()}), t))
+
+    targets = {element(fm, t, {v: var_name(i) for i, v in enumerate(names)})
+               for t in terms}
+    reached = _instances(f2, fm)
+    generalizers = [s for s in f2.algebra.elements() if targets <= reached[s]]
+    below = _instances(f2, f2)  # below[g]: the instances of g
+    chosen = [(term_to_str(t), element(f2, t, {"z": "x1", "z1": "x1", "z2": "x2"}))
+              for t in emitted]
+    out = []
+    for text, e in chosen:
+        if e not in generalizers:
+            out.append(f"{text} is not a generalizer")
+        elif any(s in below[e] and e not in below[s] for s in generalizers):
+            out.append(f"{text} is not least general")
+    for (text, e), (other, f) in itertools.permutations(chosen, 2):
+        if e in below[f]:
+            out.append(f"{text} is an instance of {other}")
+    for g in generalizers:
+        if not any(e in below[g] for _, e in chosen):
+            out.append(f"generalizer {term_to_str(f2.rep(g))} has no emitted instance")
+    return out

@@ -626,12 +626,13 @@ def _relabelled(a):
 @pytest.mark.parametrize("variety", list(_PRESENTED))
 def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
     # A and A x A generate the same variety, in either order, and so do A
-    # with its quotients and a copy of A with its universe permuted and
-    # relabelled, so no such presentation of a var file's generating
-    # algebras may move an output
+    # with its quotients, A with a proper subalgebra and a copy of A with
+    # its universe permuted and relabelled, so no such presentation of a var
+    # file's generating algebras may move an output
     from algen.algebra import FiniteAlgebra, congruence_lattice, direct_product, quotient
     from algen.varfile import dump_variety, load_variety
     from algen.variety import VarietySpec
+    from oracles import subalgebra_generated
 
     original = f"varieties/{variety}.var"
     spec = load_variety(original)
@@ -647,6 +648,13 @@ def test_output_depends_on_the_variety_not_its_presentation(tmp_path, variety):
             FiniteAlgebra(q.sig, q.labels, q.tables, f"Q{i}")
             for i, q in enumerate(quotients))),
     }
+    # the first proper subalgebra generated by the constants or one element;
+    # boolean's 2 has none
+    subalgebras = (subalgebra_generated(first, gens)[0]
+                   for gens in [(), *([x] for x in first.elements())])
+    subalgebra = next((sub for sub in subalgebras if 0 < sub.size < first.size), None)
+    if subalgebra is not None:
+        presentations["subalgebra-appended"] = (*spec.generators, subalgebra)
     for kind, algebras in presentations.items():
         (tmp_path / f"{kind}.var").write_text(
             dump_variety(VarietySpec(spec.name, spec.sig, algebras)), encoding="utf-8")

@@ -47,7 +47,8 @@ from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
-from oracles import find_isomorphism, identity_holds_oracle, kernel
+from golden_cases import CASES, EXPECTED_EXIT
+from oracles import find_isomorphism, identity_holds_oracle, kernel, lgg_violations
 
 
 def mk(name, *gens, budget=None):
@@ -414,6 +415,49 @@ def test_classify_all_builds_con_f1_once_per_context(monkeypatch):
     for bound in (2, 3):
         classification_rows(ctx, classify_all(ctx, bound))
     assert [len(calls) for calls in counted.values()] == [1, 6]
+
+
+@pytest.mark.parametrize("variety", ["boolean", "kleene"])
+def test_classification_walks_each_free_algebra_once(variety, monkeypatch):
+    # counted: each congruence scans each F(k) up to the bound for
+    # embeddings once and searches it for retractions at most once, so F(1)
+    # is not scanned again for exactness nor searched again for strong
+    # projectivity
+    from algen import solver
+    from algen.varfile import load_variety
+
+    calls = {"_embedding_elements": 0, "_first_assignments": 0}
+    for name in calls:
+        real = getattr(solver, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, counting)
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    cls = classify_all(ctx, 2)
+    assert all(n <= 2 * len(cls) for n in calls.values()), (calls, len(cls))
+
+
+# the golden solve problems that exit 0, so have a unitary or finitary
+# verdict, each once: (golden file, var file, terms, pairwise)
+_SOLVED = {(argv[1], tuple(a for a in argv[2:] if not a.startswith("--")),
+            "--pairwise" in argv): fname
+           for fname, argv in reversed(CASES)
+           if argv[0] == "solve" and not EXPECTED_EXIT.get(fname)}
+
+
+@pytest.mark.parametrize("path,terms,pairwise", list(_SOLVED), ids=_SOLVED.values())
+def test_emitted_set_is_least_general_by_the_oracle(path, terms, pairwise):
+    # the oracle finds the generalizers in F(2) and their instance order by
+    # walking F(2) itself, without the engine's generality search
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety(path))
+    problem = SymbolicProblem(ctx, tuple(parse_term(t, ctx.spec.sig) for t in terms))
+    report = (pairwise_reduce if pairwise else solve)(problem)
+    assert report.type.kind in ("unitary", "finitary")
+    assert lgg_violations(ctx, problem.terms, [e.term for e in report.mcsg]) == []
 
 
 @pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3",
