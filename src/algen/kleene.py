@@ -10,10 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .terms import Signature, parse_term
-from .variety import VarietyContext, VarietySpec
+from .variety import DEFAULT_BUDGET, Budget, VarietyContext, VarietySpec
 
 __all__ = [
     "NotKleeneError",
@@ -90,52 +91,55 @@ def _join_irreducibles(a: FiniteAlgebra) -> list[int]:
     return out
 
 
+def _has_least(s: int, up) -> bool:
+    """Whether the bitmask s has a member u with s inside the mask up[u]."""
+    return any(s >> u & 1 and not s & ~up[u] for u in range(len(up)))
+
+
 @dataclass(frozen=True)
 class InvolutivePoset:
     """A finite poset with an order-reversing involution where every point
-    is comparable with its image; all three laws are checked at
-    construction."""
+    is comparable with its image; the laws are checked at construction on
+    ``up`` and ``down``, each point's upper and lower set as a bitmask."""
 
     labels: tuple[str, ...]
     leq: frozenset  # pairs of positions
     iota: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        le = lambda x, y: (x, y) in self.leq
-        for x in range(n):
-            if not le(x, x):
-                raise AlgebraError("order not reflexive")
-        for x in range(n):
-            for y in range(n):
-                if le(x, y) and le(y, x) and x != y:
-                    raise AlgebraError("order not antisymmetric")
-                for w in range(n):
-                    if le(x, y) and le(y, w) and not le(x, w):
-                        raise AlgebraError("order not transitive")
-        if sorted(self.iota) != list(range(n)):
+        n, up, down, iota = self.size, self.up, self.down, self.iota
+        if not all(up[x] >> x & 1 for x in range(n)):
+            raise AlgebraError("order not reflexive")
+        if any(up[x] & down[x] != 1 << x for x in range(n)):
+            raise AlgebraError("order not antisymmetric")
+        if any(up[y] & ~up[x] for x in range(n) for y in range(n) if up[x] >> y & 1):
+            raise AlgebraError("order not transitive")
+        if sorted(iota) != list(range(n)):
             raise AlgebraError("involution is not a bijection")
-        for x in range(n):
-            if self.iota[self.iota[x]] != x:
+        for x, i in enumerate(iota):
+            if iota[i] != x:
                 raise AlgebraError("involution is not an involution")
-            if not (le(x, self.iota[x]) or le(self.iota[x], x)):
+            if not (up[x] | down[x]) >> i & 1:
                 raise AlgebraError("a point is incomparable with its image")
-            for y in range(n):
-                if le(x, y) and not le(self.iota[y], self.iota[x]):
-                    raise AlgebraError("involution is not order-reversing")
+            if any(not down[i] >> iota[y] & 1 for y in range(n) if up[x] >> y & 1):
+                raise AlgebraError("involution is not order-reversing")
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def up(self) -> tuple[int, ...]:
+        r = range(self.size)
+        return tuple(sum(1 << y for y in r if (x, y) in self.leq) for x in r)
+
+    @functools.cached_property
+    def down(self) -> tuple[int, ...]:
+        r = range(self.size)
+        return tuple(sum(1 << x for x in r if self.up[x] >> y & 1) for y in r)
+
     def le(self, x: int, y: int) -> bool:
-        return (x, y) in self.leq
-
-    def upper_bounds(self, xs, within) -> list[int]:
-        return [u for u in within if all(self.le(x, u) for x in xs)]
-
-    def lower_bounds(self, xs, within) -> list[int]:
-        return [u for u in within if all(self.le(u, x) for x in xs)]
+        return bool(self.up[x] >> y & 1)
 
 
 def dual_poset(a: FiniteAlgebra) -> InvolutivePoset:
@@ -173,40 +177,34 @@ def is_projective_by_duality(p: InvolutivePoset):
     4. points x, y below both iota(x) and iota(y) have a common upper
        bound w with w <= iota(w).
 
-    Condition 2 reads only pairs and triples of that set.  If every bounded
-    pair has a join, a bounded set's join folds them, as its bounds bound
-    each partial join.  If every pairwise-bounded triple is bounded, a bound
-    of {x1, x2, xi} bounds x1 v x2 and xi, so by induction on k, a bound of
-    x1 v x2, x3, ..., xk bounds a pairwise-bounded x1, ..., xk.
+    Condition 2 reads only the pairs and triples of that set, charged to
+    the default budget first: bounded pairs have joins, and a bounded set's
+    join folds them, as its bounds bound each partial join; pairwise-bounded
+    triples are bounded, and a bound of {x1, x2, xi} bounds x1 v x2 and xi,
+    so by induction on k, a bound of x1 v x2, ..., xk bounds x1, ..., xk.
     """
-    n = p.size
-    q = [x for x in range(n) if p.le(x, p.iota[x])]
+    n, up, down, iota = p.size, p.up, p.down, p.iota
+    q = [x for x in range(n) if up[x] >> iota[x] & 1]
+    in_q = sum(1 << x for x in q)
+    fixed = sum(1 << y for y in range(n) if iota[y] == y)
 
-    for x in q:
-        if not any(p.le(x, y) and p.iota[y] == y for y in range(n)):
-            return False, 1
+    if not all(up[x] & fixed for x in q):
+        return False, 1
 
-    for r in (2, 3):
-        for xs in itertools.combinations(q, r):
-            if all(p.upper_bounds((x, y), within=q)
-                   for x, y in itertools.combinations(xs, 2)):
-                ubs = p.upper_bounds(xs, within=q)
-                if not any(all(p.le(u, v) for v in ubs) for u in ubs):
-                    return False, 2
+    Budget(DEFAULT_BUDGET).charge(comb(len(q), 2) + comb(len(q), 3), "kleene duality")
+    ub = {(x, y): up[x] & up[y] & in_q for x, y in itertools.combinations(q, 2)}
+    if any(s and not _has_least(s, up) for s in ub.values()) or any(
+            ub[x, y] and ub[x, w] and ub[y, w] and not ub[x, y] & up[w]
+            for x, y, w in itertools.combinations(q, 3)):
+        return False, 2
 
-    if not q:
+    if not q or not all(_has_least(down[x] & down[y] & in_q, down)
+                        for x, y in itertools.combinations(q, 2)):
         return False, 3
-    for x, y in itertools.combinations(q, 2):
-        lbs = p.lower_bounds((x, y), within=q)
-        if not any(all(p.le(v, u) for v in lbs) for u in lbs):
-            return False, 3
 
-    for x in range(n):
-        for y in range(n):
-            if (p.le(x, p.iota[x]) and p.le(x, p.iota[y])
-                    and p.le(y, p.iota[x]) and p.le(y, p.iota[y])):
-                if not p.upper_bounds((x, y), within=q):
-                    return False, 4
+    # x = y is bounded by itself; y <= iota(x) exactly when x <= iota(y)
+    if not all(ub[x, y] for x, y in ub if down[iota[x]] >> y & 1):
+        return False, 4
 
     return True, None
 

@@ -127,28 +127,35 @@ def projective_by_all_subsets(p):
     """``kleene.is_projective_by_duality`` read literally: the first of the
     four conditions that the involutive poset ``p`` fails, with condition 2
     checked on every subset of q = {x : x <= iota(x)}, not only on its
-    pairs and triples.  Returns (True, None) or (False, condition)."""
+    pairs and triples.  The order is read from the pairs ``p.leq``, and the
+    bounds within q are found by scanning q.  Returns (True, None) or
+    (False, condition)."""
     n = p.size
-    q = [x for x in range(n) if p.le(x, p.iota[x])]
+    le = lambda x, y: (x, y) in p.leq
+    q = [x for x in range(n) if le(x, p.iota[x])]
+
+    def upper_bounds(xs):
+        return [u for u in q if all(le(x, u) for x in xs)]
+
+    def lower_bounds(xs):
+        return [u for u in q if all(le(u, x) for x in xs)]
 
     def least(xs, le):  # whether xs has a least element under le
         return any(all(le(u, v) for v in xs) for u in xs)
 
-    if not all(any(p.le(x, y) and p.iota[y] == y for y in range(n)) for x in q):
+    if not all(any(le(x, y) and p.iota[y] == y for y in range(n)) for x in q):
         return False, 1
     for r in range(1, len(q) + 1):
         for xs in itertools.combinations(q, r):
-            if all(p.upper_bounds(pair, within=q)
-                   for pair in itertools.combinations(xs, 2)):
-                if not least(p.upper_bounds(xs, within=q), p.le):
+            if all(upper_bounds(pair) for pair in itertools.combinations(xs, 2)):
+                if not least(upper_bounds(xs), le):
                     return False, 2
-    if not q or not all(least(p.lower_bounds(pair, within=q),
-                              lambda u, v: p.le(v, u))
+    if not q or not all(least(lower_bounds(pair), lambda u, v: le(v, u))
                         for pair in itertools.combinations(q, 2)):
         return False, 3
     for x, y in itertools.product(range(n), repeat=2):
-        if (all(p.le(a, p.iota[b]) for a in (x, y) for b in (x, y))
-                and not p.upper_bounds((x, y), within=q)):
+        if (all(le(a, p.iota[b]) for a in (x, y) for b in (x, y))
+                and not upper_bounds((x, y))):
             return False, 4
     return True, None
 

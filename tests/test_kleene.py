@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pathlib
 import random
 import subprocess
@@ -19,7 +20,7 @@ from algen.kleene import (
 from algen.solver import classify_all
 from algen.terms import parse_term
 from algen.varfile import dump_variety
-from algen.variety import VarietyContext, VarietySpec
+from algen.variety import DEFAULT_BUDGET, BudgetExceeded, VarietyContext, VarietySpec
 
 from factories import (
     LATTICE_BOUNDED_SIG,
@@ -255,6 +256,36 @@ def test_condition_two_on_pairs_and_triples_agrees_with_all_subsets():
     assert (True, None) in verdicts
 
 
+def test_conditions_read_the_order_without_pairwise_lookups(monkeypatch):
+    # the conditions read the order's bitmasks, not ``le``: scanning lists
+    # of bounds made 1,083,680 lookups here
+    p = dual_poset(kleene_chain([str(i) for i in range(60)], lambda i: 59 - i))
+    calls = []
+    le = InvolutivePoset.le
+    monkeypatch.setattr(InvolutivePoset, "le",
+                        lambda self, x, y: calls.append(1) or le(self, x, y))
+    assert is_projective_by_duality(p) == (True, None)
+    assert len(calls) <= p.size ** 2
+
+
+def test_condition_two_charges_its_pairs_and_triples_first():
+    # a fan: 400 points a_i below the fixpoint f, each swapped with a point
+    # b_i above it, so q has 401 points; C(401, 2) + C(401, 3) exceeds the
+    # default budget, so the check ends before it scans a triple
+    m = 400
+    a, f, b = range(m), m, range(m + 1, 2 * m + 1)
+    leq = frozenset([*((x, x) for x in range(2 * m + 1)),
+                     *((x, f) for x in a), *((f, y) for y in b),
+                     *((x, y) for x in a for y in b)])
+    p = InvolutivePoset(tuple(map(str, range(2 * m + 1))), leq,
+                        (*b, f, *a))
+    with pytest.raises(BudgetExceeded) as exc:
+        is_projective_by_duality(p)
+    assert exc.value.stage == "kleene duality"
+    assert exc.value.needed == math.comb(m + 1, 2) + math.comb(m + 1, 3)
+    assert exc.value.limit == DEFAULT_BUDGET
+
+
 def test_kleene_dual_of_a_forty_element_chain_ends_quickly(tmp_path):
     # condition 2 over every subset of q took hours here; pairs and triples
     # take well under a second
@@ -321,19 +352,31 @@ def test_duality_agrees_with_generic_on_all_quotients():
 
 
 def test_involutive_poset_validation():
-    # incomparable swap on a discrete order
-    with pytest.raises(AlgebraError):
-        InvolutivePoset(("a", "b"), frozenset({(0, 0), (1, 1)}), (1, 0))
-    # not a bijection
-    with pytest.raises(AlgebraError):
-        InvolutivePoset(("a", "b"), frozenset({(0, 0), (1, 1), (0, 1)}), (0, 0))
-    # order-preserving instead of order-reversing swap
-    with pytest.raises(AlgebraError):
-        InvolutivePoset(
-            ("a", "b", "c", "d"),
-            frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3),
-                       (0, 3), (2, 1)}),
-            (2, 3, 0, 1))
+    # one poset per law the constructor checks, each breaking that law only
+    def make(n, leq, iota):
+        return InvolutivePoset(tuple("abcd"[:n]), frozenset(leq), iota)
+
+    discrete = [(0, 0), (1, 1)]
+    cases = [
+        ("order not reflexive", (2, [(0, 1)], (1, 0))),
+        ("order not antisymmetric", (2, [*discrete, (0, 1), (1, 0)], (1, 0))),
+        # 0 <= 1 <= 2 <= 0 with none of the composites
+        ("order not transitive",
+         (3, [*discrete, (2, 2), (0, 1), (1, 2), (2, 0)], (2, 1, 0))),
+        # a map of the points that is not a bijection is not an involution
+        # either, so this one is an involution of the two points with an
+        # entry too many
+        ("involution is not a bijection", (2, discrete, (0, 1, 1))),
+        # a 4-cycle reversing the crown 1, 3 < 0, 2
+        ("involution is not an involution",
+         (4, [*discrete, (2, 2), (3, 3), (1, 0), (1, 2), (3, 0), (3, 2)],
+          (1, 2, 3, 0))),
+        ("a point is incomparable with its image", (2, discrete, (1, 0))),
+        ("involution is not order-reversing", (2, [*discrete, (1, 0)], (0, 1))),
+    ]
+    for message, args in cases:
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            make(*args)
 
 
 def test_iota_laws_on_produced_posets():

@@ -460,6 +460,29 @@ def test_emitted_set_is_least_general_by_the_oracle(path, terms, pairwise):
     assert lgg_violations(ctx, problem.terms, [e.term for e in report.mcsg]) == []
 
 
+@pytest.mark.parametrize("variety,count", [("boolean", 60), ("kleene", 16), ("n3", 60)])
+def test_emitted_set_is_least_general_on_seeded_random_problems(variety, count):
+    # two or three terms of depth <= 2 in x and y; the oracle has nothing to
+    # check on an inconclusive verdict, which about half the n3 ones are.
+    # kleene gets fewer problems: the oracle walks its F(2) of 84 elements
+    # under 84^2 assignments twice per problem
+    from algen.varfile import load_variety
+    from test_variety import random_term
+
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    rng = random.Random(1)
+    checked = 0
+    for _ in range(count):
+        terms = tuple(random_term(rng, ctx.spec.sig, ["x", "y"], 2)
+                      for _ in range(rng.choice([2, 3])))
+        report = solve(SymbolicProblem(ctx, terms))
+        if report.type.kind in ("unitary", "finitary"):
+            emitted = [e.term for e in report.mcsg]
+            assert lgg_violations(ctx, terms, emitted) == [], terms
+            checked += 1
+    assert checked >= count // 3
+
+
 @pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3",
                                      "semilattice", "lattice"])
 def test_classify_all_is_in_lattice_order(variety):
