@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import getitem
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +29,7 @@ __all__ = [
     "min_generators",
     "poset_covers",
     "close_under",
+    "join_irreducibles",
 ]
 
 
@@ -134,7 +135,7 @@ class FiniteAlgebra:
     @cached_property
     def principal_congruences(self) -> dict[tuple[int, int], "Congruence"]:
         """Cg(x, y) for each pair of elements x < y, computed once per
-        algebra: the congruence lattice joins them and names read them."""
+        algebra: the congruence lattice, its covers and names read them."""
         return {(x, y): principal_congruence(self, x, y)
                 for x, y in itertools.combinations(self.elements(), 2)}
 
@@ -436,22 +437,24 @@ def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Congruence:
 
 def congruence_lattice(a: FiniteAlgebra,
                        charge: Callable[[int], None] | None = None) -> tuple[Congruence, ...]:
-    """All congruences: the algebra's principal congruences closed under
-    the partition join, plus the identity, which is also the total one when
-    a.size <= 1.  Sorted identity-first, total-last.  ``charge``, if given,
-    is called before each batch, even when the principal congruences are
-    already held.  They are charged first for their union work, as each
-    makes at most a.size - 1 merges and reads each merge through every
-    translation row, then a.size cells per congruence; each join round is
-    charged a.size cells per join."""
-    n = a.size
+    """All congruences, sorted identity-first, total-last: the
+    join-irreducible ones, which are principal (Freese, Algebra Universalis
+    59, 2008), closed under the partition join, plus the identity (also the
+    total one when a.size <= 1).  ``charge``, if given, is called before
+    each batch, even when the principal congruences are already held: their
+    union work, a.size - 1 merges each read through every translation row,
+    then a.size cells per principal congruence, per step of the
+    join-irreducible search and per join of each round."""
+    n, bottom = a.size, Congruence.identity(a.size)
     if charge:
         charge(n * (n - 1) // 2 * (n - 1) * len(a._translations))
         charge(n * n * (n - 1) // 2)
-    found = close_under(Congruence.join, a.principal_congruences.values(),
-                        None if charge is None else lambda joins: charge(joins * n))
-    found.add(Congruence.identity(n))
-    return tuple(sorted(found, key=Congruence.sort_key))
+        m = len(set(a.principal_congruences.values()))
+        charge(3 * m * (m - 1) // 2 * n)  # m * (m - 1) comparisons, at most half as many joins
+    found = close_under(Congruence.join, join_irreducibles(
+        set(a.principal_congruences.values()), Congruence.leq, Congruence.join, bottom),
+        None if charge is None else lambda joins: charge(joins * n))
+    return tuple(sorted(found | {bottom}, key=Congruence.sort_key))
 
 
 def close_under(op, items: Iterable,
@@ -472,10 +475,18 @@ def close_under(op, items: Iterable,
     return found
 
 
-def poset_covers(items: Sequence, leq) -> list[tuple[int, int]]:
-    """Hasse cover pairs (i, j) with items[i] < items[j], no element between."""
-    n = len(items)
-    lt = [[leq(items[i], items[j]) and i != j and not leq(items[j], items[i])
-           for j in range(n)] for i in range(n)]
-    return [(i, j) for i in range(n) for j in range(n)
-            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))]
+def join_irreducibles(items: Collection, leq, join, bottom) -> list:
+    """The items unequal to the join, from ``bottom``, of those strictly below."""
+    return [x for x in items
+            if reduce(join, (y for y in items if y != x and leq(y, x)), bottom) != x]
+
+
+def poset_covers(items: Iterable, leq, dense: Collection) -> list[tuple[int, int]]:
+    """Hasse cover pairs (i, j), items[i] < items[j] with no item between;
+    each item must be the join of the ``dense`` members below it, read as a bitmask."""
+    masks = [sum(1 << k for k, d in enumerate(dense) if leq(d, x)) for x in items]
+    above = [[j for j, hi in enumerate(masks) if hi != lo and not lo & ~hi] for lo in masks]
+    up = [sum(1 << j for j in js) for js in above]
+    return [(i, j) for i, js in enumerate(above)
+            for inner in [reduce(int.__or__, map(up.__getitem__, js), 0)]
+            for j in js if not inner >> j & 1]

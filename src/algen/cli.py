@@ -158,7 +158,8 @@ def cmd_con(args) -> int:
     ctx = _context(args)
     cls = classify_all(ctx, args.bound)
     rows = classification_rows(ctx, cls)
-    covers = poset_covers(list(cls), Congruence.leq)  # in the order of the rows
+    dense = set(ctx.free_algebra(1).algebra.principal_congruences.values())
+    covers = poset_covers(cls, Congruence.leq, dense)  # in the order of the rows
     doc = {
         "variety": ctx.spec.name,
         "bound": args.bound,
@@ -203,11 +204,12 @@ def cmd_solve(args) -> int:
     if args.dot:
         # the upper G-congruences, the maximal generalizing ones doubled
         g = doc["g_congruences"]
+        dense = set(ctx.free_algebra(1).algebra.principal_congruences.values())
         _emit(_dot(f"g_{doc['variety']}",
                    [(f"c{i}", name, "peripheries=2" if name in g["maximal"] else "")
                     for i, name in enumerate(g["upper"])],
                    [(f"c{i}", f"c{j}", "")
-                    for i, j in poset_covers(report.g.upper, Congruence.leq)]))
+                    for i, j in poset_covers(report.g.upper, Congruence.leq, dense)]))
     elif args.json:
         _emit_json(doc)
     else:
@@ -297,7 +299,7 @@ def cmd_kleene_dual(args) -> int:
         "algebra": args.algebra,
         "points": list(p.labels),
         "covers": [[p.labels[i], p.labels[j]]
-                   for i, j in poset_covers(range(p.size), p.le)],
+                   for i, j in poset_covers(range(p.size), p.le, range(p.size))],
         "involution": {p.labels[i]: p.labels[p.iota[i]] for i in range(p.size)},
         "projective": {"ok": proj_ok, "failed_condition": failed},
         "exact": {"ok": exact_ok, "reason": reason},

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, FiniteAlgebra, join_irreducibles
 from .terms import Signature, parse_term
 from .variety import DEFAULT_BUDGET, Budget, VarietyContext, VarietySpec
 
@@ -77,20 +77,6 @@ def _leq(a: FiniteAlgebra, x: int, y: int) -> bool:
     return a.tables["and"][x][y] == x
 
 
-def _join_irreducibles(a: FiniteAlgebra) -> list[int]:
-    """Elements not equal to the join of their strict lower set; the bottom
-    (the empty join) is excluded."""
-    out = []
-    for x in range(a.size):
-        below = [y for y in range(a.size) if y != x and _leq(a, y, x)]
-        j = a.tables["0"]
-        for y in below:
-            j = a.tables["or"][j][y]
-        if j != x:
-            out.append(x)
-    return out
-
-
 def _has_least(s: int, up) -> bool:
     """Whether the bitmask s has a member u with s inside the mask up[u]."""
     return any(s >> u & 1 and not s & ~up[u] for u in range(len(up)))
@@ -108,6 +94,8 @@ class InvolutivePoset:
 
     def __post_init__(self):
         n, up, down, iota = self.size, self.up, self.down, self.iota
+        if not all(x in range(n) and y in range(n) for x, y in self.leq):
+            raise AlgebraError("order pair out of range")
         if not all(up[x] >> x & 1 for x in range(n)):
             raise AlgebraError("order not reflexive")
         if any(up[x] & down[x] != 1 << x for x in range(n)):
@@ -148,15 +136,14 @@ def dual_poset(a: FiniteAlgebra) -> InvolutivePoset:
     sending x to the meet of the complement of {not a : x <= a} (meets
     taken in the algebra, which quantifies over all its elements)."""
     verify_kleene(a)
-    points = _join_irreducibles(a)
+    points = join_irreducibles(a.elements(), functools.partial(_leq, a),
+                               lambda x, y: a.tables["or"][x][y], a.tables["0"])
     pos = {p: i for i, p in enumerate(points)}
     iota = []
     for x in points:
         excluded = {a.tables["not"][y] for y in range(a.size) if _leq(a, x, y)}
-        m = a.tables["1"]
-        for y in range(a.size):
-            if y not in excluded:
-                m = a.tables["and"][m][y]
+        m = functools.reduce(lambda u, v: a.tables["and"][u][v],
+                             (y for y in range(a.size) if y not in excluded), a.tables["1"])
         if m not in pos:
             raise AlgebraError(
                 "involution left the join-irreducibles; input is not Kleene")
@@ -225,8 +212,8 @@ def _exact_by_quasieq(a: FiniteAlgebra):
     """is_exact_by_quasieq for an algebra that has passed verify_kleene."""
     if a.size == 1:
         return False, "trivial algebra"
-    one = a.tables["1"]
-    if one not in _join_irreducibles(a):
+    if a.tables["1"] not in join_irreducibles(a.elements(), functools.partial(_leq, a),
+                                              lambda x, y: a.tables["or"][x][y], a.tables["0"]):
         return False, "1 is not join irreducible"
     neg = lambda x: a.tables["not"][x]
     for x in range(a.size):

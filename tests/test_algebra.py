@@ -14,6 +14,7 @@ from algen.algebra import (
     congruence_lattice,
     direct_product,
     enumerate_homs,
+    join_irreducibles,
     min_generators,
     poset_covers,
     principal_congruence,
@@ -311,8 +312,10 @@ def test_congruence_lattice_closure_properties():
 def test_congruence_lattice_charges_each_batch_before_it(factory):
     # the union bound of the principal congruences, n - 1 merges each read
     # through every translation row, then a.size cells per congruence a
-    # batch computes: the principal ones, then each semi-naive join round,
-    # which joins the congruences new in the last round with the principal
+    # batch computes: the principal ones, the m * (m - 1) comparisons and
+    # at most half as many joins that find the join-irreducible ones among
+    # the m distinct principal ones, then each semi-naive join round, which
+    # joins the congruences new in the last round with the join-irreducible
     # ones, replayed here
     a = factory()
     n = a.size
@@ -321,12 +324,20 @@ def test_congruence_lattice_charges_each_batch_before_it(factory):
     assert lattice == congruence_lattice(a)
     principal = {principal_congruence(a, x, y)
                  for x in range(n) for y in range(x + 1, n)}
+    # join-irreducible: exactly one lower cover in the lattice
+    below = {t: {u for u in lattice if u != t and u.leq(t)} for t in lattice}
+    irreducible = {t for t in lattice
+                   if len(below[t] - {v for u in below[t] for v in below[u]}) == 1}
+    assert irreducible <= principal
+    assert set(join_irreducibles(principal, Congruence.leq, Congruence.join,
+                                 Congruence.identity(n))) == irreducible
+    m = len(principal)
     unions = n * (n - 1) // 2 * (n - 1) * len(a._translations)
-    expected = [unions, n * n * (n - 1) // 2]
-    found, frontier = set(principal), principal
+    expected = [unions, n * n * (n - 1) // 2, 3 * m * (m - 1) // 2 * n]
+    found, frontier = set(irreducible), irreducible
     while frontier:
-        expected.append(len(frontier) * len(principal) * n)
-        frontier = {t.join(u) for t in frontier for u in principal} - found
+        expected.append(len(frontier) * len(irreducible) * n)
+        frontier = {t.join(u) for t in frontier for u in irreducible} - found
         found |= frontier
     assert charges == expected
     assert found | {Congruence.identity(n), Congruence.total(n)} == set(lattice)
@@ -397,5 +408,20 @@ def test_poset_covers_diamond():
     items = ["bot", "l", "r", "top"]
     order = {("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top"),
              ("bot", "top")} | {(x, x) for x in items}
-    covers = poset_covers(items, lambda x, y: (x, y) in order)
-    assert sorted(covers) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    # the atoms are join-dense, and so is every item
+    for dense in (["l", "r"], items):
+        covers = poset_covers(items, lambda x, y: (x, y) in order, dense)
+        assert covers == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("factory", SMALL_ALGEBRAS)
+def test_poset_covers_of_con_match_brute_force(factory):
+    # Con A's covers read from the principal masks, against the pairs
+    # with nothing between them by pairwise comparison
+    a = factory()
+    lattice = congruence_lattice(a)
+    lt = [(i, j) for i, t in enumerate(lattice) for j, u in enumerate(lattice)
+          if i != j and t.leq(u)]
+    between = {(i, j) for i, k in lt for k2, j in lt if k == k2}
+    assert poset_covers(lattice, Congruence.leq, a.principal_congruences.values()) \
+        == sorted(set(lt) - between)

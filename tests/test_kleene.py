@@ -358,6 +358,8 @@ def test_involutive_poset_validation():
 
     discrete = [(0, 0), (1, 1)]
     cases = [
+        # pairs outside the points, which the order's bitmasks would drop
+        ("order pair out of range", (1, [(0, 0), (3, 5), (-1, 0)], (0,))),
         ("order not reflexive", (2, [(0, 1)], (1, 0))),
         ("order not antisymmetric", (2, [*discrete, (0, 1), (1, 0)], (1, 0))),
         # 0 <= 1 <= 2 <= 0 with none of the composites
