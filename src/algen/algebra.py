@@ -30,6 +30,7 @@ __all__ = [
     "poset_covers",
     "close_under",
     "join_irreducibles",
+    "walk_steps",
 ]
 
 
@@ -149,23 +150,19 @@ class FiniteAlgebra:
 
     def subuniverse(self, gens: Iterable[int]) -> tuple[int, ...]:
         """Closure of the generators under all operations, ascending order."""
-        return tuple(sorted(self.closure_with_derivations(list(gens))[0]))
+        return tuple(sorted(e for e, _, _ in self.steps(gens)))
 
-    def closure_with_derivations(self, gens: Sequence[int]):
-        """Closure order plus, for each element, how it was first produced.
-
-        Returns (order, deriv) where deriv[e] is ('gen', e) for seeds or
-        (op, argtuple) for the first operation application producing e.
-        Deterministic: seeds in given order, then constants, then rounds of
-        signature-ordered operations over argument tuples in closure order,
-        each pass over the elements found before it began.
+    def steps(self, gens: Iterable[int]) -> list[tuple]:
+        """The derivation of the subalgebra that ``gens`` generate, in
+        closure order: (e, None, i) for gens[i], (e, op, args) for the first
+        application of op that yields e.  Deterministic: seeds in given
+        order, then constants, then rounds of signature-ordered operations
+        over argument tuples in closure order, each pass over the elements
+        found before it began.
         """
-        order: list[int] = []
-        deriv: dict[int, tuple] = {}
-        for g in gens:
-            if g not in deriv:
-                deriv[g] = ("gen", g)
-                order.append(g)
+        deriv: dict[int, tuple] = {}  # each element's step, in closure order
+        for i, g in enumerate(gens):
+            deriv.setdefault(g, (g, None, i))
         changed = True
         while changed:
             changed = False
@@ -173,11 +170,10 @@ class FiniteAlgebra:
                 table = self.tables[op]
                 if not arity:
                     if table not in deriv:
-                        deriv[table] = (op, ())
-                        order.append(table)
+                        deriv[table] = (table, op, ())
                         changed = True
                     continue
-                elems = tuple(order)
+                elems = tuple(deriv)
                 # one peeled row per argument prefix, then one lookup per last
                 for prefix in itertools.product(elems, repeat=arity - 1):
                     row = table
@@ -186,10 +182,9 @@ class FiniteAlgebra:
                     for b in elems:
                         r = row[b]
                         if r not in deriv:
-                            deriv[r] = (op, prefix + (b,))
-                            order.append(r)
+                            deriv[r] = (r, op, prefix + (b,))
                             changed = True
-        return order, deriv
+        return list(deriv.values())
 
     def is_hom_map(self, mapping: Sequence[int], cod: "FiniteAlgebra") -> bool:
         if len(mapping) != self.size:
@@ -322,6 +317,24 @@ def min_generators(a: FiniteAlgebra, max_size: int | None = None):
     raise AlgebraError(f"no generating set of size <= {limit}")
 
 
+def walk_steps(steps: Iterable[tuple], size: int, target: FiniteAlgebra,
+               points: Sequence[int]) -> list[int]:
+    """The images of an algebra's ``size`` elements under the homomorphism
+    into ``target`` that sends seed i of the derivation ``steps`` (in the
+    format of ``FiniteAlgebra.steps``) to points[i]: one table lookup per
+    step.  Elements no step derives read 0."""
+    images = [0] * size
+    for e, op, args in steps:
+        if op is None:
+            images[e] = points[args]
+            continue
+        value = target.tables[op]
+        for a in args:
+            value = value[images[a]]
+        images[e] = value
+    return images
+
+
 def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
                    constraints: Mapping[int, Collection[int]] | None = None,
                    *, injective: bool = False,
@@ -342,23 +355,16 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
     constraints = dict(constraints or {})
     if gens is None:
         _, gens = min_generators(a)
-    order, deriv = a.closure_with_derivations(gens)
-    if set(order) != set(a.elements()):
-        raise AlgebraError("generators do not generate")  # pragma: no cover
+    steps = a.steps(gens)
+    if len(steps) != a.size:
+        raise AlgebraError("generators do not generate")
 
     choice_space = [
         [y for y in range(b.size) if g not in constraints or y in constraints[g]]
         for g in gens
     ]
     for images in itertools.product(*choice_space):
-        mapping: dict[int, int] = dict(zip(gens, images))
-        for e in order:
-            kind = deriv[e]
-            if kind[0] == "gen":
-                continue
-            op, args = kind
-            mapping[e] = b.op(op, [mapping[x] for x in args])
-        full = tuple(mapping[e] for e in range(a.size))
+        full = tuple(walk_steps(steps, a.size, b, images))
         if any(full[e] not in allowed for e, allowed in constraints.items()):
             continue
         if injective and len(set(full)) != a.size:

@@ -575,7 +575,7 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     u = sorted(set(theta.blocks))[q]
     if ap.ctx.evaluation_kernels(a1)[t] != theta:
         raise InternalVerificationError("embedding element does not realize the kernel")
-    if not theta.related(a1.eval(f1.reps[t], {var_name(0): u}), f1.generators[0]):
+    if not theta.related(f1.images(a1, (u,))[t], f1.generators[0]):
         raise InternalVerificationError("retract pair does not compose to the identity")
     if not theta.leq(ap.kernel):
         raise InternalVerificationError("solution kernel exceeds the problem kernel")
@@ -584,7 +584,7 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     # f factors the problem through the quotient; its value on block q is h(u)
     witnesses = []
     for factor in ap.factors:
-        elem = factor.algebra.eval(f1.reps[u], {var_name(0): 0})
+        elem = f1.images(factor.algebra, (0,))[u]
         witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(elem)}))
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ap, entry)

@@ -127,7 +127,7 @@ from functools import cached_property, reduce
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient
+from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient, walk_steps
 from .terms import (App, Signature, Term, Var, check_term, term_rank,
                     term_to_str, term_vars)
 
@@ -777,16 +777,8 @@ class FreeAlgebra(GeneratedSubalgebra):
         the derivation steps with one table lookup per element.  Given
         ``steps``, a cone of the derivation, only those are walked, and the
         other elements' images read 0."""
-        images = [0] * self.size
-        for e, op, args in self.steps if steps is None else steps:
-            if op is None:
-                images[e] = points[args]
-                continue
-            value = target.tables[op]
-            for a in args:
-                value = value[images[a]]
-            images[e] = value
-        return images
+        return walk_steps(self.steps if steps is None else steps, self.size,
+                          target, points)
 
     def cone(self, elements: Iterable[int]) -> list:
         """The derivation steps that the images of ``elements`` read, in

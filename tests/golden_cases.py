@@ -55,6 +55,10 @@ CASES = [
     # of F(2)
     ("n3_solve_shortcut.txt",
      ["solve", "varieties/n3.var", "x", "oplus(x,oplus(x,x))"]),
+    # the text of validate and the JSON document of lgg, which no case above
+    # prints
+    ("boolean_validate.txt", ["validate", "varieties/boolean.var"]),
+    ("lgg_clash.json", ["lgg", "f(a,a)", "f(b,b)", "--json"]),
 ]
 
 # exit codes expected alongside the output

@@ -177,25 +177,26 @@ def test_enumerate_homs_deterministic():
 
 
 def reference_closure(a, gens):
-    """The round-based closure over tuple-keyed lookups: each round runs
-    every operation, in signature order, over the whole argument product of
-    the closure order as it stood when that operation's pass began."""
-    order, deriv = [], {}
-    for g in gens:
-        if g not in deriv:
-            deriv[g] = ("gen", g)
+    """The round-based closure over tuple-keyed lookups, as derivation
+    steps: each round runs every operation, in signature order, over the
+    whole argument product of the closure order as it stood when that
+    operation's pass began."""
+    order, steps = [], []
+    for i, g in enumerate(gens):
+        if g not in order:
             order.append(g)
+            steps.append((g, None, i))
     changed = True
     while changed:
         changed = False
         for op, arity in a.sig.ops:
             for args in itertools.product(order, repeat=arity):
                 r = a.op(op, args)
-                if r not in deriv:
-                    deriv[r] = (op, args)
+                if r not in order:
                     order.append(r)
+                    steps.append((r, op, args))
                     changed = True
-    return order, deriv
+    return steps
 
 
 @pytest.mark.parametrize("factory", list(FACTORY_ALGEBRAS.values())
@@ -207,7 +208,15 @@ def test_closure_matches_round_based_reference(factory):
     a = factory()
     for k in range(3):
         for gens in itertools.product(range(a.size), repeat=k):
-            assert a.closure_with_derivations(gens) == reference_closure(a, gens)
+            assert a.steps(gens) == reference_closure(a, gens)
+
+
+def test_enumerate_homs_rejects_non_generating_gens():
+    # a set that generates only a proper subalgebra fixes no map on the rest
+    a = k3()
+    assert a.subuniverse([0]) != tuple(a.elements())
+    with pytest.raises(AlgebraError, match="^generators do not generate$"):
+        next(enumerate_homs(a, k3(), gens=[0]))
 
 
 def brute_force_homs(a, b):

@@ -464,6 +464,28 @@ _UNARY = {"name": "unary", "signature": [["f", 1], ["g", 1]], "algebras": [
      "ops": {"f": ["1", "2", "1"], "g": ["0", "0", "1"]}}]}
 
 
+# one binary operation on a 2- and a 3-element algebra: a congruence of F(1)
+# that is not projective has exactness unresolved at bound 2
+_UNRESOLVED = {"name": "s", "signature": [["f", 2]], "algebras": [
+    {"name": "A0", "universe": ["0", "1"], "ops": {"f": [["0", "1"], ["0", "1"]]}},
+    {"name": "A1", "universe": ["0", "1", "2"],
+     "ops": {"f": [["0", "1", "0"], ["0", "0", "2"], ["0", "0", "0"]]}}]}
+
+
+def test_props_with_unresolved_exactness_exits_3(tmp_path, capsys):
+    from algen.cli import main
+
+    path = tmp_path / "s.var"
+    path.write_text(json.dumps(_UNRESOLVED))
+    assert main(["props", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "\n1EP: unknown (bound 2)\n" in out
+    assert main(["props", str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["1ep"] == {"status": "unknown", "bound": 2, "detail":
+                          "a non-projective congruence has unresolved exactness"}
+
+
 def test_congruence_lattice_over_budget_exits_2(tmp_path, capsys):
     # Con F(1) took seconds at any budget; the 136 principal congruences
     # are charged before they are computed, 16 merges each through 2

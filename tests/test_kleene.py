@@ -256,6 +256,20 @@ def test_condition_two_on_pairs_and_triples_agrees_with_all_subsets():
     assert (True, None) in verdicts
 
 
+def test_a_poset_that_fails_only_condition_four():
+    # draw 692, counted from 0, of random_involutive_poset(random.Random(0)):
+    # 1 and 2 lie below each other's images 7 and 8, but no point
+    # w <= iota(w) lies above both
+    strict = [(0, y) for y in range(1, 9)] + [
+        (1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (2, 4), (2, 6), (2, 7), (2, 8),
+        (3, 6), (3, 8), (4, 6), (4, 8), (5, 6), (5, 7), (7, 6), (8, 6)]
+    p = InvolutivePoset(tuple(map(str, range(9))),
+                        frozenset(strict + [(x, x) for x in range(9)]),
+                        (6, 7, 8, 3, 4, 5, 0, 1, 2))
+    assert is_projective_by_duality(p) == (False, 4)
+    assert projective_by_all_subsets(p) == (False, 4)
+
+
 def test_conditions_read_the_order_without_pairwise_lookups(monkeypatch):
     # the conditions read the order's bitmasks, not ``le``: scanning lists
     # of bounds made 1,083,680 lookups here
