@@ -9,12 +9,11 @@ function, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .terms import Signature, Term, Var
+from .terms import Signature, Term, Var, _set_values, _Value
 
 __all__ = [
     "AlgebraError",
@@ -197,12 +196,15 @@ class FiniteAlgebra:
         return f"<{name}: {self.size} elements>"
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Value):
     """A compatible partition in canonical form: blocks[i] is the least
     element index in the class of i."""
 
-    blocks: tuple[int, ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[int, ...]):
+        _set_values(self, (blocks,))
+        _set_blocks(self, blocks)
 
     @classmethod
     def from_map(cls, images: Sequence) -> "Congruence":
@@ -266,6 +268,9 @@ class Congruence:
     def sort_key(self) -> tuple:
         # identity first, total last, deterministic in between
         return (self.size - self.num_blocks(), self.blocks)
+
+
+_set_blocks = Congruence.blocks.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +353,14 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra,
     filters.  ``constraints`` maps chosen elements to the images allowed
     for them: on a generator it narrows the choices, elsewhere it filters
     the built map.  A known generating set may be passed to skip the
-    minimal-generator search.
+    minimal-generator search; a repeated generator counts once.
     """
     if a.sig != b.sig:
         raise AlgebraError("signature mismatch")
     constraints = dict(constraints or {})
     if gens is None:
         _, gens = min_generators(a)
+    gens = tuple(dict.fromkeys(gens))
     steps = a.steps(gens)
     if len(steps) != a.size:
         raise AlgebraError("generators do not generate")

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .algebra import AlgebraError, FiniteAlgebra, join_irreducibles
-from .terms import Signature, parse_term
+from .terms import Signature, _Value, parse_term
 from .variety import DEFAULT_BUDGET, Budget, VarietyContext, VarietySpec
 
 __all__ = [
@@ -82,19 +81,17 @@ def _has_least(s: int, up) -> bool:
     return any(s >> u & 1 and not s & ~up[u] for u in range(len(up)))
 
 
-@dataclass(frozen=True)
-class InvolutivePoset:
+class InvolutivePoset(_Value):
     """A finite poset with an order-reversing involution where every point
     is comparable with its image; the laws are checked at construction on
     ``up`` and ``down``, each point's upper and lower set as a bitmask."""
 
-    labels: tuple[str, ...]
-    leq: frozenset  # pairs of positions
-    iota: tuple[int, ...]
+    _fields = ("labels", "leq", "iota")  # a __dict__ holds cached properties
 
-    def __post_init__(self):
-        n, up, down, iota = self.size, self.up, self.down, self.iota
-        if not all(x in range(n) and y in range(n) for x, y in self.leq):
+    def __init__(self, labels: tuple[str, ...], leq: frozenset, iota: tuple[int, ...]):
+        self._init(labels, leq, iota)  # leq: pairs of positions
+        n, up, down = self.size, self.up, self.down
+        if not all(x in range(n) and y in range(n) for x, y in leq):
             raise AlgebraError("order pair out of range")
         if not all(up[x] >> x & 1 for x in range(n)):
             raise AlgebraError("order not reflexive")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 from typing import Sequence
 
 from .algebra import (
@@ -32,6 +32,8 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _set_values,
+    _Value,
     apply_subst,
     check_term,
     term_rank,
@@ -95,19 +97,17 @@ def _check_bound(bound: int) -> None:
         raise SolverError(f"search bound must be at least 1, got {bound}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """A three-valued answer.  ``bound`` records the search bound a "yes"
     or "unknown" rests on; "no" verdicts always carry an explicit witness
     or reason in ``detail``."""
 
-    status: str
-    bound: int | None = None
-    detail: object = None
+    __slots__ = _fields = ("status", "bound", "detail")
 
-    def __post_init__(self):
-        if self.status not in ("yes", "no", "unknown"):
-            raise SolverError(f"bad verdict status {self.status!r}")
+    def __init__(self, status: str, bound: int | None = None, detail: object = None):
+        if status not in ("yes", "no", "unknown"):
+            raise SolverError(f"bad verdict status {status!r}")
+        self._init(status, bound, detail)
 
     def to_dict(self) -> dict:
         out = {"status": self.status}
@@ -122,18 +122,19 @@ class Verdict:
 # Problems
 
 
-@dataclass(frozen=True)
-class SymbolicProblem:
+class SymbolicProblem(_Value):
     """A finite multiset of terms over one variety; duplicates preserved."""
 
-    ctx: VarietyContext
-    terms: tuple[Term, ...]
+    __slots__ = _fields = ("ctx", "terms")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, ctx: VarietyContext, terms: tuple[Term, ...]):
+        if not terms:
             raise SolverError("a problem needs at least one term")
-        for t in self.terms:
-            check_term(t, self.ctx.spec.sig)
+        for t in terms:
+            check_term(t, ctx.spec.sig)
+        _set_values(self, (ctx, terms))
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -177,22 +178,17 @@ def alg_of(problem: SymbolicProblem) -> AlgebraicProblem:
 # Classification of congruences of F(1)
 
 
-@dataclass(frozen=True)
-class CongruenceClassification:
-    theta: Congruence
-    exact: Verdict
-    projective: Verdict
-    strongly_projective: Verdict
-    # retract pair for projective congruences: (element t of F(1) embedding
-    # the quotient, element q of the quotient determining the retraction)
-    retract: tuple[int, int] | None = None
+class CongruenceClassification(_Value):
+    __slots__ = _fields = ("theta", "exact", "projective", "strongly_projective", "retract")
 
-    def __post_init__(self):
-        if self.projective.status == "yes" and self.exact.status != "yes":
+    # retract, if projective: (t in F(1) embedding the quotient, q in it retracting)
+    def __init__(self, theta: Congruence, exact: Verdict, projective: Verdict,
+                 strongly_projective: Verdict, retract: tuple[int, int] | None = None):
+        if projective.status == "yes" and exact.status != "yes":
             raise InternalVerificationError("projective implies exact")
-        if (self.strongly_projective.status == "yes"
-                and self.projective.status != "yes"):
+        if strongly_projective.status == "yes" and projective.status != "yes":
             raise InternalVerificationError("strongly projective implies projective")
+        self._init(theta, exact, projective, strongly_projective, retract)
 
 
 def _embedding_elements(ctx: VarietyContext, theta: Congruence,
@@ -378,10 +374,6 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     """
     f1 = ctx.free_algebra(1)
     algebras = _irredundant_generators(ctx)
-    # values[gi][a][u]: the unary term function u at a on generator gi, one
-    # homomorphism F(1) -> generator per value a, with kernel kappas[gi][a]
-    values = [[f1.images(gen, (a,)) for a in range(gen.size)]
-              for gen in algebras]
     kappas = [ctx.evaluation_kernels(gen) for gen in algebras]
     allowed = [
         [a for a in range(gen.size) if theta.leq(kappas[gi][a])]
@@ -391,27 +383,32 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
         return ("a generating algebra has no element that identifies the "
                 "classes of the congruence")
 
-    ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
+    def theta_free():
+        # values[gi][a][u]: the unary term function u at a on generator gi,
+        # one homomorphism F(1) -> generator per value a (kernel kappas[gi][a])
+        values = [[f1.images(gen, (a,)) for a in range(gen.size)] for gen in algebras]
+        ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
+        # rows of the pointed compatible relations Sg_{A^2}({b} x A)
+        rows: list[list[list[set[int]]]] = []
+        for gen in algebras:
+            sq, _ = direct_product([gen, gen])
+            per_b = []
+            for b in range(gen.size):
+                seeds = [b * gen.size + c for c in range(gen.size)]
+                members = sq.subuniverse(seeds)
+                row = [set() for _ in range(gen.size)]
+                for m in members:
+                    row[m // gen.size].add(m % gen.size)
+                per_b.append(row)
+            rows.append(per_b)
+        return values, ranges, rows
+    values, ranges, rows = ctx.memo("exactness-certificate", theta_free)
     unary_ok = [u for u in range(f1.size)
                 if all(ranges[gi][u] <= set(allowed[gi])
                        for gi in range(len(algebras)))]
     if not unary_ok:
         return ("every unary term function attains a value outside the "
                 "admissible generator values")
-
-    # rows of the pointed compatible relations Sg_{A^2}({b} x A)
-    rows: list[list[list[set[int]]]] = []
-    for gen in algebras:
-        sq, _ = direct_product([gen, gen])
-        per_b = []
-        for b in range(gen.size):
-            seeds = [b * gen.size + c for c in range(gen.size)]
-            members = sq.subuniverse(seeds)
-            row = [set() for _ in range(gen.size)]
-            for m in members:
-                row[m // gen.size].add(m % gen.size)
-            per_b.append(row)
-        rows.append(per_b)
 
     # theta is below the meet of the value kernels over each u's range with
     # no check: that range lies inside Allowed, whose value kernels are all
@@ -464,9 +461,8 @@ def e_congruences(ctx: VarietyContext, bound: int = DEFAULT_BOUND):
     return sorted(close_under(Congruence.meet, exact), key=Congruence.sort_key), complete
 
 
-@dataclass(frozen=True)
-class GCongruences:
-    """Generalizing congruences of a problem.
+class GCongruences(_Value):
+    """Generalizing congruences of a problem, ``status`` "exact" or "approximate".
 
     When the variety is 1EP the set is exact: the projective congruences
     below the kernel, which ``lower`` and ``upper`` then both hold.
@@ -475,10 +471,11 @@ class GCongruences:
     generalizing congruence is exact and below the kernel (``upper``).
     """
 
-    status: str                       # "exact" | "approximate"
-    lower: tuple[Congruence, ...]
-    upper: tuple[Congruence, ...]
-    maximal: tuple[Congruence, ...]
+    __slots__ = _fields = ("status", "lower", "upper", "maximal")
+
+    def __init__(self, status: str, lower: tuple[Congruence, ...],
+                 upper: tuple[Congruence, ...], maximal: tuple[Congruence, ...]):
+        self._init(status, lower, upper, maximal)
 
 
 def _maximal(congs: Sequence[Congruence]) -> tuple[Congruence, ...]:
@@ -544,10 +541,13 @@ def _rename_to_output(t: Term) -> Term:
     return apply_subst(Substitution.make({var_name(0): Var(OUTPUT_VAR)}), t)
 
 
-@dataclass(frozen=True)
-class SolutionEntry:
-    term: Term
-    witnesses: tuple[Substitution, ...]
+class SolutionEntry(_Value):
+    __slots__ = _fields = ("term", "witnesses")
+
+    def __init__(self, term: Term, witnesses: tuple[Substitution, ...]):
+        _set_values(self, (term, witnesses))
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "witnesses", witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -663,11 +663,14 @@ def compare_generality(ctx: VarietyContext, s: Term, s2: Term) -> str:
 # Reports and the top-level pipeline
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
-    kind: str                 # "unitary" | "finitary" | "inconclusive"
-    size: int | None = None
-    reason: str | None = None
+class TypeVerdict(_Value):
+    __slots__ = _fields = ("kind", "size", "reason")
+
+    def __init__(self, kind: str, size: int | None = None, reason: str | None = None):
+        _set_values(self, (kind, size, reason))
+        object.__setattr__(self, "kind", kind)  # unitary, finitary or inconclusive
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "reason", reason)
 
     def render(self) -> str:
         if self.kind == "finitary":
@@ -728,20 +731,22 @@ def classification_rows(ctx: VarietyContext,
             for t, c in cls.items()]
 
 
-@dataclass
-class GeneralizationReport:
-    problem: SymbolicProblem
-    bound: int
-    kernel: Congruence
-    classifications: dict[Congruence, CongruenceClassification]
-    g: GCongruences
-    mcsg: tuple[SolutionEntry, ...]
-    type: TypeVerdict
-    ep: Verdict
-    esp: Verdict
-    caveats: tuple[str, ...]
-    shortcut: dict
-    method: str = "congruence-pipeline"
+class GeneralizationReport(_Value):
+    __slots__ = _fields = ("problem", "bound", "kernel", "classifications", "g", "mcsg",
+                           "type", "ep", "esp", "caveats", "shortcut", "method")
+    _values = property(attrgetter(*_fields))
+    # fields may be reassigned, so it is not hashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, problem: SymbolicProblem, bound: int, kernel: Congruence,
+                 classifications: dict[Congruence, CongruenceClassification],
+                 g: GCongruences, mcsg: tuple[SolutionEntry, ...], type: TypeVerdict,
+                 ep: Verdict, esp: Verdict, caveats: tuple[str, ...], shortcut: dict,
+                 method: str = "congruence-pipeline"):
+        (self.problem, self.bound, self.kernel, self.classifications, self.g, self.mcsg,
+         self.type, self.ep, self.esp, self.caveats, self.shortcut, self.method) = (
+            problem, bound, kernel, classifications, g, mcsg, type, ep, esp, caveats,
+            shortcut, method)
 
     @property
     def ctx(self) -> VarietyContext:

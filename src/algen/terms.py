@@ -8,7 +8,6 @@ emits prefix form only; a small amount of infix sugar is accepted on input
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 __all__ = [
@@ -71,19 +70,50 @@ class ParseError(TermError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Value:
+    """Read-only fields, named in ``_fields`` and held in that order in ``_values``,
+    by which a value compares (with its class), hashes, prints and is copied."""
+
+    __slots__ = ("_values",)
+
+    def _init(self, *values) -> None:
+        _set_values(self, values)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, *value):
+        verb = "assign to" if value else "delete"
+        raise AttributeError(f"cannot {verb} field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+    __reduce__ = lambda self: (type(self), self._values)
+
+
+class Signature(_Value):
     """An ordered list of operation symbols with arities.
 
     The order is fixed at construction and used for deterministic
     tie-breaking wherever terms are ranked.
     """
 
-    ops: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("ops",)
 
-    def __post_init__(self):
+    def __init__(self, ops: tuple[tuple[str, int], ...]):
+        self._init(ops)
         seen = set()
-        for name, arity in self.ops:
+        for name, arity in ops:
             if not name or not _IDENT_RE.fullmatch(name):
                 raise TermError(f"bad operation name {name!r}")
             if _RESERVED_OP_RE.match(name):
@@ -115,22 +145,27 @@ class Signature:
         raise TermError(f"unknown operation {name!r}")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set_values(self, (name,))
+        _set_name(self, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    op: str
-    args: tuple["Term", ...] = ()
+class App(_Value):
+    __slots__ = _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["Term", ...] = ()):
+        _set_values(self, (op, args))
+        _set_op(self, op)
+        _set_args(self, args)
 
     def __str__(self) -> str:
         return term_to_str(self)
-
 
 Term = Union[Var, App]
 
@@ -369,11 +404,14 @@ def infer_signature(sources: Sequence[str]) -> Signature:
 # Substitutions
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Value):
     """Finite map from variable names to terms; unbound variables are fixed."""
 
-    bindings: tuple[tuple[str, Term], ...]
+    __slots__ = _fields = ("bindings",)
+
+    def __init__(self, bindings: tuple[tuple[str, Term], ...]):
+        _set_values(self, (bindings,))
+        _set_bindings(self, bindings)
 
     @classmethod
     def make(cls, mapping: Mapping[str, Term]) -> "Substitution":
@@ -399,6 +437,13 @@ class Substitution:
     def __str__(self) -> str:
         inner = ", ".join(f"{n} -> {term_to_str(t)}" for n, t in self.bindings)
         return "{" + inner + "}"
+
+
+# the slots' setters, which pass _Value's guard: classes built often store
+# their fields through these or object.__setattr__, the rest through _init
+_set_values, _set_name, _set_op, _set_args, _set_bindings = (
+    _Value._values.__set__, Var.name.__set__, App.op.__set__, App.args.__set__,
+    Substitution.bindings.__set__)
 
 
 def apply_subst(s: Substitution, t: Term) -> Term:

@@ -122,13 +122,12 @@ doubling and, near the limit, bisection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient, walk_steps
-from .terms import (App, Signature, Term, Var, check_term, term_rank,
+from .terms import (App, Signature, Term, Var, _Value, check_term, term_rank,
                     term_to_str, term_vars)
 
 __all__ = [
@@ -170,19 +169,17 @@ class Budget:
             raise BudgetExceeded(stage, self.used, self.limit)
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(_Value):
     """A variety presented by finite generating algebras over one signature."""
 
-    name: str
-    sig: Signature
-    generators: tuple[FiniteAlgebra, ...]
+    _fields = ("name", "sig", "generators")  # a __dict__ holds cached properties
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, name: str, sig: Signature, generators: tuple[FiniteAlgebra, ...]):
+        self._init(name, sig, generators)
+        if not generators:
             raise AlgebraError("a variety needs at least one generating algebra")
-        for g in self.generators:
-            if g.sig != self.sig:
+        for g in generators:
+            if g.sig != sig:
                 raise AlgebraError("generating algebras must share the signature")
 
     @cached_property

@@ -219,6 +219,13 @@ def test_enumerate_homs_rejects_non_generating_gens():
         next(enumerate_homs(a, k3(), gens=[0]))
 
 
+def test_enumerate_homs_counts_a_repeated_generator_once():
+    # one choice space per entry of gens gave k3's one endomorphism 3 times
+    a = k3()
+    assert list(enumerate_homs(a, a, gens=(1, 1))) == list(
+        enumerate_homs(a, a, gens=(1,))) == [(0, 1, 2)]
+
+
 def brute_force_homs(a, b):
     """Every map a -> b that commutes with every operation, in map order."""
     return [m for m in itertools.product(range(b.size), repeat=a.size)

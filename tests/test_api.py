@@ -5,6 +5,7 @@ is referred to outside its own definition (no linter is assumed to be
 installed, so these are the checks that keep deleted code deleted)."""
 
 import ast
+import copy
 import importlib
 import pathlib
 
@@ -140,3 +141,107 @@ def test_benchmark_spans_bind_every_target():
     assert inspect.isgeneratorfunction(algen.algebra.enumerate_homs)
     # test_solve_1ep_skips_product_shortcut patches this solver global
     assert algen.solver.direct_product is algen.algebra.direct_product
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each algen run is one cold start, where these modules cost most of
+    # the package's import time; a fresh interpreter shows what it loads
+    import subprocess
+    import sys
+
+    code = "import sys, algen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout == "[]\n", r.stderr
+
+
+def _value_objects():
+    """For each value class of the package, a function building one object
+    afresh, with equal fields each time, and its field names in order."""
+    from factories import k3
+
+    from algen.algebra import Congruence
+    from algen.kleene import InvolutivePoset
+    from algen.solver import (CongruenceClassification, GCongruences,
+                              GeneralizationReport, SolutionEntry,
+                              SymbolicProblem, TypeVerdict, Verdict)
+    from algen.terms import App, Signature, Substitution, Var
+    from algen.variety import VarietyContext, VarietySpec
+
+    a = k3()
+    ctx = VarietyContext(VarietySpec("k3", a.sig, (a,)))
+
+    def term():
+        return App("not", (Var("x"),))
+
+    def verdict():
+        return Verdict("no", None, "a reason")
+
+    def report():
+        theta = Congruence(tuple(range(3)))
+        return GeneralizationReport(
+            SymbolicProblem(ctx, (term(),)), 2, theta, {}, GCongruences(
+                "exact", (), (), ()), (), TypeVerdict("unitary", 1), verdict(),
+            verdict(), (), {"status": "skipped"})
+    return {
+        "Signature": (lambda: Signature((("f", 2),)), ("ops",)),
+        "Var": (lambda: Var("x1"), ("name",)),
+        "App": (term, ("op", "args")),
+        "Substitution": (lambda: Substitution((("x", term()),)), ("bindings",)),
+        "Congruence": (lambda: Congruence((0, 0, 2)), ("blocks",)),
+        "VarietySpec": (lambda: VarietySpec("k3", a.sig, (a,)),
+                        ("name", "sig", "generators")),
+        "InvolutivePoset": (lambda: InvolutivePoset(
+            ("a",), frozenset({(0, 0)}), (0,)), ("labels", "leq", "iota")),
+        "Verdict": (verdict, ("status", "bound", "detail")),
+        "SymbolicProblem": (lambda: SymbolicProblem(ctx, (term(), term())),
+                            ("ctx", "terms")),
+        "CongruenceClassification": (lambda: CongruenceClassification(
+            Congruence((0, 1, 2)), Verdict("yes", 1), verdict(), verdict(), None),
+            ("theta", "exact", "projective", "strongly_projective", "retract")),
+        "GCongruences": (lambda: GCongruences(
+            "exact", (Congruence((0, 1, 2)),), (), ()),
+            ("status", "lower", "upper", "maximal")),
+        "SolutionEntry": (lambda: SolutionEntry(term(), (Substitution(()),)),
+                          ("term", "witnesses")),
+        "TypeVerdict": (lambda: TypeVerdict("finitary", 2), ("kind", "size", "reason")),
+        "GeneralizationReport": (report, (
+            "problem", "bound", "kernel", "classifications", "g", "mcsg", "type",
+            "ep", "esp", "caveats", "shortcut", "method")),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_objects()))
+def test_value_classes_compare_and_hash_by_their_fields(name):
+    make, fields = _value_objects()[name]
+    x, y = make(), make()
+    assert x is not y and x == y and not x != y
+    values = tuple(getattr(x, f) for f in fields)
+    assert repr(x) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    if name == "GeneralizationReport":
+        # a report's fields may be reassigned, so it compares by its
+        # current fields and has no hash
+        with pytest.raises(TypeError):
+            hash(x)
+        y.bound = 3
+        assert x != y and y.bound == 3
+    else:
+        # the tuple of fields in order, as for Congruence((0, 0, 2)) the
+        # hash of ((0, 0, 2),), which fixes the order of a set of congruences
+        assert hash(x) == hash(y) == hash(values)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, values[0])
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+    assert getattr(x, fields[0]) is values[0]
+    assert copy.copy(x) == x
+    # another class with the same fields, even a subclass, is never equal
+    other = type("Other", (type(x),), {})(*values)
+    assert x != other and other != x
+
+
+def test_values_of_different_classes_differ():
+    from algen.terms import App, Var
+
+    assert Var("x") != App("x") and App("x") == App("x", ())

@@ -43,7 +43,7 @@ from algen.solver import (
     two_term_unitary,
 )
 from algen.terms import App, Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
-from algen.variety import Budget, BudgetExceeded, VarietyContext, VarietySpec
+from algen.variety import Budget, BudgetExceeded, FreeAlgebra, VarietyContext, VarietySpec
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
@@ -437,6 +437,35 @@ def test_classification_walks_each_free_algebra_once(variety, monkeypatch):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     cls = classify_all(ctx, 2)
     assert all(n <= 2 * len(cls) for n in calls.values()), (calls, len(cls))
+
+
+def test_exactness_certificate_reads_the_generators_once(monkeypatch):
+    # the certificate's values, ranges and pointed relations do not depend
+    # on the congruence, so a context builds them once: kleene's
+    # classification calls the certificate 3 times, which took F(1)'s
+    # images at each element of K3 four times in all (the evaluation
+    # kernels take them once more)
+    from algen import solver
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety("varieties/kleene.var"))
+    squares, images = [], []
+
+    def counting_product(algebras):
+        if len(algebras) == 2 and algebras[0] is algebras[1]:
+            squares.append(algebras[0])
+        return direct_product(algebras)
+
+    def counting_images(self, target, points, *rest):
+        if target in ctx.spec.generators:
+            images.append(points)
+        return real_images(self, target, points, *rest)
+    real_images = FreeAlgebra.images
+    monkeypatch.setattr(solver, "direct_product", counting_product)
+    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
+    classify_all(ctx, 2)
+    assert squares and len(squares) <= len(solver._irredundant_generators(ctx))
+    assert len(images) <= 2 * sum(a.size for a in ctx.spec.generators), images
 
 
 # the golden solve problems that exit 0, so have a unitary or finitary
@@ -1217,7 +1246,6 @@ def test_product_shortcut_stops_on_its_budget(monkeypatch):
     # them, but C(|P|, 4) walks of F(4) far exceed the default budget: the
     # shortcut stops before its first walk instead of grinding through them
     from algen.varfile import load_variety
-    from algen.variety import FreeAlgebra
 
     real_images = FreeAlgebra.images
     walks = []
