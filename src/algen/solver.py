@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import attrgetter
 from typing import Sequence
 
 from .algebra import (
@@ -25,14 +24,12 @@ from .algebra import (
     congruence_generated,
     congruence_lattice,
     direct_product,
-    min_generators,
     quotient,
 )
 from .terms import (
     Substitution,
     Term,
     Var,
-    _set_values,
     _Value,
     apply_subst,
     check_term,
@@ -110,12 +107,8 @@ class Verdict(_Value):
         self._init(status, bound, detail)
 
     def to_dict(self) -> dict:
-        out = {"status": self.status}
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
+        """The fields that are set, in field order."""
+        return {f: v for f, v in zip(self._fields, self._values) if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +125,7 @@ class SymbolicProblem(_Value):
             raise SolverError("a problem needs at least one term")
         for t in terms:
             check_term(t, ctx.spec.sig)
-        _set_values(self, (ctx, terms))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", terms)
+        self._init(ctx, terms)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -332,18 +323,37 @@ def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
                  if alg.eval(term, dict(zip(names, vals))) == target), None)
 
 
+def _product_cells(factors: Sequence[FiniteAlgebra]) -> int:
+    """The cells ``direct_product(factors)`` fills: each element's
+    coordinates and each operation's table."""
+    size = math.prod(f.size for f in factors)
+    return size * len(factors) + sum(size ** arity for _, arity in factors[0].sig.ops)
+
+
 def _irredundant_generators(ctx: VarietyContext) -> list[FiniteAlgebra]:
     """The generating algebras not in HS of another one, which generate the
     same variety; of two each in HS of the other, so isomorphic, the first.
     B is in HS(A) when some tuple of A, paired with a generating tuple of B,
     generates a functional relation in A x B, the graph of a homomorphism
-    from a subalgebra of A onto B.  Each pair is charged |A|^k |A||B| cells
-    for its k-tuples before its search.  Found once per context."""
+    from a subalgebra of A onto B; any generating tuple of B decides it, so
+    the tuple is built greedily, each element the least outside the
+    subalgebra the earlier ones generate.  Each closure in B is charged
+    B's table cells before it runs, and each pair its product's cells and
+    |A|^k |A||B| cells for its k-tuples before the product is built.  Found
+    once per context."""
     budget, algebras = Budget(ctx.budget_limit), ctx.spec.generators
+    stage = "exactness certificate"
 
     def in_hs(b: FiniteAlgebra, a: FiniteAlgebra) -> bool:
-        _, gens = min_generators(b)
-        budget.charge(a.size ** len(gens) * a.size * b.size, "exactness certificate")
+        gens: list[int] = []
+        while True:
+            budget.charge(sum(b.size ** arity for _, arity in b.sig.ops), stage)
+            sub = b.subuniverse(gens)
+            if len(sub) == b.size:
+                break
+            gens.append(min(set(b.elements()).difference(sub)))
+        budget.charge(a.size ** len(gens) * a.size * b.size + _product_cells([a, b]),
+                      stage)
         ab, _ = direct_product([a, b])
         for tup in itertools.product(a.elements(), repeat=len(gens)):
             graph = ab.subuniverse([x * b.size + y for x, y in zip(tup, gens)])
@@ -370,6 +380,7 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     function is consistent with these constraints, theta is not exact.
     It reads only the generating algebras not in HS of another: t's values
     on one in HS(A) follow from those on A, and relaxing them would loosen it.
+    Each square A x A is charged its cells before it is built.
     Returns a reason string, or None when no certificate exists.
     """
     f1 = ctx.free_algebra(1)
@@ -390,7 +401,9 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
         ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
         # rows of the pointed compatible relations Sg_{A^2}({b} x A)
         rows: list[list[list[set[int]]]] = []
+        budget = Budget(ctx.budget_limit)
         for gen in algebras:
+            budget.charge(_product_cells([gen, gen]), "exactness certificate")
             sq, _ = direct_product([gen, gen])
             per_b = []
             for b in range(gen.size):
@@ -545,9 +558,7 @@ class SolutionEntry(_Value):
     __slots__ = _fields = ("term", "witnesses")
 
     def __init__(self, term: Term, witnesses: tuple[Substitution, ...]):
-        _set_values(self, (term, witnesses))
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "witnesses", witnesses)
+        self._init(term, witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -666,24 +677,16 @@ def compare_generality(ctx: VarietyContext, s: Term, s2: Term) -> str:
 class TypeVerdict(_Value):
     __slots__ = _fields = ("kind", "size", "reason")
 
+    # kind: unitary, finitary or inconclusive
     def __init__(self, kind: str, size: int | None = None, reason: str | None = None):
-        _set_values(self, (kind, size, reason))
-        object.__setattr__(self, "kind", kind)  # unitary, finitary or inconclusive
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "reason", reason)
+        self._init(kind, size, reason)
 
     def render(self) -> str:
         if self.kind == "finitary":
             return f"finitary({self.size})"
         return self.kind
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.size is not None:
-            out["size"] = self.size
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
+    to_dict = Verdict.to_dict
 
 
 def output_names(ctx: VarietyContext) -> list[str]:
@@ -734,19 +737,15 @@ def classification_rows(ctx: VarietyContext,
 class GeneralizationReport(_Value):
     __slots__ = _fields = ("problem", "bound", "kernel", "classifications", "g", "mcsg",
                            "type", "ep", "esp", "caveats", "shortcut", "method")
-    _values = property(attrgetter(*_fields))
-    # fields may be reassigned, so it is not hashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
+    # its dict fields, the classifications and the shortcut note, leave it unhashable
     def __init__(self, problem: SymbolicProblem, bound: int, kernel: Congruence,
                  classifications: dict[Congruence, CongruenceClassification],
                  g: GCongruences, mcsg: tuple[SolutionEntry, ...], type: TypeVerdict,
                  ep: Verdict, esp: Verdict, caveats: tuple[str, ...], shortcut: dict,
                  method: str = "congruence-pipeline"):
-        (self.problem, self.bound, self.kernel, self.classifications, self.g, self.mcsg,
-         self.type, self.ep, self.esp, self.caveats, self.shortcut, self.method) = (
-            problem, bound, kernel, classifications, g, mcsg, type, ep, esp, caveats,
-            shortcut, method)
+        self._init(problem, bound, kernel, classifications, g, mcsg, type, ep, esp,
+                   caveats, shortcut, method)
 
     @property
     def ctx(self) -> VarietyContext:
@@ -850,9 +849,7 @@ def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
         pass  # the search below decides, or meets the budget itself
     budget = Budget(ctx.budget_limit)
     try:
-        budget.charge(sizes * len(factors)
-                      + sum(sizes ** arity for _, arity in factors[0].sig.ops),
-                      "product shortcut")
+        budget.charge(_product_cells(factors), "product shortcut")
         prod, projs = direct_product(factors)
         found = _first_generators(ctx, prod, bound, budget)
         if found is None:

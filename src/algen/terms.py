@@ -439,8 +439,9 @@ class Substitution(_Value):
         return "{" + inner + "}"
 
 
-# the slots' setters, which pass _Value's guard: classes built often store
-# their fields through these or object.__setattr__, the rest through _init
+# the slots' setters, which pass _Value's guard: the classes built often (Var,
+# App, Substitution and Congruence) store their fields through these, the rest
+# through _init
 _set_values, _set_name, _set_op, _set_args, _set_bindings = (
     _Value._values.__set__, Var.name.__set__, App.op.__set__, App.args.__set__,
     Substitution.bindings.__set__)

@@ -757,6 +757,61 @@ def test_certificate_reason_names_no_algebra_position(tmp_path):
     assert "a generating algebra has no element that identifies" in runs[0][1]
 
 
+@pytest.mark.parametrize("sizes,needed", [
+    # a 12-element chain's square: 144 pairs of two coordinates, two binary
+    # tables of 144^2 cells, one unary table of 144 and two constants; an
+    # uncharged square of an 80-element chain took 51 s and 668 MB
+    ((12,), 41906),
+    # the 7-element chain in HS of the 8-element one: four closures in the
+    # 7-chain at 107 cells, then 8^3 tuples for its greedy 3-element
+    # generating tuple at 56 cells each and the product's 6,442 cells;
+    # chains of 24 and 23 elements ran an uncharged generator search 144 s
+    ((8, 7), 35542),
+], ids=["square", "hs"])
+def test_exactness_certificate_charges_before_it_builds(tmp_path, capsys, sizes,
+                                                        needed):
+    from factories import kleene_chain
+
+    from algen.cli import main
+    from algen.varfile import dump_variety
+    from algen.variety import VarietySpec
+
+    chains = tuple(kleene_chain([str(i) for i in range(n)], lambda i, n=n: n - 1 - i)
+                   for n in sizes)
+    path = tmp_path / "chains.var"
+    path.write_text(dump_variety(VarietySpec("chains", chains[0].sig, chains)))
+    assert main(["con", str(path), "--budget", str(needed - 1)]) == 2
+    assert capsys.readouterr().err == (
+        "error: budget exceeded during exactness certificate: needs more than "
+        f"{needed} cells (limit {needed - 1})\n")
+    assert main(["con", str(path), "--budget", str(needed)]) == 0
+
+
+# 1EP but not 1ESP: F(1)'s exact congruences are all projective, but not
+# all of them strongly projective
+_ONE_EP_NOT_ONE_ESP = {
+    "name": "r", "signature": [["f0", 1], ["f1", 1]],
+    "algebras": [
+        {"name": "A0", "universe": ["0", "1", "2"],
+         "ops": {"f0": ["2", "2", "1"], "f1": ["0", "1", "0"]}},
+        {"name": "A1", "universe": ["0", "1"],
+         "ops": {"f0": ["0", "1"], "f1": ["0", "1"]}},
+    ],
+}
+
+
+def test_solve_in_a_1ep_variety_that_is_not_1esp_has_a_caveat(tmp_path):
+    path = tmp_path / "r.var"
+    path.write_text(json.dumps(_ONE_EP_NOT_ONE_ESP))
+    code, out = run_case(["solve", str(path), "x", "y"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "type: unitary" in lines
+    assert "1EP: yes (bound 2)   1ESP: no" in lines
+    assert ("caveat: soundness verified; minimal completeness of the emitted set "
+            "rests on 1ESP, which is no at bound 2") in lines
+
+
 @pytest.mark.parametrize("argv,buffered", [
     (["free", "varieties/kleene.var", "-n", "1", "--json"], True),
     (["kleene-dual", "varieties/kleene.var", "K3", "--dot"], False),
