@@ -20,6 +20,7 @@ __all__ = [
     "FiniteAlgebra",
     "Congruence",
     "direct_product",
+    "subpower",
     "enumerate_homs",
     "quotient",
     "principal_congruence",
@@ -304,6 +305,45 @@ def direct_product(algebras: Sequence[FiniteAlgebra]):
                                   name="x".join(a.name or "?" for a in algebras))
     # a projection commutes with the operations by construction
     return prod, [tuple(t[i] for t in tuples) for i in range(len(algebras))]
+
+
+def _fresh_rows(arity: int, old: int, m: int):
+    """The argument tuples of a positive arity over range(m) that use an
+    index >= old, in lexicographic order, as rows of (prefix, start s of
+    the last argument's range [s, m))."""
+    for prefix in itertools.product(range(m), repeat=arity - 1):
+        if any(a >= old for a in prefix):
+            yield prefix, 0
+        elif old < m:
+            yield prefix, old
+
+
+def _walk(rows, vectors: list, prefix: tuple) -> tuple:
+    """Each coordinate's nested table walked down by the prefix's elements."""
+    for a in prefix:
+        rows = tuple(map(getitem, rows, vectors[a]))
+    return rows
+
+
+def subpower(algebras: Sequence[FiniteAlgebra],
+             seeds: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The tuples that ``seeds`` and the constants generate in the product
+    of ``algebras``, read off the factors' own tables: each round reads only
+    the argument tuples, in ``_fresh_rows`` order, with a new tuple in them."""
+    ops = [(tuple(a.tables[op] for a in algebras), arity) for op, arity in algebras[0].sig.ops]
+    members = {*seeds, *(base for base, arity in ops if not arity)}
+    found, old = list(members), 0
+    while old < len(found):
+        m = len(found)
+        for base, arity in ops:
+            for prefix, s in _fresh_rows(arity, old, m) if arity else ():
+                rows = _walk(base, found, prefix)
+                for t in found[s:m]:
+                    if (r := tuple(map(getitem, rows, t))) not in members:
+                        members.add(r)
+                        found.append(r)
+        old = m
+    return members
 
 
 def min_generators(a: FiniteAlgebra, max_size: int | None = None):

@@ -25,6 +25,7 @@ from .algebra import (
     congruence_lattice,
     direct_product,
     quotient,
+    subpower,
 )
 from .terms import (
     Substitution,
@@ -324,8 +325,8 @@ def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
 
 
 def _product_cells(factors: Sequence[FiniteAlgebra]) -> int:
-    """The cells ``direct_product(factors)`` fills: each element's
-    coordinates and each operation's table."""
+    """The cells ``direct_product(factors)`` fills, each element's
+    coordinates and each operation's table: a closure in it is charged so."""
     size = math.prod(f.size for f in factors)
     return size * len(factors) + sum(size ** arity for _, arity in factors[0].sig.ops)
 
@@ -339,8 +340,8 @@ def _irredundant_generators(ctx: VarietyContext) -> list[FiniteAlgebra]:
     the tuple is built greedily, each element the least outside the
     subalgebra the earlier ones generate.  Each closure in B is charged
     B's table cells before it runs, and each pair its product's cells and
-    |A|^k |A||B| cells for its k-tuples before the product is built.  Found
-    once per context."""
+    |A|^k |A||B| cells for its k-tuples before their relations are closed.
+    Found once per context."""
     budget, algebras = Budget(ctx.budget_limit), ctx.spec.generators
     stage = "exactness certificate"
 
@@ -354,10 +355,9 @@ def _irredundant_generators(ctx: VarietyContext) -> list[FiniteAlgebra]:
             gens.append(min(set(b.elements()).difference(sub)))
         budget.charge(a.size ** len(gens) * a.size * b.size + _product_cells([a, b]),
                       stage)
-        ab, _ = direct_product([a, b])
         for tup in itertools.product(a.elements(), repeat=len(gens)):
-            graph = ab.subuniverse([x * b.size + y for x, y in zip(tup, gens)])
-            if len({m // b.size for m in graph}) == len(graph):
+            graph = subpower([a, b], zip(tup, gens))
+            if len({x for x, _ in graph}) == len(graph):
                 return True
         return False
     return ctx.memo("irredundant-generators", lambda: [
@@ -380,7 +380,7 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     function is consistent with these constraints, theta is not exact.
     It reads only the generating algebras not in HS of another: t's values
     on one in HS(A) follow from those on A, and relaxing them would loosen it.
-    Each square A x A is charged its cells before it is built.
+    Each square A x A is charged its cells before its relations are closed.
     Returns a reason string, or None when no certificate exists.
     """
     f1 = ctx.free_algebra(1)
@@ -397,25 +397,16 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     def theta_free():
         # values[gi][a][u]: the unary term function u at a on generator gi,
         # one homomorphism F(1) -> generator per value a (kernel kappas[gi][a])
-        values = [[f1.images(gen, (a,)) for a in range(gen.size)] for gen in algebras]
+        values = [ctx.evaluation_images(gen) for gen in algebras]
         ranges = [[frozenset(at_u) for at_u in zip(*per_a)] for per_a in values]
-        # rows of the pointed compatible relations Sg_{A^2}({b} x A)
-        rows: list[list[list[set[int]]]] = []
-        budget = Budget(ctx.budget_limit)
+        # the pointed compatible relations Sg_{A^2}({b} x A), as sets of pairs
+        relations, budget = [], Budget(ctx.budget_limit)
         for gen in algebras:
             budget.charge(_product_cells([gen, gen]), "exactness certificate")
-            sq, _ = direct_product([gen, gen])
-            per_b = []
-            for b in range(gen.size):
-                seeds = [b * gen.size + c for c in range(gen.size)]
-                members = sq.subuniverse(seeds)
-                row = [set() for _ in range(gen.size)]
-                for m in members:
-                    row[m // gen.size].add(m % gen.size)
-                per_b.append(row)
-            rows.append(per_b)
-        return values, ranges, rows
-    values, ranges, rows = ctx.memo("exactness-certificate", theta_free)
+            relations.append([subpower([gen, gen], ((b, c) for c in gen.elements()))
+                              for b in gen.elements()])
+        return values, ranges, relations
+    values, ranges, relations = ctx.memo("exactness-certificate", theta_free)
     unary_ok = [u for u in range(f1.size)
                 if all(ranges[gi][u] <= set(allowed[gi])
                        for gi in range(len(algebras)))]
@@ -430,11 +421,9 @@ def _no_exact_certificate(ctx: VarietyContext, theta: Congruence) -> str | None:
     for u in unary_ok:
         theta_u = total
         for gi, gen in enumerate(algebras):
-            s_vals = set(allowed[gi])
-            for b in range(gen.size):
-                s_vals &= rows[gi][b][values[gi][b][u]]
-            for a in sorted(s_vals):
-                theta_u = theta_u.meet(kappas[gi][a])
+            for a in allowed[gi]:
+                if all((values[gi][b][u], a) in relations[gi][b] for b in gen.elements()):
+                    theta_u = theta_u.meet(kappas[gi][a])
         if theta_u == theta:
             return None
     return ("no unary diagonal is consistent with the admissible generator "

@@ -126,7 +126,8 @@ from functools import cached_property, reduce
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .algebra import AlgebraError, Congruence, FiniteAlgebra, quotient, walk_steps
+from .algebra import (AlgebraError, Congruence, FiniteAlgebra, _fresh_rows, _walk,
+                      quotient, walk_steps)
 from .terms import (App, Signature, Term, Var, _Value, check_term, term_rank,
                     term_to_str, term_vars)
 
@@ -255,17 +256,6 @@ class _Components:
         return rows
 
 
-def _fresh_rows(arity: int, old: int, m: int):
-    """The argument tuples of a positive arity over range(m) that use an
-    index >= old, in lexicographic order, as rows of (prefix, start s of
-    the last argument's range [s, m))."""
-    for prefix in itertools.product(range(m), repeat=arity - 1):
-        if any(a >= old for a in prefix):
-            yield prefix, 0
-        elif old < m:
-            yield prefix, old
-
-
 def _gather(indices: Sequence[int]) -> Callable:
     """The items at ``indices``, not empty, of a sequence, as a tuple."""
     if len(indices) == 1:
@@ -279,13 +269,6 @@ def _conjugate_row(perm: list, gather: Callable, row: list) -> tuple:
     its gather of p over the range; None where p of a result is not known
     yet."""
     return _gather(gather(row))(perm)
-
-
-def _walk(rows, vectors: list, prefix: tuple) -> tuple:
-    """Each coordinate's nested table walked down by the prefix's elements."""
-    for a in prefix:
-        rows = tuple(map(getitem, rows, vectors[a]))
-    return rows
 
 
 def _lane_layout(sizes: Sequence[int]) -> tuple[int, list[int]] | None:
@@ -850,14 +833,16 @@ class VarietyContext:
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget)
 
-    def evaluation_kernels(self, target: FiniteAlgebra) -> list[Congruence]:
-        """ker(x1 -> a) on F(1) for each element a of ``target``, a
+    def evaluation_images(self, target: FiniteAlgebra) -> list[list[int]]:
+        """F(1)'s images under x1 -> a for each element a of ``target``, a
         generating algebra or a free algebra, computed once per target."""
-        def compute():
-            f1 = self.free_algebra(1)
-            return [Congruence.from_map(f1.images(target, (a,)))
-                    for a in target.elements()]
-        return self.memo(("evaluation-kernels", target), compute)
+        return self.memo(("evaluation-images", target), lambda: [
+            self.free_algebra(1).images(target, (a,)) for a in target.elements()])
+
+    def evaluation_kernels(self, target: FiniteAlgebra) -> list[Congruence]:
+        """The kernels ker(x1 -> a) of ``evaluation_images``, once per target."""
+        return self.memo(("evaluation-kernels", target), lambda: list(map(
+            Congruence.from_map, self.evaluation_images(target))))
 
     def exact_factor(self, varnames: Sequence[str], t: Term,
                      vec: tuple[int, ...]) -> ExactFactor:

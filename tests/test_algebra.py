@@ -19,6 +19,7 @@ from algen.algebra import (
     poset_covers,
     principal_congruence,
     quotient,
+    subpower,
 )
 
 from factories import (
@@ -236,6 +237,21 @@ def brute_force_homs(a, b):
 
 SAME_SIG_PAIRS = [(x, y) for x in FACTORY_ALGEBRAS for y in FACTORY_ALGEBRAS
                   if FACTORY_ALGEBRAS[x]().sig == FACTORY_ALGEBRAS[y]().sig]
+
+
+@pytest.mark.parametrize("names", [*SAME_SIG_PAIRS, ("n3",) * 3],
+                         ids=["-".join(x) for x in [*SAME_SIG_PAIRS, ("n3",) * 3]])
+def test_subpower_is_the_decoded_product_closure(names):
+    # read off the factors' tables, the closure of 0, 1 or 2 seed tuples
+    # (0 seeds: the constants alone) is the product's subuniverse, decoded
+    algebras = [FACTORY_ALGEBRAS[x]() for x in names]
+    prod, projs = direct_product(algebras)
+    decode = list(zip(*projs))
+    index = {t: m for m, t in enumerate(decode)}
+    for k in range(3):
+        for seeds in itertools.combinations(decode, k):
+            expected = {decode[m] for m in prod.subuniverse(map(index.get, seeds))}
+            assert subpower(algebras, seeds) == expected, seeds
 
 
 @pytest.mark.parametrize("dom,cod", SAME_SIG_PAIRS,

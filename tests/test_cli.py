@@ -633,8 +633,8 @@ def test_dot_quotes_names_from_the_var_file(tmp_path, capsys):
 
 
 def test_comma_in_a_generator_label_changes_no_output(tmp_path, capsys):
-    # the exactness certificate builds K3 x K3; with the label "0,0" the
-    # pairs ("0", "0,0") and ("0,0", "0") must still get distinct labels
+    # a generating algebra's label with a comma, "0,0", moves no output:
+    # nothing that con, props or solve runs reads K3's labels as pairs
     from algen.cli import main
 
     path = tmp_path / "comma.var"

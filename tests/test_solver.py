@@ -48,7 +48,8 @@ from algen.variety import Budget, BudgetExceeded, FreeAlgebra, VarietyContext, V
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
 from golden_cases import CASES, EXPECTED_EXIT
-from oracles import find_isomorphism, identity_holds_oracle, kernel, lgg_violations
+from oracles import (find_isomorphism, identity_holds_oracle, kernel, lgg_violations,
+                     subalgebra_generated)
 
 
 def mk(name, *gens, budget=None):
@@ -440,32 +441,43 @@ def test_classification_walks_each_free_algebra_once(variety, monkeypatch):
 
 
 def test_exactness_certificate_reads_the_generators_once(monkeypatch):
-    # the certificate's values, ranges and pointed relations do not depend
-    # on the congruence, so a context builds them once: kleene's
-    # classification calls the certificate 3 times, which took F(1)'s
-    # images at each element of K3 four times in all (the evaluation
-    # kernels take them once more)
+    # the certificate closes its relations on the generating algebras' own
+    # tables, so it builds no product: neither the square A x A of its
+    # pointed relations nor A x B of its HS test, which kleene with K3's
+    # subalgebra {0,1} appended reaches.  Its values, ranges and relations
+    # do not depend on the congruence, so a context builds them once, and
+    # its values are the evaluation kernels' images: F(1)'s images at each
+    # element of a generating algebra are taken once
     from algen import solver
     from algen.varfile import load_variety
 
-    ctx = VarietyContext(load_variety("varieties/kleene.var"))
-    squares, images = [], []
+    kleene = load_variety("varieties/kleene.var")
+    k3_ = kleene.generators[0]
+    appended = VarietySpec(kleene.name, kleene.sig,
+                           (k3_, subalgebra_generated(k3_, ())[0]))
 
-    def counting_product(algebras):
-        if len(algebras) == 2 and algebras[0] is algebras[1]:
-            squares.append(algebras[0])
-        return direct_product(algebras)
+    def no_product(algebras):
+        raise AssertionError(f"a product of {algebras} was built")
+
+    def counting_subpower(algebras, seeds):
+        closures.append(algebras)
+        return real_subpower(algebras, seeds)
 
     def counting_images(self, target, points, *rest):
-        if target in ctx.spec.generators:
+        if target in spec.generators:
             images.append(points)
         return real_images(self, target, points, *rest)
-    real_images = FreeAlgebra.images
-    monkeypatch.setattr(solver, "direct_product", counting_product)
+    real_subpower, real_images = solver.subpower, FreeAlgebra.images
+    monkeypatch.setattr(solver, "direct_product", no_product)
+    monkeypatch.setattr(solver, "subpower", counting_subpower)
     monkeypatch.setattr(FreeAlgebra, "images", counting_images)
-    classify_all(ctx, 2)
-    assert squares and len(squares) <= len(solver._irredundant_generators(ctx))
-    assert len(images) <= 2 * sum(a.size for a in ctx.spec.generators), images
+    for spec in (kleene, appended):
+        ctx = VarietyContext(spec)
+        closures, images = [], []
+        classify_all(ctx, 2)
+        assert closures, spec
+        assert solver._irredundant_generators(ctx) == [k3_]
+        assert len(images) <= sum(a.size for a in spec.generators), images
 
 
 # the golden solve problems that exit 0, so have a unitary or finitary
