@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .algebra import (
@@ -117,33 +117,37 @@ class Verdict(_Value):
 
 
 class SymbolicProblem(_Value):
-    """A finite multiset of terms over one variety; duplicates preserved."""
+    """A finite multiset of terms over one variety; duplicates preserved.
+    ``variables``, the terms' variable names in first-occurrence order, is
+    collected by the arity check's walk; it is not a field, as the terms
+    determine it."""
 
-    __slots__ = _fields = ("ctx", "terms")
+    _fields = ("ctx", "terms")
+    __slots__ = _fields + ("variables",)
 
     def __init__(self, ctx: VarietyContext, terms: tuple[Term, ...]):
         if not terms:
             raise SolverError("a problem needs at least one term")
-        for t in terms:
-            check_term(t, ctx.spec.sig)
-        self._init(ctx, terms)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
         names: list[str] = []
-        for t in self.terms:
-            term_vars(t, names)
-        return tuple(names)
+        for t in terms:
+            check_term(t, ctx.spec.sig, names)
+        self._init(ctx, terms)
+        object.__setattr__(self, "variables", tuple(names))
 
 
 class AlgebraicProblem:
     """The algebraic form of a symbolic problem: the 1-generated free
     algebra, the exact factors generated by each term, and the problem
-    kernel, the intersection of the factors' kernels.  A factor depends only
-    on the term's range, so it is shared through the context by every term
-    with that range.  The terms are evaluated once,
-    in one assignment view over the problem's variables, which the
-    verification gate reuses."""
+    kernel, the intersection of the factors' kernels.
+
+    Per problem, the terms are evaluated once, in one assignment view over
+    the problem's variables, which the verification gate reuses, and each
+    term's range is read off its value vector.  Everything else depends
+    only on the ranges, so the context finds it once: each range's factor
+    algebra, kernel and quotient map, and the kernel of each set of ranges
+    (the meet ignores order and repeats).  ``factors``, which carry each
+    term's own representatives, are built on first read, so a problem that
+    emits no answer builds none."""
 
     def __init__(self, problem: SymbolicProblem):
         self.problem = problem
@@ -152,10 +156,15 @@ class AlgebraicProblem:
         names = list(problem.variables)
         self.comps = ctx.components_for(names)
         self.vectors = tuple(map(self.comps.eval_term, problem.terms))
-        self.factors: list[ExactFactor] = [
-            ctx.exact_factor(names, t, vec)
-            for t, vec in zip(problem.terms, self.vectors)]
-        self.kernel = reduce(Congruence.meet, (f.kernel for f in self.factors))
+        self.ranges = tuple(ctx.term_range(len(names), vec) for vec in self.vectors)
+        self.kernel: Congruence = ctx.memo(
+            ("kernel", frozenset(self.ranges)), lambda: reduce(
+                Congruence.meet, (ctx.range_factor(r)[1] for r in self.ranges)))
+
+    @cached_property
+    def factors(self) -> list[ExactFactor]:
+        return [ExactFactor(self.ctx, r, t)
+                for r, t in zip(self.ranges, self.problem.terms)]
 
     @property
     def ctx(self) -> VarietyContext:
@@ -564,29 +573,37 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     congruence back to a witnessed 1-variable term, via the supplied
     retract pair (generator images of the embedding and retraction).
 
-    The retract pair is re-verified, the witnesses are re-checked against
-    the variety, and any failure raises InternalVerificationError.
+    Per (theta, retract), once on the context: the retract pair is
+    re-verified, and the context keeps u, the least member of the block the
+    retraction sends the generator to, with the solution term.  Per range,
+    once: u's element in each exact factor, read off the factor's quotient
+    map.  Per problem: theta is checked against the problem kernel, each
+    witness is the least term of u's element built from the problem's own
+    term, and the witnesses are re-checked against the variety.  Any
+    failure raises InternalVerificationError.
     """
-    f1 = ap.free1
-    a1 = f1.algebra
-    t, q = retract
-    # the quotient numbers its blocks by their least members; u is the least
-    # member of block q, so the retraction sends the generator to u's block
-    u = sorted(set(theta.blocks))[q]
-    if ap.ctx.evaluation_kernels(a1)[t] != theta:
-        raise InternalVerificationError("embedding element does not realize the kernel")
-    if not theta.related(f1.images(a1, (u,))[t], f1.generators[0]):
-        raise InternalVerificationError("retract pair does not compose to the identity")
+    def retract_pair() -> tuple[int, Term]:
+        f1 = ap.free1
+        a1 = f1.algebra
+        t, q = retract
+        # the quotient numbers its blocks by their least members; u is the
+        # least member of block q, so the retraction sends the generator to
+        # u's block
+        u = sorted(set(theta.blocks))[q]
+        if ap.ctx.evaluation_kernels(a1)[t] != theta:
+            raise InternalVerificationError("embedding element does not realize the kernel")
+        if not theta.related(f1.images(a1, (u,))[t], f1.generators[0]):
+            raise InternalVerificationError("retract pair does not compose to the identity")
+        return u, _rename_to_output(f1.reps[t])
+    u, s_term = ap.ctx.memo(("retract-pair", theta, retract), retract_pair)
     if not theta.leq(ap.kernel):
         raise InternalVerificationError("solution kernel exceeds the problem kernel")
 
-    s_term = _rename_to_output(f1.reps[t])
-    # f factors the problem through the quotient; its value on block q is h(u)
-    witnesses = []
-    for factor in ap.factors:
-        elem = f1.images(factor.algebra, (0,))[u]
-        witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(elem)}))
-    entry = SolutionEntry(s_term, tuple(witnesses))
+    # f factors the problem through the quotient; its value on block q is
+    # h(u), u's image under each factor's quotient map
+    entry = SolutionEntry(s_term, tuple(
+        Substitution.make({OUTPUT_VAR: factor.rep(factor.natural[u])})
+        for factor in ap.factors))
     _verify_entry(ap, entry)
     return entry
 
@@ -798,13 +815,14 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     """Check whether the product of the exact factors is itself projective
     (then the problem is its own least general solution and the type is
     unitary).  The answer depends only on the factors, so it is found once
-    per bound and ordered tuple of factor ranges on the context; each call
-    gets its own report dict.  Returns (report dict, retract data or None),
-    as ``_shortcut_of_product``."""
-    note, data = ap.ctx.memo(
-        ("shortcut", bound, tuple(f.range for f in ap.factors)),
-        lambda: _shortcut_of_product(ap.ctx, [f.algebra for f in ap.factors],
-                                     bound))
+    per bound and ordered tuple of term ranges on the context, from each
+    range's factor algebra; each call gets its own report dict.  Returns
+    (report dict, retract data or None), as ``_shortcut_of_product``."""
+    ctx = ap.ctx
+    note, data = ctx.memo(
+        ("shortcut", bound, ap.ranges),
+        lambda: _shortcut_of_product(
+            ctx, [ctx.range_factor(r)[0] for r in ap.ranges], bound))
     return dict(note), data
 
 

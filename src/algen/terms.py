@@ -218,14 +218,18 @@ def term_rank(t: Term, sig: Signature) -> tuple:
     return len(codes), tuple(codes)
 
 
-def check_term(t: Term, sig: Signature) -> None:
-    """Raise TermError unless every App matches the signature's arity."""
+def check_term(t: Term, sig: Signature, names: list[str] | None = None) -> None:
+    """Raise TermError unless every App matches the signature's arity.
+    Given ``names``, the same walk appends t's variable names to it, as
+    ``term_vars`` does."""
     if isinstance(t, App):
         if sig.arity(t.op) != len(t.args):
             raise TermError(
                 f"operation {t.op!r} expects {sig.arity(t.op)} arguments, got {len(t.args)}")
         for a in t.args:
-            check_term(a, sig)
+            check_term(a, sig, names)
+    elif names is not None and t.name not in names:
+        names.append(t.name)
 
 
 # ---------------------------------------------------------------------------

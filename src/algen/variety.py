@@ -703,23 +703,17 @@ class _LeastTerms:
 
 class ExactFactor:
     """The exact factor E(t) of a term t: F(1)/kernel, with kernel that of
-    x1 -> t, shared by every term with t's range.  Its element 0, the block
-    of x1, stands for t, and its representatives are t's own."""
+    x1 -> t, shared through the context by every term with t's range.  Its
+    element 0, the block of x1, stands for t, ``natural`` is the quotient
+    map of F(1) onto it, and its representatives are t's own."""
 
-    def __init__(self, algebra: FiniteAlgebra, kernel: Congruence,
-                 ground: Term | None, term: Term,
-                 term_range: tuple[tuple[int, int], ...],
-                 mirrored: frozenset[str]):
-        """``ground`` is element 0's least ground term, None where the
-        constants do not reach it; ``mirrored`` names the commutative
-        binary operations."""
-        self.algebra = algebra
-        self.kernel = kernel
-        self.ground = ground
+    def __init__(self, ctx: "VarietyContext", term_range: tuple[tuple[int, int], ...],
+                 term: Term):
+        self.algebra, self.kernel, self.natural, self.ground = ctx.range_factor(term_range)
         self.term = term
         self.range = term_range
-        self._terms = _LeastTerms(algebra.sig, algebra.tables, algebra.size,
-                                  {0: term}, mirrored)
+        self._terms = _LeastTerms(self.algebra.sig, self.algebra.tables,
+                                  self.algebra.size, {0: term}, ctx.spec.commutative)
 
     def rep(self, e: int) -> Term:
         """Element ``e``'s least term built from t.  Element 0's is t or its
@@ -833,39 +827,53 @@ class VarietyContext:
         seeds = [(comps.eval_term(t), t) for t in terms]
         return GeneratedSubalgebra(self.spec, comps, seeds, budget)
 
-    def evaluation_images(self, target: FiniteAlgebra) -> list[list[int]]:
-        """F(1)'s images under x1 -> a for each element a of ``target``, a
-        generating algebra or a free algebra, computed once per target."""
-        return self.memo(("evaluation-images", target), lambda: [
-            self.free_algebra(1).images(target, (a,)) for a in target.elements()])
+    def evaluation_images(self, gen: FiniteAlgebra) -> list[list[int]]:
+        """F(1)'s images under x1 -> a for each element a of ``gen``, a
+        generating algebra, computed once per algebra."""
+        return self.memo(("evaluation-images", gen), lambda: [
+            self.free_algebra(1).images(gen, (a,)) for a in gen.elements()])
 
     def evaluation_kernels(self, target: FiniteAlgebra) -> list[Congruence]:
-        """The kernels ker(x1 -> a) of ``evaluation_images``, once per target."""
-        return self.memo(("evaluation-kernels", target), lambda: list(map(
-            Congruence.from_map, self.evaluation_images(target))))
+        """The kernels ker(x1 -> a) for each element a of ``target``, a
+        generating algebra or a free algebra, once per target; only a
+        generating algebra's images are kept, as ``evaluation_images``."""
+        def kernels():
+            if target in self.spec.generators:
+                images = self.evaluation_images(target)
+            else:
+                f1 = self.free_algebra(1)
+                images = (f1.images(target, (a,)) for a in target.elements())
+            return list(map(Congruence.from_map, images))
+        return self.memo(("evaluation-kernels", target), kernels)
 
-    def exact_factor(self, varnames: Sequence[str], t: Term,
-                     vec: tuple[int, ...]) -> ExactFactor:
-        """E(t) = F(1)/ker(x1 -> t), found once per range of t: the
-        (generating algebra, value) pairs that ``vec``, t's value vector
-        over ``varnames``, hits.  The kernel is the meet of the value
-        kernels over the range."""
+    def term_range(self, n: int, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """The range of a term: the (generating algebra, value) pairs that
+        ``vec``, its value vector over n variables, hits."""
         term_range, start = [], 0
         for gi, g in enumerate(self.spec.generators):
-            stop = start + g.size ** len(varnames)
+            stop = start + g.size ** n
             term_range += [(gi, a) for a in sorted(set(vec[start:stop]))]
             start = stop
-        term_range = tuple(term_range)
+        return tuple(term_range)
 
+    def range_factor(self, term_range: tuple[tuple[int, int], ...]):
+        """What E(t) = F(1)/ker(x1 -> t) takes from t's range, found once per
+        range: the quotient algebra, its kernel, the meet of the value
+        kernels over the range, the quotient map and element 0's least
+        ground term (None where the constants do not reach it)."""
         def build():
             kernels = [self.evaluation_kernels(g) for g in self.spec.generators]
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
-            alg, _ = quotient(self.free_algebra(1).algebra, kernel)
+            alg, nat = quotient(self.free_algebra(1).algebra, kernel)
             ground = _LeastTerms(alg.sig, alg.tables, alg.size, {},
                                  self.spec.commutative).rep(0)
-            return alg, kernel, ground
-        return ExactFactor(*self.memo(("factor", term_range), build), t,
-                           term_range, self.spec.commutative)
+            return alg, kernel, nat, ground
+        return self.memo(("factor", term_range), build)
+
+    def exact_factor(self, varnames: Sequence[str], t: Term,
+                     vec: tuple[int, ...]) -> ExactFactor:
+        """E(t), for t with value vector ``vec`` over ``varnames``."""
+        return ExactFactor(self, self.term_range(len(varnames), vec), t)
 
     def holds_identity(self, s: Term, t: Term) -> bool:
         """Whether the variety satisfies s = t, by evaluating both sides in

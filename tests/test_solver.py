@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -1375,6 +1376,99 @@ def test_solve_builds_one_assignment_view(monkeypatch):
         assert len(views) == 1, sources
         assert views.pop()[1] == list(p.variables)
         assert_report_sound(r)
+
+
+def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypatch):
+    # on a warm context a solve reads its kernel and its shortcut off the
+    # term ranges: an inconclusive n3 solve constructs no ExactFactor, and
+    # a 1EP solve constructs one per term, for its witnesses.  The retract
+    # pair of each (theta, retract) is checked once per context; its
+    # composition to the identity is the only walk of F(1) into itself
+    # that a solve on a classified context makes
+    from algen.varfile import load_variety
+    from algen.variety import ExactFactor
+
+    built, walks = [], []
+    real_init, real_images = ExactFactor.__init__, FreeAlgebra.images
+
+    def counting_images(self, target, points, *rest):
+        if target is self.algebra:
+            walks.append(points)
+        return real_images(self, target, points, *rest)
+    monkeypatch.setattr(ExactFactor, "__init__",
+                        lambda self, *a: built.append(a) or real_init(self, *a))
+    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
+
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    problems = n3_stream_problems(ctx, 100)
+    for p in problems:
+        solve(p)  # warms the context
+    kinds = []
+    for p in problems:
+        built.clear()
+        kinds.append(solve(p).type.kind)
+        assert len(built) == (0 if kinds[-1] == "inconclusive" else len(p.terms)), p.terms
+    assert kinds.count("inconclusive") > 50 and "unitary" in kinds
+
+    stream, to_program = solve_stream("solve-1ep", 1)
+    ctxs = {v: VarietyContext(load_variety(f"varieties/{v}.var"))
+            for v in ("boolean", "kleene", "godel3")}
+    for c in ctxs.values():
+        classify_all(c, 2)
+        check_1ep(c, 2)
+        check_1esp(c, 2)
+    problems = [SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
+                for v, terms in stream.pass_ops(0)]
+    for run in range(2):
+        built.clear()
+        walks.clear()
+        pairs = set()
+        for p in problems:
+            cls = classify_all(p.ctx, 2)
+            pairs.update((p.ctx.spec.name, theta, cls[theta].retract)
+                         for theta in solve(p).g.maximal)
+        assert len(built) == sum(len(p.terms) for p in problems)
+        assert len(walks) == (len(pairs) if run == 0 else 0), run
+    assert len(pairs) > 3
+
+
+@pytest.mark.parametrize("workload,seed", [("solve-1ep", 1), ("solve-1ep", 7),
+                                           ("solve-n3", 1), ("solve-n3", 7)])
+def test_range_memos_match_a_fresh_context_per_problem(workload, seed):
+    # the memos a solve reads, keyed on term ranges, kernels and retract
+    # pairs, give what a context that saw no other problem gives: over
+    # passes 0 and 1 of a benchmark stream, at bounds 2 and 3, each report
+    # on one warm context per variety equals the same problem's report on a
+    # fresh context, and the memoised kernel is the meet of the fresh
+    # context's exact factor kernels.  A variety whose classification does
+    # not fit the budget at the bound raises the same error on both
+    from algen.varfile import load_variety
+
+    stream, to_program = solve_stream(workload, seed)
+    ops = [(v, tuple(map(to_program, terms)))
+           for i in range(2) for v, terms in stream.pass_ops(i)]
+    specs = {v: load_variety(f"varieties/{v}.var") for v, _ in ops}
+    for bound in (2, 3):
+        warm, solved = {}, 0
+        for v, spec in specs.items():
+            try:
+                classify_all(ctx := VarietyContext(spec), bound)
+                warm[v] = ctx
+            except BudgetExceeded as e:
+                with pytest.raises(BudgetExceeded, match=re.escape(str(e))):
+                    solve(SymbolicProblem(VarietyContext(spec), (Var("x"),)), bound)
+        for v, terms in ops:
+            if v not in warm:
+                continue
+            p, fresh = SymbolicProblem(warm[v], terms), VarietyContext(specs[v])
+            q = SymbolicProblem(fresh, terms)
+            assert solve(p, bound).to_dict() == solve(q, bound).to_dict(), terms
+            names = list(q.variables)
+            comps = fresh.components_for(names)
+            assert alg_of(p).kernel == functools.reduce(Congruence.meet, (
+                fresh.exact_factor(names, t, comps.eval_term(t)).kernel for t in terms))
+            solved += 1
+        assert solved >= 60, (bound, solved)
 
 
 @pytest.mark.parametrize("workload,seed", [("solve-1ep", 1), ("solve-n3", 7)])
