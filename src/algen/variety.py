@@ -3,12 +3,17 @@
 A finitely generated free algebra for Var(A1, ..., Ar) is realized as the
 subalgebra of the product over all assignments, prod_i Ai^(Ai^n), generated
 by the n projection tuples, the subpower construction UACalc also uses.
-Elements are value vectors, one coordinate per assignment.  The
+Elements are value vectors, one coordinate per assignment, bytes when no
+generating algebra has more than 256 elements, else tuples.  The
 assignment index set for n variables, its projection vectors and its
 per-coordinate op tables, depends only on n, so a context builds it once
 per variable count and each caller reads it under its own variable names,
 still charging its own budget for it before the lookup.  The projections
-are built from runs of values, so no assignment tuple is ever made.
+are built from runs of values, so no assignment tuple is ever made.  A term
+is evaluated node by node over whole vectors: where the keys a1*q**(k-1) +
+... + ak fit a byte, q the largest algebra's size, Horner's rule over the
+argument vectors as ints gives every key at once and one translate per
+algebra reads them; other nodes go one coordinate at a time.
 
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
@@ -17,34 +22,32 @@ order, tables and budget charges are those of the plain closure.  The
 tuples come as rows: a prefix, which walks the generating algebras' nested
 tables down to one innermost row per coordinate, and the range [s, m) of
 last arguments it reads ([0, m) if the prefix uses a fresh element, else
-[old, m)).  Value vectors are bytes when no generating algebra has more
-than 256 elements, else tuples.  Three kernels read a row's results.  Per
-entry, each is looked up from those innermost rows one coordinate at a
-time.  The other two read a range shared by enough prefixes, for byte
-vectors, whose columns are first translated through each innermost row of
-their algebra, as 256-byte tables, so a prefix walk ends on one result
-column per coordinate.  Packed, where an element's coordinates fit a key
-of one or two bytes (as many to a byte as fit, each byte a mixed-radix
-number), each column is spread one key apart, read as one int and
-multiplied by its coordinate's place in the key, so a row's keys are the
-sum of its columns' ints written out as bytes; a dict maps each key to its
-element, filled in where a row first meets it from that entry's vector, a
-strided slice of the row's byte columns, which a packed range keeps beside
-their ints (each column is translated once, then widened).  Joined,
-otherwise, the columns' strided slices are the result vectors,
-found in the index in one batch.  Wider keys stay joined: an int per
-coordinate as long as the key would cost the width times the key length
-per row (n3 F(4), 64-byte keys, took 8.5 times as long packed).  Fewer
-than 64 elements stay joined too: there nearly every key is met first in
-some row and read twice, and lattice F(3), 18 elements, took 1.11 times
-as long packed.  A range is shared when at least twice as many
+[old, m)).  Three kernels read a row's results.  Per entry, each is looked
+up from those innermost rows one coordinate at a time.  The other two read
+a range shared by enough prefixes, for byte vectors, whose columns are
+first translated through each innermost row of their algebra, as 256-byte
+tables, so a prefix walk ends on one result column per coordinate.
+Packed, where an element's coordinates fit a key of one or two bytes (as
+many to a byte as fit, each byte a mixed-radix number), each column is
+spread one key apart, read as one int and multiplied by its coordinate's
+place in the key, so a row's keys are the sum of its columns' ints written
+out as bytes; a dict maps each key to its element, filled in where a row
+first meets it from that entry's vector, a strided slice of the row's byte
+columns, which a packed range keeps beside their ints (each column is
+translated once, then widened).  Joined, otherwise, the columns' strided
+slices are the result vectors, found in the index in one batch.  Wider keys
+stay joined: an int per coordinate as long as the key would cost the width
+times the key length per row (n3 F(4), 64-byte keys, took 8.5 times as long
+packed).  Fewer than 64 elements stay joined too: there nearly every key is
+met first in some row and read twice, and lattice F(3), 18 elements, took
+1.11 times as long packed.  A range is shared when at least twice as many
 prefixes read it as the largest generating algebra has innermost rows;
 below that, as in the shipped varieties' F(1), translating costs more than
-it saves.  The key layout is made at the first shared range of a pass
-over 64 elements or more.  The free algebra's nested tables grow by
-appending results in tuple order.  Seeds, constants and
-results go through one lookup-or-add (the per-entry kernel keeps its hits
-inline), and the closure ends with a round of passes that adds no element.
+it saves.  The key layout is made at the first shared range of a pass over
+64 elements or more.  The free algebra's nested tables grow by appending
+results in tuple order.  Seeds, constants and results go through one
+lookup-or-add (the per-entry kernel keeps its hits inline), and the closure
+ends with a round of passes that adds no element.
 
 When every seed is a variable, as in F(n), a swap of two adjacent seeds
 permutes the variables, hence the assignments, so it commutes with every
@@ -191,6 +194,16 @@ class VarietySpec(_Value):
             t[a][b] == t[b][a] for g in self.generators for t in [g.tables[op]]
             for a in range(g.size) for b in range(a)))
 
+    @cached_property
+    def packed_tables(self) -> dict[str, tuple[int, list[bytes]]]:
+        """Each operation whose keys a1*q**(k-1) + ... + ak fit a byte, q the
+        largest algebra's size: q and each generating algebra's table at
+        those keys, 256 bytes.  Only term evaluation builds them."""
+        q = max(g.size for g in self.generators)
+        return {op: (q, [_radix_table(g.tables[op], q, arity).ljust(256, b"\0")
+                         for g in self.generators])
+                for op, arity in self.sig.ops if arity and q ** arity <= 256}
+
 
 def var_name(i: int) -> str:
     return f"x{i + 1}"
@@ -203,28 +216,31 @@ def var_name(i: int) -> str:
 class _AssignmentIndex:
     """The assignment index set for n variables: for each generator algebra,
     every assignment tuple, in (algebra order, tuple order) lexicographic
-    order.  A term's value vector has one coordinate per assignment.  It
-    holds each variable position's projection vector and, for each
-    operation, the nested table of the algebra behind each coordinate, so a
-    result vector is read coordinate by coordinate with one map over these;
-    a context builds it once per n and shares it among views."""
+    order.  A term's value vector has one coordinate per assignment, each
+    algebra's a segment.  It holds the vector type, each variable position's
+    projection vector, each constant's vector and, for each other operation,
+    the nested table of the algebra behind each coordinate; a context builds
+    it once per n and shares it among views."""
 
     def __init__(self, spec: VarietySpec, n: int):
         gens = spec.generators
+        self.code = code = bytes if max(g.size for g in gens) <= 256 else tuple
         # over one algebra, position i repeats each value size**(n-1-i)
         # times, and that run size**i times; no assignment tuple is made
-        self.projections = tuple(reduce(tuple.__add__, (
-            tuple(v for v in range(g.size) for _ in range(g.size ** (n - 1 - i)))
+        self.projections = tuple(reduce(code.__add__, (
+            code(v for v in range(g.size) for _ in range(g.size ** (n - 1 - i)))
             * g.size ** i for g in gens)) for i in range(n))
-        self.width = sum(g.size ** n for g in gens)
-        self.op_tables = {op: reduce(tuple.__add__, ((g.tables[op],) * g.size ** n
-                                                     for g in gens))
-                          for op, _ in spec.sig.ops}
+        stops = list(itertools.accumulate(g.size ** n for g in gens))
+        self.width, self.segments = stops[-1], list(zip([0] + stops, stops))
+        self.op_tables = {op: (tuple if arity else code)(reduce(
+            tuple.__add__, ((g.tables[op],) * g.size ** n for g in gens)))
+                          for op, arity in spec.sig.ops}
 
 
 class _Components:
     """A view of the assignment index set for n variables under the
-    caller's variable names, charged to the caller's budget."""
+    caller's variable names, charged to the caller's budget.  Its nodes read
+    packed keys where they fit a byte, else one coordinate at a time."""
 
     def __init__(self, spec: VarietySpec, varnames: Sequence[str] | int,
                  budget: Budget,
@@ -241,19 +257,43 @@ class _Components:
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
         shared = index(n) if index else _AssignmentIndex(spec, n)
-        self.width, self.op_tables = shared.width, shared.op_tables
+        self.spec, self.code, self.width = spec, shared.code, shared.width
+        self.segments, self.op_tables = shared.segments, shared.op_tables
         # each variable's value vector
         self.projections = dict(zip(varnames, shared.projections))
 
-    def eval_term(self, t: Term) -> tuple[int, ...]:
+    def eval_term(self, t: Term) -> bytes | tuple:
         if isinstance(t, Var):
             if t.name not in self.projections:
                 raise AlgebraError(f"unknown variable {t.name!r}")
             return self.projections[t.name]
-        rows = self.op_tables[t.op]
-        for a in t.args:
-            rows = tuple(map(getitem, rows, self.eval_term(a)))
-        return rows
+        if not t.args:
+            return self.op_tables[t.op]
+        packed = self.spec.packed_tables.get(t.op)
+        if packed is None:  # one coordinate at a time
+            rows = self.op_tables[t.op]
+            for a in t.args[:-1]:
+                rows = tuple(map(getitem, rows, self.eval_term(a)))
+            return _evaluate(self.code, rows, self.eval_term(t.args[-1]))
+        q, tables = packed
+        if len(t.args) == 1:
+            keys = self.eval_term(t.args[0])
+        else:  # Horner's rule: no key byte carries into the next
+            key = 0
+            for a in t.args:
+                key = key * q + int.from_bytes(self.eval_term(a), "little")
+            keys = key.to_bytes(self.width, "little")
+        if len(tables) == 1:
+            return keys.translate(tables[0])
+        return b"".join(keys[start:stop].translate(table)
+                        for (start, stop), table in zip(self.segments, tables))
+
+
+def _radix_table(table, q: int, arity: int) -> bytes:
+    """A nested table's entries at the keys a1*q**(k-1) + ... + ak."""
+    if arity == 1:
+        return bytes(table).ljust(q, b"\0")
+    return b"".join([_radix_table(r, q, arity - 1) for r in table]).ljust(q ** arity, b"\0")
 
 
 def _gather(indices: Sequence[int]) -> Callable:
@@ -325,12 +365,12 @@ class GeneratedSubalgebra:
     with explicit tables and term representatives."""
 
     def __init__(self, spec: VarietySpec, comps: _Components,
-                 seeds: Sequence[tuple[tuple[int, ...], Term]], budget: Budget):
+                 seeds: Sequence[tuple[Sequence[int], Term]], budget: Budget):
         """When every seed term is a variable, rows are derived across swaps."""
         self.spec = spec
         self.comps = comps
         a_max = max(g.size for g in spec.generators)
-        code = bytes if a_max <= 256 else tuple  # the type of value vectors
+        code = comps.code  # the type of value vectors
         vectors: list = []
         index: dict = {}
         # the derivation in element order: (element, operation, argument
@@ -415,7 +455,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        tables[op] = element(code(comps.op_tables[op]), op, ())
+                        tables[op] = element(comps.op_tables[op], op, ())
                     continue
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs

@@ -1378,6 +1378,38 @@ def test_solve_builds_one_assignment_view(monkeypatch):
         assert_report_sound(r)
 
 
+def test_packed_keys_evaluate_every_n3_node(monkeypatch):
+    # n3's one operation is binary on 4 elements, 16 keys, so a warm solve
+    # stream never evaluates one coordinate at a time; a 40-element Kleene
+    # chain's and and or have 1,600 keys each, so a solve there does, while
+    # its not, 40 keys, is packed
+    import algen.variety
+    from algen.varfile import load_variety
+    from factories import kleene_chain
+
+    calls = []
+    real = algen.variety._evaluate
+    monkeypatch.setattr(algen.variety, "_evaluate",
+                        lambda *a: calls.append(a) or real(*a))
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    problems = n3_stream_problems(ctx, 200, passes=2)
+    for p in problems:
+        solve(p)  # warms the context
+    calls.clear()
+    kinds = {solve(p).type.kind for p in problems}
+    assert calls == [] and kinds == {"unitary", "inconclusive"}
+    chain = kleene_chain([str(i) for i in range(40)], lambda i: 39 - i)
+    ctx = VarietyContext(VarietySpec("chain40", chain.sig, (chain,)))
+    assert set(ctx.spec.packed_tables) == {"not"}
+    p = SymbolicProblem(ctx, tuple(parse_term(t, chain.sig)
+                                   for t in ("and(x,not(x))", "or(y,not(y))")))
+    solve(p)  # warms the context
+    calls.clear()
+    report = solve(p)
+    assert calls
+    assert_report_sound(report)
+
+
 def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypatch):
     # on a warm context a solve reads its kernel and its shortcut off the
     # term ranges: an inconclusive n3 solve constructs no ExactFactor, and

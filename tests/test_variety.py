@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from algen.algebra import AlgebraError, FiniteAlgebra
+from algen.algebra import AlgebraError, FiniteAlgebra, direct_product
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety, loads_variety
@@ -20,6 +20,7 @@ from factories import (
     bool2,
     goedel_chain,
     k3,
+    kleene_chain,
     lattice2,
     n3,
     semilattice2,
@@ -208,7 +209,7 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     gens, vectors, tables, reps, charges, _, born = reference_subalgebra(
         spec, varnames, terms)
     assert sub.generator_indices == gens
-    assert [comps.eval_term(r) for r in sub.reps] == vectors
+    assert [tuple(comps.eval_term(r)) for r in sub.reps] == vectors
     assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
                                   for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
@@ -968,6 +969,77 @@ def test_shared_index_set_matches_a_fresh_one(ctx_factory):
                 comps.eval_term(unknown if unknown.args else Var("v"))
             errors.append(str(exc.value))
         assert errors == ["unknown variable 'v'"] * 2
+
+
+def random_algebra(rng, size, sig):
+    """An algebra of ``size`` elements with seeded random tables over ``sig``."""
+    def table(arity):
+        return [table(arity - 1) for _ in range(size)] if arity else rng.randrange(size)
+    return FiniteAlgebra(sig, [str(a) for a in range(size)],
+                         {op: table(arity) for op, arity in sig.ops})
+
+
+def reference_vector(spec, names, t):
+    """t's value vector, one coordinate at a time: each generating algebra's
+    own tables at each assignment to ``names``, in index order."""
+    envs = [(g, values) for g in spec.generators
+            for values in itertools.product(range(g.size), repeat=len(names))]
+
+    def value(t):
+        if isinstance(t, Var):
+            return [values[names.index(t.name)] for _, values in envs]
+        args = [value(a) for a in t.args]
+        return [g.op(t.op, col) for (g, _), col in zip(envs, zip(*args) if args
+                                                       else itertools.repeat(()))]
+    return tuple(value(t))
+
+
+def evaluation_cases():
+    """(name, spec, the operations with packed tables, most variables)."""
+    shipped = [(v, load_variety(f"varieties/{v}.var")) for v in SHIPPED]
+    n3_spec = dict(shipped)["n3"]
+    square = direct_product([n3_spec.generators[0]] * 2)[0]
+    rng = random.Random(43)
+    sig = Signature.make([("f", 2), ("g", 3), ("h", 1), ("c", 0)])
+    binary = Signature.make([("f", 2)])
+    # every shipped operation is packed: none has more than 16 keys
+    cases = [(v, spec, {op for op, arity in spec.sig.ops if arity}, 3)
+             for v, spec in shipped] + [
+        ("G2xG3", ctx_for("G2xG3", goedel_chain(2), goedel_chain(3)).spec,
+         {"and", "or", "imp"}, 3),
+        # a 16-element binary operation: 16 * 16 keys fill a byte exactly
+        ("n3+square", VarietySpec("n3", n3_spec.sig, (*n3_spec.generators, square)),
+         {"oplus"}, 3),
+        # segments of 3 and 17 values: not packs both, and and or neither
+        ("K3+chain17", ctx_for("K17", k3(), kleene_chain(
+            [str(i) for i in range(17)], lambda i: 16 - i)).spec, {"not"}, 3),
+        ("groupoid17", ctx_for("G17", random_algebra(rng, 17, binary)).spec, set(), 3),
+        ("random6", ctx_for("R6", random_algebra(rng, 6, sig)).spec, {"f", "g", "h"}, 3),
+        # a ternary operation on 7 elements: 343 keys
+        ("random7", ctx_for("R7", random_algebra(rng, 7, sig)).spec, {"f", "h"}, 3),
+        # tuple vectors, which no node packs
+        ("chain300", CHAIN300, set(), 1),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,spec,packed,most", evaluation_cases())
+def test_packed_evaluation_matches_a_per_coordinate_reference(name, spec, packed, most):
+    # seeded random terms over 1-3 variables: each value vector, read
+    # through packed keys where a node's table fits a byte, else one
+    # coordinate at a time, is the reference's
+    assert set(spec.packed_tables) == packed
+    code = bytes if max(g.size for g in spec.generators) <= 256 else tuple
+    rng = random.Random(name)
+    ctx = VarietyContext(spec)
+    for n in range(1, most + 1):
+        names = ["x", "y", "w"][:n]
+        comps = ctx.components_for(names)
+        for _ in range(12):
+            t = random_term(rng, spec.sig, names, 4)
+            vec = comps.eval_term(t)
+            assert type(vec) is code
+            assert tuple(vec) == reference_vector(spec, names, t), (names, t)
 
 
 # ---------------------------------------------------------------------------
