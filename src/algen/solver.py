@@ -23,7 +23,6 @@ from .algebra import (
     close_under,
     congruence_generated,
     congruence_lattice,
-    direct_product,
     quotient,
     subpower,
 )
@@ -334,8 +333,8 @@ def _first_assignment(alg: FiniteAlgebra, term: Term, names: Sequence[str],
 
 
 def _product_cells(factors: Sequence[FiniteAlgebra]) -> int:
-    """The cells ``direct_product(factors)`` fills, each element's
-    coordinates and each operation's table: a closure in it is charged so."""
+    """The cells of the product of ``factors``, each element's coordinates
+    and each operation's table: its closures and tuple listings charge so."""
     size = math.prod(f.size for f in factors)
     return size * len(factors) + sum(size ** arity for _, arity in factors[0].sig.ops)
 
@@ -785,103 +784,104 @@ class GeneralizationReport(_Value):
         }
 
 
-def _first_generators(ctx: VarietyContext, prod: FiniteAlgebra, bound: int,
-                      budget: Budget):
-    """The first generating tuple of ``prod`` by size, then lexicographic
-    order, with at most ``bound`` elements, as (generators, F(k), pi) with
-    pi the images of F(k)'s elements under x_i -> p_i; None if there is
-    none.  A tuple generates iff pi is onto, by the universal property of
-    F(k), and a k-generated algebra has at most |F(k)| elements, so a k
-    with |prod| > |F(k)| is skipped.  When the constants generate, k = 0
-    and x1 goes to element 0 of F(1).  Each k charges its C(|prod|, k)
-    walks of |F(k)| steps to ``budget`` before the first; raises
-    BudgetExceeded for those or for an F(k) above the budget."""
-    if len(prod.subuniverse(())) == prod.size:
+def _first_generators(ctx: VarietyContext, factors: Sequence[FiniteAlgebra],
+                      bound: int, budget: Budget):
+    """The first generating tuple of the product P of ``factors`` by size,
+    then lexicographic order, with at most ``bound`` elements, as
+    (generators, F(k), pi) with pi the images of F(k)'s elements under
+    x_i -> p_i; None if there is none.  P's elements are the tuples of
+    factor elements, in lexicographic order, and pi is the zip of the maps
+    F(k) -> E_j with x_i -> p_i[j], each walked once per coordinate tuple.
+    A tuple generates iff pi is onto, by the universal property of F(k),
+    and a k-generated algebra has at most |F(k)| elements, so a k with
+    |P| > |F(k)| is skipped.  When the constants generate, k = 0 and x1
+    goes to (0, ..., 0).  Each k charges its C(|P|, k) walks of |F(k)|
+    steps to ``budget`` before the first; raises BudgetExceeded for those
+    or for an F(k) above the budget."""
+    size = math.prod(f.size for f in factors)
+    if len(subpower(factors, ())) == size:
         f1 = ctx.free_closure(1)
-        return (), f1, f1.images(prod, (0,))
-    for k in range(1, min(bound, prod.size) + 1):
+        return (), f1, list(zip(*(f1.images(f, (0,)) for f in factors)))
+    elements = list(itertools.product(*(f.elements() for f in factors)))
+    for k in range(1, min(bound, size) + 1):
         fk = ctx.free_closure(k)
-        if prod.size > fk.size:
+        if size > fk.size:
             continue
-        budget.charge(math.comb(prod.size, k) * fk.size, "product shortcut")
-        for gens in itertools.combinations(range(prod.size), k):
-            pi = fk.images(prod, gens)
-            if len(set(pi)) == prod.size:
-                return gens, fk, pi
+        budget.charge(math.comb(size, k) * fk.size, "product shortcut")
+        walks = [{} for _ in factors]  # per factor, its images by coordinate tuple
+        for gens in itertools.combinations(elements, k):
+            columns = [seen.get(c) or seen.setdefault(c, fk.images(f, c))
+                       for f, seen, c in zip(factors, walks, zip(*gens))]
+            if len(set(zip(*columns))) == size:
+                return gens, fk, list(zip(*columns))
     return None
 
 
 def _product_shortcut(ap: AlgebraicProblem, bound: int):
-    """Check whether the product of the exact factors is itself projective
-    (then the problem is its own least general solution and the type is
-    unitary).  The answer depends only on the factors, so it is found once
+    """Whether the product P of the exact factors is itself projective:
+    then the problem is its own least general solution and the type is
+    unitary.  The answer depends only on the factors, so it is found once
     per bound and ordered tuple of term ranges on the context, from each
-    range's factor algebra; each call gets its own report dict.  Returns
-    (report dict, retract data or None), as ``_shortcut_of_product``."""
-    ctx = ap.ctx
-    note, data = ctx.memo(
-        ("shortcut", bound, ap.ranges),
-        lambda: _shortcut_of_product(
-            ctx, [ctx.range_factor(r)[0] for r in ap.ranges], bound))
-    return dict(note), data
+    range's factor algebra; each call gets its own report dict.  No product
+    algebra is built: P's elements are tuples over the factors' own tables.
+    The generator search is capped at the bound, and a P larger than
+    F(bound) is skipped before its tuples are listed.  Listing them, each
+    size of the generator walk and the section search are charged to one
+    budget before each runs; a charge that does not fit skips the shortcut.
 
-
-def _shortcut_of_product(ctx: VarietyContext, factors: list[FiniteAlgebra],
-                         bound: int):
-    """Whether the product of ``factors`` is projective.  The generator
-    search is capped at the bound, and a product larger than F(bound) is
-    skipped without being built.  Building the product, each size of the
-    generator walk and the section search are charged to one budget
-    before each runs; a charge that does not fit skips the shortcut.
-
-    The product P, generated by p_1..p_n, is projective iff the
-    epimorphism pi: F(n) -> P with x_i -> p_i has a section (Ghilardi,
-    Unification through projectivity, 1997).  With n = 0, x1 goes to
-    element 0.  For each choice f of f_i in the fibre of p_i, in ascending
-    order, psi: F(n) -> F(n) with x_i -> f_i factors through pi exactly
-    when it is constant on pi's fibres; the factor s with s(p_i) = f_i is
-    then a section, as pi(s(p_i)) = p_i on generators.  So the first such
-    f decides it.
+    P, generated by p_1..p_n, is projective iff the epimorphism
+    pi: F(n) -> P with x_i -> p_i has a section (Ghilardi, Unification
+    through projectivity, 1997).  With n = 0, x1 goes to (0, ..., 0).  For
+    each choice f of f_i in the fibre of p_i, in ascending order,
+    psi: F(n) -> F(n) with x_i -> f_i factors through pi exactly when it is
+    constant on pi's fibres; the factor s with s(p_i) = f_i is then a
+    section, as pi(s(p_i)) = p_i on generators.  So the first such f
+    decides it.
 
     Returns (report dict, retract data or None); the retract data is
-    (product, projections, the points p_i, free algebra, section).
+    (the points p_i, free algebra, section), the section a dict over P's
+    tuples.
     """
-    sizes = math.prod(f.size for f in factors)
-    no_gens = {"status": "skipped",
-               "reason": f"no generating set of size <= {bound}"}
-    try:
-        if sizes > ctx.free_closure(bound).size:
-            return no_gens, None
-    except BudgetExceeded:
-        pass  # the search below decides, or meets the budget itself
-    budget = Budget(ctx.budget_limit)
-    try:
-        budget.charge(_product_cells(factors), "product shortcut")
-        prod, projs = direct_product(factors)
-        found = _first_generators(ctx, prod, bound, budget)
-        if found is None:
-            return no_gens, None
-        gens, fk, pi = found
-        points = gens or (0,)
-        fibres = [[] for _ in range(prod.size)]
-        for e, p in enumerate(pi):
-            fibres[p].append(e)
-        budget.charge(math.prod(len(fibres[p]) for p in points) * fk.size,
-                      "product shortcut")
-    except BudgetExceeded:
-        # the shortcut's own charges overdraw its budget; an F(k) does not
-        reason = ("search above budget" if budget.used > budget.limit
-                  else "free algebra above budget")
-        return {"status": "skipped", "reason": reason}, None
-    for choice in itertools.product(*(fibres[p] for p in points)):
-        psi = fk.images(fk.algebra, choice)
-        section = [psi[fibre[0]] for fibre in fibres]
-        if all(psi[e] == section[p] for e, p in enumerate(pi)):
-            note = {"status": "projective", "generators": len(gens),
-                    "note": "the problem is the minimum of its solution poset; "
-                            "type unitary"}
-            return note, (prod, projs, points, fk, section)
-    return {"status": "not-projective", "generators": len(gens)}, None
+    ctx = ap.ctx
+
+    def search():
+        factors = [ctx.range_factor(r)[0] for r in ap.ranges]
+        no_gens = {"status": "skipped",
+                   "reason": f"no generating set of size <= {bound}"}
+        try:
+            if math.prod(f.size for f in factors) > ctx.free_closure(bound).size:
+                return no_gens, None
+        except BudgetExceeded:
+            pass  # the search below decides, or meets the budget itself
+        budget = Budget(ctx.budget_limit)
+        try:
+            budget.charge(_product_cells(factors), "product shortcut")
+            found = _first_generators(ctx, factors, bound, budget)
+            if found is None:
+                return no_gens, None
+            gens, fk, pi = found
+            points = gens or ((0,) * len(factors),)
+            fibres: dict[tuple[int, ...], list[int]] = {}
+            for e, p in enumerate(pi):
+                fibres.setdefault(p, []).append(e)
+            budget.charge(math.prod(len(fibres[p]) for p in points) * fk.size,
+                          "product shortcut")
+        except BudgetExceeded:
+            # the shortcut's own charges overdraw its budget; an F(k) does not
+            reason = ("search above budget" if budget.used > budget.limit
+                      else "free algebra above budget")
+            return {"status": "skipped", "reason": reason}, None
+        for choice in itertools.product(*(fibres[p] for p in points)):
+            psi = fk.images(fk.algebra, choice)
+            section = {p: psi[fibre[0]] for p, fibre in fibres.items()}
+            if all(psi[e] == section[p] for e, p in enumerate(pi)):
+                note = {"status": "projective", "generators": len(gens),
+                        "note": "the problem is the minimum of its solution poset; "
+                                "type unitary"}
+                return note, (points, fk, section)
+        return {"status": "not-projective", "generators": len(gens)}, None
+    note, data = ctx.memo(("shortcut", bound, ap.ranges), search)
+    return dict(note), data
 
 
 def solve(problem: SymbolicProblem,
@@ -941,15 +941,14 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     projective: the section sends the problem tuple h to a term s over
     x1..xn with s(p_1, ..., p_n) = h, so z_i -> p_i, projected to each
     factor, witnesses it.  Output variables are z1..zn."""
-    _, projs, points, fk, section = retract_data
-    # the problem tuple h is the factors' generators (0, ..., 0), the
-    # first element of the lexicographically ordered product
+    points, fk, section = retract_data
+    h = (0,) * len(ap.factors)  # the problem tuple: each factor's generator
     out_vars = {var_name(i): Var(f"z{i + 1}") for i in range(fk.n)}
-    s_term = apply_subst(Substitution.make(out_vars), fk.rep(section[0]))
+    s_term = apply_subst(Substitution.make(out_vars), fk.rep(section[h]))
     witnesses = [
-        Substitution.make({f"z{i + 1}": factor.rep(pr[p])
+        Substitution.make({f"z{i + 1}": factor.rep(p[j])
                            for i, p in enumerate(points)})
-        for factor, pr in zip(ap.factors, projs)]
+        for j, factor in enumerate(ap.factors)]
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ap, entry)
     return entry

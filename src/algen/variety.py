@@ -4,16 +4,16 @@ A finitely generated free algebra for Var(A1, ..., Ar) is realized as the
 subalgebra of the product over all assignments, prod_i Ai^(Ai^n), generated
 by the n projection tuples, the subpower construction UACalc also uses.
 Elements are value vectors, one coordinate per assignment, bytes when no
-generating algebra has more than 256 elements, else tuples.  The
-assignment index set for n variables, its projection vectors and its
-per-coordinate op tables, depends only on n, so a context builds it once
-per variable count and each caller reads it under its own variable names,
-still charging its own budget for it before the lookup.  The projections
-are built from runs of values, so no assignment tuple is ever made.  A term
-is evaluated node by node over whole vectors: where the keys a1*q**(k-1) +
-... + ak fit a byte, q the largest algebra's size, Horner's rule over the
-argument vectors as ints gives every key at once and one translate per
-algebra reads them; other nodes go one coordinate at a time.
+generating algebra has more than 256 elements, else tuples.  The assignment
+index set for n variables, its projection vectors and its per-coordinate op
+tables, depends only on n, so the spec builds it once per variable count
+and each caller, F(n) or a term evaluation, reads it under its own variable
+names, still charging its own budget for it before the lookup.  The
+projections are built from runs of values, so no assignment tuple is ever
+made.  A term is evaluated node by node over whole vectors: where the keys
+a1*q**(k-1) + ... + ak fit a byte, q the largest algebra's size, Horner's
+rule over the argument vectors as ints gives every key at once and one
+translate per algebra reads them; other nodes go one coordinate at a time.
 
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
@@ -204,6 +204,11 @@ class VarietySpec(_Value):
                          for g in self.generators])
                 for op, arity in self.sig.ops if arity and q ** arity <= 256}
 
+    def assignment_index(self, n: int) -> _AssignmentIndex:
+        """The assignment index set for n variables, built once per n."""
+        indexes = self.__dict__.setdefault("_indexes", {})
+        return indexes.get(n) or indexes.setdefault(n, _AssignmentIndex(self, n))
+
 
 def var_name(i: int) -> str:
     return f"x{i + 1}"
@@ -219,7 +224,7 @@ class _AssignmentIndex:
     order.  A term's value vector has one coordinate per assignment, each
     algebra's a segment.  It holds the vector type, each variable position's
     projection vector, each constant's vector and, for each other operation,
-    the nested table of the algebra behind each coordinate; a context builds
+    the nested table of the algebra behind each coordinate; the spec builds
     it once per n and shares it among views."""
 
     def __init__(self, spec: VarietySpec, n: int):
@@ -243,10 +248,8 @@ class _Components:
     packed keys where they fit a byte, else one coordinate at a time."""
 
     def __init__(self, spec: VarietySpec, varnames: Sequence[str] | int,
-                 budget: Budget,
-                 index: Callable[[int], _AssignmentIndex] | None = None):
-        """``varnames`` may be a count n, standing for x1..xn; ``index``
-        looks up a shared index set for n, else one is built."""
+                 budget: Budget):
+        """``varnames`` may be a count n, standing for x1..xn."""
         n = varnames if isinstance(varnames, int) else len(varnames)
         # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
         # length, so such a power is charged as 2^bit_length, not computed
@@ -256,7 +259,7 @@ class _Components:
         budget.charge(n + width, "assignment index set")  # a cell per name too
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
-        shared = index(n) if index else _AssignmentIndex(spec, n)
+        shared = spec.assignment_index(n)
         self.spec, self.code, self.width = spec, shared.code, shared.width
         self.segments, self.op_tables = shared.segments, shared.op_tables
         # each variable's value vector
@@ -851,12 +854,8 @@ class VarietyContext:
     def components_for(self, varnames: Sequence[str],
                        budget: Budget | None = None) -> _Components:
         """The assignment index set for ``varnames``, charged to ``budget``
-        (a fresh one by default) and built once per variable count."""
-        return _Components(self.spec, varnames,
-                            budget or Budget(self.budget_limit), self._index)
-
-    def _index(self, n: int) -> _AssignmentIndex:
-        return self.memo(("index", n), lambda: _AssignmentIndex(self.spec, n))
+        (a fresh one by default)."""
+        return _Components(self.spec, varnames, budget or Budget(self.budget_limit))
 
     def generated_by_terms(self, varnames: Sequence[str],
                            terms: Sequence[Term]) -> GeneratedSubalgebra:

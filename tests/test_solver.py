@@ -449,7 +449,7 @@ def test_exactness_certificate_reads_the_generators_once(monkeypatch):
     # do not depend on the congruence, so a context builds them once, and
     # its values are the evaluation kernels' images: F(1)'s images at each
     # element of a generating algebra are taken once
-    from algen import solver
+    from algen import algebra, solver
     from algen.varfile import load_variety
 
     kleene = load_variety("varieties/kleene.var")
@@ -469,7 +469,7 @@ def test_exactness_certificate_reads_the_generators_once(monkeypatch):
             images.append(points)
         return real_images(self, target, points, *rest)
     real_subpower, real_images = solver.subpower, FreeAlgebra.images
-    monkeypatch.setattr(solver, "direct_product", no_product)
+    monkeypatch.setattr(algebra, "direct_product", no_product)
     monkeypatch.setattr(solver, "subpower", counting_subpower)
     monkeypatch.setattr(FreeAlgebra, "images", counting_images)
     for spec in (kleene, appended):
@@ -1001,7 +1001,7 @@ def test_solve_1ep_skips_product_shortcut(ba, ka, sl, la, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the product shortcut ran in a 1EP variety")
 
-    for name in ("_first_generators", "direct_product"):
+    for name in ("_first_generators", "_product_shortcut"):
         monkeypatch.setattr(solver_mod, name, forbidden)
     for ctx, sources in [(ba, ("or(x,not(x))", "1")), (ba, ("x", "y")),
                          (ka, ("and(x,not(x))", "and(y,not(y))")),
@@ -1154,10 +1154,16 @@ def test_each_section_found_is_a_homomorphism():
         note, data = _product_shortcut(alg_of(p), 2)
         if note["status"] != "projective":
             continue
-        prod, _, points, fk, section = data
-        pi = fk.images(prod, points)
-        assert prod.is_hom_map(section, fk.algebra), p.terms
-        assert [pi[section[x]] for x in range(prod.size)] == list(range(prod.size))
+        points, fk, section = data
+        # the built product numbers its tuples in lexicographic order
+        algebras = [f.algebra for f in alg_of(p).factors]
+        prod, _ = direct_product(algebras)
+        tuples = list(itertools.product(*(range(a.size) for a in algebras)))
+        index = {t: i for i, t in enumerate(tuples)}
+        as_list = [section[t] for t in tuples]
+        pi = fk.images(prod, [index[t] for t in points])
+        assert prod.is_hom_map(as_list, fk.algebra), p.terms
+        assert [pi[as_list[x]] for x in range(prod.size)] == list(range(prod.size))
         seen.add(note["generators"])
     assert seen == {0, 1, 2}
 
@@ -1190,9 +1196,9 @@ def test_first_generators_match_min_generators_n3():
     calls = []
     real_search = solver_mod._first_generators
 
-    def recording_search(ctx, prod, bound, budget):
-        found = real_search(ctx, prod, bound, budget)
-        calls.append((prod, found))
+    def recording_search(ctx, factors, bound, budget):
+        found = real_search(ctx, factors, bound, budget)
+        calls.append(found)
         return found
 
     seen = set()
@@ -1203,11 +1209,9 @@ def test_first_generators_match_min_generators_n3():
                 calls.clear()
                 note, _ = _product_shortcut(ap, bound)
                 pruned = not calls
-                if pruned:
-                    prod, _ = direct_product([f.algebra for f in ap.factors])
-                    found = None
-                else:
-                    [(prod, found)] = calls
+                algebras = [f.algebra for f in ap.factors]
+                prod, _ = direct_product(algebras)
+                [found] = calls or [None]
                 assert pruned == (prod.size > ctx.free_algebra(bound).size)
                 if bound == 3 and pruned:
                     # the subset search grinds for seconds here, and bounds
@@ -1226,12 +1230,16 @@ def test_first_generators_match_min_generators_n3():
                     continue
                 assert found is not None
                 gens, fk, pi = found
+                # P's tuples, mapped to the built product's elements
+                index = {t: i for i, t in enumerate(itertools.product(
+                    *(range(a.size) for a in algebras)))}
+                gens = tuple(index[t] for t in gens)
                 assert (len(gens), gens) == expected
                 assert note["generators"] == len(gens)
                 points = gens or (0,)
                 assert fk.n == len(points)
                 env = {var_name(i): e for i, e in enumerate(points)}
-                assert pi == [prod.eval(rep, env) for rep in fk.reps]
+                assert [index[t] for t in pi] == [prod.eval(rep, env) for rep in fk.reps]
                 seen.add(("found", len(gens), prod.size == fk.size))
     # the constants alone, free products of rank 1 and 2, and both skips
     assert {("found", 0, False), ("found", 1, True), ("found", 2, True),
@@ -1244,8 +1252,8 @@ def test_product_shortcut_free_algebra_above_budget():
     ctx = mk("N3", n3(), budget=400)
     above = {"status": "skipped", "reason": "free algebra above budget"}
     assert _product_shortcut(alg_of(prob(ctx, "x", "y")), 2)[0] == above
-    # no pair generates this 24-element product, but building it already
-    # costs 24 * 3 + 24 ** 2 + 1 = 649 cells
+    # no pair generates this 24-element product, but its cells, charged
+    # before its tuples are listed, are already 24 * 3 + 24 ** 2 + 1 = 649
     assert _product_shortcut(alg_of(prob(
         ctx, "x", "oplus(x,x)", "oplus(x,oplus(x,x))")), 2)[0] == {
             "status": "skipped", "reason": "search above budget"}
@@ -1280,6 +1288,30 @@ def test_product_shortcut_stops_on_its_budget(monkeypatch):
         assert _product_shortcut(ap, 4) == (
             {"status": "skipped", "reason": "search above budget"}, None)
     assert not walks
+
+
+def test_product_shortcut_walks_each_factor_tuple_once(monkeypatch):
+    # factors of 2, 2, 4 and 4 elements, so |P| = 64 = |F(3)|, and no triple
+    # generates P: pi is the zip of the maps F(3) -> E_j, each walked once
+    # per coordinate tuple, at most sum |E_j|^3 = 144 walks, where a walk of
+    # P per candidate triple makes C(64, 3) = 41,664
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    ap = alg_of(prob(ctx, "oplus(oplus(0,oplus(x,x)),x)",
+                     "oplus(oplus(oplus(x,x),oplus(x,0)),oplus(oplus(x,0),x))", "x", "x"))
+    assert [f.algebra.size for f in ap.factors] == [2, 2, 4, 4]
+    ctx.free_closure(3)
+    real_images, walks = FreeAlgebra.images, []
+
+    def counting_images(self, target, points, *rest):
+        walks.append(points)
+        return real_images(self, target, points, *rest)
+
+    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
+    assert _product_shortcut(ap, 3) == (
+        {"status": "skipped", "reason": "no generating set of size <= 3"}, None)
+    assert 0 < len(walks) <= 144
 
 
 def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():

@@ -955,7 +955,8 @@ def test_shared_index_set_matches_a_fresh_one(ctx_factory):
     rng.shuffle(cases)
     for names in cases:
         view = ctx.components_for(names)
-        fresh = _Components(ctx.spec, names, Budget(DEFAULT_BUDGET))
+        # an equal spec holds no index set yet, so it builds one
+        fresh = _Components(VarietySpec(*ctx.spec._values), names, Budget(DEFAULT_BUDGET))
         assert view.projections == fresh.projections
         assert (view.width, view.op_tables) == (fresh.width, fresh.op_tables)
         assert view.op_tables is ctx.components_for(names[::-1]).op_tables
@@ -1235,6 +1236,26 @@ def test_index_set_budget_exit_repeats_and_stores_nothing(monkeypatch):
     assert built == [4]
     assert ctx.holds_identity(parse_term("and(v0,v1)", sig), parse_term("and(v1,v0)", sig))
     assert built == [4, 2]
+
+
+def test_free_algebra_and_terms_share_one_index_set_per_count(monkeypatch):
+    # F(n) and term evaluation over n variables read the spec's one index
+    # set for n: a cold kleene solve over x and y builds it for 1 and 2 once
+    from algen import solver, variety
+
+    built = []
+
+    class CountingIndex(variety._AssignmentIndex):
+        def __init__(self, spec, n):
+            built.append(n)
+            super().__init__(spec, n)
+
+    monkeypatch.setattr(variety, "_AssignmentIndex", CountingIndex)
+    ctx = VarietyContext(load_variety("varieties/kleene.var"))
+    sig = ctx.spec.sig
+    solver.solve(solver.SymbolicProblem(ctx, (parse_term("and(x,not(x))", sig),
+                                              parse_term("and(y,not(y))", sig))))
+    assert sorted(built) == [1, 2]
 
 
 def test_index_set_peaks_at_what_it_holds():
