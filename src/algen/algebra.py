@@ -91,7 +91,6 @@ class FiniteAlgebra:
             if op not in tables:
                 raise AlgebraError(f"missing table for operation {op!r}")
             self.tables[op] = copy(op, tables[op], (), arity)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod
     def _trusted(cls, sig: Signature, labels: Sequence[str],
@@ -105,7 +104,6 @@ class FiniteAlgebra:
         a.labels = tuple(labels)
         a.name = name
         a.tables = tables
-        a.label_index = {lab: i for i, lab in enumerate(a.labels)}
         return a
 
     @property
@@ -120,6 +118,11 @@ class FiniteAlgebra:
         for a in args:
             r = r[a]
         return r
+
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        """Each label's element, built on first read."""
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
     def _translations(self) -> tuple[tuple[int, ...], ...]:

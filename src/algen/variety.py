@@ -615,10 +615,6 @@ class _ClosureAlgebra(FiniteAlgebra):
     def labels(self) -> tuple[str, ...]:
         return tuple(map(term_to_str, self._terms.complete()))
 
-    @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
 
 def _settle_levels(sig: Signature, tables, reps: list,
                    seeds: dict[int, Term], mirrored: frozenset[str]):
@@ -908,11 +904,6 @@ class VarietyContext:
                                  self.spec.commutative).rep(0)
             return alg, kernel, nat, ground
         return self.memo(("factor", term_range), build)
-
-    def exact_factor(self, varnames: Sequence[str], t: Term,
-                     vec: tuple[int, ...]) -> ExactFactor:
-        """E(t), for t with value vector ``vec`` over ``varnames``."""
-        return ExactFactor(self, self.term_range(len(varnames), vec), t)
 
     def holds_identity(self, s: Term, t: Term) -> bool:
         """Whether the variety satisfies s = t, by evaluating both sides in

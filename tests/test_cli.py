@@ -22,6 +22,42 @@ def test_golden_outputs(fname, argv):
     assert text == (GOLDEN / fname).read_text(encoding="utf-8")
 
 
+_RENDERED = [(fname, argv) for fname, argv in CASES if "--json" not in argv]
+
+
+@pytest.mark.parametrize("fname,argv", _RENDERED, ids=[c[0] for c in _RENDERED])
+def test_text_and_dot_goldens_render_from_the_json_document(fname, argv):
+    # the text and DOT renderers read nothing but the document: the one
+    # that --json prints, read back, renders each golden byte for byte, so
+    # the formats cannot drift apart
+    from algen.cli import build_parser, render
+
+    code, text = run_case([a for a in argv if a != "--dot"] + ["--json"])
+    assert code == EXPECTED_EXIT.get(fname, 0)
+    args = build_parser().parse_args(argv)
+    assert render(args, json.loads(text)) == (GOLDEN / fname).read_text(encoding="utf-8")
+
+
+def test_dot_is_an_option_exactly_where_a_dot_renderer_is(capsys):
+    # con, solve and kleene-dual register a DOT renderer; every other
+    # subcommand rejects --dot as an unknown argument
+    from algen.cli import main
+
+    first = {}
+    for _, argv in CASES:
+        if "--json" not in argv and "--dot" not in argv:
+            first.setdefault(argv[0], argv)
+    assert len(first) == 8
+    for command, argv in first.items():
+        code = main(argv + ["--dot"])
+        out, err = capsys.readouterr()
+        if command in ("con", "solve", "kleene-dual"):
+            assert code == 0 and out.startswith("digraph "), command
+        else:
+            assert (code, out, err) == (
+                1, "", "error: algen: unrecognized arguments: --dot\n"), command
+
+
 def test_byte_identical_across_runs():
     for fname, argv in CASES[:6]:
         c1, t1 = run_case(argv)

@@ -44,7 +44,8 @@ from algen.solver import (
     two_term_unitary,
 )
 from algen.terms import App, Substitution, Var, apply_subst, parse_term, term_to_str, term_vars
-from algen.variety import Budget, BudgetExceeded, FreeAlgebra, VarietyContext, VarietySpec
+from algen.variety import (Budget, BudgetExceeded, ExactFactor, FreeAlgebra, VarietyContext,
+                           VarietySpec)
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
                        semilattice2)
@@ -1112,7 +1113,8 @@ def test_factor_rep_stops_at_its_element(workload):
                                    {0: f.term}, ctxs[v].spec.commutative).complete()
                 elements = list(f.algebra.elements())
                 for order in (elements, elements[::-1]):
-                    fresh = ctxs[v].exact_factor(list(p.variables), f.term, vec)
+                    fresh = ExactFactor(ctxs[v], ctxs[v].term_range(len(p.variables), vec),
+                                        f.term)
                     assert [fresh.rep(e) for e in order] == [full[e] for e in order]
     assert len(seen) > 500
 
@@ -1450,7 +1452,6 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
     # composition to the identity is the only walk of F(1) into itself
     # that a solve on a classified context makes
     from algen.varfile import load_variety
-    from algen.variety import ExactFactor
 
     built, walks = [], []
     real_init, real_images = ExactFactor.__init__, FreeAlgebra.images
@@ -1530,7 +1531,8 @@ def test_range_memos_match_a_fresh_context_per_problem(workload, seed):
             names = list(q.variables)
             comps = fresh.components_for(names)
             assert alg_of(p).kernel == functools.reduce(Congruence.meet, (
-                fresh.exact_factor(names, t, comps.eval_term(t)).kernel for t in terms))
+                ExactFactor(fresh, fresh.term_range(len(names), comps.eval_term(t)), t).kernel
+                for t in terms))
             solved += 1
         assert solved >= 60, (bound, solved)
 

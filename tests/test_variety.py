@@ -12,7 +12,7 @@ from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
-                           FreeAlgebra, GeneratedSubalgebra, VarietyContext,
+                           ExactFactor, FreeAlgebra, GeneratedSubalgebra, VarietyContext,
                            VarietySpec, _Components, _LeastTerms,
                            _settle_levels, var_name)
 
@@ -646,7 +646,8 @@ def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
 
 def factor_of(ctx, names, t):
     """E(t) over ``names``, with t's value vector evaluated here."""
-    return ctx.exact_factor(names, t, ctx.components_for(names).eval_term(t))
+    vec = ctx.components_for(names).eval_term(t)
+    return ExactFactor(ctx, ctx.term_range(len(names), vec), t)
 
 
 def ground_terms(alg):
