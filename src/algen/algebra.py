@@ -1,6 +1,8 @@
 """Finite algebras: operation tables, homomorphisms, congruences, and the
 universal-algebra toolbox (products, generated subalgebras, quotients,
-principal congruences, congruence lattices, generator search).
+principal congruences, congruence lattices, generator search).  One
+closure routine, ``_closure``, generates every subalgebra and subpower,
+in the order F(n)'s closure in ``variety.py`` uses.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -156,38 +158,12 @@ class FiniteAlgebra:
         return tuple(sorted(e for e, _, _ in self.steps(gens)))
 
     def steps(self, gens: Iterable[int]) -> list[tuple]:
-        """The derivation of the subalgebra that ``gens`` generate, in
-        closure order: (e, None, i) for gens[i], (e, op, args) for the first
-        application of op that yields e.  Deterministic: seeds in given
-        order, then constants, then rounds of signature-ordered operations
-        over argument tuples in closure order, each pass over the elements
-        found before it began.
-        """
-        deriv: dict[int, tuple] = {}  # each element's step, in closure order
-        for i, g in enumerate(gens):
-            deriv.setdefault(g, (g, None, i))
-        changed = True
-        while changed:
-            changed = False
-            for op, arity in self.sig.ops:
-                table = self.tables[op]
-                if not arity:
-                    if table not in deriv:
-                        deriv[table] = (table, op, ())
-                        changed = True
-                    continue
-                elems = tuple(deriv)
-                # one peeled row per argument prefix, then one lookup per last
-                for prefix in itertools.product(elems, repeat=arity - 1):
-                    row = table
-                    for a in prefix:
-                        row = row[a]
-                    for b in elems:
-                        r = row[b]
-                        if r not in deriv:
-                            deriv[r] = (r, op, prefix + (b,))
-                            changed = True
-        return list(deriv.values())
+        """The derivation of the subalgebra that ``gens`` generate, in the
+        closure order of ``_closure``: (e, None, i) for gens[i], a repeated
+        generator counted once, and (e, op, args) for the first application
+        of op that yields e."""
+        return [(e, op, args if op is None else tuple(a for a, in args))
+                for (e,), (op, args) in _closure([self], [(g,) for g in gens]).items()]
 
     def is_hom_map(self, mapping: Sequence[int], cod: "FiniteAlgebra") -> bool:
         if len(mapping) != self.size:
@@ -328,25 +304,41 @@ def _walk(rows, vectors: list, prefix: tuple) -> tuple:
     return rows
 
 
-def subpower(algebras: Sequence[FiniteAlgebra],
-             seeds: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The tuples that ``seeds`` and the constants generate in the product
-    of ``algebras``, read off the factors' own tables: each round reads only
-    the argument tuples, in ``_fresh_rows`` order, with a new tuple in them."""
-    ops = [(tuple(a.tables[op] for a in algebras), arity) for op, arity in algebras[0].sig.ops]
-    members = {*seeds, *(base for base, arity in ops if not arity)}
-    found, old = list(members), 0
-    while old < len(found):
-        m = len(found)
-        for base, arity in ops:
-            for prefix, s in _fresh_rows(arity, old, m) if arity else ():
+def _closure(algebras: Sequence[FiniteAlgebra],
+             seeds: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple]:
+    """The tuples that ``seeds`` generate in the product of ``algebras``,
+    read off the factors' own tables, each mapped in F(n)'s closure order
+    to its first derivation: (None, i) for seeds[i], a repeated seed counted
+    once, else (op, argument tuples).  After the seeds come rounds of
+    passes in signature order, a constant's adding it in the first round;
+    a pass reads, in ``_fresh_rows`` order, the argument tuples over the
+    tuples found before it that hold one found since that operation's last
+    pass.  A round that adds nothing ends it."""
+    deriv: dict[tuple[int, ...], tuple] = {}
+    for i, seed in enumerate(seeds):
+        deriv.setdefault(seed, (None, i))
+    found, seen, count = list(deriv), {}, None
+    while count != len(found):
+        count = len(found)
+        for op, arity in algebras[0].sig.ops:
+            base, m = tuple(a.tables[op] for a in algebras), len(found)
+            if not arity and base not in deriv:
+                deriv[base] = (op, ())
+                found.append(base)
+            for prefix, s in _fresh_rows(arity, seen.get(op, 0), m) if arity else ():
                 rows = _walk(base, found, prefix)
                 for t in found[s:m]:
-                    if (r := tuple(map(getitem, rows, t))) not in members:
-                        members.add(r)
+                    if (r := tuple(map(getitem, rows, t))) not in deriv:
+                        deriv[r] = (op, (*map(found.__getitem__, prefix), t))
                         found.append(r)
-        old = m
-    return members
+            seen[op] = m
+    return deriv
+
+
+def subpower(algebras: Sequence[FiniteAlgebra],
+             seeds: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The tuples that ``seeds`` and the constants generate in the product of ``algebras``."""
+    return set(_closure(algebras, seeds))
 
 
 def min_generators(a: FiniteAlgebra, max_size: int | None = None):
@@ -357,10 +349,9 @@ def min_generators(a: FiniteAlgebra, max_size: int | None = None):
     size exists.
     """
     limit = a.size if max_size is None else min(max_size, a.size)
-    universe = set(a.elements())
     for k in range(limit + 1):
         for combo in itertools.combinations(range(a.size), k):
-            if set(a.subuniverse(combo)) == universe:
+            if len(a.subuniverse(combo)) == a.size:
                 return k, tuple(combo)
     raise AlgebraError(f"no generating set of size <= {limit}")
 

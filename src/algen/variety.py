@@ -895,12 +895,9 @@ class VarietyContext:
     def term_range(self, n: int, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
         """The range of a term: the (generating algebra, value) pairs that
         ``vec``, its value vector over n variables, hits."""
-        term_range, start = [], 0
-        for gi, g in enumerate(self.spec.generators):
-            stop = start + g.size ** n
-            term_range += [(gi, a) for a in sorted(set(vec[start:stop]))]
-            start = stop
-        return tuple(term_range)
+        return tuple((gi, a) for gi, (start, stop)
+                     in enumerate(self.spec.assignment_index(n).segments)
+                     for a in sorted(set(vec[start:stop])))
 
     def range_factor(self, term_range: tuple[tuple[int, int], ...]):
         """What E(t) = F(1)/ker(x1 -> t) takes from t's range, found once per
@@ -922,8 +919,8 @@ class VarietyContext:
         """Whether the variety satisfies s = t, by evaluating both sides in
         the free algebra over their joint variables (checked coordinatewise
         over all assignments into the generating algebras)."""
-        check_term(s, self.spec.sig)
-        check_term(t, self.spec.sig)
-        names = term_vars(t, term_vars(s))
+        names: list[str] = []  # the joint variables, found by the arity walks
+        check_term(s, self.spec.sig, names)
+        check_term(t, self.spec.sig, names)
         comps = self.components_for(names)
         return comps.eval_term(s) == comps.eval_term(t)

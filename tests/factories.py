@@ -167,3 +167,16 @@ def brute_force_congruences(a):
         if ok:
             found.append(theta)
     return set(found)
+
+
+if __name__ == "__main__":
+    # the variety file of an n-element Kleene chain, not(i) = n - 1 - i:
+    #     python tests/factories.py N > chain.var
+    import sys
+
+    from algen.varfile import dump_variety
+    from algen.variety import VarietySpec
+
+    n = int(sys.argv[1])
+    chain = kleene_chain([str(i) for i in range(n)], lambda i: n - 1 - i)
+    sys.stdout.write(dump_variety(VarietySpec("chain", chain.sig, (chain,))))

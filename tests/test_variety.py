@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from algen.algebra import AlgebraError, FiniteAlgebra, direct_product
+from algen.algebra import AlgebraError, FiniteAlgebra, _closure, direct_product
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety, loads_variety
@@ -370,6 +370,21 @@ GROUPOIDS = random_groupoids(22, 16)
 def test_closure_matches_reference_on_shipped(variety, n):
     spec = load_variety(f"varieties/{variety}.var")
     assert_closure_matches_reference(spec, [f"x{i + 1}" for i in range(n)])
+
+
+@pytest.mark.parametrize("variety,n", [(v, n) for v in SHIPPED for n in (1, 2, 3)
+                                       if (v, n) not in {("kleene", 3), ("godel3", 3)}])
+def test_free_algebra_order_is_the_one_closure_order(variety, n):
+    # F(n) is the closure of the projection vectors in the product of one
+    # generating algebra per coordinate, and algebra._closure lists that
+    # closure's tuples in F(n)'s element order (kleene's and godel3's F(3)
+    # exceed the default budget)
+    ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
+    f, comps = ctx.free_algebra(n), ctx.components_for(n)
+    factors = [g for g, (start, stop) in zip(ctx.spec.generators, comps.segments)
+               for _ in range(start, stop)]
+    seeds = [tuple(p) for p in comps.projections.values()]
+    assert [tuple(comps.eval_term(r)) for r in f.reps] == list(_closure(factors, seeds))
 
 
 @pytest.mark.parametrize("spec,n", [
