@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 from .algebra import (
@@ -43,6 +43,7 @@ from .variety import (
     ExactFactor,
     FreeAlgebra,
     VarietyContext,
+    seed_rep,
     var_name,
 )
 
@@ -139,35 +140,38 @@ class AlgebraicProblem:
     algebra, the exact factors generated by each term, and the problem
     kernel, the intersection of the factors' kernels.
 
-    Per problem, the terms are evaluated once, in one assignment view over
-    the problem's variables, which the verification gate reuses, and each
-    term's range is read off its value vector.  Everything else depends
-    only on the ranges, so the context finds it once: each range's factor
-    algebra, kernel and quotient map, and the kernel of each set of ranges
-    (the meet ignores order and repeats).  ``factors``, which carry each
-    term's own representatives, are built on first read, so a problem that
-    emits no answer builds none."""
+    The context builds and charges one assignment view per variable count;
+    a problem evaluates its terms once in it, under ``env``, the view's
+    projections by the problem's variable names, which the verification
+    gate reuses.  Everything else depends only on the term ranges, so the
+    context finds it once: each range's ``range_factor`` entry, which the
+    problem fetches once per term, and the kernel of each set of ranges."""
 
     def __init__(self, problem: SymbolicProblem):
-        self.problem = problem
-        ctx = problem.ctx
-        self.free1 = ctx.free_algebra(1)
-        names = list(problem.variables)
-        self.comps = ctx.components_for(names)
-        self.vectors = tuple(map(self.comps.eval_term, problem.terms))
-        self.ranges = tuple(ctx.term_range(len(names), vec) for vec in self.vectors)
+        self.problem, self.ctx = problem, problem.ctx
+        ctx, n = problem.ctx, len(problem.variables)
+        self.comps = ctx.memo(("view", n), lambda: ctx.components_for(n))
+        self.env = dict(zip(problem.variables, self.comps.projections.values()))
+        self.vectors = tuple(self.comps.eval_term(t, self.env) for t in problem.terms)
+        self.ranges = tuple(ctx.term_range(n, vec) for vec in self.vectors)
+        self.entries = tuple(map(ctx.range_factor, self.ranges))
         self.kernel: Congruence = ctx.memo(
             ("kernel", frozenset(self.ranges)), lambda: reduce(
-                Congruence.meet, (ctx.range_factor(r)[1] for r in self.ranges)))
-
-    @cached_property
-    def factors(self) -> list[ExactFactor]:
-        return [ExactFactor(self.ctx, r, t)
-                for r, t in zip(self.ranges, self.problem.terms)]
+                Congruence.meet, (entry[1] for entry in self.entries)))
+        self._factors: dict[int, ExactFactor] = {}
 
     @property
-    def ctx(self) -> VarietyContext:
-        return self.problem.ctx
+    def factors(self) -> list[ExactFactor]:
+        return [ExactFactor(self.ctx, r, t) for r, t in zip(self.ranges, self.problem.terms)]
+
+    def witness(self, k: int, e: int) -> Term:
+        """Element ``e``'s least term built from t_k in t_k's exact factor:
+        ``seed_rep`` for 0, else the factor's, built once per position."""
+        if e == 0:
+            return seed_rep(self.entries[k], self.problem.terms[k])
+        if k not in self._factors:
+            self._factors[k] = ExactFactor(self.ctx, self.ranges[k], self.problem.terms[k])
+        return self._factors[k].rep(e)
 
 
 def alg_of(problem: SymbolicProblem) -> AlgebraicProblem:
@@ -574,15 +578,15 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
 
     Per (theta, retract), once on the context: the retract pair is
     re-verified, and the context keeps u, the least member of the block the
-    retraction sends the generator to, with the solution term.  Per range,
-    once: u's element in each exact factor, read off the factor's quotient
-    map.  Per problem: theta is checked against the problem kernel, each
-    witness is the least term of u's element built from the problem's own
-    term, and the witnesses are re-checked against the variety.  Any
-    failure raises InternalVerificationError.
+    retraction sends the generator to, with the solution term.  Per
+    problem: theta is checked against the problem kernel, u's element in
+    each exact factor is read off its range's quotient map, each witness is
+    that element's least term built from the problem's own term, and the
+    witnesses are re-checked against the variety.  Any failure raises
+    InternalVerificationError.
     """
     def retract_pair() -> tuple[int, Term]:
-        f1 = ap.free1
+        f1 = ap.ctx.free_algebra(1)
         a1 = f1.algebra
         t, q = retract
         # the quotient numbers its blocks by their least members; u is the
@@ -601,8 +605,8 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     # f factors the problem through the quotient; its value on block q is
     # h(u), u's image under each factor's quotient map
     entry = SolutionEntry(s_term, tuple(
-        Substitution.make({OUTPUT_VAR: factor.rep(factor.natural[u])})
-        for factor in ap.factors))
+        Substitution.make({OUTPUT_VAR: ap.witness(k, natural[u])})
+        for k, (_, _, natural, _, _) in enumerate(ap.entries)))
     _verify_entry(ap, entry)
     return entry
 
@@ -631,7 +635,7 @@ def _verify_entry(ap: AlgebraicProblem, entry: SolutionEntry) -> None:
             if b is not t:
                 check_term(b, sig)
         try:
-            env = {v: vec if b is t else ap.comps.eval_term(b)
+            env = {v: vec if b is t else ap.comps.eval_term(b, ap.env)
                    for v, b in zip(names, bindings)}
         except AlgebraError as e:
             raise InternalVerificationError(
@@ -806,8 +810,9 @@ def _first_generators(ctx: VarietyContext, factors: Sequence[FiniteAlgebra],
     factor elements, in lexicographic order, and pi is the zip of the maps
     F(k) -> E_j with x_i -> p_i[j], each walked once per coordinate tuple.
     A tuple generates iff pi is onto, by the universal property of F(k),
-    and a k-generated algebra has at most |F(k)| elements, so a k with
-    |P| > |F(k)| is skipped.  When the constants generate, k = 0 and x1
+    hence only if each map is, so a map not onto E_j is kept as None and
+    drops its candidates; a k-generated algebra has at most |F(k)|
+    elements, so a k with |P| > |F(k)| is skipped.  When the constants generate, k = 0 and x1
     goes to (0, ..., 0).  Each k charges its C(|P|, k) walks of |F(k)|
     steps to ``budget`` before the first; raises BudgetExceeded for those
     or for an F(k) above the budget."""
@@ -823,9 +828,14 @@ def _first_generators(ctx: VarietyContext, factors: Sequence[FiniteAlgebra],
         budget.charge(math.comb(size, k) * fk.size, "product shortcut")
         walks = [{} for _ in factors]  # per factor, its images by coordinate tuple
         for gens in itertools.combinations(elements, k):
-            columns = [seen.get(c) or seen.setdefault(c, fk.images(f, c))
-                       for f, seen, c in zip(factors, walks, zip(*gens))]
-            if len(set(zip(*columns))) == size:
+            columns = []
+            for f, seen, c in zip(factors, walks, zip(*gens)):
+                if c not in seen:
+                    seen[c] = None if len(set(image := fk.images(f, c))) < f.size else image
+                if (column := seen[c]) is None:
+                    break
+                columns.append(column)
+            if len(columns) == len(factors) and len(set(zip(*columns))) == size:
                 return gens, fk, list(zip(*columns))
     return None
 
@@ -859,7 +869,7 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     ctx = ap.ctx
 
     def search():
-        factors = [ctx.range_factor(r)[0] for r in ap.ranges]
+        factors = [entry[0] for entry in ap.entries]
         no_gens = {"status": "skipped",
                    "reason": f"no generating set of size <= {bound}"}
         try:
@@ -963,9 +973,9 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     factor, witnesses it.  Output variables are z1..zn."""
     points, _, _, s_term = retract_data
     witnesses = [
-        Substitution.make({f"z{i + 1}": factor.rep(p[j])
+        Substitution.make({f"z{i + 1}": ap.witness(j, p[j])
                            for i, p in enumerate(points)})
-        for j, factor in enumerate(ap.factors)]
+        for j in range(len(ap.entries))]
     entry = SolutionEntry(s_term, tuple(witnesses))
     _verify_entry(ap, entry)
     return entry
@@ -1023,12 +1033,12 @@ def pairwise_reduce(problem: SymbolicProblem,
 
     ap = alg_of(problem)
     witnesses = []
-    for factor in ap.factors:
-        found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], 0)
+    for k, (alg, *_) in enumerate(ap.entries):
+        found = _first_assignment(alg, final, [OUTPUT_VAR], 0)
         if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")
-        witnesses.append(Substitution.make({OUTPUT_VAR: factor.rep(found[0])}))
+        witnesses.append(Substitution.make({OUTPUT_VAR: ap.witness(k, found[0])}))
     entry = SolutionEntry(final, tuple(witnesses))
     _verify_entry(ap, entry)
 

@@ -199,7 +199,7 @@ class VarietySpec(_Value):
     def packed_tables(self) -> dict[str, tuple[int, list[bytes]]]:
         """Each operation whose keys a1*q**(k-1) + ... + ak fit a byte, q the
         largest algebra's size: q and each generating algebra's table at
-        those keys, 256 bytes.  Only term evaluation builds them."""
+        those keys, 256 bytes.  Each assignment view holds them."""
         q = max(g.size for g in self.generators)
         return {op: (q, [_radix_table(g.tables[op], q, arity).ljust(256, b"\0")
                          for g in self.generators])
@@ -261,7 +261,7 @@ class _Components:
         if isinstance(varnames, int):
             varnames = [var_name(i) for i in range(n)]
         shared = spec.assignment_index(n)
-        self.spec, self.code, self.width = spec, shared.code, shared.width
+        self.packed, self.code, self.width = spec.packed_tables, shared.code, shared.width
         self.segments, self.op_tables = shared.segments, shared.op_tables
         # each variable's value vector
         self.projections = dict(zip(varnames, shared.projections))
@@ -277,7 +277,7 @@ class _Components:
             return env[t.name]
         if not t.args:
             return self.op_tables[t.op]
-        packed = self.spec.packed_tables.get(t.op)
+        packed = self.packed.get(t.op)
         if packed is None:  # one coordinate at a time
             rows = self.op_tables[t.op]
             for a in t.args[:-1]:
@@ -745,37 +745,45 @@ class _LeastTerms:
         return next(e for e, _ in self.steps if e in wanted)
 
 
+def seed_rep(entry: tuple, term: Term) -> Term:
+    """Element 0's least term in E(term), from its range's ``range_factor``
+    entry: term or, where that ranks lower, the least ground term.  Ranks
+    order by size first, so term's nodes are counted only up to one past
+    the ground term's size, and its full rank is read only on a tie."""
+    alg, _, _, ground, rank = entry
+    if ground is None:
+        return term
+    size, stack = 0, [term]
+    while stack and size <= rank[0]:
+        size += 1
+        if isinstance(u := stack.pop(), App):
+            stack.extend(u.args)
+    below = rank < term_rank(term, alg.sig) if size == rank[0] else rank[0] < size
+    return ground if below else term
+
+
 class ExactFactor:
     """The exact factor E(t) of a term t: F(1)/kernel, with kernel that of
     x1 -> t, shared through the context by every term with t's range.  Its
     element 0, the block of x1, stands for t, ``natural`` is the quotient
     map of F(1) onto it, and its representatives are t's own.  Element 0's
-    is read off t and the range's ground term; the least-term sweep seeded
-    with t starts only when another element is read."""
+    is read off t and the range's entry; the least-term sweep seeded with t
+    runs only when another element is read."""
 
     def __init__(self, ctx: "VarietyContext", term_range: tuple[tuple[int, int], ...],
                  term: Term):
-        (self.algebra, self.kernel, self.natural, self.ground,
-         self._ground_rank) = ctx.range_factor(term_range)
-        self.term = term
-        self.range = term_range
-        self._mirrored = ctx.spec.commutative
-
-    @cached_property
-    def _terms(self) -> _LeastTerms:
-        return _LeastTerms(self.algebra.sig, self.algebra.tables,
-                           self.algebra.size, {0: self.term}, self._mirrored)
+        self._entry = ctx.range_factor(term_range)
+        self.algebra, self.kernel, self.natural, self.ground, _ = self._entry
+        self.term, self.range = term, term_range
+        self._terms = _LeastTerms(self.algebra.sig, self.algebra.tables,
+                                  self.algebra.size, {0: term}, ctx.spec.commutative)
 
     def rep(self, e: int) -> Term:
-        """Element ``e``'s least term built from t.  Element 0's is t or its
-        least ground term, as any other term of it contains t.  Other least
-        terms depend on t's size and code, so each term has its own; the
-        sweep is resumed only up to ``e``'s level, whose terms are final."""
-        if e == 0:
-            return (self.ground if self.ground is not None
-                    and self._ground_rank < term_rank(self.term, self.algebra.sig)
-                    else self.term)
-        return self._terms.rep(e)
+        """Element ``e``'s least term built from t; element 0's is
+        ``seed_rep``'s.  Other least terms depend on t's size and code, so
+        each term has its own; the sweep is resumed only up to ``e``'s
+        level, whose terms are final."""
+        return seed_rep(self._entry, self.term) if e == 0 else self._terms.rep(e)
 
 
 class FreeAlgebra(GeneratedSubalgebra):
@@ -895,6 +903,8 @@ class VarietyContext:
     def term_range(self, n: int, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
         """The range of a term: the (generating algebra, value) pairs that
         ``vec``, its value vector over n variables, hits."""
+        if len(self.spec.generators) == 1:  # one segment, the whole vector
+            return tuple((0, a) for a in sorted(set(vec)))
         return tuple((gi, a) for gi, (start, stop)
                      in enumerate(self.spec.assignment_index(n).segments)
                      for a in sorted(set(vec[start:stop])))

@@ -391,13 +391,13 @@ def test_planted_witness_exits_4(plant, message, monkeypatch, capsys):
     # one that uses a variable the problem does not have, is an internal
     # error with one line on stderr
     from algen.cli import EXIT_INTERNAL, main
+    from algen.solver import AlgebraicProblem
     from algen.terms import App, Var
-    from algen.variety import ExactFactor
 
-    real = ExactFactor.rep
-    planted = {"wrong-value": lambda f, e: App("not", (real(f, e),)),
-               "outside-variable": lambda f, e: Var("w")}[plant]
-    monkeypatch.setattr(ExactFactor, "rep", planted)
+    real = AlgebraicProblem.witness
+    planted = {"wrong-value": lambda ap, k, e: App("not", (real(ap, k, e),)),
+               "outside-variable": lambda ap, k, e: Var("w")}[plant]
+    monkeypatch.setattr(AlgebraicProblem, "witness", planted)
     code = main(["solve", "varieties/boolean.var", "and(x,y)", "not(x)"])
     assert code == EXIT_INTERNAL == 4
     out, err = capsys.readouterr()

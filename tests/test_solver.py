@@ -110,7 +110,7 @@ def kernel_by_product_oracle(ap):
     """Lemma-free route: materialize the factor product and take the kernel
     of the evaluation into it directly."""
     prod, projs = direct_product([f.algebra for f in ap.factors])
-    f1 = ap.free1
+    f1 = ap.ctx.free_algebra(1)
     images = []
     for rep in f1.reps:
         per_factor = tuple(f.algebra.eval(rep, {"x1": 0}) for f in ap.factors)
@@ -282,7 +282,7 @@ def test_alg_of_single_term_injective(ka):
 def test_alg_of_projections_surjective(ka):
     # p_k . h is onto E(t_k): the unary-term images of t_k cover the factor
     ap = alg_of(prob(ka, "and(x,not(x))", "or(y,1)"))
-    f1 = ap.free1
+    f1 = ap.ctx.free_algebra(1)
     for f in ap.factors:
         images = {f.algebra.eval(rep, {"x1": 0}) for rep in f1.reps}
         assert images == set(range(f.algebra.size))
@@ -1317,6 +1317,37 @@ def test_product_shortcut_walks_each_factor_tuple_once(monkeypatch):
     assert 0 < len(walks) <= 144
 
 
+def test_first_generators_zip_only_candidates_onto_every_factor(monkeypatch):
+    # on the same 64-element product, where only triples are tried, a
+    # candidate's map onto P is zipped only when each of its factor maps,
+    # recorded once per coordinate tuple, is onto its E_j: 10,960 of the
+    # C(64, 3) = 41,664 triples, each of which was zipped before.  The
+    # charge is still C(64, 3) walks of F(3), made before the first
+    import builtins
+
+    import algen.solver as solver_mod
+    from algen.varfile import load_variety
+
+    ctx = VarietyContext(load_variety("varieties/n3.var"))
+    ap = alg_of(prob(ctx, "oplus(oplus(0,oplus(x,x)),x)",
+                     "oplus(oplus(oplus(x,x),oplus(x,0)),oplus(oplus(x,0),x))", "x", "x"))
+    factors = [f.algebra for f in ap.factors]
+    assert [f.size for f in factors] == [2, 2, 4, 4]
+    zipped = []
+
+    def counting_zip(*args):
+        if args and all(isinstance(a, list) for a in args):  # F(k)'s maps
+            zipped.append(len(args))
+        return builtins.zip(*args)
+
+    monkeypatch.setattr(solver_mod, "zip", counting_zip, raising=False)
+    budget = Budget(ctx.budget_limit)
+    assert solver_mod._first_generators(ctx, factors, 3, budget) is None
+    assert set(zipped) == {4} and len(zipped) <= 11_000, len(zipped)
+    assert budget.used == sum(math.comb(64, k) * ctx.free_closure(k).size
+                              for k in (1, 2, 3) if 64 <= ctx.free_closure(k).size)
+
+
 def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
     # x, y and oplus(x,y), w have the same factor ranges, so one algebra per
     # factor and one product shortcut; the witnesses are each problem's own
@@ -1454,27 +1485,36 @@ def test_gate_rejects_misplaced_and_foreign_bindings(ka):
 
 
 def test_solve_builds_one_assignment_view(monkeypatch):
-    # on a warm context a solve evaluates its terms in one view over the
-    # problem's variables, which the exact factors and the gate reuse
+    # a context builds one assignment view per variable count, in which
+    # each problem with that many variables evaluates its terms under its
+    # own names and which the gate reuses: on a warm context a solve builds
+    # no view, and a problem over other names of the same count shares it
     import algen.variety
     from algen.varfile import load_variety
 
     views = []
     real = algen.variety._Components.__init__
+    renamed = Substitution.make({"x": Var("u"), "y": Var("v")})
     for variety, sources in [("boolean", ("and(x,y)", "not(x)")),
                              ("kleene", ("and(x,not(x))", "and(y,not(y))", "x")),
                              ("godel3", ("imp(x,y)", "1")), ("n3", ("x", "y")),
                              ("n3", ("oplus(x,x)", "0"))]:
         ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
         p = SymbolicProblem(ctx, tuple(parse_term(t, ctx.spec.sig) for t in sources))
-        solve(p)  # warms the context: free algebras, classification
+        q = SymbolicProblem(ctx, tuple(apply_subst(renamed, t) for t in p.terms))
+        solve(p)  # warms the context: free algebras, classification, the view
         monkeypatch.setattr(algen.variety._Components, "__init__",
                             lambda self, *a: views.append(a) or real(self, *a))
-        r = solve(p)
+        reports = [solve(p), solve(q)]
+        ap, aq = alg_of(p), alg_of(q)
         monkeypatch.setattr(algen.variety._Components, "__init__", real)
-        assert len(views) == 1, sources
-        assert views.pop()[1] == list(p.variables)
-        assert_report_sound(r)
+        assert views == [], sources
+        assert ap.comps is aq.comps
+        assert list(aq.env) == list(q.variables) == [renamed.get(v).name
+                                                      for v in p.variables]
+        assert list(ap.env.values()) == list(aq.env.values())
+        for r in reports:
+            assert_report_sound(r)
 
 
 def test_packed_keys_evaluate_every_n3_node(monkeypatch):
@@ -1512,9 +1552,11 @@ def test_packed_keys_evaluate_every_n3_node(monkeypatch):
 def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypatch):
     # on a warm context a solve reads its kernel and its shortcut off the
     # term ranges: an inconclusive n3 solve constructs no ExactFactor, and
-    # a 1EP solve constructs one per term, for its witnesses.  The retract
-    # pair of each (theta, retract) is checked once per context; its
-    # composition to the identity is the only walk of F(1) into itself
+    # an answer constructs one for each term whose witness is an element
+    # other than 0, the term's own, found here from the shortcut's points
+    # and from each retraction's block under the range's quotient map.  The
+    # retract pair of each (theta, retract) is checked once per context;
+    # its composition to the identity is the only walk of F(1) into itself
     # that a solve on a classified context makes
     from algen.varfile import load_variety
 
@@ -1533,12 +1575,17 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
     problems = n3_stream_problems(ctx, 100)
     for p in problems:
         solve(p)  # warms the context
-    kinds = []
+    kinds, other = [], 0
     for p in problems:
         built.clear()
         kinds.append(solve(p).type.kind)
-        assert len(built) == (0 if kinds[-1] == "inconclusive" else len(p.terms)), p.terms
+        _, data = _product_shortcut(alg_of(p), 2)
+        expected = [] if data is None else [
+            j for j in range(len(p.terms)) if any(point[j] for point in data[0])]
+        assert [a[2] for a in built] == [p.terms[j] for j in expected], p.terms
+        other += len(expected)
     assert kinds.count("inconclusive") > 50 and "unitary" in kinds
+    assert other > 0
 
     stream, to_program = solve_stream("solve-1ep", 1)
     ctxs = {v: VarietyContext(load_variety(f"varieties/{v}.var"))
@@ -1550,15 +1597,20 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
     problems = [SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
                 for v, terms in stream.pass_ops(0)]
     for run in range(2):
-        built.clear()
         walks.clear()
-        pairs = set()
+        pairs, other = set(), 0
         for p in problems:
+            built.clear()
             cls = classify_all(p.ctx, 2)
-            pairs.update((p.ctx.spec.name, theta, cls[theta].retract)
-                         for theta in solve(p).g.maximal)
-        assert len(built) == sum(len(p.terms) for p in problems)
+            maximal = solve(p).g.maximal
+            pairs.update((p.ctx.spec.name, theta, cls[theta].retract) for theta in maximal)
+            blocks = [sorted(set(theta.blocks))[cls[theta].retract[1]] for theta in maximal]
+            expected = [k for k, (_, _, natural, _, _) in enumerate(alg_of(p).entries)
+                        if any(natural[u] for u in blocks)]
+            assert [a[2] for a in built] == [p.terms[k] for k in expected], p.terms
+            other += len(expected)
         assert len(walks) == (len(pairs) if run == 0 else 0), run
+        assert 0 < other < sum(len(p.terms) for p in problems) / 2
     assert len(pairs) > 3
 
 
@@ -1633,6 +1685,48 @@ def test_gate_agrees_with_holds_identity(workload, seed):
             else:
                 assert holds, (terms, e.to_dict())
     assert entries >= 20 and rejected >= 5
+
+
+# the sha256 of each stream's reports: a change to any report byte shows here
+STREAM_DIGESTS = {
+    ("solve-1ep", 1, 2): "305e6be942d01d8f8ad4516ee9771b8b4f497983022b2159efea3f4f9a75b2c1",
+    ("solve-1ep", 1, 3): "0d0e3b5001631cc2529f15c0a4020ebff937f541cd0c341f159a8256e131de4e",
+    ("solve-1ep", 7, 2): "7bcc756a802fb583ec536154f7e4726c13183cbda09aa6e88ab236188c51123d",
+    ("solve-1ep", 7, 3): "7d1c7191a88557e3ddbdf9eaa6bdf0d39aaa9a2e6c260b08dbf2f25edc457a20",
+    ("solve-n3", 1, 2): "6b56c6cef4b37610e26f00c9caab3adf43811ddb57dfb7ad6983922442655b1d",
+    ("solve-n3", 1, 3): "4e15f20a90841859b1e38262cd3cfbbc3d41e0804ce69ee326a96252316efff7",
+    ("solve-n3", 7, 2): "b228f1a170857f35aad4086c4237cca73dea3240892507916c8f451352f8b417",
+    ("solve-n3", 7, 3): "dd67eb4934059465c92abf4d1d9ac14958aa7d493ca62e879714c27a0ebf0b01",
+}
+
+
+@pytest.mark.parametrize("workload,seed,bound", list(STREAM_DIGESTS))
+def test_stream_reports_are_pinned(workload, seed, bound):
+    # passes 0 and 1 of a benchmark stream, solved on one warm context per
+    # variety: the JSON reports, as ``solve --json`` prints them, one after
+    # another, hash to the recorded digest.  A variety whose classification
+    # does not fit the budget at the bound contributes its error message
+    import hashlib
+
+    from algen.varfile import load_variety
+
+    stream, to_program = solve_stream(workload, seed)
+    ctxs, digest = {}, hashlib.sha256()
+    for i in range(2):
+        for v, terms in stream.pass_ops(i):
+            if v not in ctxs:
+                ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
+                try:
+                    classify_all(ctxs[v], bound)
+                except BudgetExceeded as e:
+                    ctxs[v] = str(e)
+            if isinstance(ctxs[v], str):
+                doc = {"error": ctxs[v]}
+            else:
+                p = SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
+                doc = solve(p, bound).to_dict()
+            digest.update(json.dumps(doc, indent=2, ensure_ascii=False).encode() + b"\n")
+    assert digest.hexdigest() == STREAM_DIGESTS[workload, seed, bound]
 
 
 @pytest.mark.parametrize("variety", ["boolean", "kleene", "godel3", "n3"])

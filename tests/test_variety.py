@@ -14,7 +14,7 @@ from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
                            ExactFactor, FreeAlgebra, GeneratedSubalgebra, VarietyContext,
                            VarietySpec, _Components, _LeastTerms,
-                           _settle_levels, var_name)
+                           _settle_levels, seed_rep, var_name)
 
 from factories import (
     bool2,
@@ -28,6 +28,7 @@ from factories import (
 )
 from oracles import find_isomorphism, identity_holds_oracle, least_terms
 from test_cli import fuzz_terms, fuzz_var_files
+from test_terms import KLEENE_SIG, terms_strategy
 
 SHIPPED = ["boolean", "kleene", "godel3", "n3", "semilattice", "lattice"]
 
@@ -825,18 +826,59 @@ def test_least_ground_term_is_its_own_witness():
                                             ("kleene", "and(x,not(x))")])
 def test_factor_sweeps_only_for_elements_other_than_0(variety, source):
     # element 0's witness is read off t and the range's ground term, whose
-    # rank the range's memo holds; the sweep seeded with t starts at the
-    # first read of another element
+    # rank the range's memo holds; the sweep seeded with t settles no level
+    # before the first read of another element
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     t = parse_term(source, ctx.spec.sig)
     f = factor_of(ctx, ["x"], t)
     f.rep(0)
-    assert "_terms" not in vars(f)
+    assert f._terms.steps == []
     alg, _, _, ground, rank = ctx.range_factor(f.range)
     assert rank == (None if ground is None else term_rank(ground, alg.sig))
     if f.algebra.size > 1:
         f.rep(1)
-        assert "_terms" in vars(f)
+        assert f._terms.steps != []
+
+
+@st.composite
+def rank_pairs(draw):
+    """Two Kleene terms: drawn apart, or the second the first relabelled
+    node by node, an operation for one of its arity and a leaf for a leaf,
+    so that their sizes tie."""
+    t = draw(terms_strategy(KLEENE_SIG))
+    if draw(st.booleans()):
+        return t, draw(terms_strategy(KLEENE_SIG))
+    leaves = st.sampled_from([Var("x"), Var("y"), App("0"), App("1")])
+
+    def relabel(u):
+        if isinstance(u, Var) or not u.args:
+            return draw(leaves)
+        ops = [op for op, arity in KLEENE_SIG.ops if arity == len(u.args)]
+        return App(draw(st.sampled_from(ops)), tuple(map(relabel, u.args)))
+    return t, relabel(t)
+
+
+@given(rank_pairs())
+@settings(max_examples=300)
+def test_seed_rep_compares_sizes_before_ranks(pair):
+    # the size-first comparison against the full ranks: the ground term g
+    # is chosen over t exactly when term_rank(g) < term_rank(t), and t's
+    # full rank is read only when the sizes tie; g and t the same object
+    # tie and keep t
+    import types
+
+    import algen.variety
+
+    s, u = pair
+    for g, t in [(s, u), (u, s), (s, s)]:
+        rank, read = term_rank(g, KLEENE_SIG), []
+        entry = (types.SimpleNamespace(sig=KLEENE_SIG), None, None, g, rank)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algen.variety, "term_rank",
+                       lambda v, sig: read.append(v) or term_rank(v, sig))
+            chosen = seed_rep(entry, t)
+        assert chosen is (g if rank < term_rank(t, KLEENE_SIG) else t)
+        assert read == ([t] if term_size(t) == term_size(g) else [])
 
 
 @pytest.mark.parametrize("variety", ["lattice", "semilattice"])
