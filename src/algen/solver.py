@@ -43,7 +43,6 @@ from .variety import (
     ExactFactor,
     FreeAlgebra,
     VarietyContext,
-    seed_rep,
     var_name,
 )
 
@@ -157,18 +156,15 @@ class AlgebraicProblem:
         self.entries = tuple(map(ctx.range_factor, self.ranges))
         self.kernel: Congruence = ctx.memo(
             ("kernel", frozenset(self.ranges)), lambda: reduce(
-                Congruence.meet, (entry[1] for entry in self.entries)))
+                Congruence.meet, (entry.kernel for entry in self.entries)))
         self._factors: dict[int, ExactFactor] = {}
-
-    @property
-    def factors(self) -> list[ExactFactor]:
-        return [ExactFactor(self.ctx, r, t) for r, t in zip(self.ranges, self.problem.terms)]
 
     def witness(self, k: int, e: int) -> Term:
         """Element ``e``'s least term built from t_k in t_k's exact factor:
-        ``seed_rep`` for 0, else the factor's, built once per position."""
+        ``RangeFactor.seed_rep`` for 0, else the factor's, built once per
+        position."""
         if e == 0:
-            return seed_rep(self.entries[k], self.problem.terms[k])
+            return self.entries[k].seed_rep(self.problem.terms[k])
         if k not in self._factors:
             self._factors[k] = ExactFactor(self.ctx, self.ranges[k], self.problem.terms[k])
         return self._factors[k].rep(e)
@@ -605,8 +601,8 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
     # f factors the problem through the quotient; its value on block q is
     # h(u), u's image under each factor's quotient map
     entry = SolutionEntry(s_term, tuple(
-        Substitution.make({OUTPUT_VAR: ap.witness(k, natural[u])})
-        for k, (_, _, natural, _, _) in enumerate(ap.entries)))
+        Substitution.make({OUTPUT_VAR: ap.witness(k, factor.natural[u])})
+        for k, factor in enumerate(ap.entries)))
     _verify_entry(ap, entry)
     return entry
 
@@ -869,7 +865,7 @@ def _product_shortcut(ap: AlgebraicProblem, bound: int):
     ctx = ap.ctx
 
     def search():
-        factors = [entry[0] for entry in ap.entries]
+        factors = [factor.algebra for factor in ap.entries]
         no_gens = {"status": "skipped",
                    "reason": f"no generating set of size <= {bound}"}
         try:
@@ -1033,8 +1029,8 @@ def pairwise_reduce(problem: SymbolicProblem,
 
     ap = alg_of(problem)
     witnesses = []
-    for k, (alg, *_) in enumerate(ap.entries):
-        found = _first_assignment(alg, final, [OUTPUT_VAR], 0)
+    for k, factor in enumerate(ap.entries):
+        found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], 0)
         if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")

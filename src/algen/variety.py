@@ -127,7 +127,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, reduce
 from operator import getitem, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (AlgebraError, Congruence, FiniteAlgebra, _fresh_rows, _walk,
                       quotient, walk_steps)
@@ -745,21 +745,30 @@ class _LeastTerms:
         return next(e for e, _ in self.steps if e in wanted)
 
 
-def seed_rep(entry: tuple, term: Term) -> Term:
-    """Element 0's least term in E(term), from its range's ``range_factor``
-    entry: term or, where that ranks lower, the least ground term.  Ranks
-    order by size first, so term's nodes are counted only up to one past
-    the ground term's size, and its full rank is read only on a tie."""
-    alg, _, _, ground, rank = entry
-    if ground is None:
-        return term
-    size, stack = 0, [term]
-    while stack and size <= rank[0]:
-        size += 1
-        if isinstance(u := stack.pop(), App):
-            stack.extend(u.args)
-    below = rank < term_rank(term, alg.sig) if size == rank[0] else rank[0] < size
-    return ground if below else term
+class RangeFactor(NamedTuple):
+    """What E(t) = F(1)/ker(x1 -> t) takes from t's range, once per range:
+    the quotient algebra, its kernel (the meet of the value kernels over the
+    range), the quotient map, element 0's least ground term (None where the
+    constants do not reach it) and that term's rank (None with it)."""
+    algebra: FiniteAlgebra
+    kernel: Congruence
+    natural: list[int]
+    ground: Term | None
+    rank: tuple | None
+
+    def seed_rep(self, term: Term) -> Term:
+        """Element 0's least term in E(term): term or the ground term, whichever
+        ranks lower.  Ranks order by size first, so term's nodes are counted
+        up to one past the ground's size, and its full rank is read on a tie."""
+        if self.ground is None:
+            return term
+        rank, size, stack = self.rank, 0, [term]
+        while stack and size <= rank[0]:
+            size += 1
+            if isinstance(u := stack.pop(), App):
+                stack.extend(u.args)
+        below = rank < term_rank(term, self.algebra.sig) if size == rank[0] else rank[0] < size
+        return self.ground if below else term
 
 
 class ExactFactor:
@@ -772,18 +781,19 @@ class ExactFactor:
 
     def __init__(self, ctx: "VarietyContext", term_range: tuple[tuple[int, int], ...],
                  term: Term):
-        self._entry = ctx.range_factor(term_range)
-        self.algebra, self.kernel, self.natural, self.ground, _ = self._entry
+        self._entry = entry = ctx.range_factor(term_range)
+        self.algebra, self.kernel, self.natural = entry.algebra, entry.kernel, entry.natural
+        self.ground = entry.ground
         self.term, self.range = term, term_range
         self._terms = _LeastTerms(self.algebra.sig, self.algebra.tables,
                                   self.algebra.size, {0: term}, ctx.spec.commutative)
 
     def rep(self, e: int) -> Term:
-        """Element ``e``'s least term built from t; element 0's is
-        ``seed_rep``'s.  Other least terms depend on t's size and code, so
-        each term has its own; the sweep is resumed only up to ``e``'s
-        level, whose terms are final."""
-        return seed_rep(self._entry, self.term) if e == 0 else self._terms.rep(e)
+        """Element ``e``'s least term built from t; element 0's is the
+        range's ``seed_rep``.  Other least terms depend on t's size and
+        code, so each term has its own; the sweep is resumed only up to
+        ``e``'s level, whose terms are final."""
+        return self._entry.seed_rep(self.term) if e == 0 else self._terms.rep(e)
 
 
 class FreeAlgebra(GeneratedSubalgebra):
@@ -903,26 +913,20 @@ class VarietyContext:
     def term_range(self, n: int, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
         """The range of a term: the (generating algebra, value) pairs that
         ``vec``, its value vector over n variables, hits."""
-        if len(self.spec.generators) == 1:  # one segment, the whole vector
-            return tuple((0, a) for a in sorted(set(vec)))
         return tuple((gi, a) for gi, (start, stop)
                      in enumerate(self.spec.assignment_index(n).segments)
                      for a in sorted(set(vec[start:stop])))
 
-    def range_factor(self, term_range: tuple[tuple[int, int], ...]):
-        """What E(t) = F(1)/ker(x1 -> t) takes from t's range, found once per
-        range: the quotient algebra, its kernel, the meet of the value
-        kernels over the range, the quotient map, element 0's least ground
-        term (None where the constants do not reach it) and that term's
-        rank (None with it)."""
+    def range_factor(self, term_range: tuple[tuple[int, int], ...]) -> RangeFactor:
+        """The ``RangeFactor`` of a term range, built once per range."""
         def build():
             kernels = [self.evaluation_kernels(g) for g in self.spec.generators]
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
             alg, nat = quotient(self.free_algebra(1).algebra, kernel)
             ground = _LeastTerms(alg.sig, alg.tables, alg.size, {},
                                  self.spec.commutative).rep(0)
-            return (alg, kernel, nat, ground,
-                    None if ground is None else term_rank(ground, alg.sig))
+            return RangeFactor(alg, kernel, nat, ground,
+                               None if ground is None else term_rank(ground, alg.sig))
         return self.memo(("factor", term_range), build)
 
     def holds_identity(self, s: Term, t: Term) -> bool:

@@ -106,14 +106,20 @@ def f1_congruence(ctx, src_x, src_y):
 # Oracles
 
 
+def factors_of(ap):
+    """The exact factors E(t_k) of a problem's terms, in term order."""
+    return [ExactFactor(ap.ctx, r, t) for r, t in zip(ap.ranges, ap.problem.terms)]
+
+
 def kernel_by_product_oracle(ap):
     """Lemma-free route: materialize the factor product and take the kernel
     of the evaluation into it directly."""
-    prod, projs = direct_product([f.algebra for f in ap.factors])
+    algebras = [f.algebra for f in factors_of(ap)]
+    prod, projs = direct_product(algebras)
     f1 = ap.ctx.free_algebra(1)
     images = []
     for rep in f1.reps:
-        per_factor = tuple(f.algebra.eval(rep, {"x1": 0}) for f in ap.factors)
+        per_factor = tuple(alg.eval(rep, {"x1": 0}) for alg in algebras)
         elem = next(e for e in range(prod.size)
                     if tuple(pr[e] for pr in projs) == per_factor)
         images.append(elem)
@@ -125,16 +131,16 @@ def double_search_shortcut(ap, bound):
     product P into F(n), each candidate followed by a search for a
     retraction pinned on its image: P is a retract of F(n).  Returns the
     report dict and the solution entry built from the first such pair."""
-    ctx = ap.ctx
+    ctx, factors = ap.ctx, factors_of(ap)
     no_gens = {"status": "skipped",
                "reason": f"no generating set of size <= {bound}"}
     # the program's prune: a k-generated algebra has at most |F(k)| elements
     try:
-        if math.prod(f.algebra.size for f in ap.factors) > ctx.free_algebra(bound).size:
+        if math.prod(f.algebra.size for f in factors) > ctx.free_algebra(bound).size:
             return no_gens, None
     except BudgetExceeded:
         pass
-    prod, projs = direct_product([f.algebra for f in ap.factors])
+    prod, projs = direct_product([f.algebra for f in factors])
     try:
         n, gens = min_generators(prod, max_size=bound)
     except AlgebraError:
@@ -153,7 +159,7 @@ def double_search_shortcut(ap, bound):
             witnesses = tuple(
                 Substitution.make({f"z{i + 1}": factor.rep(pr[j_hom[x]])
                                    for i, x in enumerate(fk.generators)})
-                for factor, pr in zip(ap.factors, projs))
+                for factor, pr in zip(factors, projs))
             note = {"status": "projective", "generators": n,
                     "note": "the problem is the minimum of its solution "
                             "poset; type unitary"}
@@ -200,7 +206,7 @@ def vector_search_witnesses(ap, final):
     has the value vector of the factor's term."""
     out = []
     comps = ap.ctx.components_for(list(ap.problem.variables))
-    for factor, t in zip(ap.factors, ap.problem.terms):
+    for factor, t in zip(factors_of(ap), ap.problem.terms):
         target = comps.eval_term(t)
         out.append(next(
             sigma for sigma in (Substitution.make({"z": factor.rep(e)})
@@ -261,21 +267,22 @@ def unary_solution_classes(ctx, terms):
 
 def test_alg_of_boolean_factors(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
-    for f in ap.factors:
+    for f in factors_of(ap):
         assert f.algebra.size == 2
         assert term_to_str(f.rep(0)) == "1"
 
 
 def test_alg_of_kleene_chain_factors(ka):
     ap = alg_of(prob(ka, "and(x,not(x))", "and(y,not(y))"))
-    assert [f.algebra.size for f in ap.factors] == [4, 4]
-    for f in ap.factors:
+    factors = factors_of(ap)
+    assert [f.algebra.size for f in factors] == [4, 4]
+    for f in factors:
         assert find_isomorphism(f.algebra, k4()) is not None
 
 
 def test_alg_of_single_term_injective(ka):
     ap = alg_of(prob(ka, "x"))
-    assert len(ap.factors) == 1
+    assert len(factors_of(ap)) == 1
     assert ap.kernel.is_identity()
 
 
@@ -283,7 +290,7 @@ def test_alg_of_projections_surjective(ka):
     # p_k . h is onto E(t_k): the unary-term images of t_k cover the factor
     ap = alg_of(prob(ka, "and(x,not(x))", "or(y,1)"))
     f1 = ap.ctx.free_algebra(1)
-    for f in ap.factors:
+    for f in factors_of(ap):
         images = {f.algebra.eval(rep, {"x1": 0}) for rep in f1.reps}
         assert images == set(range(f.algebra.size))
 
@@ -1106,7 +1113,7 @@ def test_factor_rep_stops_at_its_element(workload):
                 ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
             p = SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
             ap = alg_of(p)
-            for f, vec in zip(ap.factors, ap.vectors):
+            for f, vec in zip(factors_of(ap), ap.vectors):
                 if (v, f.range, f.term) in seen:
                     continue
                 seen.add((v, f.range, f.term))
@@ -1159,7 +1166,7 @@ def test_each_section_found_is_a_homomorphism():
             continue
         points, fk, section, _ = data
         # the built product numbers its tuples in lexicographic order
-        algebras = [f.algebra for f in alg_of(p).factors]
+        algebras = [f.algebra for f in factors_of(alg_of(p))]
         prod, _ = direct_product(algebras)
         tuples = list(itertools.product(*(range(a.size) for a in algebras)))
         index = {t: i for i, t in enumerate(tuples)}
@@ -1191,10 +1198,11 @@ def test_first_generators_match_min_generators_n3():
     products = {}
     for p in problems:
         ap = alg_of(p)
-        key = tuple(repr(f.algebra.tables) for f in ap.factors)
+        algebras = [f.algebra for f in factors_of(ap)]
+        key = tuple(repr(alg.tables) for alg in algebras)
         # larger products are pruned at every bound here, and the subset
         # search grinds on them
-        if math.prod(f.algebra.size for f in ap.factors) <= 128:
+        if math.prod(alg.size for alg in algebras) <= 128:
             products.setdefault(key, ap)
     calls = []
     real_search = solver_mod._first_generators
@@ -1212,7 +1220,7 @@ def test_first_generators_match_min_generators_n3():
                 calls.clear()
                 note, _ = _product_shortcut(ap, bound)
                 pruned = not calls
-                algebras = [f.algebra for f in ap.factors]
+                algebras = [f.algebra for f in factors_of(ap)]
                 prod, _ = direct_product(algebras)
                 [found] = calls or [None]
                 assert pruned == (prod.size > ctx.free_algebra(bound).size)
@@ -1287,7 +1295,7 @@ def test_product_shortcut_stops_on_its_budget(monkeypatch):
     for sources, size in [(("x", "oplus(y,y)", "oplus(w,w)", "oplus(v,v)"), 108),
                           (("x", "y", "w", "oplus(v,v)"), 192)]:
         ap = alg_of(prob(ctx, *sources))
-        assert math.prod(f.algebra.size for f in ap.factors) == size
+        assert math.prod(f.algebra.size for f in factors_of(ap)) == size
         assert _product_shortcut(ap, 4) == (
             {"status": "skipped", "reason": "search above budget"}, None)
     assert not walks
@@ -1297,32 +1305,10 @@ def test_product_shortcut_walks_each_factor_tuple_once(monkeypatch):
     # factors of 2, 2, 4 and 4 elements, so |P| = 64 = |F(3)|, and no triple
     # generates P: pi is the zip of the maps F(3) -> E_j, each walked once
     # per coordinate tuple, at most sum |E_j|^3 = 144 walks, where a walk of
-    # P per candidate triple makes C(64, 3) = 41,664
-    from algen.varfile import load_variety
-
-    ctx = VarietyContext(load_variety("varieties/n3.var"))
-    ap = alg_of(prob(ctx, "oplus(oplus(0,oplus(x,x)),x)",
-                     "oplus(oplus(oplus(x,x),oplus(x,0)),oplus(oplus(x,0),x))", "x", "x"))
-    assert [f.algebra.size for f in ap.factors] == [2, 2, 4, 4]
-    ctx.free_closure(3)
-    real_images, walks = FreeAlgebra.images, []
-
-    def counting_images(self, target, points, *rest):
-        walks.append(points)
-        return real_images(self, target, points, *rest)
-
-    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
-    assert _product_shortcut(ap, 3) == (
-        {"status": "skipped", "reason": "no generating set of size <= 3"}, None)
-    assert 0 < len(walks) <= 144
-
-
-def test_first_generators_zip_only_candidates_onto_every_factor(monkeypatch):
-    # on the same 64-element product, where only triples are tried, a
-    # candidate's map onto P is zipped only when each of its factor maps,
-    # recorded once per coordinate tuple, is onto its E_j: 10,960 of the
-    # C(64, 3) = 41,664 triples, each of which was zipped before.  The
-    # charge is still C(64, 3) walks of F(3), made before the first
+    # P per candidate triple makes C(64, 3) = 41,664.  A candidate's maps
+    # are zipped only when each is onto its E_j: 10,960 of the 41,664
+    # triples, each of which was zipped before.  The search still charges
+    # C(64, k) walks of F(k) for each k tried, before the first
     import builtins
 
     import algen.solver as solver_mod
@@ -1331,21 +1317,35 @@ def test_first_generators_zip_only_candidates_onto_every_factor(monkeypatch):
     ctx = VarietyContext(load_variety("varieties/n3.var"))
     ap = alg_of(prob(ctx, "oplus(oplus(0,oplus(x,x)),x)",
                      "oplus(oplus(oplus(x,x),oplus(x,0)),oplus(oplus(x,0),x))", "x", "x"))
-    factors = [f.algebra for f in ap.factors]
-    assert [f.size for f in factors] == [2, 2, 4, 4]
-    zipped = []
+    assert [f.algebra.size for f in factors_of(ap)] == [2, 2, 4, 4]
+    ctx.free_closure(3)
+    real_images, real_search = FreeAlgebra.images, solver_mod._first_generators
+    walks, zipped, charged = [], [], []
+
+    def counting_images(self, target, points, *rest):
+        walks.append(points)
+        return real_images(self, target, points, *rest)
 
     def counting_zip(*args):
         if args and all(isinstance(a, list) for a in args):  # F(k)'s maps
             zipped.append(len(args))
         return builtins.zip(*args)
 
+    def charging_search(ctx, factors, bound, budget):
+        used = budget.used
+        found = real_search(ctx, factors, bound, budget)
+        charged.append(budget.used - used)
+        return found
+
+    monkeypatch.setattr(FreeAlgebra, "images", counting_images)
     monkeypatch.setattr(solver_mod, "zip", counting_zip, raising=False)
-    budget = Budget(ctx.budget_limit)
-    assert solver_mod._first_generators(ctx, factors, 3, budget) is None
+    monkeypatch.setattr(solver_mod, "_first_generators", charging_search)
+    assert _product_shortcut(ap, 3) == (
+        {"status": "skipped", "reason": "no generating set of size <= 3"}, None)
+    assert 0 < len(walks) <= 144
     assert set(zipped) == {4} and len(zipped) <= 11_000, len(zipped)
-    assert budget.used == sum(math.comb(64, k) * ctx.free_closure(k).size
-                              for k in (1, 2, 3) if 64 <= ctx.free_closure(k).size)
+    assert charged == [sum(math.comb(64, k) * ctx.free_closure(k).size
+                           for k in (1, 2, 3) if 64 <= ctx.free_closure(k).size)]
 
 
 def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
@@ -1354,8 +1354,9 @@ def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
     ctx = mk("N3", n3())
     p1, p2 = prob(ctx, "x", "y"), prob(ctx, "oplus(x,y)", "w")
     ap1, ap2 = alg_of(p1), alg_of(p2)
-    assert [f.range for f in ap1.factors] == [f.range for f in ap2.factors]
-    for f1, f2 in zip(ap1.factors, ap2.factors):
+    factors1, factors2 = factors_of(ap1), factors_of(ap2)
+    assert [f.range for f in factors1] == [f.range for f in factors2]
+    for f1, f2 in zip(factors1, factors2):
         assert f1.algebra is f2.algebra
     assert _product_shortcut(ap1, 2)[1] is _product_shortcut(ap2, 2)[1]
     r1, r2 = solve(p1), solve(p2)
@@ -1605,8 +1606,8 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
             maximal = solve(p).g.maximal
             pairs.update((p.ctx.spec.name, theta, cls[theta].retract) for theta in maximal)
             blocks = [sorted(set(theta.blocks))[cls[theta].retract[1]] for theta in maximal]
-            expected = [k for k, (_, _, natural, _, _) in enumerate(alg_of(p).entries)
-                        if any(natural[u] for u in blocks)]
+            expected = [k for k, factor in enumerate(alg_of(p).entries)
+                        if any(factor.natural[u] for u in blocks)]
             assert [a[2] for a in built] == [p.terms[k] for k in expected], p.terms
             other += len(expected)
         assert len(walks) == (len(pairs) if run == 0 else 0), run

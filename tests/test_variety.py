@@ -12,9 +12,9 @@ from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
-                           ExactFactor, FreeAlgebra, GeneratedSubalgebra, VarietyContext,
-                           VarietySpec, _Components, _LeastTerms,
-                           _settle_levels, seed_rep, var_name)
+                           ExactFactor, FreeAlgebra, GeneratedSubalgebra, RangeFactor,
+                           VarietyContext, VarietySpec, _Components, _LeastTerms,
+                           _settle_levels, var_name)
 
 from factories import (
     bool2,
@@ -833,8 +833,9 @@ def test_factor_sweeps_only_for_elements_other_than_0(variety, source):
     f = factor_of(ctx, ["x"], t)
     f.rep(0)
     assert f._terms.steps == []
-    alg, _, _, ground, rank = ctx.range_factor(f.range)
-    assert rank == (None if ground is None else term_rank(ground, alg.sig))
+    entry = ctx.range_factor(f.range)
+    assert entry.rank == (None if entry.ground is None
+                          else term_rank(entry.ground, entry.algebra.sig))
     if f.algebra.size > 1:
         f.rep(1)
         assert f._terms.steps != []
@@ -872,11 +873,11 @@ def test_seed_rep_compares_sizes_before_ranks(pair):
     s, u = pair
     for g, t in [(s, u), (u, s), (s, s)]:
         rank, read = term_rank(g, KLEENE_SIG), []
-        entry = (types.SimpleNamespace(sig=KLEENE_SIG), None, None, g, rank)
+        entry = RangeFactor(types.SimpleNamespace(sig=KLEENE_SIG), None, None, g, rank)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(algen.variety, "term_rank",
                        lambda v, sig: read.append(v) or term_rank(v, sig))
-            chosen = seed_rep(entry, t)
+            chosen = entry.seed_rep(t)
         assert chosen is (g if rank < term_rank(t, KLEENE_SIG) else t)
         assert read == ([t] if term_size(t) == term_size(g) else [])
 
