@@ -40,7 +40,6 @@ from .terms import (
 from .variety import (
     Budget,
     BudgetExceeded,
-    ExactFactor,
     FreeAlgebra,
     VarietyContext,
     var_name,
@@ -139,8 +138,8 @@ class AlgebraicProblem:
     algebra, the exact factors generated by each term, and the problem
     kernel, the intersection of the factors' kernels.
 
-    The context builds and charges one assignment view per variable count;
-    a problem evaluates its terms once in it, under ``env``, the view's
+    The context charges the assignment index set once per variable count;
+    a problem evaluates its terms once in it, under ``env``, the index's
     projections by the problem's variable names, which the verification
     gate reuses.  Everything else depends only on the term ranges, so the
     context finds it once: each range's ``range_factor`` entry, which the
@@ -149,25 +148,27 @@ class AlgebraicProblem:
     def __init__(self, problem: SymbolicProblem):
         self.problem, self.ctx = problem, problem.ctx
         ctx, n = problem.ctx, len(problem.variables)
-        self.comps = ctx.memo(("view", n), lambda: ctx.components_for(n))
-        self.env = dict(zip(problem.variables, self.comps.projections.values()))
-        self.vectors = tuple(self.comps.eval_term(t, self.env) for t in problem.terms)
-        self.ranges = tuple(ctx.term_range(n, vec) for vec in self.vectors)
+        self.index = ctx.memo(("view", n), lambda: ctx.spec.assignment_index(
+            n, Budget(ctx.budget_limit)))
+        self.env = dict(zip(problem.variables, self.index.projections))
+        self.vectors = tuple(self.index.eval_term(t, self.env) for t in problem.terms)
+        self.ranges = tuple(map(self.index.term_range, self.vectors))
         self.entries = tuple(map(ctx.range_factor, self.ranges))
         self.kernel: Congruence = ctx.memo(
             ("kernel", frozenset(self.ranges)), lambda: reduce(
                 Congruence.meet, (entry.kernel for entry in self.entries)))
-        self._factors: dict[int, ExactFactor] = {}
+        self._sweeps: dict = {}  # position -> the least-term sweep seeded with t_k
 
     def witness(self, k: int, e: int) -> Term:
         """Element ``e``'s least term built from t_k in t_k's exact factor:
-        ``RangeFactor.seed_rep`` for 0, else the factor's, built once per
-        position."""
+        ``RangeFactor.seed_rep`` for 0, else read off one sweep per
+        position, resumed only up to e's level, whose terms are final."""
+        t = self.problem.terms[k]
         if e == 0:
-            return self.entries[k].seed_rep(self.problem.terms[k])
-        if k not in self._factors:
-            self._factors[k] = ExactFactor(self.ctx, self.ranges[k], self.problem.terms[k])
-        return self._factors[k].rep(e)
+            return self.entries[k].seed_rep(t)
+        if k not in self._sweeps:
+            self._sweeps[k] = self.ctx.least_terms(self.entries[k].algebra, {0: t})
+        return self._sweeps[k].rep(e)
 
 
 def alg_of(problem: SymbolicProblem) -> AlgebraicProblem:
@@ -600,9 +601,18 @@ def symbolic_solution(ap: AlgebraicProblem, theta: Congruence,
 
     # f factors the problem through the quotient; its value on block q is
     # h(u), u's image under each factor's quotient map
-    entry = SolutionEntry(s_term, tuple(
-        Substitution.make({OUTPUT_VAR: ap.witness(k, factor.natural[u])})
-        for k, factor in enumerate(ap.entries)))
+    return _gated_entry(ap, s_term, {
+        OUTPUT_VAR: [factor.natural[u] for factor in ap.entries]})
+
+
+def _gated_entry(ap: AlgebraicProblem, term: Term,
+                 points: dict[str, Sequence[int]]) -> SolutionEntry:
+    """The entry of ``term`` whose k-th witness binds each variable v to
+    the witness of ``points[v][k]`` in t_k's exact factor, once it has
+    passed the gate."""
+    entry = SolutionEntry(term, tuple(
+        Substitution.make({v: ap.witness(k, p[k]) for v, p in points.items()})
+        for k in range(len(ap.entries))))
     _verify_entry(ap, entry)
     return entry
 
@@ -631,13 +641,13 @@ def _verify_entry(ap: AlgebraicProblem, entry: SolutionEntry) -> None:
             if b is not t:
                 check_term(b, sig)
         try:
-            env = {v: vec if b is t else ap.comps.eval_term(b, ap.env)
+            env = {v: vec if b is t else ap.index.eval_term(b, ap.env)
                    for v, b in zip(names, bindings)}
         except AlgebraError as e:
             raise InternalVerificationError(
                 f"witness fails: {sigma}({term_to_str(entry.term)}) is outside "
                 f"the problem's variables: {e}") from None
-        if ap.comps.eval_term(entry.term, env) != vec:
+        if ap.index.eval_term(entry.term, env) != vec:
             raise InternalVerificationError(
                 f"witness fails: {sigma}({term_to_str(entry.term)}) is not "
                 f"{term_to_str(t)} in the variety")
@@ -662,7 +672,7 @@ def _instance_substitution(ctx: VarietyContext, s: Term, more_general: Term):
     Budget(ctx.budget_limit).charge(
         free_s.algebra.size ** len(vars_target), "generality search")
     alg = free_s.algebra
-    target = alg.eval(s, dict(zip(vars_s, free_s.generator_indices)))
+    target = alg.eval(s, dict(zip(vars_s, free_s.generators)))
     found = _first_assignment(alg, more_general, vars_target, target)
     return None if found is None else Substitution.make(
         {v: free_s.rep(e) for v, e in zip(vars_target, found)})
@@ -968,13 +978,7 @@ def _shortcut_solution(ap: AlgebraicProblem, retract_data) -> SolutionEntry:
     x1..xn with s(p_1, ..., p_n) = h, so z_i -> p_i, projected to each
     factor, witnesses it.  Output variables are z1..zn."""
     points, _, _, s_term = retract_data
-    witnesses = [
-        Substitution.make({f"z{i + 1}": ap.witness(j, p[j])
-                           for i, p in enumerate(points)})
-        for j in range(len(ap.entries))]
-    entry = SolutionEntry(s_term, tuple(witnesses))
-    _verify_entry(ap, entry)
-    return entry
+    return _gated_entry(ap, s_term, {f"z{i + 1}": p for i, p in enumerate(points)})
 
 
 # ---------------------------------------------------------------------------
@@ -1028,15 +1032,14 @@ def pairwise_reduce(problem: SymbolicProblem,
     final = terms[0]
 
     ap = alg_of(problem)
-    witnesses = []
-    for k, factor in enumerate(ap.entries):
+    elements = []
+    for factor in ap.entries:
         found = _first_assignment(factor.algebra, final, [OUTPUT_VAR], 0)
         if found is None:
             raise InternalVerificationError(
                 "no witness for the pairwise solution inside the exact factor")
-        witnesses.append(Substitution.make({OUTPUT_VAR: ap.witness(k, found[0])}))
-    entry = SolutionEntry(final, tuple(witnesses))
-    _verify_entry(ap, entry)
+        elements.append(found[0])
+    entry = _gated_entry(ap, final, {OUTPUT_VAR: elements})
 
     cls = classify_all(ctx, bound)
     report = GeneralizationReport(

@@ -6,14 +6,15 @@ by the n projection tuples, the subpower construction UACalc also uses.
 Elements are value vectors, one coordinate per assignment, bytes when no
 generating algebra has more than 256 elements, else tuples.  The assignment
 index set for n variables, its projection vectors and its per-coordinate op
-tables, depends only on n, so the spec builds it once per variable count
-and each caller, F(n) or a term evaluation, reads it under its own variable
-names, still charging its own budget for it before the lookup.  The
-projections are built from runs of values, so no assignment tuple is ever
-made.  A term is evaluated node by node over whole vectors: where the keys
-a1*q**(k-1) + ... + ak fit a byte, q the largest algebra's size, Horner's
-rule over the argument vectors as ints gives every key at once and one
-translate per algebra reads them; other nodes go one coordinate at a time.
+tables, depends only on n, so the spec builds it once per variable count;
+each caller, F(n) or a term evaluation, charges its own budget for it
+before the lookup and pairs its own variable names with the projections.
+The projections are built from runs of values, so no assignment tuple is
+ever made.  A term is evaluated node by node over whole vectors: where the
+keys a1*q**(k-1) + ... + ak fit a byte, q the largest algebra's size,
+Horner's rule over the argument vectors as ints gives every key at once and
+one translate per algebra reads them; other nodes go one coordinate at a
+time.
 
 The closure is semi-naive: a pass of an operation evaluates only the
 argument tuples that use an element added since that operation's previous
@@ -101,12 +102,12 @@ numbers its blocks by their least members, which is the order in which
 closing x1 over E(t) would reach them: a pass visits argument tuples in
 lexicographic order, and the first tuple that yields a new block is made of
 least members, so F(1)'s closure meets the blocks in E(t)'s closure order.
-Only E(t)'s representatives, least terms built from t, are each term's own.
-They are settled on demand: a witness needs one element's term, and the
-factor's one size sweep is resumed only until that element's level has
-settled.  Element 0's needs no sweep: a term containing t ranks
-above t, so it is t or, when that ranks lower, the least ground term of 0,
-which is settled once per range from the constants alone.
+Only the least terms built from t, a solve's witnesses, are each term's
+own.  Element 0's needs no sweep: a term containing t ranks above t, so it
+is t or, when that ranks lower, the least ground term of 0, which is
+settled once per range from the constants alone.  Another element's comes
+from a sweep seeded with t, resumed only until that element's level has
+settled.
 
 Nothing here materializes the full assignment product; closures only ever
 hold the elements actually generated, and a configurable cell budget turns
@@ -137,7 +138,6 @@ from .terms import (App, Signature, Term, Var, _Value, check_term, term_rank,
 __all__ = [
     "BudgetExceeded",
     "Budget",
-    "ExactFactor",
     "VarietySpec",
     "VarietyContext",
     "FreeAlgebra",
@@ -205,8 +205,15 @@ class VarietySpec(_Value):
                          for g in self.generators])
                 for op, arity in self.sig.ops if arity and q ** arity <= 256}
 
-    def assignment_index(self, n: int) -> _AssignmentIndex:
-        """The assignment index set for n variables, built once per n."""
+    def assignment_index(self, n: int, budget: Budget) -> _AssignmentIndex:
+        """The assignment index set for n variables, charged to ``budget``
+        before it is looked up and built once per n."""
+        # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
+        # length, so such a power is charged as 2^bit_length, not computed
+        cap = budget.limit.bit_length()
+        width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
+                    for g in self.generators)
+        budget.charge(n + width, "assignment index set")  # a cell per name too
         indexes = self.__dict__.setdefault("_indexes", {})
         return indexes.get(n) or indexes.setdefault(n, _AssignmentIndex(self, n))
 
@@ -226,10 +233,12 @@ class _AssignmentIndex:
     algebra's a segment.  It holds the vector type, each variable position's
     projection vector, each constant's vector and, for each other operation,
     the nested table of the algebra behind each coordinate; the spec builds
-    it once per n and shares it among views."""
+    it once per n.  Its nodes read packed keys where they fit a byte, else
+    one coordinate at a time."""
 
     def __init__(self, spec: VarietySpec, n: int):
         gens = spec.generators
+        self.packed = spec.packed_tables
         self.code = code = bytes if max(g.size for g in gens) <= 256 else tuple
         # over one algebra, position i repeats each value size**(n-1-i)
         # times, and that run size**i times; no assignment tuple is made
@@ -242,35 +251,9 @@ class _AssignmentIndex:
             tuple.__add__, ((g.tables[op],) * g.size ** n for g in gens)))
                           for op, arity in spec.sig.ops}
 
-
-class _Components:
-    """A view of the assignment index set for n variables under the
-    caller's variable names, charged to the caller's budget.  Its nodes read
-    packed keys where they fit a byte, else one coordinate at a time."""
-
-    def __init__(self, spec: VarietySpec, varnames: Sequence[str] | int,
-                 budget: Budget):
-        """``varnames`` may be a count n, standing for x1..xn."""
-        n = varnames if isinstance(varnames, int) else len(varnames)
-        # |A|^n exceeds the limit once |A| >= 2 and n >= the limit's bit
-        # length, so such a power is charged as 2^bit_length, not computed
-        cap = budget.limit.bit_length()
-        width = sum(2 ** cap if g.size > 1 and n >= cap else g.size ** n
-                    for g in spec.generators)
-        budget.charge(n + width, "assignment index set")  # a cell per name too
-        if isinstance(varnames, int):
-            varnames = [var_name(i) for i in range(n)]
-        shared = spec.assignment_index(n)
-        self.packed, self.code, self.width = spec.packed_tables, shared.code, shared.width
-        self.segments, self.op_tables = shared.segments, shared.op_tables
-        # each variable's value vector
-        self.projections = dict(zip(varnames, shared.projections))
-
-    def eval_term(self, t: Term, env: dict | None = None) -> bytes | tuple:
-        """t's value vector, its variables read as their projections or,
-        given ``env``, as the vectors it binds them to."""
-        if env is None:
-            env = self.projections
+    def eval_term(self, t: Term, env: dict) -> bytes | tuple:
+        """t's value vector, its variables read as the vectors ``env``
+        binds them to."""
         if isinstance(t, Var):
             if t.name not in env:
                 raise AlgebraError(f"unknown variable {t.name!r}")
@@ -295,6 +278,12 @@ class _Components:
             return keys.translate(tables[0])
         return b"".join(keys[start:stop].translate(table)
                         for (start, stop), table in zip(self.segments, tables))
+
+    def term_range(self, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """The range of a term: the (generating algebra, value) pairs that
+        ``vec``, its value vector, hits."""
+        return tuple((gi, a) for gi, (start, stop) in enumerate(self.segments)
+                     for a in sorted(set(vec[start:stop])))
 
 
 def _radix_table(table, q: int, arity: int) -> bytes:
@@ -372,13 +361,12 @@ class GeneratedSubalgebra:
     """A subalgebra of a free algebra, generated from seed vectors and kept
     with explicit tables and term representatives."""
 
-    def __init__(self, spec: VarietySpec, comps: _Components,
+    def __init__(self, spec: VarietySpec, assignments: _AssignmentIndex,
                  seeds: Sequence[tuple[Sequence[int], Term]], budget: Budget):
         """When every seed term is a variable, rows are derived across swaps."""
         self.spec = spec
-        self.comps = comps
         a_max = max(g.size for g in spec.generators)
-        code = comps.code  # the type of value vectors
+        code = assignments.code  # the type of value vectors
         vectors: list = []
         index: dict = {}
         # the derivation in element order: (element, operation, argument
@@ -393,7 +381,7 @@ class GeneratedSubalgebra:
             """The cells charged in all by a closure that ends with ``count``
             elements: a cell per coordinate of each element and one per
             argument tuple of each operation, besides those made before."""
-            return (before + count * comps.width
+            return (before + count * assignments.width
                     + sum(count ** arity for _, arity in spec.sig.ops))
 
         def largest_fit(count: int) -> int:
@@ -419,7 +407,7 @@ class GeneratedSubalgebra:
             nonlocal cap
             e = index.get(vec)
             if e is None:
-                budget.charge(comps.width, "free closure")
+                budget.charge(assignments.width, "free closure")
                 e = index[vec] = len(vectors)
                 vectors.append(vec)
                 steps.append((e, op, args))
@@ -429,12 +417,13 @@ class GeneratedSubalgebra:
                     cap = largest_fit(len(vectors))
             return e
 
-        self.generator_indices = [element(code(vec), None, i)
-                                  for i, (vec, _) in enumerate(seeds)]
-        for e, (_, rep) in zip(self.generator_indices, seeds):
+        # the seeds' elements, in seed order
+        self.generators = tuple(element(code(vec), None, i)
+                                for i, (vec, _) in enumerate(seeds))
+        for e, (_, rep) in zip(self.generators, seeds):
             seed_reps.setdefault(e, rep)
         if all(isinstance(rep, Var) for _, rep in seeds):
-            for gi, gj in zip(self.generator_indices, self.generator_indices[1:]):
+            for gi, gj in zip(self.generators, self.generators[1:]):
                 perm = list(range(len(vectors)))
                 perm[gi], perm[gj] = gj, gi
                 perms.append(perm)
@@ -463,7 +452,7 @@ class GeneratedSubalgebra:
                 seen[op] = m
                 if not arity:
                     if old is None:
-                        tables[op] = element(comps.op_tables[op], op, ())
+                        tables[op] = element(assignments.op_tables[op], op, ())
                     continue
                 # the fresh tuples come in lexicographic order, so each new
                 # row, at any depth, is appended where it belongs
@@ -487,7 +476,7 @@ class GeneratedSubalgebra:
                     known = m
                 # the ranges shared by enough prefixes, as translated byte
                 # columns and, where packed, those widened to ints
-                base, applied, widened, packed = comps.op_tables[op], {}, {}, 0
+                base, applied, widened, packed = assignments.op_tables[op], {}, {}, 0
                 if code is bytes and m > a_max:  # else no range has that many readers
                     k = arity - 1
                     for s, readers in (((0, m ** k - old ** k), (old, old ** k))
@@ -498,7 +487,7 @@ class GeneratedSubalgebra:
                                 lanes, factors = (_lane_layout(list(map(len, base)))
                                                   or (0, []))
                             packed = lanes if m >= 64 else 0
-                            flat, w = b"".join(vectors[s:m]), comps.width
+                            flat, w = b"".join(vectors[s:m]), assignments.width
                             trans = {id(g.tables[op]): _byte_rows(g.tables[op])
                                      for g in spec.generators}
                             applied[s] = cols = [_translate(trans[id(t)], flat[c::w])
@@ -771,31 +760,6 @@ class RangeFactor(NamedTuple):
         return self.ground if below else term
 
 
-class ExactFactor:
-    """The exact factor E(t) of a term t: F(1)/kernel, with kernel that of
-    x1 -> t, shared through the context by every term with t's range.  Its
-    element 0, the block of x1, stands for t, ``natural`` is the quotient
-    map of F(1) onto it, and its representatives are t's own.  Element 0's
-    is read off t and the range's entry; the least-term sweep seeded with t
-    runs only when another element is read."""
-
-    def __init__(self, ctx: "VarietyContext", term_range: tuple[tuple[int, int], ...],
-                 term: Term):
-        self._entry = entry = ctx.range_factor(term_range)
-        self.algebra, self.kernel, self.natural = entry.algebra, entry.kernel, entry.natural
-        self.ground = entry.ground
-        self.term, self.range = term, term_range
-        self._terms = _LeastTerms(self.algebra.sig, self.algebra.tables,
-                                  self.algebra.size, {0: term}, ctx.spec.commutative)
-
-    def rep(self, e: int) -> Term:
-        """Element ``e``'s least term built from t; element 0's is the
-        range's ``seed_rep``.  Other least terms depend on t's size and
-        code, so each term has its own; the sweep is resumed only up to
-        ``e``'s level, whose terms are final."""
-        return self._entry.seed_rep(self.term) if e == 0 else self._terms.rep(e)
-
-
 class FreeAlgebra(GeneratedSubalgebra):
     """The free algebra on n generators for a generator-presented variety:
     the subalgebra its n projection vectors generate."""
@@ -804,13 +768,9 @@ class FreeAlgebra(GeneratedSubalgebra):
         if n < 0:
             raise AlgebraError("free algebra arity must be >= 0")
         self.n = n
-        comps = _Components(spec, n, budget)
-        super().__init__(spec, comps, [(vec, Var(v)) for v, vec
-                                       in comps.projections.items()], budget)
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        return tuple(self.generator_indices)
+        index = spec.assignment_index(n, budget)
+        super().__init__(spec, index, [(vec, Var(var_name(i))) for i, vec
+                                       in enumerate(index.projections)], budget)
 
     def images(self, target: FiniteAlgebra, points: Sequence[int],
                steps: Sequence | None = None) -> list[int]:
@@ -876,20 +836,15 @@ class VarietyContext:
 
     # -- evaluation without materializing F(X) ------------------------------
 
-    def components_for(self, varnames: Sequence[str],
-                       budget: Budget | None = None) -> _Components:
-        """The assignment index set for ``varnames``, charged to ``budget``
-        (a fresh one by default)."""
-        return _Components(self.spec, varnames, budget or Budget(self.budget_limit))
-
     def generated_by_terms(self, varnames: Sequence[str],
                            terms: Sequence[Term]) -> GeneratedSubalgebra:
         """Subalgebra of F(varnames) generated by the given terms, with the
         terms themselves as seed representatives."""
         budget = Budget(self.budget_limit)
-        comps = self.components_for(varnames, budget)
-        seeds = [(comps.eval_term(t), t) for t in terms]
-        return GeneratedSubalgebra(self.spec, comps, seeds, budget)
+        index = self.spec.assignment_index(len(varnames), budget)
+        env = dict(zip(varnames, index.projections))
+        seeds = [(index.eval_term(t, env), t) for t in terms]
+        return GeneratedSubalgebra(self.spec, index, seeds, budget)
 
     def evaluation_images(self, gen: FiniteAlgebra) -> list[list[int]]:
         """F(1)'s images under x1 -> a for each element a of ``gen``, a
@@ -910,24 +865,21 @@ class VarietyContext:
             return list(map(Congruence.from_map, images))
         return self.memo(("evaluation-kernels", target), kernels)
 
-    def term_range(self, n: int, vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
-        """The range of a term: the (generating algebra, value) pairs that
-        ``vec``, its value vector over n variables, hits."""
-        return tuple((gi, a) for gi, (start, stop)
-                     in enumerate(self.spec.assignment_index(n).segments)
-                     for a in sorted(set(vec[start:stop])))
-
     def range_factor(self, term_range: tuple[tuple[int, int], ...]) -> RangeFactor:
         """The ``RangeFactor`` of a term range, built once per range."""
         def build():
             kernels = [self.evaluation_kernels(g) for g in self.spec.generators]
             kernel = reduce(Congruence.meet, (kernels[gi][a] for gi, a in term_range))
             alg, nat = quotient(self.free_algebra(1).algebra, kernel)
-            ground = _LeastTerms(alg.sig, alg.tables, alg.size, {},
-                                 self.spec.commutative).rep(0)
+            ground = self.least_terms(alg, {}).rep(0)
             return RangeFactor(alg, kernel, nat, ground,
                                None if ground is None else term_rank(ground, alg.sig))
         return self.memo(("factor", term_range), build)
+
+    def least_terms(self, alg: FiniteAlgebra, seeds: dict[int, Term]) -> _LeastTerms:
+        """The least-term sweep over ``alg``, an algebra of the variety, from
+        ``seeds``; a read resumes it only until what it needs has settled."""
+        return _LeastTerms(alg.sig, alg.tables, alg.size, seeds, self.spec.commutative)
 
     def holds_identity(self, s: Term, t: Term) -> bool:
         """Whether the variety satisfies s = t, by evaluating both sides in
@@ -936,5 +888,6 @@ class VarietyContext:
         names: list[str] = []  # the joint variables, found by the arity walks
         check_term(s, self.spec.sig, names)
         check_term(t, self.spec.sig, names)
-        comps = self.components_for(names)
-        return comps.eval_term(s) == comps.eval_term(t)
+        index = self.spec.assignment_index(len(names), Budget(self.budget_limit))
+        env = dict(zip(names, index.projections))
+        return index.eval_term(s, env) == index.eval_term(t, env)

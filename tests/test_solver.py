@@ -45,7 +45,7 @@ from algen.solver import (
 )
 from algen.terms import (App, Substitution, TermError, Var, apply_subst, parse_term, term_to_str,
                          term_vars)
-from algen.variety import (Budget, BudgetExceeded, ExactFactor, FreeAlgebra, VarietyContext,
+from algen.variety import (Budget, BudgetExceeded, FreeAlgebra, VarietyContext,
                            VarietySpec)
 
 from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
@@ -53,6 +53,7 @@ from factories import (bool2, goedel_chain, k3, k4, ka4_diamond, lattice2, n3,
 from golden_cases import CASES, EXPECTED_EXIT
 from oracles import (find_isomorphism, identity_holds_oracle, kernel, lgg_violations,
                      subalgebra_generated)
+from test_variety import index_env
 
 
 def mk(name, *gens, budget=None):
@@ -106,15 +107,10 @@ def f1_congruence(ctx, src_x, src_y):
 # Oracles
 
 
-def factors_of(ap):
-    """The exact factors E(t_k) of a problem's terms, in term order."""
-    return [ExactFactor(ap.ctx, r, t) for r, t in zip(ap.ranges, ap.problem.terms)]
-
-
 def kernel_by_product_oracle(ap):
     """Lemma-free route: materialize the factor product and take the kernel
     of the evaluation into it directly."""
-    algebras = [f.algebra for f in factors_of(ap)]
+    algebras = [f.algebra for f in ap.entries]
     prod, projs = direct_product(algebras)
     f1 = ap.ctx.free_algebra(1)
     images = []
@@ -131,7 +127,7 @@ def double_search_shortcut(ap, bound):
     product P into F(n), each candidate followed by a search for a
     retraction pinned on its image: P is a retract of F(n).  Returns the
     report dict and the solution entry built from the first such pair."""
-    ctx, factors = ap.ctx, factors_of(ap)
+    ctx, factors = ap.ctx, ap.entries
     no_gens = {"status": "skipped",
                "reason": f"no generating set of size <= {bound}"}
     # the program's prune: a k-generated algebra has at most |F(k)| elements
@@ -157,9 +153,9 @@ def double_search_shortcut(ap, bound):
             out_vars = {f"x{i + 1}": Var(f"z{i + 1}") for i in range(fk.n)}
             term = apply_subst(Substitution.make(out_vars), fk.reps[i_hom[h]])
             witnesses = tuple(
-                Substitution.make({f"z{i + 1}": factor.rep(pr[j_hom[x]])
+                Substitution.make({f"z{i + 1}": ap.witness(k, pr[j_hom[x]])
                                    for i, x in enumerate(fk.generators)})
-                for factor, pr in zip(factors, projs))
+                for k, pr in enumerate(projs))
             note = {"status": "projective", "generators": n,
                     "note": "the problem is the minimum of its solution "
                             "poset; type unitary"}
@@ -191,12 +187,13 @@ def vector_search_instance(ctx, s, more_general):
         return None
     Budget(ctx.budget_limit).charge(
         free_s.algebra.size ** len(vars_target), "generality search")
-    target_vec = free_s.comps.eval_term(s)
+    index, env = index_env(ctx.spec, vars_s, Budget(ctx.budget_limit))
+    target_vec = index.eval_term(s, env)
     for assign in itertools.product(range(free_s.algebra.size),
                                     repeat=len(vars_target)):
         sigma = Substitution.make(
             {v: free_s.reps[e] for v, e in zip(vars_target, assign)})
-        if free_s.comps.eval_term(apply_subst(sigma, more_general)) == target_vec:
+        if index.eval_term(apply_subst(sigma, more_general), env) == target_vec:
             return sigma
     return None
 
@@ -205,13 +202,13 @@ def vector_search_witnesses(ap, final):
     """Per exact factor, the first z -> element under which ``final``
     has the value vector of the factor's term."""
     out = []
-    comps = ap.ctx.components_for(list(ap.problem.variables))
-    for factor, t in zip(factors_of(ap), ap.problem.terms):
-        target = comps.eval_term(t)
+    index, env = index_env(ap.ctx.spec, ap.problem.variables, Budget(ap.ctx.budget_limit))
+    for k, (factor, t) in enumerate(zip(ap.entries, ap.problem.terms)):
+        target = index.eval_term(t, env)
         out.append(next(
-            sigma for sigma in (Substitution.make({"z": factor.rep(e)})
+            sigma for sigma in (Substitution.make({"z": ap.witness(k, e)})
                                 for e in factor.algebra.elements())
-            if comps.eval_term(apply_subst(sigma, final)) == target))
+            if index.eval_term(apply_subst(sigma, final), env) == target))
     return tuple(out)
 
 
@@ -226,7 +223,7 @@ def unary_solution_classes(ctx, terms):
     for t in terms:
         term_vars(t, names)
     fx = ctx.generated_by_terms(names, [Var(v) for v in names])
-    comps = fx.comps
+    index, env = index_env(ctx.spec, names, Budget(ctx.budget_limit))
     f1 = ctx.free_algebra(1)
     rename = Substitution.make({"x1": Var("z")})
 
@@ -235,9 +232,9 @@ def unary_solution_classes(ctx, terms):
         s = apply_subst(rename, f1.reps[u])
         ok = True
         for t in terms:
-            target = comps.eval_term(t)
-            if not any(comps.eval_term(
-                    apply_subst(Substitution.make({"z": fx.reps[e]}), s)) == target
+            target = index.eval_term(t, env)
+            if not any(index.eval_term(
+                    apply_subst(Substitution.make({"z": fx.reps[e]}), s), env) == target
                     for e in range(fx.algebra.size)):
                 ok = False
                 break
@@ -267,14 +264,14 @@ def unary_solution_classes(ctx, terms):
 
 def test_alg_of_boolean_factors(ba):
     ap = alg_of(prob(ba, "or(x,not(x))", "1"))
-    for f in factors_of(ap):
+    for k, f in enumerate(ap.entries):
         assert f.algebra.size == 2
-        assert term_to_str(f.rep(0)) == "1"
+        assert term_to_str(ap.witness(k, 0)) == "1"
 
 
 def test_alg_of_kleene_chain_factors(ka):
     ap = alg_of(prob(ka, "and(x,not(x))", "and(y,not(y))"))
-    factors = factors_of(ap)
+    factors = ap.entries
     assert [f.algebra.size for f in factors] == [4, 4]
     for f in factors:
         assert find_isomorphism(f.algebra, k4()) is not None
@@ -282,7 +279,7 @@ def test_alg_of_kleene_chain_factors(ka):
 
 def test_alg_of_single_term_injective(ka):
     ap = alg_of(prob(ka, "x"))
-    assert len(factors_of(ap)) == 1
+    assert len(ap.entries) == 1
     assert ap.kernel.is_identity()
 
 
@@ -290,7 +287,7 @@ def test_alg_of_projections_surjective(ka):
     # p_k . h is onto E(t_k): the unary-term images of t_k cover the factor
     ap = alg_of(prob(ka, "and(x,not(x))", "or(y,1)"))
     f1 = ap.ctx.free_algebra(1)
-    for f in factors_of(ap):
+    for f in ap.entries:
         images = {f.algebra.eval(rep, {"x1": 0}) for rep in f1.reps}
         assert images == set(range(f.algebra.size))
 
@@ -821,13 +818,13 @@ def test_e_congruence_characterization_depth2(ba, ka):
                     grown |= {App(n, (u, v)) for u in terms for v in terms}
             terms = grown
         f1 = ctx.free_algebra(1)
-        comps = ctx.components_for(["x", "y"])
+        index, env = index_env(ctx.spec, ["x", "y"], Budget(ctx.budget_limit))
         rename = Substitution.make({"x1": Var("w")})
         single_kernels = set()
         for t in terms:
-            images = [comps.eval_term(
+            images = [index.eval_term(
                 apply_subst(Substitution.make({"w": t}),
-                            apply_subst(rename, rep))) for rep in f1.reps]
+                            apply_subst(rename, rep)), env) for rep in f1.reps]
             single_kernels.add(Congruence.from_map(images))
         found = set(single_kernels)
         frontier = set(single_kernels)
@@ -1099,8 +1096,8 @@ def n3_stream_problems(ctx, count, passes=1):
 @pytest.mark.parametrize("workload", ["solve-1ep", "solve-n3"])
 def test_factor_rep_stops_at_its_element(workload):
     # each factor of the benchmark's streams (passes 0 and 1, seeds 1, 2, 3
-    # and 7): rep(e) on a fresh factor, asked for in increasing and in
-    # decreasing order, resumes the sweep only up to e's level, and its
+    # and 7): witness(k, e) on a fresh problem, asked for in increasing and
+    # in decreasing order, resumes the sweep only up to e's level, and its
     # terms are those of the full sweep
     from algen.varfile import load_variety
     from algen.variety import _LeastTerms
@@ -1113,17 +1110,16 @@ def test_factor_rep_stops_at_its_element(workload):
                 ctxs[v] = VarietyContext(load_variety(f"varieties/{v}.var"))
             p = SymbolicProblem(ctxs[v], tuple(map(to_program, terms)))
             ap = alg_of(p)
-            for f, vec in zip(factors_of(ap), ap.vectors):
-                if (v, f.range, f.term) in seen:
+            for k, (f, t) in enumerate(zip(ap.entries, p.terms)):
+                if (v, ap.ranges[k], t) in seen:
                     continue
-                seen.add((v, f.range, f.term))
+                seen.add((v, ap.ranges[k], t))
                 full = _LeastTerms(f.algebra.sig, f.algebra.tables, f.algebra.size,
-                                   {0: f.term}, ctxs[v].spec.commutative).complete()
+                                   {0: t}, ctxs[v].spec.commutative).complete()
                 elements = list(f.algebra.elements())
                 for order in (elements, elements[::-1]):
-                    fresh = ExactFactor(ctxs[v], ctxs[v].term_range(len(p.variables), vec),
-                                        f.term)
-                    assert [fresh.rep(e) for e in order] == [full[e] for e in order]
+                    fresh = alg_of(p)
+                    assert [fresh.witness(k, e) for e in order] == [full[e] for e in order]
     assert len(seen) > 500
 
 
@@ -1166,7 +1162,7 @@ def test_each_section_found_is_a_homomorphism():
             continue
         points, fk, section, _ = data
         # the built product numbers its tuples in lexicographic order
-        algebras = [f.algebra for f in factors_of(alg_of(p))]
+        algebras = [f.algebra for f in alg_of(p).entries]
         prod, _ = direct_product(algebras)
         tuples = list(itertools.product(*(range(a.size) for a in algebras)))
         index = {t: i for i, t in enumerate(tuples)}
@@ -1198,7 +1194,7 @@ def test_first_generators_match_min_generators_n3():
     products = {}
     for p in problems:
         ap = alg_of(p)
-        algebras = [f.algebra for f in factors_of(ap)]
+        algebras = [f.algebra for f in ap.entries]
         key = tuple(repr(alg.tables) for alg in algebras)
         # larger products are pruned at every bound here, and the subset
         # search grinds on them
@@ -1220,7 +1216,7 @@ def test_first_generators_match_min_generators_n3():
                 calls.clear()
                 note, _ = _product_shortcut(ap, bound)
                 pruned = not calls
-                algebras = [f.algebra for f in factors_of(ap)]
+                algebras = [f.algebra for f in ap.entries]
                 prod, _ = direct_product(algebras)
                 [found] = calls or [None]
                 assert pruned == (prod.size > ctx.free_algebra(bound).size)
@@ -1295,7 +1291,7 @@ def test_product_shortcut_stops_on_its_budget(monkeypatch):
     for sources, size in [(("x", "oplus(y,y)", "oplus(w,w)", "oplus(v,v)"), 108),
                           (("x", "y", "w", "oplus(v,v)"), 192)]:
         ap = alg_of(prob(ctx, *sources))
-        assert math.prod(f.algebra.size for f in factors_of(ap)) == size
+        assert math.prod(f.algebra.size for f in ap.entries) == size
         assert _product_shortcut(ap, 4) == (
             {"status": "skipped", "reason": "search above budget"}, None)
     assert not walks
@@ -1317,7 +1313,7 @@ def test_product_shortcut_walks_each_factor_tuple_once(monkeypatch):
     ctx = VarietyContext(load_variety("varieties/n3.var"))
     ap = alg_of(prob(ctx, "oplus(oplus(0,oplus(x,x)),x)",
                      "oplus(oplus(oplus(x,x),oplus(x,0)),oplus(oplus(x,0),x))", "x", "x"))
-    assert [f.algebra.size for f in factors_of(ap)] == [2, 2, 4, 4]
+    assert [f.algebra.size for f in ap.entries] == [2, 2, 4, 4]
     ctx.free_closure(3)
     real_images, real_search = FreeAlgebra.images, solver_mod._first_generators
     walks, zipped, charged = [], [], []
@@ -1354,9 +1350,8 @@ def test_equal_ranges_share_the_shortcut_but_not_the_witnesses():
     ctx = mk("N3", n3())
     p1, p2 = prob(ctx, "x", "y"), prob(ctx, "oplus(x,y)", "w")
     ap1, ap2 = alg_of(p1), alg_of(p2)
-    factors1, factors2 = factors_of(ap1), factors_of(ap2)
-    assert [f.range for f in factors1] == [f.range for f in factors2]
-    for f1, f2 in zip(factors1, factors2):
+    assert ap1.ranges == ap2.ranges
+    for f1, f2 in zip(ap1.entries, ap2.entries):
         assert f1.algebra is f2.algebra
     assert _product_shortcut(ap1, 2)[1] is _product_shortcut(ap2, 2)[1]
     r1, r2 = solve(p1), solve(p2)
@@ -1406,9 +1401,9 @@ def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
     # that is the problem's own term, whose vector alg_of already holds: in
     # a solve, alg_of's evaluation is the only walk of a problem term
     import algen.solver
-    from algen.variety import _Components
+    from algen.variety import _AssignmentIndex
 
-    real_check, real_eval = algen.solver.check_term, _Components.eval_term
+    real_check, real_eval = algen.solver.check_term, _AssignmentIndex.eval_term
     read_off = 0  # bindings that are the problem's own term
     for ctx, sources in [(ba, ("1", "or(x,not(x))", "or(y,not(y))")),
                          (ka, ("and(x,not(x))", "and(y,not(y))")),
@@ -1416,7 +1411,7 @@ def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
         p = prob(ctx, *sources)
         checked, evaluated, walked, depth = [], [], [], [0]
 
-        def counting_eval(self, t, env=None):
+        def counting_eval(self, t, env):
             walked.append(t)
             if not depth[0]:
                 evaluated.append(t)  # a call from outside eval_term
@@ -1429,10 +1424,10 @@ def test_solve_verifies_each_entry_once(ba, ka, n3v, monkeypatch):
         monkeypatch.setattr(algen.solver, "check_term",
                             lambda t, sig, *names: checked.append(t)
                             or real_check(t, sig, *names))
-        monkeypatch.setattr(_Components, "eval_term", counting_eval)
+        monkeypatch.setattr(_AssignmentIndex, "eval_term", counting_eval)
         r = solve(p)
         monkeypatch.setattr(algen.solver, "check_term", real_check)
-        monkeypatch.setattr(_Components, "eval_term", real_eval)
+        monkeypatch.setattr(_AssignmentIndex, "eval_term", real_eval)
         assert len(r.mcsg) >= 1
         expected_checks, expected_evals = [], list(p.terms)
         for e in r.mcsg:
@@ -1486,15 +1481,17 @@ def test_gate_rejects_misplaced_and_foreign_bindings(ka):
 
 
 def test_solve_builds_one_assignment_view(monkeypatch):
-    # a context builds one assignment view per variable count, in which
-    # each problem with that many variables evaluates its terms under its
-    # own names and which the gate reuses: on a warm context a solve builds
-    # no view, and a problem over other names of the same count shares it
+    # a context charges the assignment index set once per variable count,
+    # and each problem with that many variables evaluates its terms in it
+    # under its own names, which the gate reuses: on a warm context a solve
+    # builds no index set and charges none, and a problem over other names
+    # of the same count shares it
     import algen.variety
     from algen.varfile import load_variety
 
-    views = []
-    real = algen.variety._Components.__init__
+    views, charges = [], []
+    real = algen.variety._AssignmentIndex.__init__
+    real_charge = VarietySpec.assignment_index
     renamed = Substitution.make({"x": Var("u"), "y": Var("v")})
     for variety, sources in [("boolean", ("and(x,y)", "not(x)")),
                              ("kleene", ("and(x,not(x))", "and(y,not(y))", "x")),
@@ -1504,13 +1501,17 @@ def test_solve_builds_one_assignment_view(monkeypatch):
         p = SymbolicProblem(ctx, tuple(parse_term(t, ctx.spec.sig) for t in sources))
         q = SymbolicProblem(ctx, tuple(apply_subst(renamed, t) for t in p.terms))
         solve(p)  # warms the context: free algebras, classification, the view
-        monkeypatch.setattr(algen.variety._Components, "__init__",
+        monkeypatch.setattr(algen.variety._AssignmentIndex, "__init__",
                             lambda self, *a: views.append(a) or real(self, *a))
+        monkeypatch.setattr(VarietySpec, "assignment_index",
+                            lambda self, *a: charges.append(a) or real_charge(self, *a))
         reports = [solve(p), solve(q)]
         ap, aq = alg_of(p), alg_of(q)
-        monkeypatch.setattr(algen.variety._Components, "__init__", real)
+        monkeypatch.setattr(algen.variety._AssignmentIndex, "__init__", real)
+        monkeypatch.setattr(VarietySpec, "assignment_index", real_charge)
         assert views == [], sources
-        assert ap.comps is aq.comps
+        assert charges == [], sources
+        assert ap.index is aq.index
         assert list(aq.env) == list(q.variables) == [renamed.get(v).name
                                                       for v in p.variables]
         assert list(ap.env.values()) == list(aq.env.values())
@@ -1552,24 +1553,27 @@ def test_packed_keys_evaluate_every_n3_node(monkeypatch):
 
 def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypatch):
     # on a warm context a solve reads its kernel and its shortcut off the
-    # term ranges: an inconclusive n3 solve constructs no ExactFactor, and
-    # an answer constructs one for each term whose witness is an element
-    # other than 0, the term's own, found here from the shortcut's points
-    # and from each retraction's block under the range's quotient map.  The
+    # term ranges: an inconclusive n3 solve starts no least-term sweep, and
+    # an answer starts one, seeded with the term, for each term whose
+    # witness is an element other than 0, the term's own, found here from
+    # the shortcut's points and from each retraction's block under the
+    # range's quotient map; a range met for the first time also starts its
+    # ground-term sweep, seeded with nothing.  The
     # retract pair of each (theta, retract) is checked once per context;
     # its composition to the identity is the only walk of F(1) into itself
     # that a solve on a classified context makes
     from algen.varfile import load_variety
 
-    built, walks = [], []
-    real_init, real_images = ExactFactor.__init__, FreeAlgebra.images
+    built, walks = [], []  # each sweep's seeds; each walk of F(1) into itself
+    real_sweep, real_images = VarietyContext.least_terms, FreeAlgebra.images
 
     def counting_images(self, target, points, *rest):
         if target is self.algebra:
             walks.append(points)
         return real_images(self, target, points, *rest)
-    monkeypatch.setattr(ExactFactor, "__init__",
-                        lambda self, *a: built.append(a) or real_init(self, *a))
+    monkeypatch.setattr(VarietyContext, "least_terms",
+                        lambda self, alg, seeds: built.append(seeds)
+                        or real_sweep(self, alg, seeds))
     monkeypatch.setattr(FreeAlgebra, "images", counting_images)
 
     ctx = VarietyContext(load_variety("varieties/n3.var"))
@@ -1583,7 +1587,7 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
         _, data = _product_shortcut(alg_of(p), 2)
         expected = [] if data is None else [
             j for j in range(len(p.terms)) if any(point[j] for point in data[0])]
-        assert [a[2] for a in built] == [p.terms[j] for j in expected], p.terms
+        assert [seeds[0] for seeds in built] == [p.terms[j] for j in expected], p.terms
         other += len(expected)
     assert kinds.count("inconclusive") > 50 and "unitary" in kinds
     assert other > 0
@@ -1608,7 +1612,10 @@ def test_solve_builds_factors_and_checks_retract_pairs_for_answers_only(monkeypa
             blocks = [sorted(set(theta.blocks))[cls[theta].retract[1]] for theta in maximal]
             expected = [k for k, factor in enumerate(alg_of(p).entries)
                         if any(factor.natural[u] for u in blocks)]
-            assert [a[2] for a in built] == [p.terms[k] for k in expected], p.terms
+            # the ground-term sweeps of new ranges, on the first run only
+            assert [seeds[0] for seeds in built if seeds] == [
+                p.terms[k] for k in expected], p.terms
+            assert run == 0 or all(built), p.terms
             other += len(expected)
         assert len(walks) == (len(pairs) if run == 0 else 0), run
         assert 0 < other < sum(len(p.terms) for p in problems) / 2
@@ -1646,10 +1653,9 @@ def test_range_memos_match_a_fresh_context_per_problem(workload, seed):
             p, fresh = SymbolicProblem(warm[v], terms), VarietyContext(specs[v])
             q = SymbolicProblem(fresh, terms)
             assert solve(p, bound).to_dict() == solve(q, bound).to_dict(), terms
-            names = list(q.variables)
-            comps = fresh.components_for(names)
+            index, env = index_env(fresh.spec, q.variables, Budget(fresh.budget_limit))
             assert alg_of(p).kernel == functools.reduce(Congruence.meet, (
-                ExactFactor(fresh, fresh.term_range(len(names), comps.eval_term(t)), t).kernel
+                fresh.range_factor(index.term_range(index.eval_term(t, env))).kernel
                 for t in terms))
             solved += 1
         assert solved >= 60, (bound, solved)

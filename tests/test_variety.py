@@ -1,19 +1,20 @@
 import itertools
 import json
 import random
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from algen.algebra import AlgebraError, FiniteAlgebra, _closure, direct_product
+from algen.solver import SymbolicProblem, alg_of
 from algen.terms import (App, Signature, Term, Var, parse_term, term_rank,
                          term_size, term_to_str, term_vars)
 from algen.varfile import load_variety, loads_variety
 from algen.variety import (DEFAULT_BUDGET, Budget, BudgetExceeded,
-                           ExactFactor, FreeAlgebra, GeneratedSubalgebra, RangeFactor,
-                           VarietyContext, VarietySpec, _Components, _LeastTerms,
+                           FreeAlgebra, GeneratedSubalgebra, RangeFactor,
+                           VarietyContext, VarietySpec, _LeastTerms,
                            _settle_levels, var_name)
 
 from factories import (
@@ -46,6 +47,13 @@ G3 = lambda: ctx_for("G3", goedel_chain(3))
 SL = lambda: ctx_for("SL", semilattice2())
 LAT = lambda: ctx_for("LAT", lattice2())
 N3V = lambda: ctx_for("N3", n3())
+
+
+def index_env(spec, names, budget=None):
+    """The assignment index set for ``names``, charged to ``budget`` (a
+    fresh default one if None), and its projections by name."""
+    index = spec.assignment_index(len(names), budget or Budget(DEFAULT_BUDGET))
+    return index, dict(zip(names, index.projections))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +115,7 @@ def reference_subalgebra(spec, varnames, terms):
     first produced each element, relaxed by Bellman passes over all table
     entries to the (size, op-order, arg-order) minimum.
 
-    Returns (generator_indices, vectors, tables, reps, charges, ahead,
+    Returns (generators, vectors, tables, reps, charges, ahead,
     born), where tables are keyed by argument tuples, charges lists the
     budget charges the closure would make, ahead gives, beside each charge
     that adds an element (None beside the others), the cells charged so far
@@ -134,12 +142,12 @@ def reference_subalgebra(spec, varnames, terms):
                      + sum(len(vectors) ** arity - charged.get(op, 0)
                            for op, arity in sig.ops))
 
-    generator_indices = []
+    generators = []
     for t in terms:
         vec = tuple(g.eval(t, env) for g, env in entries)
         if vec not in index:
             add(vec, t)
-        generator_indices.append(index[vec])
+        generators.append(index[vec])
     tables = {op: {} for op, _ in sig.ops}
     changed = True
     while changed:
@@ -175,7 +183,7 @@ def reference_subalgebra(spec, varnames, terms):
                     sizes[res] = term_size(cand)
                     ranks[res] = term_rank(cand, sig)
                     changed = True
-    return generator_indices, vectors, tables, reps, charges, ahead, born
+    return generators, vectors, tables, reps, charges, ahead, born
 
 
 def nested(table, arity, m, prefix=()):
@@ -192,14 +200,14 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     and budget charges.  When the seeds are the variables x1..xn, so does
     FreeAlgebra, which derives rows across variable swaps; its rank order is
     the subalgebra's."""
-    comps = _Components(spec, varnames, Budget(DEFAULT_BUDGET))
+    index, env = index_env(spec, varnames)
     free = terms is None and varnames == [var_name(i) for i in range(len(varnames))]
     if terms is None:
         terms = [Var(v) for v in varnames]
-    seeds = [(comps.eval_term(t), t) for t in terms]
+    seeds = [(index.eval_term(t, env), t) for t in terms]
     budget, free_budget = RecordingBudget(), RecordingBudget()
     try:
-        sub = GeneratedSubalgebra(spec, comps, seeds, budget)
+        sub = GeneratedSubalgebra(spec, index, seeds, budget)
     except AlgebraError:
         with pytest.raises(AlgebraError):
             reference_subalgebra(spec, varnames, terms)
@@ -209,8 +217,8 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
         return
     gens, vectors, tables, reps, charges, _, born = reference_subalgebra(
         spec, varnames, terms)
-    assert sub.generator_indices == gens
-    assert [tuple(comps.eval_term(r)) for r in sub.reps] == vectors
+    assert sub.generators == tuple(gens)
+    assert [tuple(index.eval_term(r, env)) for r in sub.reps] == vectors
     assert sub.algebra.tables == {op: nested(tables[op], arity, len(vectors))
                                   for op, arity in spec.sig.ops}
     assert sub.reps == tuple(reps)
@@ -221,7 +229,7 @@ def assert_closure_matches_reference(spec, varnames, terms=None):
     if not free:
         return
     f = FreeAlgebra(spec, len(varnames), free_budget)
-    assert f.generator_indices == gens
+    assert f.generators == tuple(gens)
     assert f.algebra.tables == sub.algebra.tables
     assert f.reps == sub.reps
     assert f.order == sub.order
@@ -381,11 +389,13 @@ def test_free_algebra_order_is_the_one_closure_order(variety, n):
     # closure's tuples in F(n)'s element order (kleene's and godel3's F(3)
     # exceed the default budget)
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
-    f, comps = ctx.free_algebra(n), ctx.components_for(n)
-    factors = [g for g, (start, stop) in zip(ctx.spec.generators, comps.segments)
+    f = ctx.free_algebra(n)
+    index, env = index_env(ctx.spec, [var_name(i) for i in range(n)])
+    factors = [g for g, (start, stop) in zip(ctx.spec.generators, index.segments)
                for _ in range(start, stop)]
-    seeds = [tuple(p) for p in comps.projections.values()]
-    assert [tuple(comps.eval_term(r)) for r in f.reps] == list(_closure(factors, seeds))
+    seeds = [tuple(p) for p in index.projections]
+    assert [tuple(index.eval_term(r, env)) for r in f.reps] == list(
+        _closure(factors, seeds))
 
 
 @pytest.mark.parametrize("spec,n", [
@@ -530,9 +540,9 @@ def test_generated_by_terms_matches_reference(seed):
 
 
 def seeded(spec, names, seeds):
-    comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
+    index, env = index_env(spec, names)
     terms = [parse_term(t, spec.sig) for t in seeds]
-    sub = GeneratedSubalgebra(spec, comps, [(comps.eval_term(t), t) for t in terms],
+    sub = GeneratedSubalgebra(spec, index, [(index.eval_term(t, env), t) for t in terms],
                               Budget(DEFAULT_BUDGET))
     return sub, terms
 
@@ -551,8 +561,8 @@ def test_deep_seeds_lose_to_smaller_terms(variety, names, seeds):
     # its element settles at, and must not replace the smaller term
     spec = load_variety(f"varieties/{variety}.var")
     sub, terms = seeded(spec, names, names + seeds)
-    assert len(set(sub.generator_indices)) == len(terms)
-    for i, t in zip(sub.generator_indices[len(names):], seeds):
+    assert len(set(sub.generators)) == len(terms)
+    for i, t in zip(sub.generators[len(names):], seeds):
         assert term_size(sub.reps[i]) < term_size(parse_term(t, spec.sig))
     assert_closure_matches_reference(spec, names, terms)
 
@@ -560,7 +570,7 @@ def test_deep_seeds_lose_to_smaller_terms(variety, names, seeds):
 def test_seed_equal_to_a_constant_gets_the_constant():
     spec = load_variety("varieties/boolean.var")
     sub, terms = seeded(spec, ["x"], ["and(x,not(x))", "x"])
-    assert term_to_str(sub.reps[sub.generator_indices[0]]) == "0"
+    assert term_to_str(sub.reps[sub.generators[0]]) == "0"
     assert_closure_matches_reference(spec, ["x"], terms)
 
 
@@ -568,10 +578,10 @@ def test_repeated_seed_keeps_one_element():
     spec = load_variety("varieties/boolean.var")
     seeds = ["or(y,x)", "x", "or(y,x)", "y", "or(y,x)"]
     sub, terms = seeded(spec, ["x", "y"], seeds)
-    assert sub.generator_indices[0] == sub.generator_indices[2] == sub.generator_indices[4]
+    assert sub.generators[0] == sub.generators[2] == sub.generators[4]
     # or(x,y) is found on the seed's own level and ranks below it, so it
     # must replace the seed term although the seed was offered first
-    assert term_to_str(sub.reps[sub.generator_indices[0]]) == "or(x,y)"
+    assert term_to_str(sub.reps[sub.generators[0]]) == "or(x,y)"
     assert_closure_matches_reference(spec, ["x", "y"], terms)
 
 
@@ -660,10 +670,16 @@ def test_sweep_stopped_at_an_element_settles_its_levels(variety, n):
 # Exact factors, found once per range
 
 
+def factor_problem(ctx, names, t):
+    """A problem over ``names`` with t at position 0, as a solve builds it."""
+    return alg_of(SymbolicProblem(ctx, (t, *map(Var, names))))
+
+
 def factor_of(ctx, names, t):
-    """E(t) over ``names``, with t's value vector evaluated here."""
-    vec = ctx.components_for(names).eval_term(t)
-    return ExactFactor(ctx, ctx.term_range(len(names), vec), t)
+    """E(t) over ``names``: its range's entry and element e's least term
+    built from t, as a solve reads each witness."""
+    ap = factor_problem(ctx, names, t)
+    return ap.entries[0], partial(ap.witness, 0)
 
 
 def ground_terms(alg):
@@ -694,11 +710,11 @@ def exact_factor_cases(variety):
 def test_exact_factor_matches_generated_by_terms(variety):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     for names, t in exact_factor_cases(variety):
-        factor = factor_of(ctx, names, t)
+        factor, rep = factor_of(ctx, names, t)
         ref = ctx.generated_by_terms(names, [t])
         assert factor.algebra.tables == ref.algebra.tables, (names, t)
-        assert ref.generator_indices == [0]  # a factor is generated by 0
-        assert [factor.rep(e) for e in factor.algebra.elements()] == list(
+        assert ref.generators == (0,)  # a factor is generated by 0
+        assert [rep(e) for e in factor.algebra.elements()] == list(
             ref.reps), (names, t)
 
 
@@ -720,10 +736,10 @@ def test_fuzzed_exact_factors_match_generated_by_terms(data):
     for src in data.draw(st.lists(fuzz_terms(ops), min_size=1, max_size=3)):
         t = parse_term(src, spec.sig)
         names = data.draw(st.sampled_from([["x", "y"], list(term_vars(t))]))
-        factor = factor_of(ctx, names, t)
+        factor, rep = factor_of(ctx, names, t)
         ref = ctx.generated_by_terms(names, [t])
         assert factor.algebra.tables == ref.algebra.tables, (doc, names, src)
-        assert [factor.rep(e) for e in factor.algebra.elements()] == list(
+        assert [rep(e) for e in factor.algebra.elements()] == list(
             ref.reps), (doc, names, src)
 
 
@@ -739,8 +755,8 @@ def test_exact_factor_reps_match_the_bellman_oracle(variety):
         names = ["x", "y"][:k]
         for _ in range(12):
             t = random_term(rng, sig, names, rng.randint(1, 4))
-            factor = factor_of(ctx, names, t)
-            reps = [factor.rep(e) for e in factor.algebra.elements()]
+            factor, rep = factor_of(ctx, names, t)
+            reps = [rep(e) for e in factor.algebra.elements()]
             assert reps == least_terms(factor.algebra, {0: t}), (names, t)
 
 
@@ -749,13 +765,13 @@ def test_exact_factors_of_one_range_share_one_closure():
     # but each gets its own least terms
     ctx = KA()
     sig = ctx.spec.sig
-    fx = factor_of(ctx, ["x"], parse_term("x", sig))
-    fnot = factor_of(ctx, ["x", "y"], parse_term("not(x)", sig))
-    assert fx.range == fnot.range == ((0, 0), (0, 1), (0, 2))
-    assert fx.algebra is fnot.algebra
+    px = factor_problem(ctx, ["x"], parse_term("x", sig))
+    pnot = factor_problem(ctx, ["x", "y"], parse_term("not(x)", sig))
+    assert px.ranges[0] == pnot.ranges[0] == ((0, 0), (0, 1), (0, 2))
+    assert px.entries[0].algebra is pnot.entries[0].algebra
     # terms in E(not(x)) are built from not(x), so x is not(not(x)) there
-    x_elem = fx.algebra.eval(parse_term("not(x1)", sig), {"x1": 0})
-    assert [term_to_str(f.rep(e)) for f in (fx, fnot) for e in (0, x_elem)] == [
+    x_elem = px.entries[0].algebra.eval(parse_term("not(x1)", sig), {"x1": 0})
+    assert [term_to_str(ap.witness(0, e)) for ap in (px, pnot) for e in (0, x_elem)] == [
         "x", "not(x)", "not(x)", "not(not(x))"]
 
 
@@ -773,7 +789,7 @@ def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
              for _ in range(25)]
     expected = []
     for vs, t in cases:
-        f = factor_of(ctx, vs, t)
+        f, _ = factor_of(ctx, vs, t)
         expected.append(_LeastTerms(sig, f.algebra.tables, f.algebra.size,
                                     {0: t}, ctx.spec.commutative).complete()[0])
     sweeps = []
@@ -784,7 +800,7 @@ def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
             yield level
 
     monkeypatch.setattr("algen.variety._settle_levels", counting)
-    assert [factor_of(ctx, vs, t).rep(0) for vs, t in cases] == expected
+    assert [factor_of(ctx, vs, t)[1](0) for vs, t in cases] == expected
     assert sweeps == []
 
 
@@ -795,7 +811,7 @@ def test_seed_witness_matches_the_full_sweep(variety, monkeypatch):
 def test_seed_witness_examples(variety, source, expected):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     t = parse_term(source, ctx.spec.sig)
-    assert term_to_str(factor_of(ctx, term_vars(t), t).rep(0)) == expected
+    assert term_to_str(factor_of(ctx, term_vars(t), t)[1](0)) == expected
 
 
 def test_seed_witness_keeps_a_term_below_its_ground_term():
@@ -806,10 +822,10 @@ def test_seed_witness_keeps_a_term_below_its_ground_term():
     ctx = VarietyContext(VarietySpec("cg", sig, (
         FiniteAlgebra(sig, ["0", "1"], {"c": 0, "g": [1, 1]}),)))
     t = parse_term("g(x)", sig)
-    f = factor_of(ctx, ["x"], t)
+    f, rep = factor_of(ctx, ["x"], t)
     assert term_to_str(f.ground) == "g(c)"
-    assert f.rep(0) == t
-    assert term_to_str(factor_of(ctx, ["x"], parse_term("g(g(x))", sig)).rep(0)) == "g(c)"
+    assert rep(0) == t
+    assert term_to_str(factor_of(ctx, ["x"], parse_term("g(g(x))", sig))[1](0)) == "g(c)"
 
 
 def test_least_ground_term_is_its_own_witness():
@@ -817,28 +833,29 @@ def test_least_ground_term_is_its_own_witness():
     # problem's own term rather than an equal copy
     ctx = VarietyContext(load_variety("varieties/boolean.var"))
     t = parse_term("1", ctx.spec.sig)
-    f = factor_of(ctx, ["x"], t)
+    f, rep = factor_of(ctx, ["x"], t)
     assert f.ground == t and f.ground is not t
-    assert f.rep(0) is t
+    assert rep(0) is t
 
 
 @pytest.mark.parametrize("variety,source", [("boolean", "or(x,not(x))"),
                                             ("kleene", "and(x,not(x))")])
 def test_factor_sweeps_only_for_elements_other_than_0(variety, source):
     # element 0's witness is read off t and the range's ground term, whose
-    # rank the range's memo holds; the sweep seeded with t settles no level
-    # before the first read of another element
+    # rank the range's memo holds; no sweep seeded with t is made, or
+    # settles a level, before the first read of another element
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     t = parse_term(source, ctx.spec.sig)
-    f = factor_of(ctx, ["x"], t)
-    f.rep(0)
-    assert f._terms.steps == []
-    entry = ctx.range_factor(f.range)
+    ap = factor_problem(ctx, ["x"], t)
+    ap.witness(0, 0)
+    assert ap._sweeps == {}
+    entry = ctx.range_factor(ap.ranges[0])
+    assert entry is ap.entries[0]
     assert entry.rank == (None if entry.ground is None
                           else term_rank(entry.ground, entry.algebra.sig))
-    if f.algebra.size > 1:
-        f.rep(1)
-        assert f._terms.steps != []
+    if entry.algebra.size > 1:
+        ap.witness(0, 1)
+        assert ap._sweeps[0].steps != []
 
 
 @st.composite
@@ -886,7 +903,7 @@ def test_seed_rep_compares_sizes_before_ranks(pair):
 def test_without_constants_no_element_has_a_ground_term(variety):
     ctx = VarietyContext(load_variety(f"varieties/{variety}.var"))
     sig = ctx.spec.sig
-    factors = [factor_of(ctx, ["x", "y"], parse_term(src, sig))
+    factors = [factor_of(ctx, ["x", "y"], parse_term(src, sig))[0]
                for src in ("x", "or(x,y)")]
     assert [f.ground for f in factors] == [None, None]
     for alg in [ctx.free_algebra(n).algebra for n in (1, 2)] + [
@@ -989,7 +1006,8 @@ def test_eval_term_unknown_variable():
     with pytest.raises(AlgebraError):
         f.eval_term(Var("y"))
     with pytest.raises(AlgebraError, match="unknown variable 'y'"):
-        BA().components_for(["x"]).eval_term(parse_term("and(x,y)", f.spec.sig))
+        index, env = index_env(f.spec, ["x"])
+        index.eval_term(parse_term("and(x,y)", f.spec.sig), env)
 
 
 def test_holds_identity_examples():
@@ -1041,20 +1059,20 @@ def test_shared_index_set_matches_a_fresh_one(ctx_factory):
              for p in itertools.permutations(["x", "y", "w"][:n])]
     rng.shuffle(cases)
     for names in cases:
-        view = ctx.components_for(names)
+        view, env = index_env(ctx.spec, names)
         # an equal spec holds no index set yet, so it builds one
-        fresh = _Components(VarietySpec(*ctx.spec._values), names, Budget(DEFAULT_BUDGET))
-        assert view.projections == fresh.projections
+        fresh, fresh_env = index_env(VarietySpec(*ctx.spec._values), names)
+        assert env == fresh_env
         assert (view.width, view.op_tables) == (fresh.width, fresh.op_tables)
-        assert view.op_tables is ctx.components_for(names[::-1]).op_tables
+        assert view.op_tables is index_env(ctx.spec, names[::-1])[0].op_tables
         for _ in range(8):
             t = random_term(rng, ctx.spec.sig, names, 3)
-            assert view.eval_term(t) == fresh.eval_term(t), (names, t)
+            assert view.eval_term(t, env) == fresh.eval_term(t, fresh_env), (names, t)
         unknown = App(ctx.spec.sig.ops[0][0], (Var("v"),) * ctx.spec.sig.ops[0][1])
         errors = []
-        for comps in (view, fresh):
+        for index, names_env in ((view, env), (fresh, fresh_env)):
             with pytest.raises(AlgebraError) as exc:
-                comps.eval_term(unknown if unknown.args else Var("v"))
+                index.eval_term(unknown if unknown.args else Var("v"), names_env)
             errors.append(str(exc.value))
         assert errors == ["unknown variable 'v'"] * 2
 
@@ -1122,10 +1140,10 @@ def test_packed_evaluation_matches_a_per_coordinate_reference(name, spec, packed
     ctx = VarietyContext(spec)
     for n in range(1, most + 1):
         names = ["x", "y", "w"][:n]
-        comps = ctx.components_for(names)
+        index, env = index_env(ctx.spec, names)
         for _ in range(12):
             t = random_term(rng, spec.sig, names, 4)
-            vec = comps.eval_term(t)
+            vec = index.eval_term(t, env)
             assert type(vec) is code
             assert tuple(vec) == reference_vector(spec, names, t), (names, t)
 
@@ -1255,9 +1273,9 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
     limits |= {ahead[i] + d for i in range(0, len(charges), 7) if ahead[i]
                for d in (-1, 0)}
     limits.add(totals[-1])
-    comps = _Components(spec, names, Budget(DEFAULT_BUDGET))
-    seeds = [(comps.eval_term(Var(v)), Var(v)) for v in names]
-    index_cells = n + comps.width
+    index, env = index_env(spec, names)
+    seeds = [(index.eval_term(Var(v), env), Var(v)) for v in names]
+    index_cells = n + index.width
     exits = 0
     for limit in sorted(limits):
         plain = next((j for j, total in enumerate(totals) if total > limit), None)
@@ -1266,7 +1284,7 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
         if early is None:  # the look-ahead never exceeds what the closure charges
             assert plain is None
             budget, free_budget = Budget(limit), Budget(limit + index_cells)
-            GeneratedSubalgebra(spec, comps, seeds, budget)
+            GeneratedSubalgebra(spec, index, seeds, budget)
             FreeAlgebra(spec, n, free_budget)
             assert budget.used == totals[-1]
             assert free_budget.used == totals[-1] + index_cells
@@ -1276,7 +1294,7 @@ def test_budget_exits_mid_pass_match_reference(spec, n):
                     else ("operation tables", ahead[early]))
         assert limit < expected[1] <= totals[-1]
         with pytest.raises(BudgetExceeded) as exc:
-            GeneratedSubalgebra(spec, comps, seeds, Budget(limit))
+            GeneratedSubalgebra(spec, index, seeds, Budget(limit))
         assert (exc.value.stage, exc.value.needed) == expected
         with pytest.raises(BudgetExceeded) as exc:
             FreeAlgebra(spec, n, Budget(limit + index_cells))
@@ -1311,10 +1329,10 @@ def test_index_set_budget_exit_repeats_and_stores_nothing(monkeypatch):
     wide = reduce(lambda a, b: App("and", (a, b)), map(Var, over))
     for _ in range(2):
         budget = RecordingBudget(150)
-        ctx.components_for(fits, budget)
+        ctx.spec.assignment_index(len(fits), budget)
         assert budget.charges == [(20, "assignment index set")]
         assert ctx.generated_by_terms(fits, [Var("v0")]).algebra.size == 4
-        for call in (lambda: ctx.components_for(over),
+        for call in (lambda: ctx.spec.assignment_index(len(over), Budget(150)),
                      lambda: ctx.generated_by_terms(over, [Var("v0")]),
                      lambda: ctx.holds_identity(wide, wide)):
             with pytest.raises(BudgetExceeded) as exc:
